@@ -24,10 +24,11 @@ import (
 	"repro/internal/xmath"
 )
 
-// benchEvalFrame measures the steady-state frame loop of one polynomial
-// evaluator: serial half-circle point solves into a reused value buffer,
-// then the Hermitian inverse DFT into a reused coefficient buffer.
-func benchEvalFrame(b *testing.B, ckt *circuit.Circuit, ev interp.Evaluator) {
+// benchEvalFrame measures the steady-state frame loop of polynomial
+// evaluators: per evaluator, serial half-circle point solves into a
+// reused value buffer, then the Hermitian inverse DFT into a reused
+// coefficient buffer. One op runs one frame of each evaluator.
+func benchEvalFrame(b *testing.B, ckt *circuit.Circuit, evs ...interp.Evaluator) {
 	b.Helper()
 	fs, gs := 1.0, 1.0
 	if mc := ckt.MeanCapacitance(); mc > 0 {
@@ -36,47 +37,58 @@ func benchEvalFrame(b *testing.B, ckt *circuit.Circuit, ev interp.Evaluator) {
 	if mg := ckt.MeanConductance(); mg > 0 {
 		gs = 1 / mg
 	}
-	kUse := ev.OrderBound + 4 // window + guard slots, generator-style
-	pts := dft.UnitCirclePoints(kUse)
-	half := dft.HermitianHalf(kUse)
-	values := make([]xmath.XComplex, half)
-	raw := make([]xmath.XComplex, kUse)
-	var scratch dft.Scratch
-	ctx := context.Background()
-
-	// Priming: the parallel pass first (it pins the serial-vs-parallel
-	// bit-identity invariant and primes the shared pivot plan), then two
-	// serial frames. Serial priming runs last so the scratch on top of
-	// the evaluator free list — the one the timed loop will pop — is the
-	// one the serial frames drove to its capacity high-water mark; the
-	// second pass covers capacity growth (fill-in varies slightly across
-	// points) so the timed op starts in the steady state even at
-	// -benchtime=1x.
-	parallel, err := ev.EvalPointsCtx(ctx, pts[:half], fs, gs, 4)
-	if err != nil {
-		b.Fatal(err)
+	type frame struct {
+		ev      interp.Evaluator
+		kUse    int
+		pts     []complex128
+		values  []xmath.XComplex
+		raw     []xmath.XComplex
+		scratch dft.Scratch
 	}
-	for range 2 {
-		if _, err := ev.EvalPointsInto(ctx, values, pts[:half], fs, gs, 1); err != nil {
+	frames := make([]*frame, len(evs))
+	ctx := context.Background()
+	for i, ev := range evs {
+		kUse := ev.OrderBound + 4 // window + guard slots, generator-style
+		half := dft.HermitianHalf(kUse)
+		fr := &frame{ev: ev, kUse: kUse, pts: dft.UnitCirclePoints(kUse)[:half],
+			values: make([]xmath.XComplex, half), raw: make([]xmath.XComplex, kUse)}
+		frames[i] = fr
+
+		// Priming: the parallel pass first (it pins the serial-vs-parallel
+		// bit-identity invariant and primes the shared pivot plan), then
+		// two serial frames. Serial priming runs last so the scratch on top
+		// of the evaluator free list — the one the timed loop will pop — is
+		// the one the serial frames sized; the second pass covers any
+		// remaining growth so the timed op starts in the steady state even
+		// at -benchtime=1x.
+		parallel, err := ev.EvalPointsCtx(ctx, fr.pts, fs, gs, 4)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	for i := range values {
-		if values[i] != parallel[i] {
-			b.Fatalf("point %d: serial and parallel evaluation disagree", i)
+		for range 2 {
+			if _, err := ev.EvalPointsInto(ctx, fr.values, fr.pts, fs, gs, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
+		for k := range fr.values {
+			if fr.values[k] != parallel[k] {
+				b.Fatalf("%s point %d: serial and parallel evaluation disagree", ev.Name, k)
+			}
+		}
+		dft.HermitianInverseInto(fr.raw, fr.values, kUse, &fr.scratch)
 	}
-	dft.HermitianInverseInto(raw, values, kUse, &scratch)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvalPointsInto(ctx, values, pts[:half], fs, gs, 1); err != nil {
-			b.Fatal(err)
-		}
-		out := dft.HermitianInverseInto(raw, values, kUse, &scratch)
-		if out[0].Real().Zero() {
-			b.Fatal("frame produced a zero constant coefficient")
+		for _, fr := range frames {
+			if _, err := fr.ev.EvalPointsInto(ctx, fr.values, fr.pts, fs, gs, 1); err != nil {
+				b.Fatal(err)
+			}
+			out := dft.HermitianInverseInto(fr.raw, fr.values, fr.kUse, &fr.scratch)
+			if out[0].Real().Zero() {
+				b.Fatalf("%s: frame produced a zero constant coefficient", fr.ev.Name)
+			}
 		}
 	}
 }
@@ -112,6 +124,23 @@ func BenchmarkEvalBatchBiquad(b *testing.B) {
 func BenchmarkEvalBatchLadder40(b *testing.B) {
 	ckt := circuits.RCLadder(40, 1e3, 1e-9)
 	benchEvalFrame(b, ckt, nodalDen(b, ckt, "in", circuits.RCLadderOut(40)))
+}
+
+// BenchmarkEvalBatchUA741Diff is the paper's own path: one op is a frame
+// of the µA741 differential-gain numerator (merged-row projection) and
+// one of its denominator (shorted projection).
+func BenchmarkEvalBatchUA741Diff(b *testing.B) {
+	ckt := circuits.UA741()
+	sys, err := nodal.Build(ckt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inp, inn, out := circuits.UA741Inputs()
+	tf, err := sys.DifferentialVoltageGain(ckt, inp, inn, out)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEvalFrame(b, ckt, tf.Num, tf.Den)
 }
 
 func BenchmarkEvalBatchMNABiquad(b *testing.B) {

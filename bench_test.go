@@ -302,15 +302,18 @@ func BenchmarkAblationTuningRPlus2(b *testing.B)  { benchTuningR(b, 2) }
 
 // --- ablation: sparse Markowitz LU vs dense LU determinants ---
 
-func ua741Matrix(b *testing.B) *sparse.Matrix {
+// nodalMatrix assembles the circuit's scaled node-admittance matrix at
+// s = j, the setting of the generator's unit-circle points.
+func nodalMatrix(b *testing.B, c *circuit.Circuit) *sparse.Matrix {
 	b.Helper()
-	c := circuits.UA741()
 	sys, err := nodal.Build(c)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return sys.MatrixAt(complex(0, 1), 1/c.MeanCapacitance(), 1/c.MeanConductance())
 }
+
+func ua741Matrix(b *testing.B) *sparse.Matrix { return nodalMatrix(b, circuits.UA741()) }
 
 func BenchmarkDetSparseUA741(b *testing.B) {
 	m := ua741Matrix(b)
@@ -322,8 +325,7 @@ func BenchmarkDetSparseUA741(b *testing.B) {
 	}
 }
 
-func BenchmarkDetDenseUA741(b *testing.B) {
-	sm := ua741Matrix(b)
+func benchDetDense(b *testing.B, sm *sparse.Matrix) {
 	n := sm.N()
 	m := dense.New(n)
 	for i := 0; i < n; i++ {
@@ -341,25 +343,61 @@ func BenchmarkDetDenseUA741(b *testing.B) {
 	}
 }
 
+func BenchmarkDetDenseBiquad(b *testing.B) { benchDetDense(b, nodalMatrix(b, circuits.Biquad())) }
+func BenchmarkDetDenseLadder40(b *testing.B) {
+	benchDetDense(b, nodalMatrix(b, circuits.RCLadder(40, 1e3, 1e-9)))
+}
+func BenchmarkDetDenseUA741(b *testing.B) { benchDetDense(b, ua741Matrix(b)) }
+
 // --- ablation: pivot-plan reuse vs full Markowitz per factorization ---
 
-func BenchmarkDetPlannedUA741(b *testing.B) {
-	m := ua741Matrix(b)
-	var plan sparse.Plan
-	if _, err := m.FactorPlanned(&plan); err != nil {
-		b.Fatal(err)
+// benchDetPlanned times the production planned path: re-assemble the
+// matrix's entries into the evaluator workspace, then run the compiled
+// replay of the shared plan the first factorization primed.
+func benchDetPlanned(b *testing.B, m *sparse.Matrix) {
+	type entry struct {
+		i, j int
+		v    complex128
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := m.FactorPlanned(&plan)
+	n := m.N()
+	var es []entry
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if v := m.At(i, j); v != 0 {
+				es = append(es, entry{i, j, v})
+			}
+		}
+	}
+	var sp sparse.SharedPlan
+	var ws sparse.Workspace
+	factor := func() *sparse.LU {
+		ws.Begin(&sp, n)
+		for _, e := range es {
+			ws.Add(e.i, e.j, e.v)
+		}
+		f, err := ws.Factor()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if f.Det().Zero() {
+		return f
+	}
+	factor()
+	if !sp.Primed() {
+		b.Fatal("first factorization did not prime the plan")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if factor().Det().Zero() {
 			b.Fatal("zero det")
 		}
 	}
 }
+
+func BenchmarkDetPlannedBiquad(b *testing.B) { benchDetPlanned(b, nodalMatrix(b, circuits.Biquad())) }
+func BenchmarkDetPlannedLadder40(b *testing.B) {
+	benchDetPlanned(b, nodalMatrix(b, circuits.RCLadder(40, 1e3, 1e-9)))
+}
+func BenchmarkDetPlannedUA741(b *testing.B) { benchDetPlanned(b, ua741Matrix(b)) }
 
 // --- ablation: direct O(K²) IDFT vs radix-2 FFT ---
 

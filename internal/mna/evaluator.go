@@ -31,19 +31,11 @@ import (
 // transforms coefficients exactly (p'_i = p_i·f^i). Use the generator
 // with Config.SingleFactor=true and leave the conductance scale at 1.
 
-// matrixScaled assembles Y_MNA with conductance-dimension entries
-// multiplied by gscale, frequency-proportional entries by s·fscale, and
-// structural entries untouched.
-func (sys *System) matrixScaled(s complex128, fscale, gscale float64) *sparse.Matrix {
-	m := sparse.New(sys.dim)
-	sys.assembleScaledInto(m, s, fscale, gscale)
-	return m
-}
-
-// assembleScaledInto re-assembles the scaled MNA matrix into dst in a
-// fixed stamp order, reusing dst's allocations (see Matrix.Reset).
-func (sys *System) assembleScaledInto(dst *sparse.Matrix, s complex128, fscale, gscale float64) {
-	dst.Reset()
+// assembleScaledInto assembles Y_MNA into dst with conductance-dimension
+// entries multiplied by gscale, frequency-proportional entries by
+// s·fscale, and structural entries untouched, in a fixed stamp order —
+// the order the compiled plan's value slots follow.
+func (sys *System) assembleScaledInto(dst *sparse.Workspace, s complex128, fscale, gscale float64) {
 	for _, st := range sys.gDim {
 		dst.Add(st.i, st.j, complex(st.v*gscale, 0))
 	}
@@ -57,11 +49,9 @@ func (sys *System) assembleScaledInto(dst *sparse.Matrix, s complex128, fscale, 
 }
 
 // evalScratch is the reusable per-worker evaluation state of the one
-// MNA sparsity pattern: the assembly matrix (row maps keep their buckets
-// across Reset), the planned-factorization workspace, and the RHS and
-// solution vectors of the transfer solve.
+// MNA sparsity pattern: the factorization workspace (assembly values and
+// LU) and the RHS and solution vectors of the transfer solve.
 type evalScratch struct {
-	mat *sparse.Matrix
 	ws  sparse.Workspace
 	rhs []complex128
 	sol []complex128
@@ -79,7 +69,6 @@ func (sys *System) getScratch() *evalScratch {
 	}
 	sys.scratchMu.Unlock()
 	return &evalScratch{
-		mat: sparse.New(sys.dim),
 		rhs: make([]complex128, sys.dim),
 		sol: make([]complex128, sys.dim),
 	}
@@ -96,15 +85,18 @@ func (sys *System) putScratch(sc *evalScratch) {
 // the system's shared pivot-order plan (primed once per System by the
 // first successful factorization; replayed read-only afterwards — across
 // points, frames, and both the det and transfer evaluators, which share
-// the one MNA sparsity pattern). Once the plan is primed the replay
-// reuses sc's workspace and allocates nothing. A plan miss re-assembles
-// and runs a private full factorization without touching the plan.
+// the one MNA sparsity pattern). Once the plan is primed the compiled
+// replay reuses sc's workspace and allocates nothing. A plan miss
+// re-assembles and runs a private full factorization without touching
+// the plan.
 func (sys *System) factorAt(sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	sys.assembleScaledInto(sc.mat, s, fscale, gscale)
-	lu, err := sc.mat.FactorSharedInto(sys.detPlan, &sc.ws)
+	sc.ws.Begin(sys.detPlan, sys.dim)
+	sys.assembleScaledInto(&sc.ws, s, fscale, gscale)
+	lu, err := sc.ws.Factor()
 	if err == sparse.ErrPlanMiss {
-		sys.assembleScaledInto(sc.mat, s, fscale, gscale)
-		lu, err = sc.mat.FactorInPlace(sparse.DefaultThreshold)
+		sc.ws.Begin(nil, sys.dim)
+		sys.assembleScaledInto(&sc.ws, s, fscale, gscale)
+		lu, err = sc.ws.Factor()
 	}
 	return lu, err
 }

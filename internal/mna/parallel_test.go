@@ -2,11 +2,13 @@ package mna
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/dft"
 	"repro/internal/interp"
+	"repro/internal/xmath"
 )
 
 // mnaBatchCircuit exercises voltage-defined branches (V source, inductor)
@@ -116,5 +118,52 @@ func TestMNAEvalBothBitIdentical(t *testing.T) {
 	}
 	if !tf.BothReady() {
 		t.Error("BothReady still false after evaluations")
+	}
+}
+
+// TestConcurrentPrimingBatchAndEvalBoth: a det EvalBatch and the joint
+// EvalBoth racing on a fresh system's one shared plan (run under -race
+// in CI) both return the values of serial evaluation — each primes, if
+// it gets there first, from the same first point.
+func TestConcurrentPrimingBatchAndEvalBoth(t *testing.T) {
+	pts := dft.UnitCirclePoints(16)
+	fresh := func() (*System, *interp.TransferFunction) {
+		sys, err := Build(mnaBatchCircuit())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf, err := sys.TransferEvaluators("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, tf
+	}
+	_, ref := fresh()
+	wantDen := ref.Den.EvalPoints(pts, 1e7, 1, 1)
+	wantNum := ref.Num.EvalPoints(pts, 1e7, 1, 1)
+
+	sys, tf := fresh()
+	var batch []xmath.XComplex
+	both := make([][2]xmath.XComplex, len(pts))
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		batch = sys.DetEvaluator().EvalBatch(context.Background(), pts, 1e7, 1, 2)
+	}()
+	go func() {
+		defer wg.Done()
+		for i, s := range pts {
+			both[i][0], both[i][1] = tf.EvalBoth(s, 1e7, 1)
+		}
+	}()
+	wg.Wait()
+	for i := range pts {
+		if batch[i] != wantDen[i] {
+			t.Fatalf("point %d: batch det %v != serial %v", i, batch[i], wantDen[i])
+		}
+		if both[i][0] != wantNum[i] || both[i][1] != wantDen[i] {
+			t.Fatalf("point %d: EvalBoth (%v, %v) != serial (%v, %v)", i, both[i][0], both[i][1], wantNum[i], wantDen[i])
+		}
 	}
 }

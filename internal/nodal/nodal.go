@@ -102,13 +102,14 @@ func mergedRowsProjection(n, a, b, c int) projection {
 }
 
 // pattern pairs a projection with the shared pivot-order plan for its
-// sparsity pattern. The plan is primed by the first successful
-// factorization anywhere in a run and replayed read-only at every later
-// point — across all points of a frame and all frames of a Generate run.
-// The pattern also owns the free list of evaluation scratches for its
-// dimension, so steady-state evaluation reuses assembly matrices,
-// factorization workspaces and RHS vectors instead of allocating per
-// point.
+// sparsity pattern. The plan is primed — and compiled over the
+// projection's stamp positions — by the first successful factorization
+// anywhere in a run, and replayed read-only at every later point: across
+// all points of a frame and all frames of a Generate run, and across the
+// systems of a sweep that adopt the pattern. The pattern also owns the
+// free list of evaluation scratches for its dimension, so steady-state
+// evaluation reuses factorization workspaces and RHS vectors instead of
+// allocating per point.
 type pattern struct {
 	proj projection
 	plan sparse.SharedPlan
@@ -118,11 +119,9 @@ type pattern struct {
 }
 
 // evalScratch is the per-worker reusable evaluation state of one
-// pattern: the assembly matrix (whose row maps keep their buckets across
-// Reset), the planned-factorization workspace, and the Cramer
-// RHS/solution vectors, all sized for the pattern's dimension.
+// pattern: the factorization workspace (assembly values and LU) and the
+// Cramer RHS/solution vectors, sized for the pattern's dimension.
 type evalScratch struct {
-	mat *sparse.Matrix
 	ws  sparse.Workspace
 	rhs []complex128
 	sol []complex128
@@ -145,7 +144,6 @@ func (pat *pattern) get() *evalScratch {
 	pat.scratchMu.Unlock()
 	dim := pat.proj.dim
 	return &evalScratch{
-		mat: sparse.New(dim),
 		rhs: make([]complex128, dim),
 		sol: make([]complex128, dim),
 	}
@@ -158,11 +156,11 @@ func (pat *pattern) put(sc *evalScratch) {
 	pat.scratchMu.Unlock()
 }
 
-// assembleInto re-assembles the projected scaled matrix into dst,
-// reusing dst's allocations. Stamps are applied in a fixed order, so the
-// assembled values are identical on every call with the same arguments.
-func (sys *System) assembleInto(dst *sparse.Matrix, pr *projection, s complex128, fscale, gscale float64) {
-	dst.Reset()
+// assembleInto assembles the projected scaled matrix into dst. Stamps
+// are applied in a fixed order, so the assembled values are identical on
+// every call with the same arguments, and every call adds the same
+// positions — the order the compiled plan's value slots follow.
+func (sys *System) assembleInto(dst *sparse.Workspace, pr *projection, s complex128, fscale, gscale float64) {
 	for _, st := range sys.gStamps {
 		i, j := pr.row[st.i], pr.col[st.j]
 		if i >= 0 && j >= 0 {
@@ -178,20 +176,29 @@ func (sys *System) assembleInto(dst *sparse.Matrix, pr *projection, s complex128
 	}
 }
 
-// detAt evaluates the pattern's signed determinant at one point, using
-// sc for the assembly and the planned-replay factorization — once the
-// shared plan is primed, the whole evaluation allocates nothing. On a
-// plan miss (the recorded pivot order does not fit this matrix's values)
-// it re-assembles and runs a private full factorization — the shared
-// plan itself is never mutated, so the value at a point never depends on
-// which points were evaluated before it (beyond the one-time priming).
-func (sys *System) detAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
-	sys.assembleInto(sc.mat, &pat.proj, s, fscale, gscale)
-	lu, err := sc.mat.FactorSharedInto(&pat.plan, &sc.ws)
+// factorAt assembles the pattern's matrix at one point into sc and
+// factors it under the pattern's shared plan — once the plan is primed,
+// a compiled replay that allocates nothing. On a plan miss (the recorded
+// pivot order does not fit this matrix's values) it re-assembles and
+// runs a private full factorization — the shared plan itself is never
+// mutated, so the value at a point never depends on which points were
+// evaluated before it (beyond the one-time priming).
+func (sys *System) factorAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
+	sc.ws.Begin(&pat.plan, pat.proj.dim)
+	sys.assembleInto(&sc.ws, &pat.proj, s, fscale, gscale)
+	lu, err := sc.ws.Factor()
 	if err == sparse.ErrPlanMiss {
-		sys.assembleInto(sc.mat, &pat.proj, s, fscale, gscale)
-		lu, err = sc.mat.FactorInPlace(sparse.DefaultThreshold)
+		sc.ws.Begin(nil, pat.proj.dim)
+		sys.assembleInto(&sc.ws, &pat.proj, s, fscale, gscale)
+		lu, err = sc.ws.Factor()
 	}
+	return lu, err
+}
+
+// detAt evaluates the pattern's signed determinant at one point, zero
+// when singular.
+func (sys *System) detAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
+	lu, err := sys.factorAt(pat, sc, s, fscale, gscale)
 	if err != nil {
 		return xmath.XComplex{}
 	}
@@ -224,8 +231,8 @@ type System struct {
 // plus primed pivot-order plans — with sys, and reports whether the two
 // systems are structurally identical (same order and the same stamp
 // positions; values may differ). On a mismatch nothing is adopted: a
-// pivot plan replayed against a different sparsity pattern would miss on
-// every solve.
+// compiled plan maps the k-th stamp to a fixed value slot, so it fits
+// only systems that add the same positions in the same order.
 //
 // The adoption is what makes a batch sweep amortize factorization
 // planning: every point of a topology re-uses the plans the first point
@@ -336,12 +343,7 @@ func (sys *System) jointCramer(in int, pick func(det xmath.XComplex, x []complex
 	evalBoth := func(s complex128, fscale, gscale float64) (num, den xmath.XComplex) {
 		sc := pat.get()
 		defer pat.put(sc)
-		sys.assembleInto(sc.mat, &pat.proj, s, fscale, gscale)
-		lu, err := sc.mat.FactorSharedInto(&pat.plan, &sc.ws)
-		if err == sparse.ErrPlanMiss {
-			sys.assembleInto(sc.mat, &pat.proj, s, fscale, gscale)
-			lu, err = sc.mat.FactorInPlace(sparse.DefaultThreshold)
-		}
+		lu, err := sys.factorAt(pat, sc, s, fscale, gscale)
 		if err != nil {
 			return xmath.XComplex{}, xmath.XComplex{}
 		}

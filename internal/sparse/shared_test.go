@@ -73,11 +73,13 @@ func TestFactorDeterministicBits(t *testing.T) {
 func TestFactorSharedMatchesFactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomShared(rng, 10)
+	es := entriesOf(m)
 	var sp SharedPlan
+	var ws Workspace
 	if sp.Primed() {
 		t.Fatal("fresh plan reports primed")
 	}
-	f1, err := m.FactorShared(&sp)
+	f1, err := factorEntries(&ws, &sp, 10, es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,84 +93,91 @@ func TestFactorSharedMatchesFactor(t *testing.T) {
 	if f1.Det() != ref.Det() {
 		t.Fatalf("priming factorization differs from Factor: %v vs %v", f1.Det(), ref.Det())
 	}
-	// Replay on the same pattern with different values.
-	m2 := randomShared(rng, 10)
-	f2, err := m2.FactorShared(&sp)
+	// Replaying the priming matrix reproduces the priming factorization
+	// bit for bit: the compiled replay is the same recurrence.
+	f2, err := factorEntries(&ws, &sp, 10, es)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref2, err := m2.FactorPlanned(&Plan{})
+	requireSameLU(t, f2, ref)
+	// Replay on the same pattern with different values is deterministic.
+	es2 := scaled(rng, es)
+	f3, err := factorEntries(&ws, &sp, 10, es2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = ref2 // replay order may differ from a fresh Markowitz plan; only determinism matters below
-	if d := f2.Det(); d.Zero() {
+	d3 := f3.Det()
+	if d3.Zero() {
 		t.Fatal("replayed factorization lost the determinant")
 	}
 	for trial := 0; trial < 10; trial++ {
-		f, err := m2.FactorShared(&sp)
+		f, err := factorEntries(&ws, &sp, 10, es2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Det() != f2.Det() {
-			t.Fatalf("replay not deterministic: %v vs %v", f.Det(), f2.Det())
+		if f.Det() != d3 {
+			t.Fatalf("replay not deterministic: %v vs %v", f.Det(), d3)
 		}
 	}
 }
 
 func TestFactorSharedInPlaceErrPlanMiss(t *testing.T) {
-	// Prime on a dense-ish matrix, then replay on a matrix whose planned
-	// pivot is structurally absent: the in-place variant must report
-	// ErrPlanMiss so the caller re-assembles.
-	m := New(2)
-	m.Set(0, 0, 1)
-	m.Set(1, 1, 1)
+	// Prime on a matrix whose planned pivots are its diagonal, then
+	// replay a matrix of the same structural pattern whose planned (0,0)
+	// pivot is zero: the compiled replay must report ErrPlanMiss so the
+	// caller re-assembles for a full factorization.
+	pattern := func(d, off complex128) []entry {
+		return []entry{{0, 0, d}, {0, 1, off}, {1, 0, off}, {1, 1, d}}
+	}
 	var sp SharedPlan
-	if _, err := m.Clone().FactorSharedInPlace(&sp); err != nil {
+	var ws Workspace
+	if _, err := factorEntries(&ws, &sp, 2, pattern(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	// Same dimension, but the (0,0) pivot recorded in the plan is zero.
-	m2 := New(2)
-	m2.Set(0, 1, 1)
-	m2.Set(1, 0, 1)
-	_, err := m2.Clone().FactorSharedInPlace(&sp)
-	if err != ErrPlanMiss {
+	if _, err := factorEntries(&ws, &sp, 2, pattern(0, 1)); err != ErrPlanMiss {
 		t.Fatalf("err = %v, want ErrPlanMiss", err)
 	}
-	// Non-destructive variant falls back to a full factorization.
-	f, err := m2.FactorShared(&sp)
+	// A zero pivot whose whole remaining row is zero passes the relative
+	// guard (0 < 0 is false) and must still miss.
+	if _, err := factorEntries(&ws, &sp, 2, pattern(0, 0)); err != ErrPlanMiss {
+		t.Fatalf("all-zero pivot row: err = %v, want ErrPlanMiss", err)
+	}
+	// The fallback full factorization (no plan) succeeds.
+	f, err := factorEntries(&ws, nil, 2, pattern(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Det().Zero() {
-		t.Fatal("fallback factorization failed")
+	if got := f.Det().Complex128(); got != -1 {
+		t.Fatalf("fallback det = %v, want -1", got)
 	}
 	// The miss must not have mutated the shared plan: the original
-	// pattern still replays.
-	if _, err := m.Clone().FactorSharedInPlace(&sp); err != nil {
+	// values still replay.
+	if _, err := factorEntries(&ws, &sp, 2, pattern(1, 0)); err != nil {
 		t.Fatalf("plan corrupted by miss: %v", err)
 	}
 }
 
 func TestSharedPlanConcurrentDeterministic(t *testing.T) {
 	// Many goroutines factoring value-variants of one pattern under one
-	// shared plan must each get the value a serial run would produce.
+	// shared plan, each with its own workspace, must each get the value a
+	// serial run would produce.
 	rng := rand.New(rand.NewSource(11))
-	base := randomShared(rng, 14)
-	variant := func(k int) *Matrix {
-		m := base.Clone()
-		m.Add(0, 0, complex(float64(k)*0.01, 0))
-		return m
+	base := entriesOf(randomShared(rng, 14))
+	variant := func(k int) []entry {
+		es := append([]entry(nil), base...)
+		es[0].v += complex(float64(k)*0.01, 0)
+		return es
 	}
 	var sp SharedPlan
+	var ws Workspace
 	// Prime serially (as the batch layer does).
-	if _, err := variant(0).FactorSharedInPlace(&sp); err != nil {
+	if _, err := factorEntries(&ws, &sp, 14, variant(0)); err != nil {
 		t.Fatal(err)
 	}
 	const n = 64
 	serial := make([]complex128, n)
 	for k := 0; k < n; k++ {
-		f, err := variant(k).FactorSharedInPlace(&sp)
+		f, err := factorEntries(&ws, &sp, 14, variant(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +189,9 @@ func TestSharedPlanConcurrentDeterministic(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var ws Workspace
 			for k := w; k < n; k += 8 {
-				f, err := variant(k).FactorSharedInPlace(&sp)
+				f, err := factorEntries(&ws, &sp, 14, variant(k))
 				if err != nil {
 					t.Error(err)
 					return
@@ -194,6 +204,40 @@ func TestSharedPlanConcurrentDeterministic(t *testing.T) {
 	for k := 0; k < n; k++ {
 		if serial[k] != parallel[k] {
 			t.Fatalf("point %d: serial %v != parallel %v", k, serial[k], parallel[k])
+		}
+	}
+}
+
+func TestSharedPlanConcurrentPriming(t *testing.T) {
+	// Goroutines racing to prime one plan from the same matrix all get
+	// the priming factorization, and exactly one compiled plan survives.
+	es := entriesOf(randomShared(rand.New(rand.NewSource(5)), 12))
+	var sp SharedPlan
+	dets := make([]complex128, 8)
+	var wg sync.WaitGroup
+	for w := range dets {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var ws Workspace
+			for k := 0; k < 4; k++ {
+				f, err := factorEntries(&ws, &sp, 12, es)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				d := f.Det().Complex128()
+				if k > 0 && d != dets[w] {
+					t.Errorf("worker %d: det moved from %v to %v", w, dets[w], d)
+				}
+				dets[w] = d
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range dets {
+		if dets[w] != dets[0] {
+			t.Fatalf("worker %d det %v, worker 0 %v", w, dets[w], dets[0])
 		}
 	}
 }

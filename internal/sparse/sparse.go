@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/cmplx"
 	"slices"
-	"sync"
 
 	"repro/internal/xmath"
 )
@@ -25,11 +24,11 @@ import (
 // matrix.
 var ErrSingular = errors.New("sparse: matrix is singular")
 
-// ErrPlanMiss is returned by FactorSharedInPlace when the recorded pivot
-// order could not be replayed (a pivot vanished structurally or went
-// numerically bad). The receiver's contents are destroyed by the failed
-// replay; the caller must re-assemble the matrix before retrying with
-// FactorInPlace.
+// ErrPlanMiss is returned by Workspace.Factor when the compiled pivot
+// order could not be replayed (a planned pivot read zero or failed the
+// stability guard). The assembled values are destroyed by the failed
+// replay; the caller must re-assemble the matrix for a full
+// factorization.
 var ErrPlanMiss = errors.New("sparse: planned pivot order failed on this matrix")
 
 // DefaultThreshold is the relative pivot magnitude threshold u: a pivot
@@ -201,17 +200,11 @@ type urowEntry struct {
 }
 
 // sortedURow snapshots the active entries of a pivot row in column order.
-func sortedURow(row map[int]complex128, colActive []bool) []urowEntry {
-	return sortedURowInto(make([]urowEntry, 0, len(row)), row, colActive)
-}
-
-// sortedURowInto is sortedURow appending into dst (truncated first), so a
-// reused per-step slice keeps its capacity across factorizations. Column
-// keys are map keys, hence unique, so the sorted order — and with it
-// every downstream rounded intermediate — does not depend on the sort
+// Column keys are map keys, hence unique, so the sorted order — and with
+// it every downstream rounded intermediate — does not depend on the sort
 // algorithm's stability.
-func sortedURowInto(dst []urowEntry, row map[int]complex128, colActive []bool) []urowEntry {
-	u := dst[:0]
+func sortedURow(row map[int]complex128, colActive []bool) []urowEntry {
+	u := make([]urowEntry, 0, len(row))
 	for j, v := range row {
 		if colActive[j] {
 			u = append(u, urowEntry{col: j, val: v})
@@ -277,9 +270,10 @@ func (w *Matrix) FactorInPlace(threshold float64) (*LU, error) {
 			colCount[j]++
 		}
 	}
+	colMax := make([]float64, n)
 	for step := 0; step < n; step++ {
 		// Column max magnitudes over active rows, for the threshold test.
-		colMax := make([]float64, n)
+		clear(colMax)
 		for i, r := range w.rows {
 			if !rowActive[i] {
 				continue
@@ -421,368 +415,10 @@ func (f *LU) Solve(b []complex128) ([]complex128, error) {
 	return x, nil
 }
 
-// Plan caches a pivot order for repeated factorizations of matrices
-// sharing one sparsity pattern — the interpolation loop factors the same
-// circuit matrix at dozens of points per iteration, and the Markowitz
-// search is most of the cost. The zero value is an empty plan; the first
-// FactorPlanned fills it.
-type Plan struct {
-	pivRow, pivCol []int
-}
-
-// guardRatio is the stability fallback threshold for planned
-// factorizations: a planned pivot smaller than guardRatio × the largest
-// entry of its remaining row triggers a full Markowitz refactorization
-// (and a plan refresh).
-const guardRatio = 1e-10
-
-// FactorPlanned factors the matrix reusing the plan's pivot order when
-// available, falling back to (and refreshing the plan from) a full
-// Markowitz factorization on the first call or when a planned pivot goes
-// numerically bad. The receiver is not modified.
-func (m *Matrix) FactorPlanned(plan *Plan) (*LU, error) {
-	if plan == nil || len(plan.pivRow) != m.n {
-		return m.factorAndPlan(plan)
-	}
-	f, ok := m.tryPlanned(plan)
-	if !ok {
-		return m.factorAndPlan(plan)
-	}
-	return f, nil
-}
-
-func (m *Matrix) factorAndPlan(plan *Plan) (*LU, error) {
-	f, err := m.Factor(DefaultThreshold)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		plan.pivRow = append(plan.pivRow[:0], f.pivRow...)
-		plan.pivCol = append(plan.pivCol[:0], f.pivCol...)
-	}
-	return f, nil
-}
-
-// tryPlanned eliminates in the recorded order; ok is false when a pivot
-// is missing or numerically unsafe.
-func (m *Matrix) tryPlanned(plan *Plan) (*LU, bool) {
-	return m.Clone().tryPlannedInPlace(plan)
-}
-
-// tryPlannedInPlace is tryPlanned on a disposable matrix: it consumes the
-// receiver's contents whether or not the replay succeeds.
-func (w *Matrix) tryPlannedInPlace(plan *Plan) (*LU, bool) {
-	n := w.n
-	f := &LU{
-		n:       n,
-		pivRow:  plan.pivRow,
-		pivCol:  plan.pivCol,
-		pivVal:  make([]complex128, 0, n),
-		urows:   make([][]urowEntry, 0, n),
-		mults:   make([][]multEntry, 0, n),
-		detSign: 1,
-	}
-	colActive := make([]bool, n)
-	rowActive := make([]bool, n)
-	for i := range colActive {
-		colActive[i] = true
-		rowActive[i] = true
-	}
-	for step := 0; step < n; step++ {
-		bi, bj := plan.pivRow[step], plan.pivCol[step]
-		piv, ok := w.rows[bi][bj]
-		if !ok {
-			return nil, false
-		}
-		// Stability guard: the pivot must not be vanishingly small next
-		// to its remaining row.
-		rowMax := 0.0
-		for j, v := range w.rows[bi] {
-			if colActive[j] {
-				if a := cmplx.Abs(v); a > rowMax {
-					rowMax = a
-				}
-			}
-		}
-		if cmplx.Abs(piv) < guardRatio*rowMax {
-			return nil, false
-		}
-		urow := sortedURow(w.rows[bi], colActive)
-		f.pivVal = append(f.pivVal, piv)
-		f.urows = append(f.urows, urow)
-		rowActive[bi] = false
-		colActive[bj] = false
-		var stepMults []multEntry
-		for i, r := range w.rows {
-			if !rowActive[i] {
-				continue
-			}
-			fv, ok := r[bj]
-			if !ok {
-				continue
-			}
-			mult := fv / piv
-			stepMults = append(stepMults, multEntry{row: i, mult: mult})
-			delete(r, bj)
-			for j, v := range w.rows[bi] {
-				if !colActive[j] {
-					continue
-				}
-				nv := r[j] - mult*v
-				if nv == 0 {
-					delete(r, j)
-					continue
-				}
-				r[j] = nv
-			}
-		}
-		f.mults = append(f.mults, stepMults)
-	}
-	if parity(f.pivRow)*parity(f.pivCol) < 0 {
-		f.detSign = -1
-	}
-	return f, true
-}
-
-// SharedPlan is a concurrency-safe pivot-order cache for repeated
-// factorizations of matrices sharing one sparsity pattern — the batched
-// point-evaluation layer factors the same circuit pattern at every
-// interpolation point of every frame of a generation run.
-//
-// Unlike Plan it is primed exactly once, by the first successful full
-// factorization, and never refreshed afterwards: later factorizations
-// replay the recorded order read-only and fall back to a private full
-// Markowitz factorization when a planned pivot is structurally absent or
-// numerically unsafe. Because the recorded order is immutable after
-// priming, the result for a given matrix is a pure function of the
-// matrix and the plan — independent of evaluation order and goroutine
-// scheduling — which is what makes serial and parallel batched runs
-// bit-identical.
-type SharedPlan struct {
-	mu     sync.Mutex
-	primed bool
-	plan   Plan
-}
-
-// Primed reports whether a pivot order has been recorded. Batch runners
-// use it to keep evaluating serially until the plan exists, so that the
-// point that primes the plan is the same in serial and parallel runs.
-func (sp *SharedPlan) Primed() bool {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.primed
-}
-
-// snapshot returns the recorded plan, if any. The returned slices are
-// shared read-only: replay never mutates them and priming happens once.
-func (sp *SharedPlan) snapshot() (Plan, bool) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.plan, sp.primed
-}
-
-// prime records the pivot order of f unless one is already recorded.
-func (sp *SharedPlan) prime(f *LU) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.primed {
-		return
-	}
-	sp.plan.pivRow = append([]int(nil), f.pivRow...)
-	sp.plan.pivCol = append([]int(nil), f.pivCol...)
-	sp.primed = true
-}
-
-// FactorShared factors the matrix under the shared plan: replay the
-// recorded order when primed (falling back to a full Markowitz
-// factorization for this matrix only when the replay fails), otherwise
-// full-factor and prime. The receiver is not modified. A nil plan means
-// a plain Factor.
-func (m *Matrix) FactorShared(sp *SharedPlan) (*LU, error) {
-	if sp == nil {
-		return m.Factor(DefaultThreshold)
-	}
-	if plan, ok := sp.snapshot(); ok {
-		if len(plan.pivRow) == m.n {
-			if f, ok2 := m.tryPlanned(&plan); ok2 {
-				return f, nil
-			}
-		}
-		return m.Factor(DefaultThreshold)
-	}
-	f, err := m.Factor(DefaultThreshold)
-	if err != nil {
-		return nil, err
-	}
-	sp.prime(f)
-	return f, nil
-}
-
-// FactorSharedInPlace is FactorShared for a disposable scratch matrix: it
-// consumes the receiver's contents without cloning. When the planned
-// replay fails the original values are already destroyed, so it returns
-// ErrPlanMiss; the caller must re-assemble the matrix and retry with
-// FactorInPlace.
-func (m *Matrix) FactorSharedInPlace(sp *SharedPlan) (*LU, error) {
-	if sp == nil {
-		return m.FactorInPlace(DefaultThreshold)
-	}
-	if plan, ok := sp.snapshot(); ok {
-		if len(plan.pivRow) != m.n {
-			return m.FactorInPlace(DefaultThreshold)
-		}
-		if f, ok2 := m.tryPlannedInPlace(&plan); ok2 {
-			return f, nil
-		}
-		return nil, ErrPlanMiss
-	}
-	f, err := m.FactorInPlace(DefaultThreshold)
-	if err != nil {
-		return nil, err
-	}
-	sp.prime(f)
-	return f, nil
-}
-
-// Workspace holds reusable factorization and solve storage for the
-// steady-state planned-replay path: one LU whose per-step slices retain
-// their capacity across points, the active-row/column flags, and the
-// forward-substitution vector. A Workspace is not safe for concurrent
-// use; the batched evaluation layer keeps one per worker. The LU
-// returned by FactorSharedInto aliases the workspace and is valid only
-// until the next factorization through the same workspace.
-type Workspace struct {
-	lu        LU
-	rowActive []bool
-	colActive []bool
-	fwd       []complex128 // forward-substitution scratch for SolveInto
-	seen      []bool       // permutation-parity scratch
-}
-
-// ensure sizes the workspace for an n×n factorization, growing storage
-// only when the dimension exceeds every previous call.
-func (ws *Workspace) ensure(n int) {
-	if cap(ws.lu.urows) < n {
-		ws.lu.urows = make([][]urowEntry, n)
-		ws.lu.mults = make([][]multEntry, n)
-		ws.lu.pivVal = make([]complex128, 0, n)
-		ws.rowActive = make([]bool, n)
-		ws.colActive = make([]bool, n)
-		ws.fwd = make([]complex128, n)
-		ws.seen = make([]bool, n)
-	}
-	ws.lu.urows = ws.lu.urows[:n]
-	ws.lu.mults = ws.lu.mults[:n]
-	ws.rowActive = ws.rowActive[:n]
-	ws.colActive = ws.colActive[:n]
-	ws.fwd = ws.fwd[:n]
-	ws.seen = ws.seen[:n]
-}
-
-// FactorSharedInto is FactorSharedInPlace reusing ws for the planned
-// replay: once the shared plan is primed, the steady-state replay
-// allocates nothing (the returned LU aliases ws). The cold paths —
-// priming and the post-ErrPlanMiss full factorization — still allocate a
-// fresh LU, exactly as FactorSharedInPlace does. Like
-// FactorSharedInPlace it consumes the receiver's contents, and a failed
-// replay returns ErrPlanMiss with the matrix destroyed.
-func (m *Matrix) FactorSharedInto(sp *SharedPlan, ws *Workspace) (*LU, error) {
-	if sp == nil || ws == nil {
-		return m.FactorSharedInPlace(sp)
-	}
-	if plan, ok := sp.snapshot(); ok {
-		if len(plan.pivRow) != m.n {
-			return m.FactorInPlace(DefaultThreshold)
-		}
-		if f, ok2 := m.tryPlannedInto(&plan, ws); ok2 {
-			return f, nil
-		}
-		return nil, ErrPlanMiss
-	}
-	f, err := m.FactorInPlace(DefaultThreshold)
-	if err != nil {
-		return nil, err
-	}
-	sp.prime(f)
-	return f, nil
-}
-
-// tryPlannedInto is tryPlannedInPlace writing the factorization into the
-// workspace's reusable LU. The elimination is statement-for-statement
-// the same recurrence, so the produced pivots, U rows and multipliers
-// are bit-identical to the allocating path.
-func (w *Matrix) tryPlannedInto(plan *Plan, ws *Workspace) (*LU, bool) {
-	n := w.n
-	ws.ensure(n)
-	f := &ws.lu
-	f.n = n
-	f.pivRow = plan.pivRow
-	f.pivCol = plan.pivCol
-	f.pivVal = f.pivVal[:0]
-	f.detSign = 1
-	colActive := ws.colActive
-	rowActive := ws.rowActive
-	for i := range colActive {
-		colActive[i] = true
-		rowActive[i] = true
-	}
-	for step := 0; step < n; step++ {
-		bi, bj := plan.pivRow[step], plan.pivCol[step]
-		piv, ok := w.rows[bi][bj]
-		if !ok {
-			return nil, false
-		}
-		rowMax := 0.0
-		for j, v := range w.rows[bi] {
-			if colActive[j] {
-				if a := cmplx.Abs(v); a > rowMax {
-					rowMax = a
-				}
-			}
-		}
-		if cmplx.Abs(piv) < guardRatio*rowMax {
-			return nil, false
-		}
-		f.urows[step] = sortedURowInto(f.urows[step], w.rows[bi], colActive)
-		f.pivVal = append(f.pivVal, piv)
-		rowActive[bi] = false
-		colActive[bj] = false
-		stepMults := f.mults[step][:0]
-		for i, r := range w.rows {
-			if !rowActive[i] {
-				continue
-			}
-			fv, ok := r[bj]
-			if !ok {
-				continue
-			}
-			mult := fv / piv
-			stepMults = append(stepMults, multEntry{row: i, mult: mult})
-			delete(r, bj)
-			for j, v := range w.rows[bi] {
-				if !colActive[j] {
-					continue
-				}
-				nv := r[j] - mult*v
-				if nv == 0 {
-					delete(r, j)
-					continue
-				}
-				r[j] = nv
-			}
-		}
-		f.mults[step] = stepMults
-	}
-	if parityInto(f.pivRow, ws.seen)*parityInto(f.pivCol, ws.seen) < 0 {
-		f.detSign = -1
-	}
-	return f, true
-}
-
-// SolveInto solves A·x = b into dst without allocating, using ws.fwd as
-// the forward-substitution vector. dst and b may be the same slice; ws
-// must be the workspace sized by the factorization (any workspace whose
-// ensure dimension covers f.n works).
+// SolveInto solves A·x = b into dst using ws's forward-substitution
+// scratch, allocating nothing once ws has been sized for f.n (any
+// workspace works; it need not be the one f aliases). dst and b may be
+// the same slice.
 func (f *LU) SolveInto(dst, b []complex128, ws *Workspace) error {
 	if len(b) != f.n || len(dst) != f.n {
 		return fmt.Errorf("sparse: rhs/dst length %d/%d, want %d", len(b), len(dst), f.n)
@@ -815,17 +451,8 @@ func (f *LU) SolveInto(dst, b []complex128, ws *Workspace) error {
 // parity returns the sign (+1/−1) of the permutation given as a sequence
 // of images, via cycle counting.
 func parity(perm []int) int {
-	return parityInto(perm, make([]bool, len(perm)))
-}
-
-// parityInto is parity with caller-provided cycle-marking scratch (len ≥
-// len(perm)); it clears the scratch itself.
-func parityInto(perm []int, seen []bool) int {
 	n := len(perm)
-	seen = seen[:n]
-	for i := range seen {
-		seen[i] = false
-	}
+	seen := make([]bool, n)
 	sign := 1
 	for i := 0; i < n; i++ {
 		if seen[i] {

@@ -225,9 +225,11 @@ func TestParity(t *testing.T) {
 func TestFactorPlannedMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	m := randomSparse(rng, 12, 0.25)
-	var plan Plan
-	// First call fills the plan from a full factorization.
-	f1, err := m.FactorPlanned(&plan)
+	es := entriesOf(m)
+	var sp SharedPlan
+	var ws Workspace
+	// The first factorization is a full one that primes the plan.
+	f1, err := factorEntries(&ws, &sp, 12, es)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,18 +237,15 @@ func TestFactorPlannedMatchesFull(t *testing.T) {
 	if got := f1.Det().Complex128(); cmplx.Abs(got-want) > 1e-9*(1+cmplx.Abs(want)) {
 		t.Errorf("first planned det %v, want %v", got, want)
 	}
-	// Same pattern, new values: the planned path must agree with the
-	// full path, and Solve must work.
+	// Same pattern, new values: the compiled replay must agree with the
+	// full path, and SolveInto must work.
 	for trial := 0; trial < 5; trial++ {
-		m2 := m.Clone()
-		for i := 0; i < 12; i++ {
-			for j := 0; j < 12; j++ {
-				if v := m.At(i, j); v != 0 {
-					m2.Set(i, j, v*complex(1+0.3*rng.NormFloat64(), 0.2*rng.NormFloat64()))
-				}
-			}
+		es2 := scaled(rng, es)
+		m2 := New(12)
+		for _, e := range es2 {
+			m2.Add(e.i, e.j, e.v)
 		}
-		f2, err := m2.FactorPlanned(&plan)
+		f2, err := factorEntries(&ws, &sp, 12, es2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,8 +257,8 @@ func TestFactorPlannedMatchesFull(t *testing.T) {
 		for i := range b {
 			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		x, err := f2.Solve(b)
-		if err != nil {
+		x := make([]complex128, 12)
+		if err := f2.SolveInto(x, b, &ws); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 12; i++ {
@@ -275,23 +274,36 @@ func TestFactorPlannedMatchesFull(t *testing.T) {
 }
 
 func TestFactorPlannedFallsBackOnBadPivot(t *testing.T) {
-	// Plan built on a benign matrix; then the planned pivot entry is
-	// zeroed out — the fallback must still produce the right result.
+	// Plan built on a benign matrix; then the planned first pivot's value
+	// is zeroed out — the replay must miss, and the full factorization it
+	// falls back to must still produce the right result.
 	m := New(3)
 	m.Set(0, 0, 4)
 	m.Set(1, 1, 5)
 	m.Set(2, 2, 6)
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
-	var plan Plan
-	if _, err := m.FactorPlanned(&plan); err != nil {
+	es := entriesOf(m)
+	var sp SharedPlan
+	var ws Workspace
+	if _, err := factorEntries(&ws, &sp, 3, es); err != nil {
 		t.Fatal(err)
 	}
+	c := sp.c.Load()
+	// Make whichever entry the plan pivots on first vanish.
 	m2 := m.Clone()
-	// Make whichever diagonal the plan picked first vanish structurally.
-	m2.Set(plan.pivRow[0], plan.pivCol[0], 0)
+	m2.Set(c.pivRow[0], c.pivCol[0], 0)
+	es2 := append([]entry(nil), es...)
+	for k := range es2 {
+		if es2[k].i == c.pivRow[0] && es2[k].j == c.pivCol[0] {
+			es2[k].v = 0
+		}
+	}
+	if _, err := factorEntries(&ws, &sp, 3, es2); err != ErrPlanMiss {
+		t.Fatalf("replay with a zero planned pivot: err = %v, want ErrPlanMiss", err)
+	}
 	want := m2.Det().Complex128()
-	f, err := m2.FactorPlanned(&plan)
+	f, err := factorEntries(&ws, nil, 3, es2)
 	if err != nil {
 		// Singular after the edit is acceptable only if Det agrees.
 		if cmplx.Abs(want) > 1e-12 {
@@ -301,6 +313,9 @@ func TestFactorPlannedFallsBackOnBadPivot(t *testing.T) {
 	}
 	if got := f.Det().Complex128(); cmplx.Abs(got-want) > 1e-9*(1+cmplx.Abs(want)) {
 		t.Errorf("fallback det %v, want %v", got, want)
+	}
+	if sp.c.Load() != c {
+		t.Error("the miss replaced the shared plan")
 	}
 }
 
