@@ -141,12 +141,15 @@ func TestSnapshotAndCheckModes(t *testing.T) {
 }
 
 // TestCompareAllocsGate pins the hot-path allocation gate: allocs/op is
-// compared (lower-is-better) on BenchmarkEvalBatch* names only, so a
-// steady-state op that starts allocating fails the gate while advisory
-// allocation counts elsewhere stay ignored.
+// compared (lower-is-better) on BenchmarkEvalBatch* and
+// BenchmarkDetSparseUA741 only, so a steady-state op that starts
+// allocating fails the gate while advisory allocation counts elsewhere
+// stay ignored.
 func TestCompareAllocsGate(t *testing.T) {
 	dir := t.TempDir()
 	old := writeSnapshot(t, dir, "old.json", []Entry{
+		{Name: "BenchmarkDetSparseUA741", N: 1, NsOp: 90000, Extra: map[string]float64{
+			"B/op": 0, "allocs/op": 0}},
 		{Name: "BenchmarkEvalBatchBiquad", N: 1, NsOp: 6000, Extra: map[string]float64{
 			"B/op": 0, "allocs/op": 0}},
 		{Name: "BenchmarkIDFTDirect49", N: 1, NsOp: 7000, Extra: map[string]float64{
@@ -155,6 +158,8 @@ func TestCompareAllocsGate(t *testing.T) {
 
 	// A hot-path op that allocates again is a regression, even by one.
 	leaky := writeSnapshot(t, dir, "leaky.json", []Entry{
+		{Name: "BenchmarkDetSparseUA741", N: 1, NsOp: 90000, Extra: map[string]float64{
+			"B/op": 48, "allocs/op": 1}},
 		{Name: "BenchmarkEvalBatchBiquad", N: 1, NsOp: 6000, Extra: map[string]float64{
 			"B/op": 64, "allocs/op": 1}},
 		{Name: "BenchmarkIDFTDirect49", N: 1, NsOp: 7000, Extra: map[string]float64{
@@ -164,8 +169,10 @@ func TestCompareAllocsGate(t *testing.T) {
 	if code := run([]string{"-compare", old, leaky}, strings.NewReader(""), &out, &errOut); code != 1 {
 		t.Fatalf("leaky hot path exited %d, want 1 (stdout %q)", code, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESSION BenchmarkEvalBatchBiquad allocs/op") {
-		t.Errorf("missing allocs regression in %q", out.String())
+	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741"} {
+		if !strings.Contains(out.String(), "REGRESSION "+name+" allocs/op") {
+			t.Errorf("missing %s allocs regression in %q", name, out.String())
+		}
 	}
 
 	// Off-path allocation counts are advisory: a jump elsewhere passes.

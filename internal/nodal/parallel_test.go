@@ -145,22 +145,26 @@ func TestProjectionMatchesLegacyForms(t *testing.T) {
 	}
 }
 
+// missSystem builds Y = [[1+s, −1], [−1, 1.1]]: priming at s = j pivots
+// on Y_aa first (the largest of four equal-cost entries), and Y_aa is
+// exactly 0 at s = −1, so a replay there misses.
+func missSystem(t *testing.T) *System {
+	t.Helper()
+	c := circuit.New("miss")
+	c.AddG("gab", "a", "b", 1).AddC("ca", "a", "0", 1).AddG("gb", "b", "0", 0.1)
+	sys, err := Build(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // TestPlanMissFallsBackAndKeepsPlan: at a point where the planned first
 // pivot vanishes exactly, the compiled replay misses, the determinant is
 // the fresh full factorization's, and the next point still replays the
 // unchanged shared plan.
 func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
-	// Y = [[1+s, −1], [−1, 1.1]]: priming at s = j pivots on Y_aa first
-	// (the largest of four equal-cost entries); Y_aa is exactly 0 at s = −1.
-	mk := func() *System {
-		c := circuit.New("miss")
-		c.AddG("gab", "a", "b", 1).AddC("ca", "a", "0", 1).AddG("gb", "b", "0", 0.1)
-		sys, err := Build(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
+	mk := func() *System { return missSystem(t) }
 	prime, miss, next := complex(0, 1), complex(-1, 0), complex(0.6, 0.8)
 	sys := mk()
 	pat := sys.detPattern()
@@ -195,6 +199,41 @@ func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
 	clean.Det(prime, 1, 1)
 	if got, want := sys.Det(next, 1, 1), clean.Det(next, 1, 1); got != want {
 		t.Fatalf("det after the miss = %v, without it %v", got, want)
+	}
+}
+
+// TestPlanMissFallbackReusesScratch: the full factorization a plan miss
+// falls back to gives exactly the fresh FactorInPlace determinant, and
+// once a scratch has been through one fallback, repeating it through the
+// same scratch allocates nothing.
+func TestPlanMissFallbackReusesScratch(t *testing.T) {
+	sys := missSystem(t)
+	prime, miss := complex(0, 1), complex(-1, 0)
+	pat := sys.detPattern()
+	sys.Det(prime, 1, 1)
+	full, err := sys.MatrixAt(miss, 1, 1).FactorInPlace(sparse.DefaultThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := full.Det()
+
+	sc := pat.get()
+	defer pat.put(sc)
+	sc.ws.Begin(&pat.plan, pat.proj.dim)
+	sys.assembleInto(&sc.ws, &pat.proj, miss, 1, 1)
+	if _, err := sc.ws.Factor(); err != sparse.ErrPlanMiss {
+		t.Fatalf("replay at s=%v: err = %v, want ErrPlanMiss", miss, err)
+	}
+	if got := sys.detAt(pat, sc, miss, 1, 1); got != want {
+		t.Fatalf("fallback det = %v, fresh FactorInPlace %v", got, want)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if got := sys.detAt(pat, sc, miss, 1, 1); got != want {
+			t.Fatalf("repeated fallback det = %v, want %v", got, want)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("repeated fallback: %v allocs/run, want 0", allocs)
 	}
 }
 

@@ -4,8 +4,158 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// referenceMarkowitz is the map-based Markowitz factorization the flat
+// rows must reproduce bit for bit: it eliminates w, consuming its
+// contents, with the pivot rule of Workspace.markowitz. Map iteration
+// order is random, but every choice it makes is order-independent — a
+// total order on (cost, magnitude, row, column) for the pivot, one update
+// per entry, sorted U rows, multipliers by ascending row — as long as no
+// candidate magnitude is NaN.
+func referenceMarkowitz(w *Matrix, threshold float64) (*LU, error) {
+	n := w.n
+	f := &LU{
+		n:       n,
+		pivRow:  make([]int, 0, n),
+		pivCol:  make([]int, 0, n),
+		pivVal:  make([]complex128, 0, n),
+		urows:   make([][]urowEntry, 0, n),
+		mults:   make([][]multEntry, 0, n),
+		detSign: 1,
+	}
+	rowActive := make([]bool, n)
+	colActive := make([]bool, n)
+	colCount := make([]int, n) // nonzeros per active column over active rows
+	for i := range rowActive {
+		rowActive[i] = true
+		colActive[i] = true
+	}
+	for _, r := range w.rows {
+		for j := range r {
+			colCount[j]++
+		}
+	}
+	colMax := make([]float64, n)
+	for step := 0; step < n; step++ {
+		// Column max magnitudes over active rows, for the threshold test.
+		clear(colMax)
+		for i, r := range w.rows {
+			if !rowActive[i] {
+				continue
+			}
+			for j, v := range r {
+				if !colActive[j] {
+					continue
+				}
+				if a := cmplx.Abs(v); a > colMax[j] {
+					colMax[j] = a
+				}
+			}
+		}
+		// Pivot search: minimal (r−1)(c−1), ties broken by magnitude.
+		bestCost := int(^uint(0) >> 1)
+		bestAbs := 0.0
+		bi, bj := -1, -1
+		for i, r := range w.rows {
+			if !rowActive[i] {
+				continue
+			}
+			rc := 0
+			for j := range r {
+				if colActive[j] {
+					rc++
+				}
+			}
+			for j, v := range r {
+				if !colActive[j] {
+					continue
+				}
+				a := cmplx.Abs(v)
+				if a < threshold*colMax[j] {
+					continue
+				}
+				cost := (rc - 1) * (colCount[j] - 1)
+				better := cost < bestCost ||
+					(cost == bestCost && (a > bestAbs ||
+						(a == bestAbs && (bi < 0 || i < bi || (i == bi && j < bj)))))
+				if better {
+					bestCost, bestAbs, bi, bj = cost, a, i, j
+				}
+			}
+		}
+		if bi < 0 {
+			return nil, ErrSingular
+		}
+		piv := w.rows[bi][bj]
+		urow := sortedURow(w.rows[bi], colActive)
+		f.pivRow = append(f.pivRow, bi)
+		f.pivCol = append(f.pivCol, bj)
+		f.pivVal = append(f.pivVal, piv)
+		f.urows = append(f.urows, urow)
+		rowActive[bi] = false
+		colActive[bj] = false
+		for j := range w.rows[bi] {
+			if colActive[j] || j == bj {
+				colCount[j]--
+			}
+		}
+		// Rank-1 update of the active submatrix.
+		var stepMults []multEntry
+		for i, r := range w.rows {
+			if !rowActive[i] {
+				continue
+			}
+			fv, ok := r[bj]
+			if !ok {
+				continue
+			}
+			mult := fv / piv
+			stepMults = append(stepMults, multEntry{row: i, mult: mult})
+			delete(r, bj)
+			for j, v := range w.rows[bi] {
+				if !colActive[j] {
+					continue
+				}
+				old, had := r[j]
+				nv := old - mult*v
+				if nv == 0 {
+					if had {
+						delete(r, j)
+						colCount[j]--
+					}
+					continue
+				}
+				if !had {
+					colCount[j]++
+				}
+				r[j] = nv
+			}
+		}
+		f.mults = append(f.mults, stepMults)
+	}
+	if parity(f.pivRow, make([]bool, n))*parity(f.pivCol, make([]bool, n)) < 0 {
+		f.detSign = -1
+	}
+	return f, nil
+}
+
+// sortedURow snapshots the active entries of a pivot row in column order.
+// Column keys are map keys, hence unique, so the sorted order — and with
+// it every downstream rounded intermediate — does not depend on the sort
+// algorithm's stability.
+func sortedURow(row map[int]complex128, colActive []bool) []urowEntry {
+	u := make([]urowEntry, 0, len(row))
+	for j, v := range row {
+		if colActive[j] {
+			u = append(u, urowEntry{col: j, val: v})
+		}
+	}
+	slices.SortFunc(u, func(a, b urowEntry) int { return a.col - b.col })
+	return u
+}
 
 // referenceReplay is the map-based planned replay the compiled replay
 // must reproduce bit for bit: it eliminates w in the given pivot order,
@@ -75,7 +225,7 @@ func referenceReplay(w *Matrix, pivRow, pivCol []int) (*LU, bool) {
 		}
 		f.mults = append(f.mults, stepMults)
 	}
-	if parity(f.pivRow)*parity(f.pivCol) < 0 {
+	if parity(f.pivRow, make([]bool, n))*parity(f.pivCol, make([]bool, n)) < 0 {
 		f.detSign = -1
 	}
 	return f, true
@@ -349,6 +499,118 @@ func FuzzCompiledReplay(f *testing.F) {
 			if sp.c.Load() != c {
 				t.Fatal("replay replaced the shared plan")
 			}
+		}
+	})
+}
+
+// markowitzAdds draws the add sequence of one FuzzMarkowitz input: the
+// fuzz circuit's stamps (modes as in fuzzStamps) at one of the points
+// j, 1, −1, a unit-circle point and 0, optionally rounded to integers
+// (mode 64: Markowitz-cost and magnitude ties) and followed by repeated
+// adds to one position (mode 128): an exact cancellation, a signed zero
+// that must be skipped, and re-adds that start again from 0 + v.
+func markowitzAdds(rng *rand.Rand, n int, density, mode, point uint8) []entry {
+	st := fuzzStamps(rng, n, density, mode&63)
+	if mode&64 != 0 {
+		for k := range st {
+			st[k].g, st[k].c = math.Round(st[k].g), math.Round(st[k].c)
+		}
+	}
+	s := []complex128{complex(0, 1), 1, -1, cmplx.Rect(1, 2*math.Pi*rng.Float64()), 0}[point%5]
+	var es []entry
+	assembleStamps(st, s, nil, func(i, j int, v complex128) { es = append(es, entry{i, j, v}) })
+	if mode&128 != 0 {
+		p, q := rng.Intn(n), rng.Intn(n)
+		m := New(n)
+		for _, e := range es {
+			m.Add(e.i, e.j, e.v)
+		}
+		negZero := math.Copysign(0, -1)
+		x := complex(float64(1+rng.Intn(3)), negZero)
+		es = append(es, entry{p, q, -m.At(p, q)}, entry{p, q, complex(negZero, negZero)},
+			entry{p, q, x}, entry{p, q, x}, entry{p, q, -2 * x}, entry{p, q, x})
+	}
+	return es
+}
+
+// hasNaN reports whether any pivot, U entry or multiplier of f has a NaN
+// part.
+func hasNaN(f *LU) bool {
+	nan := func(v complex128) bool { return math.IsNaN(real(v)) || math.IsNaN(imag(v)) }
+	for k := range f.pivVal {
+		if nan(f.pivVal[k]) {
+			return true
+		}
+		for _, e := range f.urows[k] {
+			if nan(e.val) {
+				return true
+			}
+		}
+		for _, me := range f.mults[k] {
+			if nan(me.mult) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// FuzzMarkowitz feeds one add sequence to the map-based reference
+// (through Matrix.Add) and to both production entry points —
+// Matrix.FactorInPlace and a reused Workspace's Begin(nil)/Add/Factor —
+// and requires ErrSingular on the same inputs and otherwise the same
+// pivot order and bit-identical pivots, U rows, multipliers, sign,
+// determinant and solves.
+func FuzzMarkowitz(f *testing.F) {
+	f.Add(uint8(5), uint8(4), int64(1), uint8(0), uint8(0))
+	f.Add(uint8(9), uint8(12), int64(2), uint8(65), uint8(1))
+	f.Add(uint8(7), uint8(9), int64(3), uint8(10), uint8(2))
+	f.Add(uint8(12), uint8(20), int64(4), uint8(132), uint8(3))
+	f.Add(uint8(8), uint8(14), int64(5), uint8(48), uint8(0))
+	f.Add(uint8(3), uint8(2), int64(6), uint8(193), uint8(4))
+	f.Fuzz(func(t *testing.T, size, density uint8, seed int64, mode, point uint8) {
+		n := 1 + int(size)%16
+		rng := rand.New(rand.NewSource(seed))
+		es := markowitzAdds(rng, n, density, mode, point)
+		build := func() *Matrix {
+			m := New(n)
+			for _, e := range es {
+				m.Add(e.i, e.j, e.v)
+			}
+			return m
+		}
+		want, wantErr := referenceMarkowitz(build(), DefaultThreshold)
+		again, againErr := referenceMarkowitz(build(), DefaultThreshold)
+		// A NaN magnitude passes every comparison false, so the reference's
+		// pivot choice then depends on map iteration order. Such inputs are
+		// excluded: those on which two reference runs disagree, and — since
+		// agreeing twice proves nothing — any whose factorization carries a
+		// NaN at all.
+		if wantErr != againErr || (wantErr == nil && (hasNaN(want) || hasNaN(again) ||
+			!slices.Equal(want.pivRow, again.pivRow) || !slices.Equal(want.pivCol, again.pivCol))) {
+			return
+		}
+		check := func(label string, got *LU, err error) {
+			t.Helper()
+			if err != wantErr {
+				t.Fatalf("%s: err = %v, reference %v", label, err, wantErr)
+			}
+			if err == nil {
+				requireSameLU(t, got, want)
+			}
+		}
+		got, err := build().FactorInPlace(DefaultThreshold)
+		check("Matrix.FactorInPlace", got, err)
+
+		// The workspace first factors an unrelated larger matrix, so the
+		// checked factorizations run on reused, grown buffers.
+		var ws Workspace
+		var other []entry
+		assembleStamps(fuzzStamps(rng, n+3, density, 0), 1, nil, func(i, j int, v complex128) { other = append(other, entry{i, j, v}) })
+		factorEntries(&ws, nil, n+3, other)
+		for pass := 0; pass < 2; pass++ {
+			got, err := factorEntries(&ws, nil, n, es)
+			check("Workspace", got, err)
 		}
 	})
 }

@@ -213,12 +213,13 @@ func compile(f *LU, pos [][2]int32) *compiled {
 //
 // Once the shared plan is primed, the values go straight into a slot
 // array laid out by the compiled plan and Factor runs the compiled
-// replay into the workspace's LU; the steady state allocates nothing,
+// replay. Before priming, and for the fallback after a plan miss, the
+// values go into flat rows for a full Markowitz factorization. Either
+// way the LU is written into grow-only workspace buffers, so a reused
+// workspace allocates nothing once it has factored its largest matrix,
 // and the returned LU aliases the workspace (valid only until the next
-// factorization through it). Before priming, and for the fallback after
-// a plan miss, the values go into a map Matrix — allocated on first use
-// — for a full Markowitz factorization. A Workspace is not safe for
-// concurrent use; the batched evaluation layer keeps one per worker.
+// factorization through it). A Workspace is not safe for concurrent use;
+// the batched evaluation layer keeps one per worker.
 type Workspace struct {
 	plan *SharedPlan // plan to replay or prime; nil for a plain factorization
 
@@ -228,13 +229,14 @@ type Workspace struct {
 	vals []complex128
 	next int
 
-	// Full factorization: the matrix and the positions added to it.
-	mat *Matrix
-	pos [][2]int32
+	// Full factorization: the assembled rows and the positions added.
+	rows flatRows
+	pos  [][2]int32
 
 	lu   LU
-	ubuf []urowEntry  // backing of lu.urows under the compiled replay
-	mbuf []multEntry  // backing of lu.mults under the compiled replay
+	piv  []int        // pivot rows then columns of a full factorization; a replay's are the plan's
+	ubuf []urowEntry  // backing of lu.urows
+	mbuf []multEntry  // backing of lu.mults
 	fwd  []complex128 // forward-substitution scratch for SolveInto
 }
 
@@ -245,11 +247,10 @@ func (ws *Workspace) ensure(n int) {
 		ws.lu.urows = make([][]urowEntry, n)
 		ws.lu.mults = make([][]multEntry, n)
 		ws.lu.pivVal = make([]complex128, 0, n)
-		ws.fwd = make([]complex128, n)
 	}
 	ws.lu.urows = ws.lu.urows[:n]
 	ws.lu.mults = ws.lu.mults[:n]
-	ws.fwd = ws.fwd[:n]
+	ws.fwd = resize(ws.fwd, n)
 }
 
 // Begin starts assembling an n×n matrix for a factorization under sp:
@@ -262,10 +263,7 @@ func (ws *Workspace) Begin(sp *SharedPlan, n int) {
 	if sp != nil {
 		if c := sp.c.Load(); c != nil {
 			ws.c, ws.next = c, 0
-			if cap(ws.vals) < c.nnz {
-				ws.vals = make([]complex128, c.nnz)
-			}
-			ws.vals = ws.vals[:c.nnz]
+			ws.vals = resize(ws.vals, c.nnz)
 			clear(ws.vals)
 			if cap(ws.ubuf) < len(c.ucol) {
 				ws.ubuf = make([]urowEntry, len(c.ucol))
@@ -277,11 +275,7 @@ func (ws *Workspace) Begin(sp *SharedPlan, n int) {
 			return
 		}
 	}
-	if ws.mat == nil || ws.mat.n != n {
-		ws.mat = New(n)
-	} else {
-		ws.mat.Reset()
-	}
+	ws.rows.reset(n)
 	ws.pos = ws.pos[:0]
 }
 
@@ -293,7 +287,7 @@ func (ws *Workspace) Begin(sp *SharedPlan, n int) {
 // the same positions in the same order at every point.
 func (ws *Workspace) Add(i, j int, v complex128) {
 	if ws.c == nil {
-		ws.mat.Add(i, j, v)
+		ws.rows.add(i, j, v)
 		ws.pos = append(ws.pos, [2]int32{int32(i), int32(j)})
 		return
 	}
@@ -310,7 +304,7 @@ func (ws *Workspace) Factor() (*LU, error) {
 	if ws.c != nil {
 		return ws.replay()
 	}
-	f, err := ws.mat.FactorInPlace(DefaultThreshold)
+	f, err := ws.markowitz(DefaultThreshold)
 	if err == nil && ws.plan != nil {
 		ws.plan.prime(f, ws.pos)
 	}

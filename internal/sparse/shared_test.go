@@ -21,24 +21,6 @@ func randomShared(rng *rand.Rand, n int) *Matrix {
 	return m
 }
 
-func TestResetKeepsDimensionClearsValues(t *testing.T) {
-	m := randomShared(rand.New(rand.NewSource(1)), 6)
-	if m.NNZ() == 0 {
-		t.Fatal("expected nonzeros")
-	}
-	m.Reset()
-	if m.NNZ() != 0 {
-		t.Fatalf("NNZ after Reset = %d, want 0", m.NNZ())
-	}
-	if m.N() != 6 {
-		t.Fatalf("N after Reset = %d, want 6", m.N())
-	}
-	m.Add(2, 3, 1+2i)
-	if m.At(2, 3) != 1+2i {
-		t.Fatal("matrix unusable after Reset")
-	}
-}
-
 func TestFactorDeterministicBits(t *testing.T) {
 	// The same matrix factored repeatedly must yield bit-identical
 	// determinants and solutions — the property the parallel batch

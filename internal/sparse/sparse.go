@@ -14,8 +14,6 @@ package sparse
 import (
 	"errors"
 	"fmt"
-	"math/cmplx"
-	"slices"
 
 	"repro/internal/xmath"
 )
@@ -90,15 +88,6 @@ func (m *Matrix) NNZ() int {
 		t += len(r)
 	}
 	return t
-}
-
-// Reset zeroes every entry while keeping the allocated row maps, so a
-// scratch matrix can be re-assembled once per evaluation point without
-// re-allocating its pattern storage.
-func (m *Matrix) Reset() {
-	for _, r := range m.rows {
-		clear(r)
-	}
 }
 
 // Clone returns a deep copy.
@@ -199,21 +188,6 @@ type urowEntry struct {
 	val complex128
 }
 
-// sortedURow snapshots the active entries of a pivot row in column order.
-// Column keys are map keys, hence unique, so the sorted order — and with
-// it every downstream rounded intermediate — does not depend on the sort
-// algorithm's stability.
-func sortedURow(row map[int]complex128, colActive []bool) []urowEntry {
-	u := make([]urowEntry, 0, len(row))
-	for j, v := range row {
-		if colActive[j] {
-			u = append(u, urowEntry{col: j, val: v})
-		}
-	}
-	slices.SortFunc(u, func(a, b urowEntry) int { return a.col - b.col })
-	return u
-}
-
 // Det computes the determinant by Markowitz-pivoted elimination with the
 // default stability threshold. The receiver is not modified. A singular
 // matrix yields exactly zero.
@@ -234,144 +208,25 @@ func (m *Matrix) Solve(b []complex128) ([]complex128, error) {
 	return f.Solve(b)
 }
 
-// Factor runs Markowitz-pivoted Gaussian elimination. At each step the
-// pivot with minimal Markowitz count (r−1)(c−1) is chosen among entries
-// passing |a| ≥ threshold·max|column|; ties break toward larger
-// magnitude, then toward the smallest (row, column) pair, so the chosen
-// pivot sequence — and with it every rounded intermediate — is a pure
-// function of the matrix values. The receiver is not modified.
+// Factor runs Markowitz-pivoted Gaussian elimination (see
+// Workspace.markowitz for the pivot rule) on a flat-row copy of the
+// entries. The receiver is not modified.
 func (m *Matrix) Factor(threshold float64) (*LU, error) {
-	return m.Clone().FactorInPlace(threshold)
+	ws := new(Workspace)
+	ws.rows.reset(m.n)
+	for i, row := range m.rows {
+		for j, v := range row {
+			ws.rows.push(i, cell{col: int32(j), val: v})
+		}
+	}
+	return ws.markowitz(threshold)
 }
 
-// FactorInPlace is Factor without the defensive copy: it consumes the
-// receiver's contents (which are undefined afterwards). Use it on scratch
-// matrices that are re-assembled before every factorization.
-func (w *Matrix) FactorInPlace(threshold float64) (*LU, error) {
-	n := w.n
-	f := &LU{
-		n:       n,
-		pivRow:  make([]int, 0, n),
-		pivCol:  make([]int, 0, n),
-		pivVal:  make([]complex128, 0, n),
-		urows:   make([][]urowEntry, 0, n),
-		mults:   make([][]multEntry, 0, n),
-		detSign: 1,
-	}
-	rowActive := make([]bool, n)
-	colActive := make([]bool, n)
-	colCount := make([]int, n) // nonzeros per active column over active rows
-	for i := range rowActive {
-		rowActive[i] = true
-		colActive[i] = true
-	}
-	for _, r := range w.rows {
-		for j := range r {
-			colCount[j]++
-		}
-	}
-	colMax := make([]float64, n)
-	for step := 0; step < n; step++ {
-		// Column max magnitudes over active rows, for the threshold test.
-		clear(colMax)
-		for i, r := range w.rows {
-			if !rowActive[i] {
-				continue
-			}
-			for j, v := range r {
-				if !colActive[j] {
-					continue
-				}
-				if a := cmplx.Abs(v); a > colMax[j] {
-					colMax[j] = a
-				}
-			}
-		}
-		// Pivot search: minimal (r−1)(c−1), ties broken by magnitude.
-		bestCost := int(^uint(0) >> 1)
-		bestAbs := 0.0
-		bi, bj := -1, -1
-		for i, r := range w.rows {
-			if !rowActive[i] {
-				continue
-			}
-			rc := 0
-			for j := range r {
-				if colActive[j] {
-					rc++
-				}
-			}
-			for j, v := range r {
-				if !colActive[j] {
-					continue
-				}
-				a := cmplx.Abs(v)
-				if a < threshold*colMax[j] {
-					continue
-				}
-				cost := (rc - 1) * (colCount[j] - 1)
-				better := cost < bestCost ||
-					(cost == bestCost && (a > bestAbs ||
-						(a == bestAbs && (bi < 0 || i < bi || (i == bi && j < bj)))))
-				if better {
-					bestCost, bestAbs, bi, bj = cost, a, i, j
-				}
-			}
-		}
-		if bi < 0 {
-			return nil, ErrSingular
-		}
-		piv := w.rows[bi][bj]
-		urow := sortedURow(w.rows[bi], colActive)
-		f.pivRow = append(f.pivRow, bi)
-		f.pivCol = append(f.pivCol, bj)
-		f.pivVal = append(f.pivVal, piv)
-		f.urows = append(f.urows, urow)
-		rowActive[bi] = false
-		colActive[bj] = false
-		for j := range w.rows[bi] {
-			if colActive[j] || j == bj {
-				colCount[j]--
-			}
-		}
-		// Rank-1 update of the active submatrix.
-		var stepMults []multEntry
-		for i, r := range w.rows {
-			if !rowActive[i] {
-				continue
-			}
-			fv, ok := r[bj]
-			if !ok {
-				continue
-			}
-			mult := fv / piv
-			stepMults = append(stepMults, multEntry{row: i, mult: mult})
-			delete(r, bj)
-			for j, v := range w.rows[bi] {
-				if !colActive[j] {
-					continue
-				}
-				old, had := r[j]
-				nv := old - mult*v
-				if nv == 0 {
-					if had {
-						delete(r, j)
-						colCount[j]--
-					}
-					continue
-				}
-				if !had {
-					colCount[j]++
-				}
-				r[j] = nv
-			}
-		}
-		f.mults = append(f.mults, stepMults)
-	}
-	if parity(f.pivRow)*parity(f.pivCol) < 0 {
-		f.detSign = -1
-	}
-	return f, nil
+// FactorInPlace is Factor. The elimination runs on its own flat copy of
+// the entries, so there is no defensive copy to save; the receiver is
+// left unchanged.
+func (m *Matrix) FactorInPlace(threshold float64) (*LU, error) {
+	return m.Factor(threshold)
 }
 
 // Det returns the determinant as an extended-range complex number: the
@@ -449,10 +304,11 @@ func (f *LU) SolveInto(dst, b []complex128, ws *Workspace) error {
 }
 
 // parity returns the sign (+1/−1) of the permutation given as a sequence
-// of images, via cycle counting.
-func parity(perm []int) int {
+// of images, via cycle counting; seen is scratch of at least len(perm).
+func parity(perm []int, seen []bool) int {
 	n := len(perm)
-	seen := make([]bool, n)
+	seen = seen[:n]
+	clear(seen)
 	sign := 1
 	for i := 0; i < n; i++ {
 		if seen[i] {

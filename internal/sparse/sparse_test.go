@@ -216,7 +216,7 @@ func TestParity(t *testing.T) {
 		{[]int{0, 2, 1}, -1},
 	}
 	for _, c := range cases {
-		if got := parity(c.perm); got != c.want {
+		if got := parity(c.perm, make([]bool, len(c.perm))); got != c.want {
 			t.Errorf("parity(%v) = %d, want %d", c.perm, got, c.want)
 		}
 	}
