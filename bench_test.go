@@ -317,18 +317,16 @@ func ua741Matrix(b *testing.B) *sparse.Matrix { return nodalMatrix(b, circuits.U
 
 // BenchmarkDetSparseUA741 times the production full Markowitz
 // factorization — the one that primes a plan or answers a plan miss: a
-// reused workspace, Begin without a plan, the matrix's adds, Factor. The
-// warm-up factorization grows the workspace, so an op allocates nothing.
+// reused workspace, the matrix's entries assembled without a plan,
+// Factor. The warm-up factorization grows the workspace, so an op
+// allocates nothing.
 func BenchmarkDetSparseUA741(b *testing.B) {
 	m := ua741Matrix(b)
 	n := m.N()
-	es := matrixEntries(m)
+	pos, fill := matrixEntries(m)
 	var ws sparse.Workspace
 	factor := func() *sparse.LU {
-		ws.Begin(nil, n)
-		for _, e := range es {
-			ws.Add(e.i, e.j, e.v)
-		}
+		ws.Assemble(nil, n, pos, fill)
 		f, err := ws.Factor()
 		if err != nil {
 			b.Fatal(err)
@@ -345,24 +343,20 @@ func BenchmarkDetSparseUA741(b *testing.B) {
 	}
 }
 
-// matrixEntry is one nonzero of an assembled matrix.
-type matrixEntry struct {
-	i, j int
-	v    complex128
-}
-
-// matrixEntries lists m's nonzeros in row-major order: an add sequence
-// that re-assembles m.
-func matrixEntries(m *sparse.Matrix) []matrixEntry {
-	var es []matrixEntry
+// matrixEntries lists m's nonzeros in row-major order, as positions and
+// the writer of their values: an assembly that reproduces m.
+func matrixEntries(m *sparse.Matrix) ([][2]int32, sparse.Fill) {
+	var pos [][2]int32
+	var vals []complex128
 	for i := 0; i < m.N(); i++ {
 		for j := 0; j < m.N(); j++ {
 			if v := m.At(i, j); v != 0 {
-				es = append(es, matrixEntry{i, j, v})
+				pos = append(pos, [2]int32{int32(i), int32(j)})
+				vals = append(vals, v)
 			}
 		}
 	}
-	return es
+	return pos, func(k0 int, dst []complex128) { copy(dst, vals[k0:]) }
 }
 
 func benchDetDense(b *testing.B, sm *sparse.Matrix) {
@@ -393,17 +387,15 @@ func BenchmarkDetDenseUA741(b *testing.B) { benchDetDense(b, ua741Matrix(b)) }
 
 // benchDetPlanned times the production planned path: re-assemble the
 // matrix's entries into the evaluator workspace, then run the compiled
-// replay of the shared plan the first factorization primed.
+// replay of the shared plan the first factorization primed. The op
+// allocates nothing.
 func benchDetPlanned(b *testing.B, m *sparse.Matrix) {
 	n := m.N()
-	es := matrixEntries(m)
+	pos, fill := matrixEntries(m)
 	var sp sparse.SharedPlan
 	var ws sparse.Workspace
 	factor := func() *sparse.LU {
-		ws.Begin(&sp, n)
-		for _, e := range es {
-			ws.Add(e.i, e.j, e.v)
-		}
+		ws.Assemble(&sp, n, pos, fill)
 		f, err := ws.Factor()
 		if err != nil {
 			b.Fatal(err)
@@ -414,6 +406,8 @@ func benchDetPlanned(b *testing.B, m *sparse.Matrix) {
 	if !sp.Primed() {
 		b.Fatal("first factorization did not prime the plan")
 	}
+	factor() // the first replay grows the workspace's slot and LU buffers
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if factor().Det().Zero() {

@@ -19,8 +19,9 @@
 // two snapshots: those are exact properties of the algorithm, identical
 // on every host, so any increase is a real regression. Timings (ns/op
 // and friends) stay advisory — shared CI runners are too noisy to gate
-// on. For the steady-state hot-path benchmarks (BenchmarkEvalBatch* and
-// BenchmarkDetSparseUA741), allocs/op is also gated lower-is-better:
+// on. For the steady-state hot-path benchmarks (BenchmarkEvalBatch*,
+// BenchmarkDetSparseUA741 and BenchmarkDetPlanned{Biquad,Ladder40,UA741}),
+// allocs/op is also gated lower-is-better:
 // those ops are primed to zero heap allocations, so any count above the
 // baseline means the hot path started allocating again. The CI bench smoke job runs check mode for
 // set membership and compare mode for the counters.
@@ -77,12 +78,13 @@ var deterministicUnits = map[string]bool{
 }
 
 // allocGated matches the benchmarks whose allocs/op is deterministic:
-// the steady-state hot-path ops — the batched point evaluations and the
-// full factorization through a reused workspace — are primed so the
-// measured op performs zero heap allocations, making the count an exact
-// property of the code (not of the host or the GC) and safe to gate.
-// Everywhere else allocs/op stays advisory, like timings.
-var allocGated = regexp.MustCompile(`^Benchmark(EvalBatch|DetSparseUA741$)`)
+// the steady-state hot-path ops — the batched point evaluations, the
+// full factorization and the planned (compiled-replay) factorization
+// through a reused workspace — are primed so the measured op performs
+// zero heap allocations, making the count an exact property of the code
+// (not of the host or the GC) and safe to gate. Everywhere else
+// allocs/op stays advisory, like timings.
+var allocGated = regexp.MustCompile(`^Benchmark(EvalBatch|DetSparseUA741$|DetPlanned(Biquad|Ladder40|UA741)$)`)
 
 // higherIsBetterUnits flips the regression direction for counters where
 // a drop is the regression: losing warm starts means a sweep fell back

@@ -141,8 +141,8 @@ func TestSnapshotAndCheckModes(t *testing.T) {
 }
 
 // TestCompareAllocsGate pins the hot-path allocation gate: allocs/op is
-// compared (lower-is-better) on BenchmarkEvalBatch* and
-// BenchmarkDetSparseUA741 only, so a steady-state op that starts
+// compared (lower-is-better) on BenchmarkEvalBatch*,
+// BenchmarkDetSparseUA741 and BenchmarkDetPlanned* only, so a steady-state op that starts
 // allocating fails the gate while advisory allocation counts elsewhere
 // stay ignored.
 func TestCompareAllocsGate(t *testing.T) {
@@ -151,6 +151,8 @@ func TestCompareAllocsGate(t *testing.T) {
 		{Name: "BenchmarkDetSparseUA741", N: 1, NsOp: 90000, Extra: map[string]float64{
 			"B/op": 0, "allocs/op": 0}},
 		{Name: "BenchmarkEvalBatchBiquad", N: 1, NsOp: 6000, Extra: map[string]float64{
+			"B/op": 0, "allocs/op": 0}},
+		{Name: "BenchmarkDetPlannedLadder40", N: 1, NsOp: 4000, Extra: map[string]float64{
 			"B/op": 0, "allocs/op": 0}},
 		{Name: "BenchmarkIDFTDirect49", N: 1, NsOp: 7000, Extra: map[string]float64{
 			"allocs/op": 3}},
@@ -162,6 +164,8 @@ func TestCompareAllocsGate(t *testing.T) {
 			"B/op": 48, "allocs/op": 1}},
 		{Name: "BenchmarkEvalBatchBiquad", N: 1, NsOp: 6000, Extra: map[string]float64{
 			"B/op": 64, "allocs/op": 1}},
+		{Name: "BenchmarkDetPlannedLadder40", N: 1, NsOp: 4000, Extra: map[string]float64{
+			"B/op": 32, "allocs/op": 1}},
 		{Name: "BenchmarkIDFTDirect49", N: 1, NsOp: 7000, Extra: map[string]float64{
 			"allocs/op": 3}},
 	})
@@ -169,7 +173,7 @@ func TestCompareAllocsGate(t *testing.T) {
 	if code := run([]string{"-compare", old, leaky}, strings.NewReader(""), &out, &errOut); code != 1 {
 		t.Fatalf("leaky hot path exited %d, want 1 (stdout %q)", code, out.String())
 	}
-	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741"} {
+	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40"} {
 		if !strings.Contains(out.String(), "REGRESSION "+name+" allocs/op") {
 			t.Errorf("missing %s allocs regression in %q", name, out.String())
 		}

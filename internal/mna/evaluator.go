@@ -31,20 +31,24 @@ import (
 // transforms coefficients exactly (p'_i = p_i·f^i). Use the generator
 // with Config.SingleFactor=true and leave the conductance scale at 1.
 
-// assembleScaledInto assembles Y_MNA into dst with conductance-dimension
-// entries multiplied by gscale, frequency-proportional entries by
-// s·fscale, and structural entries untouched, in a fixed stamp order —
-// the order the compiled plan's value slots follow.
-func (sys *System) assembleScaledInto(dst *sparse.Workspace, s complex128, fscale, gscale float64) {
-	for _, st := range sys.gDim {
-		dst.Add(st.i, st.j, complex(st.v*gscale, 0))
-	}
-	for _, st := range sys.structural {
-		dst.Add(st.i, st.j, complex(st.v, 0))
-	}
+// fill returns the writer of Y_MNA's entries at one point, in the order
+// of sys.pos: conductance-dimension entries multiplied by gscale,
+// structural entries untouched, frequency-proportional entries by
+// s·fscale.
+func (sys *System) fill(s complex128, fscale, gscale float64) sparse.Fill {
 	sc := s * complex(fscale, 0)
-	for _, st := range sys.sProp {
-		dst.Add(st.i, st.j, sc*complex(st.v, 0))
+	ng, nstr := len(sys.gDim), len(sys.gDim)+len(sys.structural)
+	return func(k0 int, dst []complex128) {
+		for d := range dst {
+			switch k := k0 + d; {
+			case k < ng:
+				dst[d] = complex(sys.gDim[k].v*gscale, 0)
+			case k < nstr:
+				dst[d] = complex(sys.structural[k-ng].v, 0)
+			default:
+				dst[d] = sc * complex(sys.sProp[k-nstr].v, 0)
+			}
+		}
 	}
 }
 
@@ -81,24 +85,16 @@ func (sys *System) putScratch(sc *evalScratch) {
 	sys.scratchMu.Unlock()
 }
 
-// factorAt assembles the scaled matrix into sc and factors it under
-// the system's shared pivot-order plan (primed once per System by the
-// first successful factorization; replayed read-only afterwards — across
+// factorAt factors the scaled matrix at one point under the system's
+// shared pivot-order plan (primed once per System by the first
+// successful factorization; replayed read-only afterwards — across
 // points, frames, and both the det and transfer evaluators, which share
 // the one MNA sparsity pattern). Once the plan is primed the compiled
-// replay reuses sc's workspace and allocates nothing. A plan miss
-// re-assembles and runs a private full factorization without touching
-// the plan.
+// replay reuses sc's workspace and allocates nothing; a plan miss runs a
+// private full factorization without touching the plan (see
+// sparse.Workspace.FactorAssembly).
 func (sys *System) factorAt(sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	sc.ws.Begin(sys.detPlan, sys.dim)
-	sys.assembleScaledInto(&sc.ws, s, fscale, gscale)
-	lu, err := sc.ws.Factor()
-	if err == sparse.ErrPlanMiss {
-		sc.ws.Begin(nil, sys.dim)
-		sys.assembleScaledInto(&sc.ws, s, fscale, gscale)
-		lu, err = sc.ws.Factor()
-	}
-	return lu, err
+	return sc.ws.FactorAssembly(sys.detPlan, sys.dim, sys.pos, sys.fill(s, fscale, gscale))
 }
 
 // detAt evaluates D(s) = det Y_MNA(s), zero when singular.

@@ -42,6 +42,7 @@ type System struct {
 	gDim       []stamp
 	structural []stamp
 	sProp      []stamp
+	pos        [][2]int32 // positions of gDim, structural and sProp, in that order: the assembly order
 	rhs        []float64
 	branch     map[string]int // element name -> branch unknown index
 	names      []string       // unknown labels for diagnostics
@@ -175,6 +176,12 @@ func Build(c *circuit.Circuit) (*System, error) {
 			}
 		default:
 			return nil, fmt.Errorf("mna: unsupported element kind %v", e.Kind)
+		}
+	}
+	sys.pos = make([][2]int32, 0, len(sys.gDim)+len(sys.structural)+len(sys.sProp))
+	for _, list := range [][]stamp{sys.gDim, sys.structural, sys.sProp} {
+		for _, st := range list {
+			sys.pos = append(sys.pos, [2]int32{int32(st.i), int32(st.j)})
 		}
 	}
 	return sys, nil

@@ -114,8 +114,35 @@ type pattern struct {
 	proj projection
 	plan sparse.SharedPlan
 
+	// The stamps the projection keeps, resolved once, conductances first
+	// — the assembly order of every point: pos holds their projected
+	// positions, and src indexes sys.gStamps for the first ng of them and
+	// sys.cStamps for the rest. They depend on stamp positions only,
+	// which every system adopting the pattern shares.
+	pos [][2]int32
+	src []int32
+	ng  int
+
 	scratchMu sync.Mutex
 	free      []*evalScratch
+}
+
+// newPattern resolves proj's surviving stamps of sys.
+func (sys *System) newPattern(proj projection) *pattern {
+	total := len(sys.gStamps) + len(sys.cStamps)
+	pat := &pattern{proj: proj, pos: make([][2]int32, 0, total), src: make([]int32, 0, total)}
+	keep := func(stamps []stamp) {
+		for k, st := range stamps {
+			if i, j := proj.row[st.i], proj.col[st.j]; i >= 0 && j >= 0 {
+				pat.src = append(pat.src, int32(k))
+				pat.pos = append(pat.pos, [2]int32{int32(i), int32(j)})
+			}
+		}
+	}
+	keep(sys.gStamps)
+	pat.ng = len(pat.src)
+	keep(sys.cStamps)
+	return pat
 }
 
 // evalScratch is the per-worker reusable evaluation state of one
@@ -156,43 +183,27 @@ func (pat *pattern) put(sc *evalScratch) {
 	pat.scratchMu.Unlock()
 }
 
-// assembleInto assembles the projected scaled matrix into dst. Stamps
-// are applied in a fixed order, so the assembled values are identical on
-// every call with the same arguments, and every call adds the same
-// positions — the order the compiled plan's value slots follow.
-func (sys *System) assembleInto(dst *sparse.Workspace, pr *projection, s complex128, fscale, gscale float64) {
-	for _, st := range sys.gStamps {
-		i, j := pr.row[st.i], pr.col[st.j]
-		if i >= 0 && j >= 0 {
-			dst.Add(i, j, complex(st.v*gscale, 0))
-		}
-	}
+// fill returns the writer of the pattern's stamp values at one point,
+// in the order of pat.pos.
+func (sys *System) fill(pat *pattern, s complex128, fscale, gscale float64) sparse.Fill {
 	sc := s * complex(fscale, 0)
-	for _, st := range sys.cStamps {
-		i, j := pr.row[st.i], pr.col[st.j]
-		if i >= 0 && j >= 0 {
-			dst.Add(i, j, sc*complex(st.v, 0))
+	return func(k0 int, dst []complex128) {
+		for d := range dst {
+			if k := k0 + d; k < pat.ng {
+				dst[d] = complex(sys.gStamps[pat.src[k]].v*gscale, 0)
+			} else {
+				dst[d] = sc * complex(sys.cStamps[pat.src[k]].v, 0)
+			}
 		}
 	}
 }
 
-// factorAt assembles the pattern's matrix at one point into sc and
-// factors it under the pattern's shared plan — once the plan is primed,
-// a compiled replay that allocates nothing. On a plan miss (the recorded
-// pivot order does not fit this matrix's values) it re-assembles and
-// runs a private full factorization — the shared plan itself is never
-// mutated, so the value at a point never depends on which points were
-// evaluated before it (beyond the one-time priming).
+// factorAt factors the pattern's matrix at one point under the
+// pattern's shared plan — once the plan is primed, a compiled replay
+// that allocates nothing, with a private full factorization on a plan
+// miss (see sparse.Workspace.FactorAssembly).
 func (sys *System) factorAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	sc.ws.Begin(&pat.plan, pat.proj.dim)
-	sys.assembleInto(&sc.ws, &pat.proj, s, fscale, gscale)
-	lu, err := sc.ws.Factor()
-	if err == sparse.ErrPlanMiss {
-		sc.ws.Begin(nil, pat.proj.dim)
-		sys.assembleInto(&sc.ws, &pat.proj, s, fscale, gscale)
-		lu, err = sc.ws.Factor()
-	}
-	return lu, err
+	return sc.ws.FactorAssembly(&pat.plan, pat.proj.dim, pat.pos, sys.fill(pat, s, fscale, gscale))
 }
 
 // detAt evaluates the pattern's signed determinant at one point, zero
@@ -281,7 +292,7 @@ func (sys *System) pattern(key [2]int, mk func() projection) *pattern {
 	}
 	p, ok := sys.patterns[key]
 	if !ok {
-		p = &pattern{proj: mk()}
+		p = sys.newPattern(mk())
 		sys.patterns[key] = p
 	}
 	return p

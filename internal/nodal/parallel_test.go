@@ -171,26 +171,24 @@ func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
 	sys.Det(prime, 1, 1)
 
 	sc := pat.get()
-	sc.ws.Begin(&pat.plan, pat.proj.dim)
-	sys.assembleInto(&sc.ws, &pat.proj, miss, 1, 1)
+	sc.ws.Assemble(&pat.plan, pat.proj.dim, pat.pos, sys.fill(pat, miss, 1, 1))
 	if _, err := sc.ws.Factor(); err != sparse.ErrPlanMiss {
 		t.Fatalf("replay at s=%v: err = %v, want ErrPlanMiss", miss, err)
 	}
 	pat.put(sc)
 
-	full, err := sys.MatrixAt(miss, 1, 1).FactorInPlace(sparse.DefaultThreshold)
+	full, err := sys.MatrixAt(miss, 1, 1).Factor(sparse.DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := sys.Det(miss, 1, 1), full.Det(); got != want {
-		t.Fatalf("det at the miss = %v, fresh FactorInPlace %v", got, want)
+		t.Fatalf("det at the miss = %v, fresh Factor %v", got, want)
 	}
 
 	// The next point replays (no miss) and matches a system that never
 	// saw the miss.
 	sc = pat.get()
-	sc.ws.Begin(&pat.plan, pat.proj.dim)
-	sys.assembleInto(&sc.ws, &pat.proj, next, 1, 1)
+	sc.ws.Assemble(&pat.plan, pat.proj.dim, pat.pos, sys.fill(pat, next, 1, 1))
 	if _, err := sc.ws.Factor(); err != nil {
 		t.Fatalf("replay after the miss: %v", err)
 	}
@@ -203,7 +201,7 @@ func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
 }
 
 // TestPlanMissFallbackReusesScratch: the full factorization a plan miss
-// falls back to gives exactly the fresh FactorInPlace determinant, and
+// falls back to gives exactly the fresh Factor determinant, and
 // once a scratch has been through one fallback, repeating it through the
 // same scratch allocates nothing.
 func TestPlanMissFallbackReusesScratch(t *testing.T) {
@@ -211,7 +209,7 @@ func TestPlanMissFallbackReusesScratch(t *testing.T) {
 	prime, miss := complex(0, 1), complex(-1, 0)
 	pat := sys.detPattern()
 	sys.Det(prime, 1, 1)
-	full, err := sys.MatrixAt(miss, 1, 1).FactorInPlace(sparse.DefaultThreshold)
+	full, err := sys.MatrixAt(miss, 1, 1).Factor(sparse.DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +217,12 @@ func TestPlanMissFallbackReusesScratch(t *testing.T) {
 
 	sc := pat.get()
 	defer pat.put(sc)
-	sc.ws.Begin(&pat.plan, pat.proj.dim)
-	sys.assembleInto(&sc.ws, &pat.proj, miss, 1, 1)
+	sc.ws.Assemble(&pat.plan, pat.proj.dim, pat.pos, sys.fill(pat, miss, 1, 1))
 	if _, err := sc.ws.Factor(); err != sparse.ErrPlanMiss {
 		t.Fatalf("replay at s=%v: err = %v, want ErrPlanMiss", miss, err)
 	}
 	if got := sys.detAt(pat, sc, miss, 1, 1); got != want {
-		t.Fatalf("fallback det = %v, fresh FactorInPlace %v", got, want)
+		t.Fatalf("fallback det = %v, fresh Factor %v", got, want)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if got := sys.detAt(pat, sc, miss, 1, 1); got != want {

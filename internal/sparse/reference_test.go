@@ -250,12 +250,29 @@ func entriesOf(m *Matrix) []entry {
 	return es
 }
 
-// factorEntries assembles es into ws under sp and factors it.
+// assembly is an add sequence for Workspace.Assemble: positions and
+// their values, in order.
+type assembly struct {
+	pos  [][2]int32
+	vals []complex128
+}
+
+func (a *assembly) add(i, j int, v complex128) {
+	a.pos = append(a.pos, [2]int32{int32(i), int32(j)})
+	a.vals = append(a.vals, v)
+}
+
+// fill writes a's values.
+func (a *assembly) fill(k0 int, dst []complex128) { copy(dst, a.vals[k0:]) }
+
+// factorEntries assembles es into ws under sp and factors it, reporting
+// a plan miss as ErrPlanMiss.
 func factorEntries(ws *Workspace, sp *SharedPlan, n int, es []entry) (*LU, error) {
-	ws.Begin(sp, n)
+	var a assembly
 	for _, e := range es {
-		ws.Add(e.i, e.j, e.v)
+		a.add(e.i, e.j, e.v)
 	}
+	ws.Assemble(sp, n, a.pos, a.fill)
 	return ws.Factor()
 }
 
@@ -419,15 +436,25 @@ func fuzzStamps(rng *rand.Rand, n int, density, mode uint8) []fuzzStamp {
 	if mode&32 != 0 { // a non-finite entry: Inf and NaN multipliers
 		st = append(st, fuzzStamp{rng.Intn(n), rng.Intn(n), math.Inf(1), 0})
 	}
+	if mode&128 != 0 { // an infinite frequency part: complex(±Inf, NaN) at s = ±1, complex(NaN, ±Inf) at s = ±j
+		st = append(st, fuzzStamp{rng.Intn(n), rng.Intn(n), 0, math.Inf(1)})
+	}
 	return st
 }
 
-// assembleStamps feeds the stamps at point s to add, scaling every
-// stamp at position tiny (when non-nil) by 1e-14.
-func assembleStamps(st []fuzzStamp, s complex128, tiny *[2]int, add func(i, j int, v complex128)) {
+// scaleAt multiplies every stamp at one position by a factor, to move
+// that entry's magnitude at a point.
+type scaleAt struct {
+	pos    [2]int
+	factor float64
+}
+
+// assembleStamps feeds the stamps at point s to add, scaling the stamps
+// at sc.pos by sc.factor when sc is non-nil.
+func assembleStamps(st []fuzzStamp, s complex128, sc *scaleAt, add func(i, j int, v complex128)) {
 	scale := func(e fuzzStamp) float64 {
-		if tiny != nil && e.i == tiny[0] && e.j == tiny[1] {
-			return 1e-14
+		if sc != nil && e.i == sc.pos[0] && e.j == sc.pos[1] {
+			return sc.factor
 		}
 		return 1
 	}
@@ -439,11 +466,40 @@ func assembleStamps(st []fuzzStamp, s complex128, tiny *[2]int, add func(i, j in
 	}
 }
 
+// guardBand lists pivot-to-row magnitude ratios around the stability
+// guard: below and at guardRatio, through the band where the max-norm
+// prefilter defers to the exact test, to where it clears the pivot.
+var guardBand = []float64{0.9e-10, 1e-10, 1.0000000001e-10, 1.06e-10, 1.2e-10, 1.41e-10, 1.5e-10, 1.6e-10}
+
+// bandScales returns, for each guardBand ratio and one random ratio in
+// the band, the scale of the stamps at position first that brings that
+// entry's value at s to the ratio times the largest other entry of its
+// row; none when the ratio is undefined.
+func bandScales(rng *rand.Rand, st []fuzzStamp, n int, s complex128, first [2]int) []scaleAt {
+	m := New(n)
+	assembleStamps(st, s, nil, m.Add)
+	piv, rowMax := cmplx.Abs(m.At(first[0], first[1])), 0.0
+	for j, v := range m.rows[first[0]] {
+		if j != first[1] {
+			rowMax = max(rowMax, cmplx.Abs(v))
+		}
+	}
+	if piv == 0 || rowMax == 0 || math.IsInf(piv, 0) || math.IsNaN(piv) || math.IsInf(rowMax, 0) {
+		return nil
+	}
+	var out []scaleAt
+	for _, r := range append(guardBand, 0.9e-10+0.7e-10*rng.Float64()) {
+		out = append(out, scaleAt{first, r * rowMax / piv})
+	}
+	return out
+}
+
 // FuzzCompiledReplay feeds the compiled replay and the map-based
 // reference the same matrices — the priming point, real points s = ±1,
-// unit-circle points, and a point that shrinks the first planned pivot
-// to force a guard trip — and requires the same miss decision and
-// bit-identical factorizations.
+// unit-circle points, a point that shrinks the first planned pivot to
+// force a guard trip, and points that put it in the stability guard's
+// band — and requires the same miss decision and bit-identical
+// factorizations.
 func FuzzCompiledReplay(f *testing.F) {
 	f.Add(uint8(5), uint8(4), int64(1), uint8(0))
 	f.Add(uint8(9), uint8(12), int64(2), uint8(1))
@@ -452,6 +508,12 @@ func FuzzCompiledReplay(f *testing.F) {
 	f.Add(uint8(8), uint8(14), int64(5), uint8(31))
 	f.Add(uint8(6), uint8(10), int64(6), uint8(36))
 	f.Add(uint8(3), uint8(90), int64(7), uint8(67))
+	// An infinite frequency part: complex(±Inf, NaN) entries at s = ±1 and
+	// complex(NaN, ±Inf) at s = ±j, which the guard must count as
+	// infinite, as hypot does.
+	f.Add(uint8(6), uint8(18), int64(5), uint8(128))
+	f.Add(uint8(6), uint8(18), int64(4), uint8(130))
+	f.Add(uint8(136), uint8(87), int64(149), uint8(154))
 	f.Fuzz(func(t *testing.T, size, density uint8, seed int64, mode uint8) {
 		n := 1 + int(size)%14
 		if mode&64 != 0 { // pattern rows spanning two bitset words
@@ -462,8 +524,9 @@ func FuzzCompiledReplay(f *testing.F) {
 		var sp SharedPlan
 		var ws Workspace
 		prime := complex(0, 1)
-		ws.Begin(&sp, n)
-		assembleStamps(st, prime, nil, ws.Add)
+		var a assembly
+		assembleStamps(st, prime, nil, a.add)
+		ws.Assemble(&sp, n, a.pos, a.fill)
 		if _, err := ws.Factor(); err != nil {
 			return // singular at the priming point: nothing is planned
 		}
@@ -473,22 +536,29 @@ func FuzzCompiledReplay(f *testing.F) {
 		}
 		first := [2]int{c.pivRow[0], c.pivCol[0]}
 		theta := 2 * math.Pi * rng.Float64()
-		points := []struct {
-			s    complex128
-			tiny *[2]int
-		}{
+		type point struct {
+			s  complex128
+			sc *scaleAt
+		}
+		points := []point{
 			{prime, nil}, {1, nil}, {-1, nil}, {complex(0, -1), nil},
-			{cmplx.Rect(1, theta), nil}, {0, nil}, {prime, &first},
+			{cmplx.Rect(1, theta), nil}, {0, nil}, {prime, &scaleAt{first, 1e-14}},
+		}
+		for _, s := range []complex128{prime, 1} {
+			for _, sc := range bandScales(rng, st, n, s, first) {
+				points = append(points, point{s, &sc})
+			}
 		}
 		for _, p := range points {
 			ref := New(n)
-			assembleStamps(st, p.s, p.tiny, ref.Add)
+			assembleStamps(st, p.s, p.sc, ref.Add)
 			want, ok := referenceReplay(ref, c.pivRow, c.pivCol)
-			ws.Begin(&sp, n)
-			assembleStamps(st, p.s, p.tiny, ws.Add)
+			a = assembly{}
+			assembleStamps(st, p.s, p.sc, a.add)
+			ws.Assemble(&sp, n, a.pos, a.fill)
 			got, err := ws.Factor()
 			if ok != (err == nil) {
-				t.Fatalf("s=%v tiny=%v: reference ok=%v, compiled err=%v", p.s, p.tiny, ok, err)
+				t.Fatalf("s=%v scale=%+v: reference ok=%v, compiled err=%v", p.s, p.sc, ok, err)
 			}
 			if err != nil && err != ErrPlanMiss {
 				t.Fatalf("s=%v: compiled replay error %v, want ErrPlanMiss", p.s, err)
@@ -557,7 +627,7 @@ func hasNaN(f *LU) bool {
 
 // FuzzMarkowitz feeds one add sequence to the map-based reference
 // (through Matrix.Add) and to both production entry points —
-// Matrix.FactorInPlace and a reused Workspace's Begin(nil)/Add/Factor —
+// Matrix.Factor and a reused Workspace's Assemble(nil)/Factor —
 // and requires ErrSingular on the same inputs and otherwise the same
 // pivot order and bit-identical pivots, U rows, multipliers, sign,
 // determinant and solves.
@@ -599,8 +669,8 @@ func FuzzMarkowitz(f *testing.F) {
 				requireSameLU(t, got, want)
 			}
 		}
-		got, err := build().FactorInPlace(DefaultThreshold)
-		check("Matrix.FactorInPlace", got, err)
+		got, err := build().Factor(DefaultThreshold)
+		check("Matrix.Factor", got, err)
 
 		// The workspace first factors an unrelated larger matrix, so the
 		// checked factorizations run on reused, grown buffers.
@@ -613,4 +683,77 @@ func FuzzMarkowitz(f *testing.F) {
 			check("Workspace", got, err)
 		}
 	})
+}
+
+// TestReplayGuardBranches runs the stability guard's two branches — the
+// max-norm prefilter clearing a pivot outright, and the deferral to the
+// exact hypot test — on a pivot row [p r] of a 2×2 matrix whose plan
+// pivots on (0, 0) first, and requires the replay's miss decision to be
+// the map-based reference's on each.
+func TestReplayGuardBranches(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	at := func(p, r complex128) assembly {
+		var a assembly
+		a.add(0, 0, p)
+		a.add(0, 1, r)
+		a.add(1, 0, 1)
+		a.add(1, 1, 4)
+		return a
+	}
+	var sp SharedPlan
+	var ws Workspace
+	a := at(4, 1)
+	ws.Assemble(&sp, 2, a.pos, a.fill)
+	if _, err := ws.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	c := sp.c.Load()
+	if c.pivRow[0] != 0 || c.pivCol[0] != 0 {
+		t.Fatalf("plan pivots first on (%d, %d), want (0, 0)", c.pivRow[0], c.pivCol[0])
+	}
+	// compInf is the largest non-NaN component magnitude of vs.
+	compInf := func(vs ...complex128) float64 {
+		m := 0.0
+		for _, v := range vs {
+			for _, x := range []float64{math.Abs(real(v)), math.Abs(imag(v))} {
+				if x > m {
+					m = x
+				}
+			}
+		}
+		return m
+	}
+	cases := []struct {
+		p, r         complex128
+		clears, miss bool
+	}{
+		{p: 1, r: 1, clears: true},
+		{p: 2e-10, r: 1, clears: true},
+		{p: 1.2e-10, r: 1},               // in the band: the exact test passes it
+		{p: 0.9e-10, r: 1, miss: true},   // in the band: the exact test fails it
+		{p: complex(1e-10, 1e-10), r: 1}, // |p| = √2·|p|∞ passes
+		{p: complex(0.7e-10, 0.7e-10), r: 1, miss: true},
+		{p: 1, r: complex(inf, nan), miss: true}, // hypot = Inf: the row max is infinite
+		{p: 1, r: complex(nan, inf), miss: true},
+		{p: 1, r: complex(nan, 1), clears: true}, // hypot = NaN: the exact test skips the entry
+		{p: complex(inf, nan), r: 1},             // |p| = Inf passes
+		{p: 1e300, r: 8e307, clears: true},
+		{p: 1e300, r: complex(1.3e308, 1.3e308), miss: true}, // hypot overflows: deferred, then a miss
+	}
+	for _, tc := range cases {
+		if got := guardClears(tc.p, compInf(tc.p, tc.r)); got != tc.clears {
+			t.Errorf("p=%v r=%v: prefilter clears=%v, want %v", tc.p, tc.r, got, tc.clears)
+		}
+		a := at(tc.p, tc.r)
+		ws.Assemble(&sp, 2, a.pos, a.fill)
+		_, err := ws.Factor()
+		ref := New(2)
+		for k, p := range a.pos {
+			ref.Add(int(p[0]), int(p[1]), a.vals[k])
+		}
+		_, ok := referenceReplay(ref, c.pivRow, c.pivCol)
+		if miss := err == ErrPlanMiss; miss != !ok || miss != tc.miss {
+			t.Errorf("p=%v r=%v: compiled miss=%v (err %v), reference miss=%v, want %v", tc.p, tc.r, miss, err, !ok, tc.miss)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/bits"
 	"math/cmplx"
 	"sync"
@@ -208,8 +209,9 @@ func compile(f *LU, pos [][2]int32) *compiled {
 }
 
 // Workspace holds one evaluator's reusable factorization storage. A
-// point is factored by Begin, one Add per stamp in the pattern's fixed
-// order, then Factor.
+// point is loaded by Assemble — the values of a fixed list of positions,
+// handed over in one call — and factored by Factor; FactorAssembly does
+// both and answers a plan miss.
 //
 // Once the shared plan is primed, the values go straight into a slot
 // array laid out by the compiled plan and Factor runs the compiled
@@ -223,15 +225,15 @@ func compile(f *LU, pos [][2]int32) *compiled {
 type Workspace struct {
 	plan *SharedPlan // plan to replay or prime; nil for a plain factorization
 
-	// Compiled replay (c non-nil): one value per slot, filled by Add in
-	// position order.
+	// Compiled replay (c non-nil): one value per slot.
 	c    *compiled
 	vals []complex128
-	next int
 
 	// Full factorization: the assembled rows and the positions added.
 	rows flatRows
 	pos  [][2]int32
+
+	chunk [fillChunk]complex128 // Assemble's value buffer
 
 	lu   LU
 	piv  []int        // pivot rows then columns of a full factorization; a replay's are the plan's
@@ -240,8 +242,7 @@ type Workspace struct {
 	fwd  []complex128 // forward-substitution scratch for SolveInto
 }
 
-// ensure sizes the per-step LU slices and the SolveInto scratch for an
-// n×n factorization.
+// ensure sizes the per-step LU slices for an n×n factorization.
 func (ws *Workspace) ensure(n int) {
 	if cap(ws.lu.urows) < n {
 		ws.lu.urows = make([][]urowEntry, n)
@@ -250,19 +251,34 @@ func (ws *Workspace) ensure(n int) {
 	}
 	ws.lu.urows = ws.lu.urows[:n]
 	ws.lu.mults = ws.lu.mults[:n]
-	ws.fwd = resize(ws.fwd, n)
 }
 
-// Begin starts assembling an n×n matrix for a factorization under sp:
-// for the compiled replay when sp is primed, otherwise for a full
-// Markowitz factorization that primes sp. Pass a nil sp for a plain full
-// factorization, such as the fallback after ErrPlanMiss.
-func (ws *Workspace) Begin(sp *SharedPlan, n int) {
+// Fill writes the values of one point's assembly: fill(k0, dst) sets
+// dst[d] to the value at position k0+d. Assemble asks for the values in
+// order, in chunks of at most fillChunk into a fixed workspace buffer,
+// so a point's values need no storage of their own.
+type Fill func(k0 int, dst []complex128)
+
+// fillChunk is the size of Assemble's value buffer.
+const fillChunk = 64
+
+// Assemble loads an n×n matrix for a factorization under sp: value k,
+// written by fill, is accumulated into element pos[k], in order, with
+// Matrix.Add's rules (a zero adds nothing and an exact cancellation
+// leaves an absent entry). Every position is structural, whatever its
+// value. When sp is primed, the values are added straight into the
+// compiled plan's value slots — value k into the slot of the priming
+// assembly's k-th position, so the caller must pass the same positions
+// at every point. Otherwise they go into flat rows for a full Markowitz
+// factorization that primes sp; pass a nil sp for a plain full
+// factorization, such as the fallback after ErrPlanMiss. The workspace
+// keeps pos, not a copy, until the next Assemble.
+func (ws *Workspace) Assemble(sp *SharedPlan, n int, pos [][2]int32, fill Fill) {
 	ws.plan = sp
 	ws.c = nil
 	if sp != nil {
 		if c := sp.c.Load(); c != nil {
-			ws.c, ws.next = c, 0
+			ws.c = c
 			ws.vals = resize(ws.vals, c.nnz)
 			clear(ws.vals)
 			if cap(ws.ubuf) < len(c.ucol) {
@@ -272,34 +288,49 @@ func (ws *Workspace) Begin(sp *SharedPlan, n int) {
 				ws.mbuf = make([]multEntry, len(c.trow))
 			}
 			ws.ensure(c.n)
-			return
 		}
 	}
-	ws.rows.reset(n)
-	ws.pos = ws.pos[:0]
+	if ws.c == nil {
+		ws.rows.reset(n)
+		ws.pos = pos
+	}
+	for k0 := 0; k0 < len(pos); k0 += fillChunk {
+		vals := ws.chunk[:min(fillChunk, len(pos)-k0)]
+		fill(k0, vals)
+		if ws.c != nil {
+			slot, v := ws.c.slot[k0:k0+len(vals)], ws.vals
+			for k, x := range vals {
+				v[slot[k]] += x
+			}
+			continue
+		}
+		for k, x := range vals {
+			p := pos[k0+k]
+			ws.rows.add(int(p[0]), int(p[1]), x)
+		}
+	}
 }
 
-// Add accumulates v into element (i, j) of the matrix being assembled,
-// with Matrix.Add's rules: a zero adds nothing and an exact cancellation
-// leaves an absent entry. Every call declares a structural position,
-// whatever v is. Under the compiled replay the k-th Add goes to the slot
-// of the k-th position of the priming assembly, so the caller must add
-// the same positions in the same order at every point.
-func (ws *Workspace) Add(i, j int, v complex128) {
-	if ws.c == nil {
-		ws.rows.add(i, j, v)
-		ws.pos = append(ws.pos, [2]int32{int32(i), int32(j)})
-		return
+// FactorAssembly assembles the values fill writes at pos under sp (see
+// Assemble) and factors the matrix. When the compiled replay misses, it
+// re-assembles the same values for a private full factorization, leaving
+// the plan untouched, so the result at a point never depends on which
+// points were factored before it (beyond the one-time priming).
+func (ws *Workspace) FactorAssembly(sp *SharedPlan, n int, pos [][2]int32, fill Fill) (*LU, error) {
+	ws.Assemble(sp, n, pos, fill)
+	f, err := ws.Factor()
+	if err == ErrPlanMiss {
+		ws.Assemble(nil, n, pos, fill)
+		f, err = ws.Factor()
 	}
-	ws.vals[ws.c.slot[ws.next]] += v
-	ws.next++
+	return f, err
 }
 
 // Factor factors the assembled matrix. Under the compiled replay it
 // returns ErrPlanMiss when a planned pivot reads zero or fails the
 // stability guard; the assembled values are consumed either way, so the
-// caller re-assembles after Begin(nil, n). A full factorization that
-// succeeds primes the plan Begin was given, if it is still unprimed.
+// caller re-assembles with a nil plan. A full factorization that
+// succeeds primes the plan Assemble was given, if it is still unprimed.
 func (ws *Workspace) Factor() (*LU, error) {
 	if ws.c != nil {
 		return ws.replay()
@@ -325,13 +356,7 @@ func (ws *Workspace) replay() (*LU, error) {
 		if piv == 0 {
 			return nil, ErrPlanMiss
 		}
-		rowMax := 0.0
-		for _, s := range uslot {
-			if a := cmplx.Abs(v[s]); a > rowMax {
-				rowMax = a
-			}
-		}
-		if cmplx.Abs(piv) < guardRatio*rowMax {
+		if unsafePivot(piv, v, uslot) {
 			return nil, ErrPlanMiss
 		}
 		u := ws.ubuf[st.u0:st.u0:st.u1]
@@ -364,4 +389,46 @@ func (ws *Workspace) replay() (*LU, error) {
 		f.mults[k] = mults
 	}
 	return f, nil
+}
+
+// unsafePivot is the stability guard: it reports whether |piv| <
+// guardRatio × the largest magnitude among the row values v[uslot]. The
+// max-norm prefilter guardClears settles most pivots without a hypot;
+// the rest take the exact test, so the decision is the exact test's on
+// every input.
+func unsafePivot(piv complex128, v []complex128, uslot []int32) bool {
+	// rowInf is the row's largest component magnitude. A NaN component
+	// is skipped, so an entry with an infinite component always counts,
+	// as hypot counts it.
+	rowInf := 0.0
+	for _, s := range uslot {
+		if a := math.Abs(real(v[s])); a > rowInf {
+			rowInf = a
+		}
+		if a := math.Abs(imag(v[s])); a > rowInf {
+			rowInf = a
+		}
+	}
+	if guardClears(piv, rowInf) {
+		return false
+	}
+	rowMax := 0.0
+	for _, s := range uslot {
+		if a := cmplx.Abs(v[s]); a > rowMax {
+			rowMax = a
+		}
+	}
+	return cmplx.Abs(piv) < guardRatio*rowMax
+}
+
+// guardClears reports whether piv passes the stability guard by its max
+// norm alone, given rowInf, the largest component magnitude of its row.
+// Since |z|∞ ≤ |z| ≤ √2·|z|∞, |piv|∞ ≥ 1.5·guardRatio·rowInf implies
+// |piv| ≥ guardRatio·|z| for every row entry z, with room for the
+// rounding of hypot and of both products. Below 2^1023 no row entry's
+// hypot overflows; a larger or infinite rowInf, and a NaN pivot
+// component, defer to the exact test.
+func guardClears(piv complex128, rowInf float64) bool {
+	pivInf := max(math.Abs(real(piv)), math.Abs(imag(piv)))
+	return pivInf >= 1.5*guardRatio*rowInf && rowInf < 0x1p1023
 }

@@ -222,13 +222,6 @@ func (m *Matrix) Factor(threshold float64) (*LU, error) {
 	return ws.markowitz(threshold)
 }
 
-// FactorInPlace is Factor. The elimination runs on its own flat copy of
-// the entries, so there is no defensive copy to save; the receiver is
-// left unchanged.
-func (m *Matrix) FactorInPlace(threshold float64) (*LU, error) {
-	return m.Factor(threshold)
-}
-
 // Det returns the determinant as an extended-range complex number: the
 // signed product of the pivots.
 func (f *LU) Det() xmath.XComplex {
@@ -242,30 +235,9 @@ func (f *LU) Det() xmath.XComplex {
 // Solve solves A·x = b by replaying the elimination on the right-hand
 // side (forward pass) and back-substituting through the stored U rows.
 func (f *LU) Solve(b []complex128) ([]complex128, error) {
-	if len(b) != f.n {
-		return nil, fmt.Errorf("sparse: rhs length %d, want %d", len(b), f.n)
-	}
-	y := make([]complex128, f.n)
-	copy(y, b)
-	for k := range f.pivRow {
-		pv := y[f.pivRow[k]]
-		if pv == 0 {
-			continue
-		}
-		for _, me := range f.mults[k] {
-			y[me.row] -= me.mult * pv
-		}
-	}
 	x := make([]complex128, f.n)
-	for k := f.n - 1; k >= 0; k-- {
-		sum := y[f.pivRow[k]]
-		for _, e := range f.urows[k] {
-			if e.col == f.pivCol[k] {
-				continue
-			}
-			sum -= e.val * x[e.col]
-		}
-		x[f.pivCol[k]] = sum / f.pivVal[k]
+	if err := f.solve(x, b, make([]complex128, f.n)); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
@@ -275,11 +247,16 @@ func (f *LU) Solve(b []complex128) ([]complex128, error) {
 // workspace works; it need not be the one f aliases). dst and b may be
 // the same slice.
 func (f *LU) SolveInto(dst, b []complex128, ws *Workspace) error {
+	ws.fwd = resize(ws.fwd, f.n)
+	return f.solve(dst, b, ws.fwd)
+}
+
+// solve is the substitution behind Solve and SolveInto, with y (of
+// length f.n) as the forward-pass scratch.
+func (f *LU) solve(dst, b, y []complex128) error {
 	if len(b) != f.n || len(dst) != f.n {
 		return fmt.Errorf("sparse: rhs/dst length %d/%d, want %d", len(b), len(dst), f.n)
 	}
-	ws.ensure(f.n)
-	y := ws.fwd
 	copy(y, b)
 	for k := range f.pivRow {
 		pv := y[f.pivRow[k]]

@@ -25,7 +25,29 @@ type XComplex struct {
 	exp  int64
 }
 
+// normComplex returns m × 2^e in normal form. When both components are
+// normal and stay normal after the shift, the shift is a multiply by an
+// exact power of two built from the larger component's exponent bits,
+// which is exactly what the Frexp/Ldexp path computes; zeros,
+// subnormals, a component that would turn subnormal, the top binade
+// and non-finite values take that path (normComplexSlow).
 func normComplex(m complex128, e int64) XComplex {
+	re, im := real(m), imag(m)
+	hb, lb := math.Float64bits(re)&^signBit, math.Float64bits(im)&^signBit
+	if lb > hb {
+		hb, lb = lb, hb
+	}
+	hi, lo := hb>>52, lb>>52
+	if hi-1 < 2045 && (lb == 0 || (lo != 0 && lo+1023 > hi)) {
+		scale := math.Float64frombits((2046 - hi) << 52) // 2^-(hi-1023)
+		return XComplex{mant: complex(re*scale, im*scale), exp: e + int64(hi) - 1023}
+	}
+	return normComplexSlow(m, e)
+}
+
+// normComplexSlow is normComplex by Frexp and Ldexp, for the inputs the
+// exponent-bit path does not cover.
+func normComplexSlow(m complex128, e int64) XComplex {
 	re, im := real(m), imag(m)
 	if math.IsNaN(re) || math.IsNaN(im) || math.IsInf(re, 0) || math.IsInf(im, 0) {
 		panic(fmt.Sprintf("xmath: cannot represent %v", m))
@@ -133,8 +155,7 @@ func (z XComplex) Add(w XComplex) XComplex {
 	if d > 64 {
 		return z
 	}
-	scale := math.Ldexp(1, -int(d))
-	return normComplex(z.mant+w.mant*complex(scale, 0), z.exp)
+	return normComplex(z.mant+w.mant*complex(exp2Neg(d), 0), z.exp)
 }
 
 // Sub returns z−w.

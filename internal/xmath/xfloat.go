@@ -33,14 +33,34 @@ type XFloat struct {
 // could produce them is a bug upstream (singular matrix handling must
 // happen before scalar conversion).
 func FromFloat(v float64) XFloat {
+	b := math.Float64bits(v)
+	if be := b >> 52 & 0x7ff; be-1 < 2046 {
+		// A normal v is ±1.f × 2^(be−1023): set the exponent field to
+		// 1023's, which is exactly Frexp's frac × 2.
+		return XFloat{mant: math.Float64frombits(b&^(0x7ff<<52) | 1023<<52), exp: int64(be) - 1023}
+	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		panic(fmt.Sprintf("xmath: cannot represent %v", v))
 	}
 	if v == 0 {
 		return XFloat{}
 	}
-	frac, e := math.Frexp(v) // v = frac × 2^e, 0.5 ≤ |frac| < 1
+	frac, e := math.Frexp(v) // subnormal: v = frac × 2^e, 0.5 ≤ |frac| < 1
 	return XFloat{mant: frac * 2, exp: int64(e) - 1}
+}
+
+// signBit masks the sign of a float64's bits.
+const signBit = 1 << 63
+
+// exp2Neg returns 2^−d, the alignment scale of an addition whose
+// operands' exponents differ by d. For 0 ≤ d ≤ 64 — every d Add uses,
+// unless the exponent difference overflowed — it is built from the
+// exponent bits, which is exact; otherwise Ldexp computes it.
+func exp2Neg(d int64) float64 {
+	if uint64(d) <= 64 {
+		return math.Float64frombits(uint64(1023-d) << 52)
+	}
+	return math.Ldexp(1, -int(d))
 }
 
 // NaN returns a quiet not-a-number XFloat. Together with Inf it is the
@@ -139,7 +159,7 @@ func (x XFloat) Add(y XFloat) XFloat {
 	if d > 64 {
 		return x
 	}
-	return FromParts(x.mant+math.Ldexp(y.mant, -int(d)), x.exp)
+	return FromParts(x.mant+y.mant*exp2Neg(d), x.exp)
 }
 
 // Sub returns x−y.
