@@ -33,8 +33,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/blobstore"
 	"repro/pkg/engine"
-	"repro/pkg/server"
 )
 
 type chaosConfig struct {
@@ -167,21 +167,21 @@ func runChaos(cfg chaosConfig, stdout, stderr io.Writer) (*chaosReport, error) {
 			return nil, fmt.Errorf("cycle %d: %w", cycle, err)
 		}
 		// Offline scrub between cycles: quarantine whatever the kill tore.
-		if _, q, err := server.ScrubDiskCache(cacheDir); err == nil {
+		if _, q, err := blobstore.Scrub(nil, cacheDir, ".result.json", nil); err == nil {
 			rep.CacheQuarantined += q
 		}
-		if _, q, err := auditSchedules(schedDir, true); err == nil {
+		if _, q, err := blobstore.Scrub(nil, schedDir, ".schedule.json", scheduleCheck); err == nil {
 			rep.SchedQuarantined += q
 		}
 	}
 
 	// Final audit: after the last scrub, nothing corrupt may remain live.
-	okc, corrupt, err := server.VerifyDiskCache(cacheDir)
+	okc, corrupt, err := blobstore.Verify(nil, cacheDir, ".result.json", nil)
 	if err != nil {
 		return nil, fmt.Errorf("final cache verify: %w", err)
 	}
 	rep.CacheOK, rep.CacheCorrupt = okc, corrupt
-	oks, bad, err := auditSchedules(schedDir, false)
+	oks, bad, err := blobstore.Verify(nil, schedDir, ".schedule.json", scheduleCheck)
 	if err != nil {
 		return nil, fmt.Errorf("final schedule verify: %w", err)
 	}
@@ -422,44 +422,14 @@ func waitHealthy(client *http.Client, url string, timeout time.Duration) error {
 	return fmt.Errorf("refserve at %s never became healthy within %s", url, timeout)
 }
 
-// auditSchedules walks a schedule-store directory offline. Entries whose
-// envelope fails to decode or whose recorded key disagrees with the file
-// name are corrupt; with fix they are quarantined the same way the store
-// does it (rename aside, never delete). Version-skewed or degraded
-// envelopes are benign refusals, not corruption.
-func auditSchedules(dir string, fix bool) (ok, bad int, err error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, 0, nil
-		}
-		return 0, 0, err
+// scheduleCheck is the schedule store's key check for the offline
+// audit: the envelope must decode and name the content address its
+// file is stored under. Version-skewed or degraded envelopes are benign
+// refusals, not corruption.
+func scheduleCheck(key string, body []byte) error {
+	w, _, err := engine.DecodeWarmStartJSON(body)
+	if err == nil && w.Key != key {
+		err = fmt.Errorf("envelope recorded for key %s", w.Key)
 	}
-	var seq int
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".schedule.json") {
-			continue
-		}
-		p := filepath.Join(dir, name)
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			return ok, bad, err
-		}
-		key := strings.TrimSuffix(name, ".schedule.json")
-		w, _, derr := engine.DecodeWarmStartJSON(raw)
-		if derr != nil || w.Key != key {
-			bad++
-			if fix {
-				seq++
-				dst := fmt.Sprintf("%s.quarantined-%d-%d", p, os.Getpid(), seq)
-				if rerr := os.Rename(p, dst); rerr != nil {
-					return ok, bad, rerr
-				}
-			}
-			continue
-		}
-		ok++
-	}
-	return ok, bad, nil
+	return err
 }

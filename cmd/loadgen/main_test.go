@@ -7,10 +7,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"repro/pkg/engine"
 	"repro/pkg/server"
 )
 
@@ -165,50 +163,6 @@ func TestSummarizeShedAccounting(t *testing.T) {
 	}
 	if got := rep.HotHitRate; got != 0.5 {
 		t.Errorf("HotHitRate = %.3f, want 0.5 (disk and hit effective, miss and shed not)", got)
-	}
-}
-
-// TestAuditSchedules: a valid envelope passes, a torn one is detected
-// and (with fix) quarantined aside rather than deleted.
-func TestAuditSchedules(t *testing.T) {
-	dir := t.TempDir()
-	key := "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"
-	raw, err := engine.EncodeWarmStartJSON(key, &engine.WarmStart{Num: &engine.Schedule{
-		Name: "numerator", M: 1, OrderBound: 1, SigDigits: 6,
-		SeedFScale: 1, SeedGScale: 1,
-		Frames: []engine.ScheduleFrame{{FScale: 1, GScale: 1, Purpose: "initial"}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, key+".schedule.json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	torn := "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb"
-	if err := os.WriteFile(filepath.Join(dir, torn+".schedule.json"), raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ok, bad, err := auditSchedules(dir, false)
-	if err != nil || ok != 1 || bad != 1 {
-		t.Fatalf("dry audit = (%d ok, %d bad, %v), want (1, 1, nil)", ok, bad, err)
-	}
-	if _, q, err := auditSchedules(dir, true); err != nil || q != 1 {
-		t.Fatalf("fix audit quarantined %d (%v), want 1", q, err)
-	}
-	ok, bad, err = auditSchedules(dir, false)
-	if err != nil || ok != 1 || bad != 0 {
-		t.Fatalf("post-fix audit = (%d ok, %d bad, %v), want (1, 0, nil)", ok, bad, err)
-	}
-	ents, _ := os.ReadDir(dir)
-	var quarantined int
-	for _, e := range ents {
-		if strings.Contains(e.Name(), ".quarantined-") {
-			quarantined++
-		}
-	}
-	if quarantined != 1 {
-		t.Errorf("quarantine evidence files = %d, want 1 (rename, never delete)", quarantined)
 	}
 }
 

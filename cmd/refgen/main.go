@@ -165,7 +165,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var store *engine.ScheduleStore
 		var key string
 		if *schedCache != "" {
-			store, err = engine.OpenScheduleStore(*schedCache)
+			store, err = engine.OpenScheduleStore(*schedCache, nil)
 			if err != nil {
 				return fail(err)
 			}

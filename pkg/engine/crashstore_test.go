@@ -39,7 +39,7 @@ func storeEntries(t *testing.T, dir string) (live, quarantined, tmp []string) {
 func TestScheduleStoreQuarantinesCorruption(t *testing.T) {
 	ws, key := biquadWarmState(t)
 	dir := t.TempDir()
-	store, err := engine.OpenScheduleStore(dir)
+	store, err := engine.OpenScheduleStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestScheduleStoreTornWriteInjection(t *testing.T) {
 	ws, key := biquadWarmState(t)
 	plan := &faultfs.Plan{Seed: 7, TornWriteOneIn: 1}
 	dir := t.TempDir()
-	store, err := engine.OpenScheduleStoreFS(dir, faultfs.New(plan))
+	store, err := engine.OpenScheduleStore(dir, faultfs.New(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestScheduleStoreTornWriteInjection(t *testing.T) {
 func TestScheduleStoreRenameFaultInjection(t *testing.T) {
 	ws, key := biquadWarmState(t)
 	dir := t.TempDir()
-	good, err := engine.OpenScheduleStore(dir)
+	good, err := engine.OpenScheduleStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestScheduleStoreRenameFaultInjection(t *testing.T) {
 	}
 
 	plan := &faultfs.Plan{Seed: 3, RenameOneIn: 1}
-	store, err := engine.OpenScheduleStoreFS(dir, faultfs.New(plan))
+	store, err := engine.OpenScheduleStore(dir, faultfs.New(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,33 +152,33 @@ func TestScheduleStoreRenameFaultInjection(t *testing.T) {
 	}
 }
 
-// TestScheduleStoreBitFlipInjection: a flipped bit either breaks the
-// JSON (quarantine) or lands inside a value and is caught by the
-// envelope's key/version/scale validation — in no case does Load hand
-// back a schedule from a mismatched envelope silently.
+// TestScheduleStoreBitFlipInjection: one flipped bit anywhere in a
+// saved entry — frame, hash or envelope — is caught by the SHA-256
+// frame before the envelope is decoded. Every seed must read cold with
+// the entry quarantined on disk; none may replay a damaged schedule.
 func TestScheduleStoreBitFlipInjection(t *testing.T) {
 	ws, key := biquadWarmState(t)
-	for seed := int64(0); seed < 8; seed++ {
+	for seed := int64(0); seed < 64; seed++ {
 		plan := &faultfs.Plan{Seed: seed, BitFlipOneIn: 1}
-		store, err := engine.OpenScheduleStoreFS(t.TempDir(), faultfs.New(plan))
+		dir := t.TempDir()
+		store, err := engine.OpenScheduleStore(dir, faultfs.New(plan))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := store.Save(key, ws); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		got, reason := store.Load(key)
-		if got == nil {
-			// Refused — quarantined or version/provenance refusal; both
-			// are cold starts, which is the safe outcome.
-			continue
+		if _, flipped, _, _ := plan.Stats(); flipped != 1 {
+			t.Fatalf("seed %d: injector flipped %d writes, want 1", seed, flipped)
 		}
-		// Accepted: the flip must have landed in a spot the decoder
-		// round-trips (e.g. insignificant JSON whitespace change is
-		// impossible — encoding is canonical — so the envelope must
-		// still carry the right key and version).
-		if reason != "" {
-			t.Errorf("seed %d: accepted with refusal reason %q", seed, reason)
+		if got, reason := store.Load(key); got != nil {
+			t.Errorf("seed %d: Load accepted a bit-flipped entry", seed)
+		} else if !strings.Contains(reason, "quarantined") {
+			t.Errorf("seed %d: reason %q does not mention the quarantine", seed, reason)
+		}
+		if _, quarantined, _ := storeEntries(t, dir); len(quarantined) != 1 || store.Quarantines() != 1 {
+			t.Errorf("seed %d: %d quarantined files, Quarantines() = %d, want 1 and 1",
+				seed, len(quarantined), store.Quarantines())
 		}
 	}
 }
@@ -189,7 +189,7 @@ func TestScheduleStoreBitFlipInjection(t *testing.T) {
 func TestScheduleStoreTempResidueIgnored(t *testing.T) {
 	ws, key := biquadWarmState(t)
 	dir := t.TempDir()
-	store, err := engine.OpenScheduleStore(dir)
+	store, err := engine.OpenScheduleStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -94,7 +96,7 @@ func TestScheduleGolden(t *testing.T) {
 // coefficients.
 func TestScheduleStoreWarmReplay(t *testing.T) {
 	ws, key := biquadWarmState(t)
-	store, err := engine.OpenScheduleStore(t.TempDir())
+	store, err := engine.OpenScheduleStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +171,11 @@ func TestScheduleStoreRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Rows that must reach the envelope checks carry a valid frame; a
+	// raw write would be refused by the frame first.
+	framed := func(body []byte) []byte {
+		return []byte(fmt.Sprintf("sha256:%x\n%s", sha256.Sum256(body), body))
+	}
 	for _, tc := range []struct {
 		name   string
 		body   []byte
@@ -177,12 +184,13 @@ func TestScheduleStoreRejections(t *testing.T) {
 		{"missing file", nil, "no stored schedule"},
 		{"truncated file", valid[:len(valid)/2], "unreadable"},
 		{"not json", []byte("refkey v1 garbage"), "unreadable"},
-		{"version mismatch", bytes.Replace(valid, []byte(`"version": 1`), []byte(`"version": 99`), 1), "version 99"},
-		{"key mismatch", bytes.Replace(valid, []byte(key), []byte(strings.Repeat("0", len(key))), 1), "different request"},
-		{"degraded provenance", degradedRaw, "degraded provenance"},
+		{"framed truncated envelope", framed(valid[:len(valid)/2]), "unreadable"},
+		{"version mismatch", framed(bytes.Replace(valid, []byte(`"version": 1`), []byte(`"version": 99`), 1)), "version 99"},
+		{"key mismatch", framed(bytes.Replace(valid, []byte(key), []byte(strings.Repeat("0", len(key))), 1)), "different request"},
+		{"degraded provenance", framed(degradedRaw), "degraded provenance"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			store, err := engine.OpenScheduleStore(t.TempDir())
+			store, err := engine.OpenScheduleStore(t.TempDir(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +209,7 @@ func TestScheduleStoreRejections(t *testing.T) {
 		})
 	}
 
-	store, err := engine.OpenScheduleStore(t.TempDir())
+	store, err := engine.OpenScheduleStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +276,7 @@ func FuzzScheduleRoundTrip(f *testing.F) {
 // visibility contract.
 func TestScheduleStoreConcurrentSaveLoad(t *testing.T) {
 	ws, key := biquadWarmState(t)
-	store, err := engine.OpenScheduleStore(t.TempDir())
+	store, err := engine.OpenScheduleStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

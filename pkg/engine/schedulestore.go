@@ -3,10 +3,16 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync/atomic"
+
+	"repro/internal/blobstore"
 )
+
+// FS is the whole-file filesystem surface under the disk-backed stores
+// (ScheduleStore here, the server's persistent result cache
+// downstream). Nil selects the real filesystem; tests and the chaos
+// harness pass internal/faultfs, which tears writes, flips bits and
+// fails renames or reads on a seeded plan.
+type FS = blobstore.FS
 
 // ScheduleStore is a content-addressed on-disk store of converged scale
 // schedules: one file per generation request, named by the request's
@@ -18,53 +24,40 @@ import (
 // through Config.ScheduleDir.
 //
 // The store is an optimization layer and fails soft by design: Load
-// never returns an error. Every defect — missing file, truncated or
-// malformed JSON, a version from a different build, a key recorded for
-// a different request, degraded provenance — yields a nil WarmStart
-// with the refusal reason, and the caller starts cold exactly as if
-// the store were empty. The replay itself is further guarded by the
-// generator's own schedule validation (window, precision, drift), so a
-// stale-but-parseable schedule degrades to a cold run, never to a
-// wrong result.
+// never returns an error. Every defect — missing file, torn or
+// bit-flipped bytes, malformed JSON, a version from a different build,
+// a key recorded for a different request, degraded provenance — yields
+// a nil WarmStart with the refusal reason, and the caller starts cold
+// exactly as if the store were empty. A replay is further guarded by
+// the generator's own schedule validation (window, precision, drift).
 //
-// Corrupt entries — unparseable bytes, or an envelope recorded under a
-// different content address (a torn write or bit flip from a crashed
-// process or dirty disk) — are additionally quarantined: renamed aside
-// with a ".quarantined-" suffix, never deleted, so the evidence
-// survives for diagnosis while the address falls back cold and can be
-// rewritten by the next converged generation. Quarantines() counts
-// them. All file operations go through an injectable FS so the crash
-// paths are testable (internal/faultfs).
+// Entries are framed with their SHA-256 (internal/blobstore), so any
+// change to the stored bytes is detected before the envelope is
+// decoded. Corrupt entries — a failed frame, an envelope that does not
+// decode, or one recorded under a different content address — are
+// quarantined: renamed aside, never deleted, so the evidence survives
+// while the address falls back cold and can be rewritten by the next
+// converged generation. An unframed file written by an older build
+// reads as corrupt once. Quarantines() counts them.
 type ScheduleStore struct {
-	dir         string
-	fs          FS
-	tmpSeq      atomic.Uint64
-	quarantines atomic.Uint64
+	blobs *blobstore.Store
 }
 
 // OpenScheduleStore opens (creating if needed) a schedule store rooted
-// at dir, backed by the real filesystem.
-func OpenScheduleStore(dir string) (*ScheduleStore, error) {
-	return OpenScheduleStoreFS(dir, OsFS{})
-}
-
-// OpenScheduleStoreFS is OpenScheduleStore with an explicit filesystem —
-// the seam the chaos harness uses to inject disk faults.
-func OpenScheduleStoreFS(dir string, fsys FS) (*ScheduleStore, error) {
+// at dir. A nil fsys selects the real filesystem.
+func OpenScheduleStore(dir string, fsys FS) (*ScheduleStore, error) {
 	if dir == "" {
 		return nil, errors.New("engine: schedule store: empty directory")
 	}
-	if fsys == nil {
-		fsys = OsFS{}
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	blobs, err := blobstore.Open(dir, ".schedule.json", fsys)
+	if err != nil {
 		return nil, fmt.Errorf("engine: schedule store: %w", err)
 	}
-	return &ScheduleStore{dir: dir, fs: fsys}, nil
+	return &ScheduleStore{blobs: blobs}, nil
 }
 
 // Dir returns the store's root directory.
-func (st *ScheduleStore) Dir() string { return st.dir }
+func (st *ScheduleStore) Dir() string { return st.blobs.Dir() }
 
 // Quarantines returns the number of corrupt entries this store has
 // quarantined since it was opened.
@@ -72,51 +65,35 @@ func (st *ScheduleStore) Quarantines() uint64 {
 	if st == nil {
 		return 0
 	}
-	return st.quarantines.Load()
-}
-
-// path maps a content address to its file. The key is a hex SHA-256
-// (CanonicalKey), so it is always a safe file name.
-func (st *ScheduleStore) path(key string) string {
-	return filepath.Join(st.dir, key+".schedule.json")
-}
-
-// quarantine moves a corrupt entry aside — rename, never delete — so the
-// bytes survive for diagnosis and the address reads as absent from here
-// on. A failed rename leaves the file in place; the caller still starts
-// cold, and the next Save overwrites the corruption atomically.
-func (st *ScheduleStore) quarantine(key string) {
-	p := st.path(key)
-	dst := fmt.Sprintf("%s.quarantined-%d-%d", p, os.Getpid(), st.tmpSeq.Add(1))
-	if err := st.fs.Rename(p, dst); err == nil {
-		st.quarantines.Add(1)
-	}
+	return st.blobs.Stats().Quarantines
 }
 
 // Load returns the stored warm-start schedules for a content address,
 // or nil and the refusal reason. It never returns an error: every
-// rejection path is a cold start, not a failure. Corrupt entries
-// (unreadable bytes, or an envelope recorded for a different request)
-// are quarantined as a side effect; benign refusals — a version from
+// rejection path is a cold start, not a failure. Corrupt entries are
+// quarantined as a side effect; benign refusals — a version from
 // another build, degraded provenance — leave the file in place.
 func (st *ScheduleStore) Load(key string) (*WarmStart, string) {
 	if st == nil {
 		return nil, "no schedule store"
 	}
-	raw, err := st.fs.ReadFile(st.path(key))
+	raw, err := st.blobs.Get(key)
+	if errors.Is(err, blobstore.ErrCorrupt) {
+		return nil, fmt.Sprintf("stored schedule unreadable (quarantined): %v", err)
+	}
 	if err != nil {
 		return nil, "no stored schedule"
 	}
 	w, ws, err := DecodeWarmStartJSON(raw)
 	if err != nil {
-		st.quarantine(key)
+		st.blobs.Quarantine(key)
 		return nil, fmt.Sprintf("stored schedule unreadable (quarantined): %v", err)
 	}
 	if w.Version != ScheduleWireVersion {
 		return nil, fmt.Sprintf("stored schedule version %d, want %d", w.Version, ScheduleWireVersion)
 	}
 	if w.Key != key {
-		st.quarantine(key)
+		st.blobs.Quarantine(key)
 		return nil, "stored schedule recorded for a different request (quarantined)"
 	}
 	if (ws.Num != nil && ws.Num.Degraded) || (ws.Den != nil && ws.Den.Degraded) {
@@ -126,13 +103,10 @@ func (st *ScheduleStore) Load(key string) (*WarmStart, string) {
 }
 
 // Save persists the warm-start schedules of a converged generation
-// under its content address. The write is atomic (temp file + rename),
-// so a concurrent Load sees either the old envelope or the new one,
-// never a truncation. Degraded schedules are refused: Load would reject
-// them anyway, and persisting one would evict a replayable predecessor.
-// Temp names are deterministic (pid + sequence), so a crashed process
-// leaves at most a recognizable ".tmp-" residue that never shadows a
-// live entry.
+// under its content address, atomically, so a concurrent Load sees
+// either the old envelope or the new one. Degraded schedules are
+// refused: Load would reject them anyway, and persisting one would
+// evict a replayable predecessor.
 func (st *ScheduleStore) Save(key string, ws *WarmStart) error {
 	if st == nil {
 		return errors.New("engine: nil schedule store")
@@ -144,12 +118,7 @@ func (st *ScheduleStore) Save(key string, ws *WarmStart) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(st.dir, fmt.Sprintf("%s.tmp-%d-%d", key, os.Getpid(), st.tmpSeq.Add(1)))
-	if err := st.fs.WriteFile(tmp, raw, 0o644); err != nil {
-		return fmt.Errorf("engine: schedule store: %w", err)
-	}
-	if err := st.fs.Rename(tmp, st.path(key)); err != nil {
-		st.fs.Remove(tmp)
+	if err := st.blobs.Put(key, raw); err != nil {
 		return fmt.Errorf("engine: schedule store: %w", err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"repro/internal/blobstore"
 	"repro/pkg/engine"
 )
 
@@ -27,6 +28,11 @@ type CacheStats struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 }
+
+// DiskCacheStats is the persistent-tier section of Stats: hits,
+// misses, writes and quarantines of the Config.CacheDir store, with
+// JSON keys hits, misses, writes and quarantines.
+type DiskCacheStats = blobstore.Stats
 
 // cache is the content-addressed LRU result cache. It is bounded both
 // by entry count and by total encoded bytes — the byte bound is the one

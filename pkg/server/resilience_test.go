@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blobstore"
 	"repro/pkg/engine"
 )
 
@@ -391,9 +393,9 @@ func TestDiskCacheQuarantinesCorruption(t *testing.T) {
 	// The quarantined bytes survive on disk; the offline verifier sees a
 	// clean store (the rewritten entry) with no corruption in the
 	// serving path.
-	ok, corrupt, err := VerifyDiskCache(dir)
+	ok, corrupt, err := blobstore.Verify(nil, dir, ".result.json", nil)
 	if err != nil || ok != 1 || corrupt != 0 {
-		t.Errorf("VerifyDiskCache = (%d ok, %d corrupt, %v), want (1, 0, nil)", ok, corrupt, err)
+		t.Errorf("blobstore.Verify = (%d ok, %d corrupt, %v), want (1, 0, nil)", ok, corrupt, err)
 	}
 	quarantined := 0
 	ents, _ = os.ReadDir(dir)
@@ -407,36 +409,39 @@ func TestDiskCacheQuarantinesCorruption(t *testing.T) {
 	}
 }
 
-// TestScrubDiskCache: the offline scrub quarantines a torn entry the
-// same way the serving path would — rename aside, never delete — so a
-// post-crash sweep leaves the store verifiably clean.
-func TestScrubDiskCache(t *testing.T) {
+// TestDiskCacheServesParentFormat: a result-cache entry spelled
+// literally in the on-disk format earlier builds wrote —
+// "sha256:<lowercase hex>\n" + body — is served from disk, so existing
+// -cache-dir directories keep serving across the upgrade.
+func TestDiskCacheServesParentFormat(t *testing.T) {
 	dir := t.TempDir()
-	good := frame([]byte(`{"tier":"exact"}`))
-	if err := os.WriteFile(filepath.Join(dir, "aa.result.json"), good, 0o644); err != nil {
-		t.Fatal(err)
+	s1, ts1 := newTestServer(t, Config{CacheDir: dir})
+	_, body := post(t, ts1.URL, vgain(rcNetlist, "in", "n1"))
+	ts1.Close()
+	s1.Close()
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("cache dir holds %d entries (%v), want 1", len(ents), err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "bb.result.json"), good[:len(good)/2], 0o644); err != nil {
-		t.Fatal(err)
+	name := ents[0].Name()
+	literal := []byte(fmt.Sprintf("sha256:%x\n%s", sha256.Sum256(body), body))
+	if written, _ := os.ReadFile(filepath.Join(dir, name)); !bytes.Equal(written, literal) {
+		t.Error("written entry differs from the literal framed format")
 	}
 
-	ok, quarantined, err := ScrubDiskCache(dir)
-	if err != nil || ok != 1 || quarantined != 1 {
-		t.Fatalf("ScrubDiskCache = (%d ok, %d quarantined, %v), want (1, 1, nil)", ok, quarantined, err)
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, name), literal, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	ok, corrupt, err := VerifyDiskCache(dir)
-	if err != nil || ok != 1 || corrupt != 0 {
-		t.Fatalf("post-scrub VerifyDiskCache = (%d, %d, %v), want (1, 0, nil)", ok, corrupt, err)
+	s2, ts2 := newTestServer(t, Config{CacheDir: old})
+	resp, raw := post(t, ts2.URL, vgain(rcNetlist, "in", "n1"))
+	if resp.Header.Get("X-Cache") != "disk" || !bytes.Equal(raw, body) {
+		t.Errorf("literal entry: X-Cache %q, body equal %v; want a byte-identical disk hit",
+			resp.Header.Get("X-Cache"), bytes.Equal(raw, body))
 	}
-	ents, _ := os.ReadDir(dir)
-	var evidence int
-	for _, e := range ents {
-		if strings.Contains(e.Name(), ".quarantined-") {
-			evidence++
-		}
-	}
-	if evidence != 1 {
-		t.Errorf("quarantine evidence files = %d, want 1 (rename, never delete)", evidence)
+	if st := s2.Stats(); st.Generations != 0 || st.DiskCache.Quarantines != 0 {
+		t.Errorf("literal entry: %d generations, %d quarantines, want 0 and 0",
+			st.Generations, st.DiskCache.Quarantines)
 	}
 }
 

@@ -47,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/blobstore"
 	"repro/pkg/engine"
 )
 
@@ -84,17 +85,20 @@ type Config struct {
 	// Replay is bit-identical at the coefficient level (and falls back
 	// to a cold run when the stored schedule is refused), so the store
 	// changes the iteration trail and solve counts of the body, never
-	// the generated reference. Empty disables the store.
+	// the generated reference. Entries are SHA-256 framed like CacheDir's;
+	// a torn, bit-flipped or unframed (older build) entry is quarantined
+	// and the flight starts cold. Empty disables the store.
 	ScheduleDir string
 	// CacheDir, when non-empty, roots the persistent tier of the result
-	// cache: finished non-degraded bodies are written through (atomic
-	// rename, content-hash framed) and a restarted server serves them
-	// without regenerating. Corrupt entries are quarantined, never
+	// cache: finished non-degraded bodies are written through (temp file
+	// + rename, "sha256:<hex>\n" + body) and a restarted server serves
+	// them without regenerating. An entry whose frame fails is
+	// quarantined (renamed aside, never deleted) and regenerated, never
 	// served. Empty disables the tier.
 	CacheDir string
 	// StoreFS, when non-nil, replaces the real filesystem under both
-	// disk stores (schedule store and persistent result cache) — the
-	// seam the chaos harness uses to inject torn writes and rename
+	// disk stores (ScheduleDir and CacheDir) — the seam the chaos
+	// harness uses to inject torn writes, bit flips and rename or read
 	// failures (internal/faultfs). Nil selects the real filesystem.
 	StoreFS engine.FS
 	// IterationBudget, SolveBudget and MemoryBudget are server-enforced
@@ -189,7 +193,7 @@ type Server struct {
 	cfg      Config
 	eng      *engine.Engine
 	cache    *cache
-	disk     *diskCache
+	disk     *blobstore.Store
 	sched    *engine.ScheduleStore
 	group    *group
 	adm      *admission
@@ -288,16 +292,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	var sched *engine.ScheduleStore
 	if cfg.ScheduleDir != "" {
-		sched, err = engine.OpenScheduleStoreFS(cfg.ScheduleDir, cfg.StoreFS)
+		sched, err = engine.OpenScheduleStore(cfg.ScheduleDir, cfg.StoreFS)
 		if err != nil {
 			return nil, err
 		}
 	}
-	var disk *diskCache
+	var disk *blobstore.Store
 	if cfg.CacheDir != "" {
-		disk, err = openDiskCache(cfg.CacheDir, cfg.StoreFS)
+		disk, err = blobstore.Open(cfg.CacheDir, ".result.json", cfg.StoreFS)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("server: disk cache: %w", err)
 		}
 	}
 	base, stop := context.WithCancel(context.Background())
@@ -342,7 +346,7 @@ func (s *Server) Stats() Stats {
 		Since:               s.started.Format(time.RFC3339Nano),
 		Draining:            s.draining.Load(),
 		Cache:               s.cache.stats(),
-		DiskCache:           s.disk.stats(),
+		DiskCache:           s.disk.Stats(),
 		Generations:         s.generations.Load(),
 		SingleflightShared:  s.shared.Load(),
 		Requests:            s.requests.Load(),
@@ -714,8 +718,8 @@ func (s *Server) diskGet(cacheKey string) *entry {
 	if s.disk == nil {
 		return nil
 	}
-	raw := s.disk.get(cacheKey)
-	if raw == nil {
+	raw, err := s.disk.Get(cacheKey)
+	if err != nil {
 		return nil
 	}
 	wire, _, _, err := engine.DecodeResponseJSON(raw)
@@ -809,7 +813,7 @@ func (s *Server) runFlight(fl *flight, ereq engine.Request, schedKey string, dea
 	}
 	s.cache.put(e)
 	if s.disk != nil && !resp.Degraded() {
-		s.disk.put(fl.key, raw)
+		_ = s.disk.Put(fl.key, raw) // best effort: a failed write costs a later miss
 	}
 	s.group.finish(fl, e, nil, 0)
 }
