@@ -7,8 +7,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/blobstore"
+	"repro/pkg/engine"
 	"repro/pkg/server"
 )
 
@@ -163,6 +166,61 @@ func TestSummarizeShedAccounting(t *testing.T) {
 	}
 	if got := rep.HotHitRate; got != 0.5 {
 		t.Errorf("HotHitRate = %.3f, want 0.5 (disk and hit effective, miss and shed not)", got)
+	}
+}
+
+// TestAuditSchedules: the chaos harness's schedule audit — blobstore
+// Verify/Scrub with scheduleCheck — passes a valid envelope, detects a
+// torn one and a well-framed one filed under the wrong key, and (when
+// scrubbing) quarantines both aside rather than deleting them.
+func TestAuditSchedules(t *testing.T) {
+	dir := t.TempDir()
+	store, err := engine.OpenScheduleStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("a", 64)
+	ws := &engine.WarmStart{Num: &engine.Schedule{
+		Name: "numerator", M: 1, OrderBound: 1, SigDigits: 6,
+		SeedFScale: 1, SeedGScale: 1,
+		Frames: []engine.ScheduleFrame{{FScale: 1, GScale: 1, Purpose: "initial"}},
+	}}
+	if err := store.Save(key, ws); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, key+".schedule.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := strings.Repeat("b", 64)
+	if err := os.WriteFile(filepath.Join(dir, torn+".schedule.json"), raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	misfiled := strings.Repeat("c", 64)
+	if err := os.WriteFile(filepath.Join(dir, misfiled+".schedule.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ok, bad, err := blobstore.Verify(nil, dir, ".schedule.json", scheduleCheck)
+	if err != nil || ok != 1 || bad != 2 {
+		t.Fatalf("dry audit = (%d ok, %d bad, %v), want (1, 2, nil)", ok, bad, err)
+	}
+	if _, q, err := blobstore.Scrub(nil, dir, ".schedule.json", scheduleCheck); err != nil || q != 2 {
+		t.Fatalf("fix audit quarantined %d (%v), want 2", q, err)
+	}
+	ok, bad, err = blobstore.Verify(nil, dir, ".schedule.json", scheduleCheck)
+	if err != nil || ok != 1 || bad != 0 {
+		t.Fatalf("post-fix audit = (%d ok, %d bad, %v), want (1, 0, nil)", ok, bad, err)
+	}
+	ents, _ := os.ReadDir(dir)
+	var quarantined int
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".quarantined-") {
+			quarantined++
+		}
+	}
+	if quarantined != 2 {
+		t.Errorf("quarantine evidence files = %d, want 2 (rename, never delete)", quarantined)
 	}
 }
 

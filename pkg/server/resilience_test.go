@@ -445,6 +445,59 @@ func TestDiskCacheServesParentFormat(t *testing.T) {
 	}
 }
 
+// TestScrubDiskCache: the offline scrub of a result-cache directory
+// (blobstore.Scrub over .result.json, as the chaos harness runs it)
+// quarantines a torn entry the same way the serving path would —
+// rename aside, never delete — so a post-crash sweep leaves the store
+// verifiably clean and the surviving entry still serves from disk.
+func TestScrubDiskCache(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{CacheDir: dir})
+	_, body := post(t, ts1.URL, vgain(rcNetlist, "in", "n1"))
+	ts1.Close()
+	s1.Close()
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("cache dir holds %d entries (%v), want 1", len(ents), err)
+	}
+	good, err := os.ReadFile(filepath.Join(dir, ents[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "bb.result.json"), good[:len(good)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ok, quarantined, err := blobstore.Scrub(nil, dir, ".result.json", nil)
+	if err != nil || ok != 1 || quarantined != 1 {
+		t.Fatalf("blobstore.Scrub = (%d ok, %d quarantined, %v), want (1, 1, nil)", ok, quarantined, err)
+	}
+	ok, corrupt, err := blobstore.Verify(nil, dir, ".result.json", nil)
+	if err != nil || ok != 1 || corrupt != 0 {
+		t.Fatalf("post-scrub blobstore.Verify = (%d, %d, %v), want (1, 0, nil)", ok, corrupt, err)
+	}
+	ents, _ = os.ReadDir(dir)
+	var evidence int
+	for _, e := range ents {
+		if strings.Contains(e.Name(), ".quarantined-") {
+			evidence++
+		}
+	}
+	if evidence != 1 {
+		t.Errorf("quarantine evidence files = %d, want 1 (rename, never delete)", evidence)
+	}
+
+	s2, ts2 := newTestServer(t, Config{CacheDir: dir})
+	resp, raw := post(t, ts2.URL, vgain(rcNetlist, "in", "n1"))
+	if resp.Header.Get("X-Cache") != "disk" || !bytes.Equal(raw, body) {
+		t.Errorf("scrubbed store: X-Cache %q, body equal %v; want a byte-identical disk hit",
+			resp.Header.Get("X-Cache"), bytes.Equal(raw, body))
+	}
+	if st := s2.Stats(); st.Generations != 0 {
+		t.Errorf("scrubbed store ran %d generations, want 0", st.Generations)
+	}
+}
+
 // TestDegradedResultsStayOffDisk: client-requested degraded results
 // (allow_degraded) are memory-cacheable but never written through to
 // the persistent tier.
