@@ -20,7 +20,8 @@
 // on every host, so any increase is a real regression. Timings (ns/op
 // and friends) stay advisory — shared CI runners are too noisy to gate
 // on. For the steady-state hot-path benchmarks (BenchmarkEvalBatch*,
-// BenchmarkDetSparseUA741 and BenchmarkDetPlanned{Biquad,Ladder40,UA741}),
+// BenchmarkDetSparseUA741 and BenchmarkDetPlanned{Biquad,Ladder40,UA741})
+// and the cold structural-window matchings (BenchmarkStructuralWindowUA741),
 // allocs/op is also gated lower-is-better:
 // those ops are primed to zero heap allocations, so any count above the
 // baseline means the hot path started allocating again. The CI bench smoke job runs check mode for
@@ -82,9 +83,11 @@ var deterministicUnits = map[string]bool{
 // full factorization and the planned (compiled-replay) factorization
 // through a reused workspace — are primed so the measured op performs
 // zero heap allocations, making the count an exact property of the code
-// (not of the host or the GC) and safe to gate. Everywhere else
-// allocs/op stays advisory, like timings.
-var allocGated = regexp.MustCompile(`^Benchmark(EvalBatch|DetSparseUA741$|DetPlanned(Biquad|Ladder40|UA741)$)`)
+// (not of the host or the GC) and safe to gate. The structural-window
+// matchings of a cold µA741 formulation run in one fresh scratch per op,
+// so their count is exact too. Everywhere else allocs/op stays advisory,
+// like timings.
+var allocGated = regexp.MustCompile(`^Benchmark(EvalBatch|DetSparseUA741$|DetPlanned(Biquad|Ladder40|UA741)$|StructuralWindowUA741$)`)
 
 // higherIsBetterUnits flips the regression direction for counters where
 // a drop is the regression: losing warm starts means a sweep fell back

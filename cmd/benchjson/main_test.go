@@ -156,6 +156,8 @@ func TestCompareAllocsGate(t *testing.T) {
 			"B/op": 0, "allocs/op": 0}},
 		{Name: "BenchmarkIDFTDirect49", N: 1, NsOp: 7000, Extra: map[string]float64{
 			"allocs/op": 3}},
+		{Name: "BenchmarkStructuralWindowUA741", N: 1, NsOp: 30000, Extra: map[string]float64{
+			"B/op": 7344, "allocs/op": 19}},
 	})
 
 	// A hot-path op that allocates again is a regression, even by one.
@@ -168,12 +170,14 @@ func TestCompareAllocsGate(t *testing.T) {
 			"B/op": 32, "allocs/op": 1}},
 		{Name: "BenchmarkIDFTDirect49", N: 1, NsOp: 7000, Extra: map[string]float64{
 			"allocs/op": 3}},
+		{Name: "BenchmarkStructuralWindowUA741", N: 1, NsOp: 30000, Extra: map[string]float64{
+			"B/op": 7400, "allocs/op": 20}},
 	})
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-compare", old, leaky}, strings.NewReader(""), &out, &errOut); code != 1 {
 		t.Fatalf("leaky hot path exited %d, want 1 (stdout %q)", code, out.String())
 	}
-	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40"} {
+	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40", "BenchmarkStructuralWindowUA741"} {
 		if !strings.Contains(out.String(), "REGRESSION "+name+" allocs/op") {
 			t.Errorf("missing %s allocs regression in %q", name, out.String())
 		}

@@ -133,6 +133,8 @@ func (h *harness) trial(ctx context.Context, rng *rand.Rand, o options, rep *che
 	// Structural invariants on both polynomials.
 	rep.Merge(check.Result(num, tf.Num.M, check.Options{}))
 	rep.Merge(check.Result(den, tf.Den.M, check.Options{}))
+	check.Window(num, tf.Num, rep)
+	check.Window(den, tf.Den, rep)
 
 	// Oracle cross-check where tractable, Bode-vs-AC everywhere.
 	if nodes <= o.exactMax {
@@ -164,6 +166,8 @@ func (h *harness) trial(ctx context.Context, rng *rand.Rand, o options, rep *che
 		check.ErrorBars(rec.Den, oracle.ExactDen, rep)
 		rep.Merge(check.Result(rec.Num, tf.Num.M, check.Options{}))
 		rep.Merge(check.Result(rec.Den, tf.Den.M, check.Options{}))
+		check.Window(rec.Num, tf.Num, rep)
+		check.Window(rec.Den, tf.Den, rep)
 	}
 	check.BodeVsAC(c, "vgain", in, "", out, num, den, 0, 0, rep)
 	return nodes, nil

@@ -285,10 +285,12 @@ func printResult(w io.Writer, r *engine.Result, verbose bool) {
 				relErr = fmt.Sprintf("%.1e", bar.RelError)
 			}
 		}
-		switch c.Status {
-		case engine.Valid:
+		switch {
+		case c.Status == engine.Valid:
 			tb.Rowf(fmt.Sprintf("s^%d", i), "valid", c.Value, fmt.Sprintf("%.1f", float64(6)+c.Quality), tier, relErr)
-		case engine.Negligible:
+		case c.Structural():
+			tb.Rowf(fmt.Sprintf("s^%d", i), "structural", "0", "", tier, relErr)
+		case c.Status == engine.Negligible:
 			tb.Rowf(fmt.Sprintf("s^%d", i), "negligible", fmt.Sprintf("|p| < %v", c.Bound), "", tier, relErr)
 		default:
 			tb.Rowf(fmt.Sprintf("s^%d", i), "UNRESOLVED", "", "", "", "")

@@ -14,6 +14,8 @@
 //   - the homogeneity law p'_i = p_i·f^i·g^(M−i) (eq. 11) links every
 //     iteration's normalized window to the accepted coefficients;
 //   - serial and parallel runs are bit-identical (the PR-1 guarantee);
+//   - no coefficient outside the evaluator's structural degree window is
+//     Valid, and every one there is an exact structural zero;
 //   - recovered polynomials agree with the exact Bareiss oracle where it
 //     is tractable, and the reconstructed Bode response matches an
 //     independent MNA AC solve everywhere (the paper's Fig. 2).
@@ -25,6 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/xmath"
 )
 
@@ -191,6 +194,10 @@ func Result(res *core.Result, m int, opt Options) *Report {
 		case core.Negligible:
 			rep.assert(c.Bound.Sign() >= 0, "bound",
 				"%s s^%d: negative negligibility bound %v", res.Name, i, c.Bound)
+			if c.Structural() {
+				rep.assert(c.Bound.Zero(), "structural",
+					"%s s^%d: structural zero carries bound %v (want exactly 0)", res.Name, i, c.Bound)
+			}
 		default:
 			rep.assert(false, "classified", "%s s^%d: unresolved coefficient", res.Name, i)
 		}
@@ -226,6 +233,10 @@ func Result(res *core.Result, m int, opt Options) *Report {
 		}
 		rep.assert(bar.RelError >= 0 && !math.IsInf(bar.RelError, 0) && !math.IsNaN(bar.RelError),
 			"quality", "%s s^%d: relative error %g not finite and non-negative", res.Name, i, bar.RelError)
+		if c.Structural() {
+			rep.assert(bar.Tier == core.TierExact, "structural",
+				"%s s^%d: structural zero graded %v (want exact)", res.Name, i, bar.Tier)
+		}
 		switch bar.Tier {
 		case core.TierExact:
 			rep.assert(bar.RelError == 0, "quality",
@@ -252,7 +263,8 @@ func Result(res *core.Result, m int, opt Options) *Report {
 	// Homogeneity (eq. 11): inside every iteration's valid region the
 	// normalized coefficient must equal the accepted denormalized value
 	// re-scaled by f^i·g^(M−i); deflated slots carry residue and are
-	// exempt, and every non-deflated region slot must have ended Valid.
+	// exempt, and every non-deflated region slot must have ended Valid —
+	// except structural zeros, which no frame may resolve (see Window).
 	for k, it := range res.Iterations {
 		if it.Lo > it.Hi {
 			continue
@@ -263,6 +275,9 @@ func Result(res *core.Result, m int, opt Options) *Report {
 				continue
 			}
 			c := res.Coeffs[i]
+			if c.Structural() {
+				continue
+			}
 			rep.assert(c.Status == core.Valid, "tiling",
 				"%s s^%d: inside region of it%d but classified %v", res.Name, i, k, c.Status)
 			if c.Status != core.Valid || c.Value.Zero() {
@@ -275,4 +290,24 @@ func Result(res *core.Result, m int, opt Options) *Report {
 		}
 	}
 	return rep
+}
+
+// Window validates a result against the structural degree window of
+// the evaluator that produced it (interp.Evaluator.DegreeWindow): no
+// Valid coefficient lies outside the window, every coefficient outside
+// it is a structural zero, and no coefficient inside it is one. An
+// evaluator without a window proves nothing, so the whole range
+// [0, OrderBound] is inside.
+func Window(res *core.Result, ev interp.Evaluator, rep *Report) {
+	lo, hi := ev.DegreeWindow()
+	for i, c := range res.Coeffs {
+		inside := i >= lo && i <= hi
+		rep.assert(inside || c.Status != core.Valid, "structural",
+			"%s s^%d: valid %v outside the structural window [%d, %d]", res.Name, i, c.Value, lo, hi)
+		rep.assert(inside || c.Structural(), "structural",
+			"%s s^%d: %v coefficient outside the structural window [%d, %d] is not a structural zero",
+			res.Name, i, c.Status, lo, hi)
+		rep.assert(!inside || !c.Structural(), "structural",
+			"%s s^%d: structural zero inside the structural window [%d, %d]", res.Name, i, lo, hi)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/core"
 	"repro/internal/exact"
+	"repro/internal/interp"
 	"repro/internal/nodal"
 	"repro/internal/xmath"
 )
@@ -30,6 +31,28 @@ func generateBiquad(t testing.TB) (*nodal.System, *core.Result, *core.Result, in
 		t.Fatal(err)
 	}
 	return sys, num, den, tf.Den.M
+}
+
+// generateUA741 runs the full pipeline on the µA741 differential gain:
+// both of its polynomials take several iterations, which the corruption
+// tests need (the biquad's resolve in one initial frame each).
+func generateUA741(t testing.TB) (*interp.TransferFunction, *core.Result, *core.Result) {
+	t.Helper()
+	c := circuits.UA741()
+	sys, err := nodal.Build(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inp, inn, out := circuits.UA741Inputs()
+	tf, err := sys.DifferentialVoltageGain(c, inp, inn, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	num, den, err := core.GenerateTransferFunction(c, tf, core.Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tf, num, den
 }
 
 func TestBiquadInvariants(t *testing.T) {
@@ -124,13 +147,19 @@ func copyResult(r *core.Result) *core.Result {
 	out := *r
 	out.Coeffs = append([]core.Coefficient(nil), r.Coeffs...)
 	out.Iterations = append([]core.Iteration(nil), r.Iterations...)
+	out.Quality.Coefficients = append([]core.ErrorBar(nil), r.Quality.Coefficients...)
 	return &out
 }
 
 func TestCheckerCatchesCorruption(t *testing.T) {
-	_, num, den, m := generateBiquad(t)
+	tf, num, den := generateUA741(t)
+	m := tf.Den.M
 	if len(num.Iterations) < 2 {
 		t.Fatalf("fixture assumption broken: numerator resolved in %d iteration(s)", len(num.Iterations))
+	}
+	top := len(den.Coeffs) - 1
+	if !den.Coeffs[top].Structural() {
+		t.Fatalf("fixture assumption broken: denominator s^%d is not a structural zero", top)
 	}
 
 	cases := []struct {
@@ -158,6 +187,12 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 			r.Iterations[0].Hi = len(r.Coeffs) + 5
 			r.Iterations[0].K = 1
 		}, "region", false},
+		{"structural zero with a bound", func(r *core.Result) {
+			r.Coeffs[top].Bound = xmath.FromFloat(1e-300)
+		}, "structural", false},
+		{"structural zero graded certified", func(r *core.Result) {
+			r.Quality.Coefficients[top].Tier = core.TierCertified
+		}, "structural", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,6 +214,58 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 			}
 			if !found {
 				t.Errorf("want a %q violation, got %s", tc.invariant, rep)
+			}
+		})
+	}
+}
+
+// TestWindowCatchesCorruption checks check.Window on the µA741: the
+// clean run passes, and a Valid value outside the structural window, a
+// non-structural coefficient outside it and a structural zero inside it
+// are each reported.
+func TestWindowCatchesCorruption(t *testing.T) {
+	tf, num, den := generateUA741(t)
+	for _, p := range []struct {
+		res *core.Result
+		ev  interp.Evaluator
+	}{{num, tf.Num}, {den, tf.Den}} {
+		rep := &check.Report{}
+		check.Window(p.res, p.ev, rep)
+		if !rep.Ok() || rep.Checks == 0 {
+			t.Fatalf("clean %s: %s", p.res.Name, rep)
+		}
+	}
+	lo, hi := tf.Den.DegreeWindow()
+	if lo != 0 || hi != 47 {
+		t.Fatalf("µA741 denominator window [%d, %d], want [0, 47]", lo, hi)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(r *core.Result)
+	}{
+		{"valid outside the window", func(r *core.Result) {
+			r.Coeffs[hi+1] = core.Coefficient{Status: core.Valid, Value: xmath.FromFloat(-5.65e-300), Iteration: 0}
+		}},
+		{"evidence-bounded negligible outside the window", func(r *core.Result) {
+			r.Coeffs[hi+1] = core.Coefficient{Status: core.Negligible, Bound: xmath.FromFloat(1e-300), Iteration: 0}
+		}},
+		{"structural zero inside the window", func(r *core.Result) {
+			r.Coeffs[hi] = core.Coefficient{Status: core.Negligible, Iteration: -1}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := copyResult(den)
+			tc.corrupt(bad)
+			rep := &check.Report{}
+			check.Window(bad, tf.Den, rep)
+			if rep.Ok() {
+				t.Fatalf("corruption %q not detected", tc.name)
+			}
+			for _, v := range rep.Violations {
+				if v.Invariant != "structural" {
+					t.Errorf("unexpected %s", v)
+				}
 			}
 		})
 	}

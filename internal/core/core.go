@@ -232,7 +232,9 @@ func GenerateContext(ctx context.Context, ev interp.Evaluator, cfg Config) (*Res
 	}
 	// OrderBound may exceed M (the paper's a-priori estimate is the
 	// capacitor count, which can top the matrix order): the surplus slots
-	// are structural zeros and come out Negligible.
+	// are zeros and come out Negligible — proven structural zeros when
+	// the evaluator carries a degree window, bounded by frame evidence
+	// otherwise.
 	g := newGenerator(ctx, ev, cfg)
 	err := g.run()
 	if g.restart != "" {
@@ -247,6 +249,7 @@ func GenerateContext(ctx context.Context, ev interp.Evaluator, cfg Config) (*Res
 		g.res.AddEvent(QualityEvent{Kind: EventColdFallback, Frame: -1, Target: -1, Detail: reason})
 		err = g.run()
 	}
+	g.markStructuralZeros()
 	g.res.finalizeQuality(g.degraded)
 	return g.res, err
 }
@@ -264,6 +267,7 @@ func newGenerator(ctx context.Context, ev interp.Evaluator, cfg Config) *generat
 		policy:   paperScalePolicy{singleFactor: cfg.SingleFactor},
 		classify: sigmaClassifier{sigDigits: cfg.SigDigits},
 	}
+	g.wlo, g.whi = ev.DegreeWindow()
 	g.res.Parallelism = interp.Workers(cfg.Parallelism)
 	g.res.M = ev.M
 	g.res.SigDigits = cfg.SigDigits

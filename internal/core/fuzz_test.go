@@ -41,6 +41,8 @@ func FuzzGenerate(f *testing.F) {
 
 		rep := check.Result(num, tf.Num.M, check.Options{})
 		rep.Merge(check.Result(den, tf.Den.M, check.Options{}))
+		check.Window(num, tf.Num, rep)
+		check.Window(den, tf.Den, rep)
 
 		pnum, pden, perr := core.GenerateTransferFunction(c, tf, core.Config{})
 		if perr != nil {

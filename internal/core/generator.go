@@ -35,6 +35,11 @@ type generator struct {
 	points   map[int][]complex128 // unit-circle point sets by K
 	policy   scalePolicy
 	classify windowClassifier
+	// [wlo, whi] is the evaluator's structural degree window
+	// (interp.Evaluator.DegreeWindow): no frame aims outside it, no value
+	// outside it is accepted, and whatever outside it is still Unknown
+	// when the run ends becomes a structural zero.
+	wlo, whi int
 	// frames counts evaluation frames dispatched, successful or failed —
 	// the unit the iteration budget is charged in (equal to
 	// len(res.Iterations) on a fault-free run).
@@ -70,6 +75,10 @@ func frameBuf(buf *[]xmath.XComplex, n int) []xmath.XComplex {
 }
 
 func (g *generator) run() error {
+	if g.wlo > g.whi {
+		// Structurally singular: every coefficient is a structural zero.
+		return nil
+	}
 	frames, done, err := g.startFrames()
 	if done || err != nil {
 		return err
@@ -167,9 +176,7 @@ func (g *generator) startFrames() (frames []frame, done bool, err error) {
 	if initial.lo > initial.hi {
 		// The polynomial evaluated to zero at every point: it is
 		// identically zero (e.g. no path from input to output).
-		for i := range g.res.Coeffs {
-			g.res.Coeffs[i] = Coefficient{Status: Valid, Iteration: 0}
-		}
+		g.markIdenticallyZero()
 		return nil, true, nil
 	}
 	return []frame{initial}, false, nil
@@ -259,14 +266,41 @@ func (g *generator) unknownCount() int {
 }
 
 // nextTarget returns the smallest Unknown non-abandoned coefficient
-// index, or -1 when everything is classified or given up.
+// index inside the structural window, or -1 when everything there is
+// classified or given up.
 func (g *generator) nextTarget() int {
-	for i, c := range g.res.Coeffs {
-		if c.Status == Unknown && (g.abandoned == nil || !g.abandoned[i]) {
+	for i := g.wlo; i <= g.whi; i++ {
+		if g.res.Coeffs[i].Status == Unknown && (g.abandoned == nil || !g.abandoned[i]) {
 			return i
 		}
 	}
 	return -1
+}
+
+// inWindow reports whether index i lies inside the structural window.
+func (g *generator) inWindow(i int) bool { return i >= g.wlo && i <= g.whi }
+
+// markIdenticallyZero classifies every in-window coefficient as a Valid
+// zero — the polynomial evaluated to zero at every point of the
+// initial frame. The indices outside the window stay Unknown and become
+// structural zeros with the rest (markStructuralZeros).
+func (g *generator) markIdenticallyZero() {
+	for i := g.wlo; i <= g.whi; i++ {
+		g.res.Coeffs[i] = Coefficient{Status: Valid, Iteration: 0}
+	}
+}
+
+// markStructuralZeros turns every still-Unknown coefficient outside the
+// structural window into a structural zero: Negligible with an exact
+// zero bound and no evidence iteration (Coefficient.Structural). It runs
+// once the generation loop has ended, however it ended — the window is a
+// proof, not a measurement.
+func (g *generator) markStructuralZeros() {
+	for i := range g.res.Coeffs {
+		if !g.inWindow(i) && g.res.Coeffs[i].Status == Unknown {
+			g.res.Coeffs[i] = Coefficient{Status: Negligible, Iteration: -1}
+		}
+	}
 }
 
 // markNegligible classifies coefficient t with the upper bound implied by
@@ -594,7 +628,7 @@ func (g *generator) accept(fr *frame) (newValid, revised int) {
 	xf, xg := xmath.FromFloat(fr.f), xmath.FromFloat(fr.g)
 	iterIdx := len(g.res.Iterations)
 	for i := fr.lo; i <= fr.hi; i++ {
-		if fr.subtracted != nil && fr.subtracted[i] {
+		if (fr.subtracted != nil && fr.subtracted[i]) || !g.inWindow(i) {
 			continue
 		}
 		value := fr.normalized[i].

@@ -252,6 +252,11 @@ func (r *Result) finalizeQuality(degraded bool) {
 				}
 			}
 		case Negligible:
+			if c.Structural() {
+				// Outside the structural degree window: exactly zero.
+				bar.Tier = TierExact
+				break
+			}
 			// The bound is proven frame evidence; the value (zero) is
 			// within it by construction.
 			bar.Tier = TierCertified

@@ -20,7 +20,10 @@ const (
 	// Valid: value carries at least σ significant digits.
 	Valid
 	// Negligible: below the noise floor in every frame aimed at it; Bound
-	// is a proven upper bound on its magnitude.
+	// is a proven upper bound on its magnitude. A structural zero — an
+	// index outside the evaluator's degree window — is Negligible too,
+	// with Bound exactly zero and no evidence iteration (see
+	// Coefficient.Structural).
 	Negligible
 )
 
@@ -44,8 +47,17 @@ type Coefficient struct {
 	// Quality is the number of decimal digits the coefficient stood above
 	// the validity threshold when accepted.
 	Quality float64
-	// Iteration is the 0-based interpolation that resolved it.
+	// Iteration is the 0-based interpolation that resolved it; −1 for a
+	// structural zero, which no interpolation resolved.
 	Iteration int
+}
+
+// Structural reports whether the coefficient is a structural zero: it
+// lies outside the evaluator's proven degree window
+// (interp.Evaluator.Degrees), so it is exactly zero without evidence —
+// Negligible with a zero bound and no resolving iteration.
+func (c Coefficient) Structural() bool {
+	return c.Status == Negligible && c.Iteration < 0
 }
 
 // Iteration records one interpolation run for diagnostics and the
@@ -188,6 +200,26 @@ func (r *Result) Order() int {
 	return -1
 }
 
+// StructuralWindow returns the index range [lo, hi] between the
+// result's structural zeros (Coefficient.Structural) and their count:
+// the evaluator's structural degree window as the run applied it, the
+// whole range [0, len(Coeffs)−1] with zeros == 0 when the evaluator
+// proved none, and lo > hi when every coefficient is structural.
+func (r *Result) StructuralWindow() (lo, hi, zeros int) {
+	lo, hi = len(r.Coeffs), -1
+	for i, c := range r.Coeffs {
+		if c.Structural() {
+			zeros++
+			continue
+		}
+		lo, hi = min(lo, i), i
+	}
+	if hi < 0 {
+		lo, hi = 1, 0
+	}
+	return lo, hi, zeros
+}
+
 // String summarizes the run.
 func (r *Result) String() string {
 	valid, negl, unknown := 0, 0, 0
@@ -202,8 +234,16 @@ func (r *Result) String() string {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: order ≤ %d, %d iterations, %d valid, %d negligible",
-		r.Name, len(r.Coeffs)-1, len(r.Iterations), valid, negl)
+	fmt.Fprintf(&b, "%s: order ≤ %d", r.Name, len(r.Coeffs)-1)
+	if lo, hi, zeros := r.StructuralWindow(); zeros > 0 {
+		if lo <= hi {
+			fmt.Fprintf(&b, ", structural window s^%d..s^%d", lo, hi)
+		} else {
+			b.WriteString(", structurally zero")
+		}
+	}
+	fmt.Fprintf(&b, ", %d iterations, %d valid, %d negligible",
+		len(r.Iterations), valid, negl)
 	if unknown > 0 {
 		fmt.Fprintf(&b, ", %d UNRESOLVED", unknown)
 	}

@@ -209,16 +209,14 @@ func (g *generator) replay(sched *Schedule) (frames []frame, done bool, err erro
 			// The replayed initial frame covers the full window; an empty
 			// valid region there means the polynomial is identically zero
 			// (same classification as the cold path).
-			for i := range g.res.Coeffs {
-				g.res.Coeffs[i] = Coefficient{Status: Valid, Iteration: 0}
-			}
+			g.markIdenticallyZero()
 			return nil, true, nil
 		}
 		if fr.lo <= fr.hi {
 			frames = append(frames, fr)
 		}
 		for _, t := range wf.Negligible {
-			if t >= 0 && t <= g.n && g.res.Coeffs[t].Status == Unknown {
+			if g.inWindow(t) && g.res.Coeffs[t].Status == Unknown {
 				g.markNegligible(t, fr)
 			}
 		}

@@ -51,6 +51,12 @@ type Evaluator struct {
 	// OrderBound is the upper estimate of the polynomial order (the
 	// paper: the number of capacitors; never above M).
 	OrderBound int
+	// Degrees, when non-nil, is a proven structural degree window: every
+	// coefficient outside [Degrees.Lo, Degrees.Hi] is exactly zero.
+	// internal/nodal derives it from the admittance pattern; evaluators
+	// that cannot prove one leave it nil, which means [0, OrderBound]
+	// (see DegreeWindow).
+	Degrees *DegreeWindow
 	// Eval evaluates the polynomial at s with scaling (fscale, gscale).
 	Eval func(s complex128, fscale, gscale float64) xmath.XComplex
 	// EvalBatch, when non-nil, evaluates a whole frame of points at once
@@ -66,6 +72,24 @@ type Evaluator struct {
 	// the truncation through ctx.Err(); implementations built on
 	// RunBatch or ParallelForCtx inherit this behavior.
 	EvalBatch func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex
+}
+
+// DegreeWindow is a range of powers of s outside which a polynomial's
+// coefficients are provably zero. Lo > Hi means the polynomial is
+// identically zero.
+type DegreeWindow struct {
+	Lo, Hi int
+}
+
+// DegreeWindow returns the evaluator's effective window: Degrees
+// clipped to [0, OrderBound], or [0, OrderBound] when Degrees is nil.
+// lo > hi means every coefficient is a structural zero.
+func (ev Evaluator) DegreeWindow() (lo, hi int) {
+	lo, hi = 0, ev.OrderBound
+	if w := ev.Degrees; w != nil {
+		lo, hi = max(lo, w.Lo), min(hi, w.Hi)
+	}
+	return lo, hi
 }
 
 // Workers resolves a core.Config-style parallelism knob to a concrete

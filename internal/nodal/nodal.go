@@ -125,6 +125,11 @@ type pattern struct {
 
 	scratchMu sync.Mutex
 	free      []*evalScratch
+
+	// degrees is the structural degree window of the determinant
+	// (window.go), computed once on first use by any adopting system.
+	degreesOnce sync.Once
+	degrees     interp.DegreeWindow
 }
 
 // newPattern resolves proj's surviving stamps of sys.
@@ -236,6 +241,9 @@ type System struct {
 	// variants.
 	mu       sync.Mutex
 	patterns map[[2]int]*pattern
+	// match is the scratch every structural window of this system is
+	// computed in, guarded by mu.
+	match matcher
 }
 
 // AdoptPatterns shares the donor system's pattern cache — projections
@@ -298,16 +306,30 @@ func (sys *System) pattern(key [2]int, mk func() projection) *pattern {
 	return p
 }
 
+// degreeWindow returns a copy of pat's structural degree window,
+// computing it on first use.
+func (sys *System) degreeWindow(pat *pattern) *interp.DegreeWindow {
+	pat.degreesOnce.Do(func() {
+		sys.mu.Lock()
+		pat.degrees = sys.match.structuralWindow(pat)
+		sys.mu.Unlock()
+	})
+	w := pat.degrees
+	return &w
+}
+
 // evaluator builds an interp.Evaluator over one cached pattern: the
 // serial Eval evaluates with a pooled scratch (allocation-free in the
 // steady state), while EvalBatch fans the frame's points out over a
 // worker pool with one pooled scratch per worker — returned to the
 // pattern's free list when the batch drains — serially priming the
 // shared pivot plan first so serial and parallel runs are bit-identical.
+// Degrees carries the pattern's structural degree window (window.go).
 func (sys *System) evaluator(name string, m int, key [2]int, mk func() projection) interp.Evaluator {
 	pat := sys.pattern(key, mk)
 	return interp.Evaluator{
 		Name: name, M: m, OrderBound: sys.orderBound(m),
+		Degrees: sys.degreeWindow(pat),
 		Eval: func(s complex128, f, g float64) xmath.XComplex {
 			sc := pat.get()
 			det := sys.detAt(pat, sc, s, f, g)

@@ -87,18 +87,27 @@ func checkAgreement(t *testing.T, label string, got, want *Response) {
 }
 
 // runBatchSweep drives the full gate for one fixture: a warm chained
-// sweep against its NoWarmStart ablation, asserting per-point health,
-// warm-vs-cold agreement, and per-point self-replay bit-identity on a
-// sample of points. It returns both responses for fixture-specific
-// assertions (the solves/point amortization gate).
+// sweep against its NoWarmStart ablation (sweepPair) plus per-point
+// self-replay bit-identity on a sample of points. It returns both
+// responses for fixture-specific assertions (the solves/point gates).
 func runBatchSweep(t *testing.T, ckt *Circuit, spec Spec, n int, tol float64) (warm, cold *BatchResponse) {
+	t.Helper()
+	warm, cold = sweepPair(t, ckt, spec, n, tol)
+	selfReplay(t, ckt, spec, tolerancePoints(ckt, n, tol, 7), warm)
+	return warm, cold
+}
+
+// sweepPair runs a warm chained sweep and its NoWarmStart ablation,
+// asserting per-point health, that every chained point warm-starts, and
+// warm-vs-cold agreement.
+func sweepPair(t *testing.T, ckt *Circuit, spec Spec, n int, tol float64) (warm, cold *BatchResponse) {
 	t.Helper()
 	eng, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The 40-section ladder needs ~120 discovery frames cold, past the
-	// default 64-frame budget.
+	// A frame budget far above any fixture's need: a budget trip would
+	// degrade points instead of measuring them.
 	opts := Options{MaxIterations: 300}
 	points := tolerancePoints(ckt, n, tol, 7)
 	warm, err = eng.GenerateBatch(context.Background(), BatchRequest{Circuit: ckt, Spec: spec, Points: points, Options: &opts})
@@ -132,6 +141,18 @@ func runBatchSweep(t *testing.T, ckt *Circuit, spec Spec, n int, tol float64) (w
 		}
 		checkAgreement(t, fmt.Sprintf("point %d warm-vs-cold", i), pw.Response, pc.Response)
 	}
+	return warm, cold
+}
+
+// selfReplay regenerates a sample of the warm sweep's points standalone,
+// each from its own schedule, and requires bit-identical coefficients.
+func selfReplay(t *testing.T, ckt *Circuit, spec Spec, points []BatchPoint, warm *BatchResponse) {
+	t.Helper()
+	eng, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(points)
 	// Bit-identity spot checks: replaying a warm point's own schedule on
 	// its own circuit must reproduce it exactly (the warm-start
 	// correctness contract, per point). Sampled to keep huge nightly
@@ -157,19 +178,42 @@ func runBatchSweep(t *testing.T, ckt *Circuit, spec Spec, n int, tol float64) (w
 			t.Errorf("point %d self-replay is not bit-identical", i)
 		}
 	}
-	return warm, cold
 }
 
-// TestBatchSweepLadder40 is the CI amortization gate on the paper-scale
+// TestBatchSweepLadder40 is the CI sweep gate on the paper-scale
 // fixture: a deterministic ±5% sweep over the 40-section RC ladder must
-// warm-start every chained point, agree with the cold ablation, and do
-// it at no more than half the cold solve count per point.
+// warm-start every chained point and agree with the cold ablation. The
+// numerator C_in,out is structurally a constant, so there is no
+// discovery left for replay to skip: every point, warm or cold, costs
+// the 23 numerator and 52 denominator solves of its productive frames,
+// and no point may spend more.
 func TestBatchSweepLadder40(t *testing.T) {
 	n := sweepPointCount(t, 24)
 	ckt, spec := ladderSpec(40)
 	warm, cold := runBatchSweep(t, ckt, spec, n, 0.05)
+	t.Logf("ladder40 %d points: warm %.1f solves/point, cold %.1f", n, warm.SolvesPerPoint(), cold.SolvesPerPoint())
+	const maxSolves = 75
+	for i := range warm.Points {
+		if w, c := warm.Points[i].Solves, cold.Points[i].Solves; w > maxSolves || c > maxSolves {
+			t.Errorf("point %d spent %d solves warm, %d cold; want at most %d", i, w, c, maxSolves)
+		}
+	}
+}
+
+// TestBatchSweepLCLadder is the amortization gate: on the MNA path,
+// whose evaluators carry no structural degree window, a cold run still
+// discovers the top of its range through stalled confirmation frames,
+// and a warm sweep must skip them — at most half the cold solve count
+// per point. It runs sweepPair without the standalone self-replay: a
+// standalone MNA generation of a swept point is not bit-identical to the
+// batch's even cold (an open ROADMAP item), so only agreement to σ
+// digits is asserted here.
+func TestBatchSweepLCLadder(t *testing.T) {
+	n := sweepPointCount(t, 24)
+	ckt, spec := lcLadderSpec()
+	warm, cold := sweepPair(t, ckt, spec, n, 0.05)
 	wsp, csp := warm.SolvesPerPoint(), cold.SolvesPerPoint()
-	t.Logf("ladder40 %d points: warm %.1f solves/point, cold %.1f (ratio %.2f)", n, wsp, csp, wsp/csp)
+	t.Logf("lc5 %d points: warm %.1f solves/point, cold %.1f (ratio %.2f)", n, wsp, csp, wsp/csp)
 	if wsp > 0.5*csp {
 		t.Errorf("warm sweep spent %.1f solves/point, more than half the cold %.1f", wsp, csp)
 	}

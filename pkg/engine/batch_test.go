@@ -14,6 +14,14 @@ func ladderSpec(n int) (c *Circuit, spec Spec) {
 	return circuits.RCLadder(n, 1e3, 1e-9), Spec{Kind: "vgain", In: "in", Out: circuits.RCLadderOut(n)}
 }
 
+// lcLadderSpec is the fifth-order Butterworth LC ladder on the MNA path:
+// its evaluators carry no structural degree window, so a cold run spends
+// stalled frames confirming the top coefficients and a warm replay skips
+// them.
+func lcLadderSpec() (c *Circuit, spec Spec) {
+	return circuits.LCLadder(5, 50, 1e6), Spec{Kind: "mna", In: "vin", Out: "out"}
+}
+
 func TestGenerateBatchValidation(t *testing.T) {
 	eng, err := New(Config{})
 	if err != nil {
@@ -76,17 +84,18 @@ func TestGenerateBatchBadPoints(t *testing.T) {
 
 // TestGenerateBatchWarmProvenance pins the counter semantics: the first
 // point is cold by construction and counts toward neither counter; every
-// later point of a gentle sweep warm-starts.
+// later point of a gentle sweep warm-starts, and replay saves work (the
+// fixture's cold run has discovery frames to skip; see lcLadderSpec).
 func TestGenerateBatchWarmProvenance(t *testing.T) {
 	eng, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckt, spec := ladderSpec(6)
+	ckt, spec := lcLadderSpec()
 	points := []BatchPoint{
 		{},
-		{Scale: map[string]float64{"r1": 1.02, "c3": 0.98}},
-		{Scale: map[string]float64{"r2": 0.97}},
+		{Scale: map[string]float64{"rs": 1.02, "c3": 0.98}},
+		{Scale: map[string]float64{"l2": 0.97}},
 	}
 	resp, err := eng.GenerateBatch(context.Background(), BatchRequest{Circuit: ckt, Spec: spec, Points: points})
 	if err != nil {

@@ -30,7 +30,7 @@ func CanonicalKey(backend string, c *Circuit, spec Spec, opts Options) (string, 
 		return "", fmt.Errorf("engine: canonical key: %w", err)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "refkey v1\nbackend %s\nspec %s|%s|%s|%s\nopts %s\n",
+	fmt.Fprintf(h, "refkey v2\nbackend %s\nspec %s|%s|%s|%s\nopts %s\n",
 		backend, spec.Kind, spec.In, spec.Inn, spec.Out, optionsKey(opts))
 	h.Write([]byte(canon))
 	return hex.EncodeToString(h.Sum(nil)), nil

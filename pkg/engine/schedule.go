@@ -22,7 +22,7 @@ import (
 // ScheduleWireVersion is the current schedule envelope format version.
 // Bump it on any incompatible change; stored files with a different
 // version are ignored (cold start), never misread.
-const ScheduleWireVersion = 1
+const ScheduleWireVersion = 2
 
 // WireScheduleFrame is one contributing frame on the wire.
 type WireScheduleFrame struct {

@@ -185,7 +185,10 @@ func TestScheduleStoreRejections(t *testing.T) {
 		{"truncated file", valid[:len(valid)/2], "unreadable"},
 		{"not json", []byte("refkey v1 garbage"), "unreadable"},
 		{"framed truncated envelope", framed(valid[:len(valid)/2]), "unreadable"},
-		{"version mismatch", framed(bytes.Replace(valid, []byte(`"version": 1`), []byte(`"version": 99`), 1)), "version 99"},
+		{"version mismatch", framed(bytes.Replace(valid, versionField(engine.ScheduleWireVersion), versionField(99), 1)), "version 99"},
+		// Version 1 schedules replay the frames that confirmed structural
+		// zeros by stalling; they must start cold, never replay.
+		{"version 1 envelope", framed(bytes.Replace(valid, versionField(engine.ScheduleWireVersion), versionField(1), 1)), "version 1"},
 		{"key mismatch", framed(bytes.Replace(valid, []byte(key), []byte(strings.Repeat("0", len(key))), 1)), "different request"},
 		{"degraded provenance", framed(degradedRaw), "degraded provenance"},
 	} {
@@ -323,3 +326,7 @@ func TestScheduleStoreConcurrentSaveLoad(t *testing.T) {
 		t.Error("final stored schedule is not the one the writers saved")
 	}
 }
+
+// versionField renders the envelope's version member as the indented
+// encoder writes it.
+func versionField(v int) []byte { return []byte(fmt.Sprintf(`"version": %d`, v)) }

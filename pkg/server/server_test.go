@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/pkg/engine"
 )
 
@@ -253,8 +254,19 @@ func TestDegradedSurfaced(t *testing.T) {
 // TestDeadlineDetachesWaiter pins the detach semantics: a request that
 // times out answers 504, but the flight it started keeps running and
 // fills the cache.
+// slowBackend is a nodal backend whose every evaluator dispatch sleeps
+// 5 ms (an injected-latency fault plan): a generation on it outlasts a
+// 1 ms deadline no matter how few frames the circuit needs.
+const slowBackend = "slow-dispatch:nodal"
+
+func init() {
+	engine.RegisterWrapper("slow-dispatch", func(inner engine.Backend) engine.Backend {
+		return fault.New(inner, &fault.Plan{Latency: 5 * time.Millisecond})
+	})
+}
+
 func TestDeadlineDetachesWaiter(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{Engine: engine.Config{Backend: slowBackend}})
 	req := vgainLadder()
 	req.TimeoutMs = 1
 
