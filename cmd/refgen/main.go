@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		gscale     = fs.Float64("gscale", 0, "conductance scale factor (fixed method; 0 = 1/mean G)")
 		sigDigits  = fs.Int("sigdigits", 6, "required significant digits σ")
 		maxIter    = fs.Int("maxiter", 0, "iteration budget per polynomial (0 = engine default of 64; large circuits need more)")
-		noReduce   = fs.Bool("noreduce", false, "disable eq. (17) problem-size reduction")
 		verbose    = fs.Bool("v", false, "print the iteration trace")
 		progress   = fs.Bool("progress", false, "stream one line per iteration to stderr as it completes")
 		showPoles  = fs.Bool("poles", false, "extract poles and zeros from the generated references (adaptive method only)")
@@ -132,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := engine.Config{
 		Backend: *backend,
-		Options: engine.Options{SigDigits: *sigDigits, MaxIterations: *maxIter, NoReduce: *noReduce, Parallelism: *parallel, AllowDegraded: *allowDeg, ExactRecovery: *exactRec},
+		Options: engine.Options{SigDigits: *sigDigits, MaxIterations: *maxIter, Parallelism: *parallel, AllowDegraded: *allowDeg, ExactRecovery: *exactRec},
 	}
 	eng, err := engine.New(cfg)
 	if err != nil {

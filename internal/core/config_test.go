@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/interp"
@@ -133,5 +134,51 @@ func TestPolyZeroesNonValid(t *testing.T) {
 		if !out[i].Zero() {
 			t.Errorf("Poly()[%d] = %v, want 0 for non-valid", i, out[i])
 		}
+	}
+}
+
+// TestNormalizeIdempotentAndKeyed: Normalize is a fixed point after one
+// application, and spellings of one meaning render one Key.
+func TestNormalizeIdempotentAndKeyed(t *testing.T) {
+	cfgs := []Config{
+		{},
+		{SigDigits: 6, MaxIterations: 64, StallLimit: 3, FrameRetries: 2, WatchdogStall: 12, MaxScaleDriftLog10: 18},
+		{FrameRetries: -7, WatchdogStall: -2, MaxScaleDriftLog10: -3},
+		{SingleFactor: true},
+		{StallLimit: 5, InitFScale: 1e6, TuningR: -1},
+	}
+	keys := map[string]bool{}
+	for i, c := range cfgs {
+		once, err := c.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		twice, err := once.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if once.Key() != twice.Key() {
+			t.Errorf("config %d: Normalize not idempotent: %s vs %s", i, once.Key(), twice.Key())
+		}
+		keys[once.Key()] = true
+	}
+	if len(keys) != 4 {
+		t.Errorf("%d distinct keys, want 4 (the first two configs are one meaning)", len(keys))
+	}
+}
+
+// TestImpossibleSigmaRefused: σ above MaxSigDigits leaves nothing above
+// the noise floor, so it must be refused, not certified as all zeros.
+func TestImpossibleSigmaRefused(t *testing.T) {
+	ev := interp.FromPoly("σ", poly.NewX(1, 2, 3), 2)
+	for _, sig := range []int{-1, MaxSigDigits + 1, 14, 20} {
+		res, err := Generate(ev, Config{SigDigits: sig})
+		var oe *OptionError
+		if !errors.As(err, &oe) || !errors.Is(err, ErrBadOptions) || oe.Field != "sig_digits" || res != nil {
+			t.Errorf("σ = %d: Generate = (%v, %v), want an *OptionError for sig_digits", sig, res, err)
+		}
+	}
+	if _, err := Generate(ev, Config{SigDigits: MaxSigDigits}); err != nil {
+		t.Errorf("σ = %d refused: %v", MaxSigDigits, err)
 	}
 }

@@ -198,14 +198,9 @@ func (g *generator) failure(err error, target int) error {
 	return err
 }
 
-// logFailure records a fault quality event and delivers it to the
-// OnFailure hook.
+// logFailure records a fault quality event.
 func (g *generator) logFailure(err error, target int) {
-	ev := QualityEvent{Kind: EventFault, Frame: g.frames, Target: target, Err: err, Detail: err.Error()}
-	g.res.AddEvent(ev)
-	if g.cfg.OnFailure != nil {
-		g.cfg.OnFailure(ev)
-	}
+	g.res.AddEvent(QualityEvent{Kind: EventFault, Frame: g.frames, Target: target, Err: err, Detail: err.Error()})
 }
 
 // checkWorkBudget enforces the execution-side resource budgets before a
@@ -362,8 +357,7 @@ func (g *generator) window() (int, int) {
 // on a system pole, or the evaluator injected or suffered a fault. Retry
 // attempt a bumps the point count to the next unused odd value (which
 // rotates every evaluation angle) and odd attempts additionally negate
-// the points (a half-step rotation); between attempts a bounded
-// exponential backoff (Config.RetryBackoff) applies. Singular attempts
+// the points (a half-step rotation). Singular attempts
 // are logged as they happen; a frame that fails every attempt surfaces
 // as a *FrameError. Other errors (cancellation) pass through unchanged.
 //
@@ -373,12 +367,9 @@ func (g *generator) window() (int, int) {
 // if the perturbed point needs them, continue from there).
 func (g *generator) interpolateRetry(f, gsc float64, purpose string, target, startAttempt int) (frame, error) {
 	var last error
-	for attempt := startAttempt; attempt <= startAttempt+g.cfg.FrameRetries; attempt++ {
+	for attempt := startAttempt; attempt <= startAttempt+g.cfg.retries(); attempt++ {
 		if attempt > startAttempt {
 			g.res.FrameRetries++
-			if err := g.backoff(attempt - startAttempt); err != nil {
-				return frame{}, err
-			}
 		}
 		fr, err := g.interpolate(f, gsc, purpose, attempt)
 		if err == nil {
@@ -395,30 +386,7 @@ func (g *generator) interpolateRetry(f, gsc float64, purpose string, target, sta
 	return frame{}, &FrameError{
 		Name: g.res.Name, Purpose: purpose,
 		FScale: f, GScale: gsc,
-		Attempts: g.cfg.FrameRetries + 1, Last: last,
-	}
-}
-
-// backoff waits the bounded exponential retry delay (base doubling per
-// attempt, capped at one second), respecting cancellation.
-func (g *generator) backoff(attempt int) error {
-	d := g.cfg.RetryBackoff
-	if d <= 0 {
-		return nil
-	}
-	for i := 1; i < attempt && d < time.Second; i++ {
-		d *= 2
-	}
-	if d > time.Second {
-		d = time.Second
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-g.ctx.Done():
-		return g.ctx.Err()
-	case <-timer.C:
-		return nil
+		Attempts: g.cfg.retries() + 1, Last: last,
 	}
 }
 

@@ -166,7 +166,7 @@ func TestJointCacheParallelBitIdentical(t *testing.T) {
 // TestInitScaleFallbackWarnings covers the small fix: circuits where the
 // mean-capacitance or mean-conductance heuristic is undefined fall back
 // to scale 1.0 and say so in a warning quality event instead of silently
-// relying on withDefaults.
+// defaulting to 1.
 func TestInitScaleFallbackWarnings(t *testing.T) {
 	hasDiag := func(diags []string, substr string) bool {
 		for _, d := range diags {

@@ -83,7 +83,7 @@ func (g *generator) checkProposal(prop scaleProposal, target int) error {
 		Name: g.res.Name, Target: target,
 		FScale: prop.f, GScale: prop.g,
 		InitF: g.cfg.InitFScale, InitG: g.cfg.InitGScale,
-		DriftLog10: drift, BoundLog10: g.cfg.MaxScaleDriftLog10,
+		DriftLog10: drift, BoundLog10: max(g.cfg.MaxScaleDriftLog10, 0),
 	}
 }
 

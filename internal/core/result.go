@@ -148,8 +148,7 @@ type Result struct {
 	Parallelism int
 	// Quality is the unified quality-of-result contract: the earned tier,
 	// one error bar per coefficient, and every fault, warning and
-	// fallback event observed during generation sorted by frame index
-	// (faults are also delivered live through Config.OnFailure).
+	// fallback event observed during generation sorted by frame index.
 	Quality QualityReport
 	// FrameRetries counts frame attempts that were re-dispatched with
 	// perturbed evaluation geometry after a singular point solve.

@@ -277,23 +277,28 @@ func TestStallWatchdog(t *testing.T) {
 	}
 }
 
-func TestOnFailureHook(t *testing.T) {
+// TestFaultEventsReachQuality pins the one event path: every retried
+// singular frame lands in Result.Quality.Events as a fault event with
+// its error and a rendering.
+func TestFaultEventsReachQuality(t *testing.T) {
 	want := poly.NewX(1, -2, 3, -4, 5)
-	var events []QualityEvent
 	ev := faultAt(interp.FromPoly("hooked", want, 5), 0, 1e-9)
-	res, err := Generate(ev, Config{OnFailure: func(e QualityEvent) { events = append(events, e) }})
+	res, err := Generate(ev, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 || len(events) != len(res.Faults()) {
-		t.Errorf("hook saw %d events, log has %d", len(events), len(res.Faults()))
+	var events []QualityEvent
+	for _, e := range res.Quality.Events {
+		if e.Kind == EventFault {
+			events = append(events, e)
+		}
+	}
+	if len(events) == 0 || len(events) != len(res.Faults()) || len(events) != res.FrameRetries {
+		t.Errorf("quality report has %d fault events, Faults() %d, retries %d", len(events), len(res.Faults()), res.FrameRetries)
 	}
 	for i, e := range events {
 		if e.Err == nil {
 			t.Errorf("event %d has nil error", i)
-		}
-		if e.Kind != EventFault {
-			t.Errorf("event %d kind = %q, want %q", i, e.Kind, EventFault)
 		}
 		if e.String() == "" || e.Detail == "" {
 			t.Errorf("event %d has empty rendering", i)
@@ -305,23 +310,27 @@ func TestOnFailureHook(t *testing.T) {
 // divergence watchdog defaults off for the §3.2 single-factor ablation
 // (which exceeds any reasonable bound by design) and on otherwise.
 func TestDriftDisabledUnderSingleFactor(t *testing.T) {
-	cfg := Config{SingleFactor: true}.withDefaults()
-	if cfg.MaxScaleDriftLog10 != 0 {
-		t.Errorf("single-factor drift bound = %g, want disabled (0)", cfg.MaxScaleDriftLog10)
+	norm := func(c Config) Config {
+		t.Helper()
+		n, err := c.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
-	cfg = Config{}.withDefaults()
-	if cfg.MaxScaleDriftLog10 != 18 {
+	if cfg := norm(Config{SingleFactor: true}); cfg.MaxScaleDriftLog10 != -1 {
+		t.Errorf("single-factor drift bound = %g, want disabled (-1)", cfg.MaxScaleDriftLog10)
+	}
+	if cfg := norm(Config{}); cfg.MaxScaleDriftLog10 != 18 {
 		t.Errorf("two-factor drift bound = %g, want 18", cfg.MaxScaleDriftLog10)
 	}
-	cfg = Config{MaxScaleDriftLog10: -1}.withDefaults()
-	if cfg.MaxScaleDriftLog10 != 0 {
-		t.Errorf("negative drift bound = %g, want disabled (0)", cfg.MaxScaleDriftLog10)
+	if cfg := norm(Config{MaxScaleDriftLog10: -5}); cfg.MaxScaleDriftLog10 != -1 {
+		t.Errorf("negative drift bound = %g, want disabled (-1)", cfg.MaxScaleDriftLog10)
 	}
-	cfg = Config{FrameRetries: -1}.withDefaults()
-	if cfg.FrameRetries != 0 {
-		t.Errorf("negative FrameRetries = %d, want disabled (0)", cfg.FrameRetries)
+	if cfg := norm(Config{FrameRetries: -7}); cfg.FrameRetries != -1 || cfg.retries() != 0 {
+		t.Errorf("negative FrameRetries = %d (%d retries), want disabled (-1, 0 retries)", cfg.FrameRetries, cfg.retries())
 	}
-	if def := (Config{}).withDefaults(); def.FrameRetries != 2 || def.WatchdogStall != 4*def.StallLimit {
+	if def := norm(Config{}); def.FrameRetries != 2 || def.StallLimit != 3 || def.WatchdogStall != 12 {
 		t.Errorf("defaults: FrameRetries=%d WatchdogStall=%d StallLimit=%d", def.FrameRetries, def.WatchdogStall, def.StallLimit)
 	}
 }

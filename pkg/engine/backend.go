@@ -164,11 +164,7 @@ func lookup(name string, spec Spec) (Backend, error) {
 		return wrap(inner), nil
 	}
 	if name == "" {
-		if spec.Kind == "mna" {
-			name = "mna"
-		} else {
-			name = "nodal"
-		}
+		name = autoBackend(spec)
 	}
 	backendMu.RLock()
 	b := backendReg[name]
@@ -177,6 +173,29 @@ func lookup(name string, spec Spec) (Backend, error) {
 		return nil, fmt.Errorf("engine: unknown backend %q (registered: %v)", name, Backends())
 	}
 	return b, nil
+}
+
+// autoBackend is the backend an empty name selects: "mna" for the mna
+// kind, "nodal" otherwise.
+func autoBackend(spec Spec) string {
+	if spec.Kind == "mna" {
+		return "mna"
+	}
+	return "nodal"
+}
+
+// frequencyOnly reports, without formulating, whether the backend a name
+// resolves to sets Formulation.FrequencyOnly: wrapper prefixes are
+// stripped to the innermost name, which auto-selects when empty, and
+// only the mna backend is frequency-only.
+func frequencyOnly(name string, spec Spec) bool {
+	if i := strings.LastIndex(name, ":"); i >= 0 {
+		name = name[i+1:]
+	}
+	if name == "" {
+		name = autoBackend(spec)
+	}
+	return name == "mna"
 }
 
 // LookupBackend resolves a backend name exactly as the engine does —

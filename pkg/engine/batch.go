@@ -113,8 +113,9 @@ func (r *Response) WarmState() *WarmStart {
 // SharedFormulator, so only the first point pays the planning cost.
 //
 // Per-point failures are recorded in Points[i].Err and do not stop the
-// sweep; the returned error is non-nil only for an unusable request or a
-// context cancellation (where the computed prefix is kept).
+// sweep; the returned error is non-nil only for an unusable request
+// (options Normalize refuses included) or a context cancellation (where
+// the computed prefix is kept).
 func (e *Engine) GenerateBatch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
 	if req.Circuit == nil {
 		return nil, errors.New("engine: batch request needs a circuit")
@@ -131,12 +132,26 @@ func (e *Engine) GenerateBatch(ctx context.Context, req BatchRequest) (*BatchRes
 	if req.Options != nil {
 		baseOpts = *req.Options
 	}
+	baseOpts, err = normalize(baseOpts, frequencyOnly(e.cfg.Backend, req.Spec))
+	if err != nil {
+		return nil, err
+	}
+	// Pin the seed scale pair for the whole sweep from the base circuit:
+	// every point then shares one initial frame and one drift reference,
+	// which is what keeps neighboring schedules within the replay drift
+	// bound. (A frequency-only backend already has its unit conductance
+	// scale from normalize.)
 	heurF, heurG := DefaultScales(req.Circuit)
+	if baseOpts.InitFScale == 0 {
+		baseOpts.InitFScale = heurF
+	}
+	if baseOpts.InitGScale == 0 {
+		baseOpts.InitGScale = heurG
+	}
 
 	resp := &BatchResponse{Points: make([]PointResult, len(req.Points))}
 	var prior *Formulation   // plan-share donor: the last formulation
 	var warm *core.WarmStart // schedules of the last converged point
-	pinned := false
 	for i, p := range req.Points {
 		pr := &resp.Points[i]
 		pr.Index = i
@@ -163,23 +178,6 @@ func (e *Engine) GenerateBatch(ctx context.Context, req BatchRequest) (*BatchRes
 			continue
 		}
 		prior = f
-		if !pinned {
-			// Pin the seed scale pair for the whole sweep from the base
-			// circuit: every point then shares one initial frame and one
-			// drift reference, which is what keeps neighboring schedules
-			// within the replay drift bound.
-			if baseOpts.InitFScale == 0 {
-				baseOpts.InitFScale = heurF
-			}
-			if baseOpts.InitGScale == 0 {
-				if f.FrequencyOnly {
-					baseOpts.InitGScale = 1
-				} else {
-					baseOpts.InitGScale = heurG
-				}
-			}
-			pinned = true
-		}
 		opts := baseOpts
 		if !req.NoWarmStart {
 			opts.WarmStart = warm

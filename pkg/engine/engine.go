@@ -162,7 +162,7 @@ func (e *Engine) TransferFunction(ctx context.Context, c *Circuit, spec Spec) (*
 
 // options resolves the generation options for a request against the
 // engine defaults and the formulation's constraints.
-func (e *Engine) options(req Request, f *Formulation) Options {
+func (e *Engine) options(req Request, f *Formulation) (Options, error) {
 	opts := e.cfg.Options
 	if req.Options != nil {
 		opts = *req.Options
@@ -170,15 +170,22 @@ func (e *Engine) options(req Request, f *Formulation) Options {
 	if req.Observer != nil {
 		opts.Observer = req.Observer
 	}
-	if f.FrequencyOnly {
-		// Only frequency scaling is exact for this formulation: force
-		// single-factor updates and keep the conductance scale at 1.
+	return normalize(opts, f.FrequencyOnly)
+}
+
+// normalize is the one option path generation, keying and batches
+// share: the frequency-only override first — only frequency scaling is
+// exact for such a formulation, so it forces single-factor updates and
+// keeps the conductance scale at 1, which also moves the drift-bound
+// default — then Options.Normalize.
+func normalize(opts Options, frequencyOnly bool) (Options, error) {
+	if frequencyOnly {
 		opts.SingleFactor = true
 		if opts.InitGScale == 0 {
 			opts.InitGScale = 1
 		}
 	}
-	return opts
+	return opts.Normalize()
 }
 
 // Generate runs the full pipeline: formulate the network function, then
@@ -187,7 +194,8 @@ func (e *Engine) options(req Request, f *Formulation) Options {
 // mean-conductance heuristic unless the options pin them). The Response
 // carries partial results alongside a non-nil error when generation
 // starts but does not complete — including context cancellation, where
-// err wraps ctx.Err().
+// err wraps ctx.Err(). Options Normalize refuses fail before any solve
+// with an error matching ErrBadOptions.
 func (e *Engine) Generate(ctx context.Context, req Request) (*Response, error) {
 	f := req.Formulation
 	if f == nil {
@@ -197,7 +205,10 @@ func (e *Engine) Generate(ctx context.Context, req Request) (*Response, error) {
 			return nil, err
 		}
 	}
-	opts := e.options(req, f)
+	opts, err := e.options(req, f)
+	if err != nil {
+		return nil, err
+	}
 	num, den, err := core.GenerateTransferFunctionContext(ctx, req.Circuit, f.TF, opts)
 	resp := &Response{Formulation: f, Num: num, Den: den}
 	if err == nil && opts.ExactRecovery {

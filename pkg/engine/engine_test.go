@@ -152,6 +152,31 @@ func TestGenerateMNA(t *testing.T) {
 	}
 }
 
+// TestFrequencyOnlyMatchesFormulation: the key path decides the
+// frequency-only override from the backend name alone; it must agree
+// with what each registered backend actually formulates.
+func TestFrequencyOnlyMatchesFormulation(t *testing.T) {
+	rc, vgain := circuits.RCLadder(3, 1e3, 1e-9), Spec{Kind: "vgain", In: "in", Out: circuits.RCLadderOut(3)}
+	lc, mna := lcLadderSpec()
+	for _, tc := range []struct {
+		backend string
+		ckt     *Circuit
+		spec    Spec
+	}{{"", rc, vgain}, {"nodal", rc, vgain}, {"exact", rc, vgain}, {"", lc, mna}, {"mna", lc, mna}} {
+		b, err := lookup(tc.backend, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := b.Formulate(tc.ckt, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := frequencyOnly(tc.backend, tc.spec); got != f.FrequencyOnly {
+			t.Errorf("backend %q kind %s: key path says frequency-only %v, formulation %v", tc.backend, tc.spec.Kind, got, f.FrequencyOnly)
+		}
+	}
+}
+
 // TestExactBackendAgreesWithNodal cross-checks the oracle backend
 // against adaptive generation on the nodal formulation.
 func TestExactBackendAgreesWithNodal(t *testing.T) {

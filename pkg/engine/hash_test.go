@@ -1,8 +1,11 @@
 package engine_test
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"math"
 	"testing"
-	"time"
 
 	"repro/pkg/engine"
 )
@@ -95,14 +98,186 @@ func TestCanonicalKeyOptions(t *testing.T) {
 	// the result bits, so hot requests with different worker counts or
 	// hooks share cache entries.
 	for name, o := range map[string]engine.Options{
-		"Parallelism":  {Parallelism: 8},
-		"RetryBackoff": {RetryBackoff: time.Second},
-		"Observer":     {Observer: func(engine.Iteration) {}},
-		"OnFailure":    {OnFailure: func(engine.QualityEvent) {}},
+		"Parallelism": {Parallelism: 8},
+		"Observer":    {Observer: func(engine.Iteration) {}},
+		"MaxSolves":   {MaxSolves: 5},
 	} {
 		if key(o) != base {
 			t.Errorf("execution-only option %s changed the key", name)
 		}
+	}
+}
+
+// rcgmNetlist is a small RC stage driving a transconductor: the joint
+// N/D cache and the Hermitian mirror both change its solve counts.
+const rcgmNetlist = "rcgm\nR1 in n1 1k\nC1 n1 0 1n\nG1 out 0 n1 0 1m\nR2 out 0 10k\nC2 out 0 1p\n.end\n"
+
+// lcNetlist drives an RLC section from its own source: the mna
+// backend, which is frequency-only.
+const lcNetlist = "lc\nV1 in 0 1\nR1 in n1 50\nL1 n1 out 1u\nC1 out 0 1n\nRl out 0 50\n.end\n"
+
+// TestKeyIdentity is the content-address contract: spellings with one
+// normalized meaning share a key and generate byte-identical bodies,
+// and settings that can change a body keep distinct keys.
+func TestKeyIdentity(t *testing.T) {
+	eng, err := engine.New(engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcgm := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
+	mna := engine.Spec{Kind: "mna", Out: "out"}
+	run := func(src string, spec engine.Spec, o engine.Options) (string, []byte) {
+		t.Helper()
+		c := hashCircuit(t, src)
+		req := engine.Request{Circuit: c, Spec: spec, Options: &o}
+		key, err := engine.RequestKey(req, engine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := eng.Generate(context.Background(), req)
+		if err != nil {
+			// A refused run is an outcome too: it is what the key names.
+			return key, []byte("error: " + err.Error())
+		}
+		body, err := engine.EncodeResponseJSON(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key, body
+	}
+
+	same := []struct {
+		name string
+		src  string
+		spec engine.Spec
+		a, b engine.Options
+	}{
+		{"sig_digits 6", rcgmNetlist, rcgm, engine.Options{}, engine.Options{SigDigits: 6}},
+		{"max_iterations 64", rcgmNetlist, rcgm, engine.Options{}, engine.Options{MaxIterations: 64}},
+		{"stall_limit 3", rcgmNetlist, rcgm, engine.Options{}, engine.Options{StallLimit: 3}},
+		{"frame_retries 2", rcgmNetlist, rcgm, engine.Options{}, engine.Options{FrameRetries: 2}},
+		{"watchdog_stall 12", rcgmNetlist, rcgm, engine.Options{}, engine.Options{WatchdogStall: 12}},
+		{"max_scale_drift_log10 18", rcgmNetlist, rcgm, engine.Options{}, engine.Options{MaxScaleDriftLog10: 18}},
+		{"frame_retries -1 vs -7", rcgmNetlist, rcgm, engine.Options{FrameRetries: -1}, engine.Options{FrameRetries: -7}},
+		{"watchdog_stall -1 vs -3", rcgmNetlist, rcgm, engine.Options{WatchdogStall: -1}, engine.Options{WatchdogStall: -3}},
+		{"stall_limit 2 vs watchdog_stall 8", rcgmNetlist, rcgm, engine.Options{StallLimit: 2}, engine.Options{StallLimit: 2, WatchdogStall: 8}},
+		{"tuning_r -0", rcgmNetlist, rcgm, engine.Options{}, engine.Options{TuningR: math.Copysign(0, -1)}},
+		{"mna init_gscale 1", lcNetlist, mna, engine.Options{}, engine.Options{InitGScale: 1}},
+		{"mna single_factor", lcNetlist, mna, engine.Options{}, engine.Options{SingleFactor: true}},
+		{"mna drift -1 vs omitted", lcNetlist, mna, engine.Options{}, engine.Options{MaxScaleDriftLog10: -1}},
+	}
+	for _, tc := range same {
+		ka, ba := run(tc.src, tc.spec, tc.a)
+		kb, bb := run(tc.src, tc.spec, tc.b)
+		if ka != kb {
+			t.Errorf("%s: equal-meaning spellings got keys %s and %s", tc.name, ka, kb)
+		}
+		if !bytes.Equal(ba, bb) {
+			t.Errorf("%s: equal-meaning spellings generated different bodies", tc.name)
+		}
+	}
+
+	// Each pair can generate different bodies, so it must never share a
+	// key. Those marked bodyDiff do differ here: the mirror halves the
+	// solves, the joint cache feeds the denominator's hits, and under the
+	// frequency-only mna formulation an omitted drift bound means no
+	// bound, while 18 decades trips the divergence watchdog.
+	differ := []struct {
+		name     string
+		src      string
+		spec     engine.Spec
+		a, b     engine.Options
+		bodyDiff bool
+	}{
+		{"no_mirror", rcgmNetlist, rcgm, engine.Options{}, engine.Options{NoMirror: true}, true},
+		{"no_joint", rcgmNetlist, rcgm, engine.Options{}, engine.Options{NoJoint: true}, true},
+		{"no_reduce", rcgmNetlist, rcgm, engine.Options{}, engine.Options{NoReduce: true}, false},
+		{"single_factor", rcgmNetlist, rcgm, engine.Options{}, engine.Options{SingleFactor: true}, false},
+		{"sig_digits 7", rcgmNetlist, rcgm, engine.Options{}, engine.Options{SigDigits: 7}, true},
+		{"mna drift omitted vs 18", lcNetlist, mna, engine.Options{}, engine.Options{MaxScaleDriftLog10: 18}, true},
+	}
+	for _, tc := range differ {
+		ka, ba := run(tc.src, tc.spec, tc.a)
+		kb, bb := run(tc.src, tc.spec, tc.b)
+		if ka == kb {
+			t.Errorf("%s: settings that can change the body share key %s", tc.name, ka)
+		}
+		if tc.bodyDiff && bytes.Equal(ba, bb) {
+			t.Errorf("%s: expected different bodies", tc.name)
+		}
+	}
+}
+
+// TestKeyFrequencyOnlyThroughWrappers pins that the key path learns the
+// frequency-only override from the resolved backend, wrappers included:
+// an omitted drift bound and an explicit "no bound" share the key, 18
+// decades does not.
+func TestKeyFrequencyOnlyThroughWrappers(t *testing.T) {
+	engine.RegisterWrapper("keytest", func(b engine.Backend) engine.Backend { return b })
+	c := hashCircuit(t, lcNetlist)
+	for _, backend := range []string{"mna", "keytest:mna", "keytest:", "keytest:keytest:mna"} {
+		key := func(o engine.Options) string {
+			t.Helper()
+			k, err := engine.RequestKey(engine.Request{Circuit: c, Spec: engine.Spec{Kind: "mna", Out: "out"}, Options: &o},
+				engine.Config{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return k
+		}
+		if key(engine.Options{}) != key(engine.Options{MaxScaleDriftLog10: -1}) {
+			t.Errorf("%s: omitted drift and no bound split the key", backend)
+		}
+		if key(engine.Options{}) == key(engine.Options{MaxScaleDriftLog10: 18}) {
+			t.Errorf("%s: omitted drift and 18 decades share a key", backend)
+		}
+	}
+}
+
+// TestBadOptionsRefused pins the range check: options no generator can
+// honor fail with ErrBadOptions before any solve, from Generate, the
+// key and the batch path alike, instead of certifying nonsense (at
+// σ ≥ 14 nothing clears the noise floor, so every coefficient would
+// come back as a certified zero).
+func TestBadOptionsRefused(t *testing.T) {
+	eng, err := engine.New(engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := hashCircuit(t, rcgmNetlist)
+	spec := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
+	for name, o := range map[string]engine.Options{
+		"sig_digits 13":     {SigDigits: 13},
+		"sig_digits 14":     {SigDigits: 14},
+		"sig_digits -1":     {SigDigits: -1},
+		"max_iterations -1": {MaxIterations: -1},
+		"stall_limit -2":    {StallLimit: -2},
+		"parallelism -1":    {Parallelism: -1},
+		"tuning_r NaN":      {TuningR: math.NaN()},
+		"tuning_r +Inf":     {TuningR: math.Inf(1)},
+		"init_fscale -1":    {InitFScale: -1},
+		"init_fscale +Inf":  {InitFScale: math.Inf(1)},
+		"init_gscale NaN":   {InitGScale: math.NaN()},
+		"init_gscale -1e-3": {InitGScale: -1e-3},
+		"drift NaN":         {MaxScaleDriftLog10: math.NaN()},
+	} {
+		o := o
+		resp, err := eng.Generate(context.Background(), engine.Request{Circuit: c, Spec: spec, Options: &o})
+		if !errors.Is(err, engine.ErrBadOptions) || resp != nil {
+			t.Errorf("%s: Generate = (%v, %v), want nil and ErrBadOptions", name, resp, err)
+		}
+		if _, err := engine.RequestKey(engine.Request{Circuit: c, Spec: spec, Options: &o}, engine.Config{}); !errors.Is(err, engine.ErrBadOptions) {
+			t.Errorf("%s: RequestKey err = %v, want ErrBadOptions", name, err)
+		}
+		if _, err := eng.GenerateBatch(context.Background(), engine.BatchRequest{
+			Circuit: c, Spec: spec, Points: []engine.BatchPoint{{}}, Options: &o,
+		}); !errors.Is(err, engine.ErrBadOptions) {
+			t.Errorf("%s: GenerateBatch err = %v, want ErrBadOptions", name, err)
+		}
+	}
+	// The range edge is accepted.
+	if _, err := engine.RequestKey(engine.Request{Circuit: c, Spec: spec, Options: &engine.Options{SigDigits: 12}}, engine.Config{}); err != nil {
+		t.Errorf("sig_digits 12 refused: %v", err)
 	}
 }
 

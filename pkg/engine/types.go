@@ -49,7 +49,7 @@ type (
 	// QualityReport.
 	ErrorBar = core.ErrorBar
 	// QualityEvent is one fault, warning or fallback event of a
-	// QualityReport (also the payload of the Options.OnFailure hook).
+	// QualityReport.
 	QualityEvent = core.QualityEvent
 	// Tier grades how much trust a result or coefficient has earned
 	// (TierDegraded < TierNumeric < TierCertified < TierExact).
@@ -80,8 +80,10 @@ type (
 // errors.Is (and carries a concrete *...Error with diagnostics for
 // errors.As). Under Options.AllowDegraded the same failures become a
 // degraded-tier partial Result instead — see Response.Degraded()
-// and the QualityReport on each Result.
+// and the QualityReport on each Result. ErrBadOptions is the request
+// error for options outside their range; it fails before any solve.
 var (
+	ErrBadOptions      = core.ErrBadOptions
 	ErrSingularPoint   = core.ErrSingularPoint
 	ErrFrameFailed     = core.ErrFrameFailed
 	ErrStall           = core.ErrStall

@@ -449,49 +449,10 @@ type SpecJSON struct {
 	Out  string `json:"out,omitempty"`
 }
 
-// OptionsJSON is the client-settable subset of engine.Options: the
-// result-relevant knobs plus Parallelism (execution-only, excluded from
-// the content address). Hook fields and warm-start state stay
-// server-side.
-type OptionsJSON struct {
-	SigDigits          int     `json:"sig_digits,omitempty"`
-	TuningR            float64 `json:"tuning_r,omitempty"`
-	MaxIterations      int     `json:"max_iterations,omitempty"`
-	NoReduce           bool    `json:"no_reduce,omitempty"`
-	StallLimit         int     `json:"stall_limit,omitempty"`
-	InitFScale         float64 `json:"init_fscale,omitempty"`
-	InitGScale         float64 `json:"init_gscale,omitempty"`
-	SingleFactor       bool    `json:"single_factor,omitempty"`
-	NoMirror           bool    `json:"no_mirror,omitempty"`
-	NoJoint            bool    `json:"no_joint,omitempty"`
-	FrameRetries       int     `json:"frame_retries,omitempty"`
-	AllowDegraded      bool    `json:"allow_degraded,omitempty"`
-	WatchdogStall      int     `json:"watchdog_stall,omitempty"`
-	MaxScaleDriftLog10 float64 `json:"max_scale_drift_log10,omitempty"`
-	ExactRecovery      bool    `json:"exact_recovery,omitempty"`
-	Parallelism        int     `json:"parallelism,omitempty"`
-}
-
-func (o *OptionsJSON) engineOptions() engine.Options {
-	return engine.Options{
-		SigDigits:          o.SigDigits,
-		TuningR:            o.TuningR,
-		MaxIterations:      o.MaxIterations,
-		NoReduce:           o.NoReduce,
-		StallLimit:         o.StallLimit,
-		InitFScale:         o.InitFScale,
-		InitGScale:         o.InitGScale,
-		SingleFactor:       o.SingleFactor,
-		NoMirror:           o.NoMirror,
-		NoJoint:            o.NoJoint,
-		FrameRetries:       o.FrameRetries,
-		AllowDegraded:      o.AllowDegraded,
-		WatchdogStall:      o.WatchdogStall,
-		MaxScaleDriftLog10: o.MaxScaleDriftLog10,
-		ExactRecovery:      o.ExactRecovery,
-		Parallelism:        o.Parallelism,
-	}
-}
+// OptionsJSON is engine.Options on the wire: its json tags name the
+// client-settable fields, and hooks, budgets, warm-start state and
+// ablation switches are tagged "-" and stay server-side.
+type OptionsJSON = engine.Options
 
 // errorBody is the JSON shape of every non-200 answer.
 type errorBody struct {
@@ -612,13 +573,16 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if req.Options == nil {
+		// Resolve the server default into a per-request copy, which the
+		// tier gate, the budgets and the warm start below may adjust.
+		opts := s.cfg.Engine.Options
+		req.Options = &opts
+	}
 	ereq := engine.Request{
 		Circuit: circ,
 		Spec:    engine.Spec{Kind: req.Spec.Kind, In: req.Spec.In, Inn: req.Spec.Inn, Out: req.Spec.Out},
-	}
-	if req.Options != nil {
-		opts := req.Options.engineOptions()
-		ereq.Options = &opts
+		Options: req.Options,
 	}
 	var minTier engine.Tier
 	gateTier := req.MinTier != ""
@@ -631,17 +595,16 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		if minTier == engine.TierExact {
 			// The exact floor is only reachable through the recovery
 			// pass; switch it on rather than refuse every request.
-			opts := s.cfg.Engine.Options
-			if ereq.Options != nil {
-				opts = *ereq.Options
-			}
-			opts.ExactRecovery = true
-			ereq.Options = &opts
+			ereq.Options.ExactRecovery = true
 		}
 	}
 	key, err := engine.RequestKey(ereq, s.cfg.Engine)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad-netlist", err)
+		kind := "bad-netlist"
+		if errors.Is(err, engine.ErrBadOptions) {
+			kind = "bad-options"
+		}
+		writeError(w, http.StatusBadRequest, kind, err)
 		return
 	}
 	// The requested tier joins the cache/single-flight identity (the
@@ -752,7 +715,7 @@ func (s *Server) runFlight(fl *flight, ereq engine.Request, schedKey string, dea
 
 	s.generations.Add(1)
 	ereq.Observer = func(it engine.Iteration) { fl.hub.publish(engine.IterationWire(it)) }
-	budgeted := s.applyBudgets(&ereq)
+	budgeted := s.applyBudgets(ereq.Options)
 	if s.sched != nil {
 		// A result-cache miss can still warm-start: replay the schedule a
 		// previous flight of this content address converged to. WarmStart
@@ -760,12 +723,7 @@ func (s *Server) runFlight(fl *flight, ereq engine.Request, schedKey string, dea
 		// falls back to a cold run, so the coefficients are bit-identical
 		// either way — only the iteration trail and solve count shrink.
 		if warm, _ := s.sched.Load(schedKey); warm != nil {
-			opts := s.cfg.Engine.Options
-			if ereq.Options != nil {
-				opts = *ereq.Options
-			}
-			opts.WarmStart = warm
-			ereq.Options = &opts
+			ereq.Options.WarmStart = warm
 		}
 	}
 	genStart := time.Now()
@@ -818,21 +776,21 @@ func (s *Server) runFlight(fl *flight, ereq engine.Request, schedKey string, dea
 	s.group.finish(fl, e, nil, 0)
 }
 
-// applyBudgets overlays the server's resource budgets on the request's
-// options and reports whether any budget is in force. Budgets are
-// execution-only knobs (excluded from the content address), so the
-// overlay never changes what is generated — only how much work may be
+// applyBudgets overlays the server's resource budgets on a request's
+// resolved options and reports whether any budget is in force. Budgets
+// only lower limits (the normalized frame limit included, so an omitted
+// max_iterations never rises above its default), so the overlay never
+// changes what a converged run generates — only how much work may be
 // spent generating it before the result degrades.
-func (s *Server) applyBudgets(ereq *engine.Request) bool {
+func (s *Server) applyBudgets(opts *engine.Options) bool {
 	if s.cfg.IterationBudget <= 0 && s.cfg.SolveBudget <= 0 && s.cfg.MemoryBudget <= 0 {
 		return false
 	}
-	opts := s.cfg.Engine.Options
-	if ereq.Options != nil {
-		opts = *ereq.Options
-	}
-	if b := s.cfg.IterationBudget; b > 0 && (opts.MaxIterations == 0 || opts.MaxIterations > b) {
-		opts.MaxIterations = b
+	if b := s.cfg.IterationBudget; b > 0 {
+		// The request was keyed, so its options normalize.
+		if norm, err := opts.Normalize(); err == nil {
+			opts.MaxIterations = min(norm.MaxIterations, b)
+		}
 	}
 	if b := s.cfg.SolveBudget; b > 0 && (opts.MaxSolves == 0 || opts.MaxSolves > b) {
 		opts.MaxSolves = b
@@ -841,7 +799,6 @@ func (s *Server) applyBudgets(ereq *engine.Request) bool {
 		opts.MemoryBudget = b
 	}
 	opts.DegradeOnBudget = true
-	ereq.Options = &opts
 	return true
 }
 
