@@ -34,7 +34,6 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/stability"
 	"repro/internal/symbolic"
-	"repro/internal/tfspec"
 	"repro/internal/twoport"
 	"repro/internal/xmath"
 	"repro/pkg/engine"
@@ -190,15 +189,11 @@ func BenchmarkFig2BodeFromCoefficients(b *testing.B) {
 func BenchmarkFig2DirectACAnalysis(b *testing.B) {
 	c := circuits.UA741()
 	inp, inn, out := circuits.UA741Inputs()
-	c.AddV("vdrive", inp, inn, 1)
-	msys, err := mna.Build(c)
-	if err != nil {
-		b.Fatal(err)
-	}
 	freqs := bode.LogSpace(1, 1e8, 81)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := msys.ACAnalysis(out, freqs); err != nil {
+		if _, err := mna.Response(ctx, c, "diffgain", inp, inn, out, freqs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -562,7 +557,7 @@ func BenchmarkSBGUA741(b *testing.B) {
 
 func BenchmarkMonteCarloOTA(b *testing.B) {
 	c := circuits.OTA()
-	spec := tfspec.Spec{Kind: "diffgain", In: "inp", Inn: "inn", Out: "out"}
+	spec := engine.Spec{Kind: "diffgain", In: "inp", Inn: "inn", Out: "out"}
 	freqs := bode.LogSpace(1e3, 1e9, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -574,7 +569,7 @@ func BenchmarkMonteCarloOTA(b *testing.B) {
 
 func BenchmarkSensitivityOTA(b *testing.B) {
 	c := circuits.OTA()
-	spec := tfspec.Spec{Kind: "diffgain", In: "inp", Inn: "inn", Out: "out"}
+	spec := engine.Spec{Kind: "diffgain", In: "inp", Inn: "inn", Out: "out"}
 	freqs := []float64{1e4, 1e7}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,8 +19,8 @@ import (
 	"io"
 	"os"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/bode"
-	"repro/internal/circuits"
 	"repro/internal/tablefmt"
 	"repro/pkg/engine"
 )
@@ -56,22 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var ckt *engine.Circuit
-	switch {
-	case *builtin == "ua741":
-		ckt = circuits.UA741()
-	case *builtin == "ota":
-		ckt = circuits.OTA()
-	case *netFile != "":
-		var perr error
-		ckt, perr = engine.LoadNetlist(*netFile)
-		if perr != nil {
-			return fail(perr)
-		}
-	default:
-		fmt.Fprintln(stderr, "bodecmp: need -circuit or -netlist")
-		fs.Usage()
-		return 2
+	ckt, code := cli.LoadCircuit(fs, *builtin, *netFile)
+	if ckt == nil {
+		return code
 	}
 	fmt.Fprintln(stdout, ckt.Stats())
 

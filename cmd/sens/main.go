@@ -18,13 +18,11 @@ import (
 	"math/cmplx"
 	"os"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/bode"
-	"repro/internal/circuit"
-	"repro/internal/circuits"
-	"repro/internal/netlist"
 	"repro/internal/sensitivity"
 	"repro/internal/tablefmt"
-	"repro/internal/tfspec"
+	"repro/pkg/engine"
 )
 
 func main() {
@@ -60,26 +58,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var ckt *circuit.Circuit
-	switch {
-	case *builtin == "ua741":
-		ckt = circuits.UA741()
-	case *builtin == "ota":
-		ckt = circuits.OTA()
-	case *netFile != "":
-		var err error
-		ckt, err = netlist.ParseFile(*netFile)
-		if err != nil {
-			return fail(err)
-		}
-	default:
-		fmt.Fprintln(stderr, "sens: need -circuit or -netlist")
-		fs.Usage()
-		return 2
+	ckt, code := cli.LoadCircuit(fs, *builtin, *netFile)
+	if ckt == nil {
+		return code
 	}
 	fmt.Fprintln(stdout, ckt.Stats())
 
-	spec := tfspec.Spec{Kind: *tfKind, In: *inNode, Inn: *innNode, Out: *outNode}
+	spec := engine.Spec{Kind: *tfKind, In: *inNode, Inn: *innNode, Out: *outNode}
 	freqs := bode.LogSpace(*fMin, *fMax, *points)
 	sens, batch, err := sensitivity.AnalyzeBatch(ckt, spec, freqs, sensitivity.Config{NoWarmStart: *noWarm})
 	if err != nil {

@@ -11,62 +11,67 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/bode"
-	"repro/internal/circuit"
-	"repro/internal/circuits"
 	"repro/internal/netlist"
 	"repro/internal/sbg"
 	"repro/internal/tablefmt"
 )
 
 func main() {
-	var (
-		builtin = flag.String("circuit", "", "built-in circuit: ua741 or ota")
-		netFile = flag.String("netlist", "", "netlist file (alternative to -circuit)")
-		inNode  = flag.String("in", "inp", "input node")
-		innNode = flag.String("inn", "inn", "negative input node (empty = single-ended)")
-		outNode = flag.String("out", "out", "output node")
-		fMin    = flag.Float64("fmin", 10, "band start (Hz)")
-		fMax    = flag.Float64("fmax", 1e7, "band end (Hz)")
-		points  = flag.Int("n", 15, "band sample count")
-		maxDB   = flag.Float64("maxdb", 0.5, "magnitude error budget (dB)")
-		maxDeg  = flag.Float64("maxdeg", 5, "phase error budget (degrees)")
-		emit    = flag.String("emit", "", "write the simplified circuit to this netlist file")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var ckt *circuit.Circuit
-	switch {
-	case *builtin == "ua741":
-		ckt = circuits.UA741()
-	case *builtin == "ota":
-		ckt = circuits.OTA()
-	case *netFile != "":
-		var perr error
-		ckt, perr = netlist.ParseFile(*netFile)
-		if perr != nil {
-			fail(perr)
+// run is the testable entry point; it returns the process exit code
+// (2 for usage errors, 1 for runtime failures).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("simplify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		builtin = fs.String("circuit", "", "built-in circuit: ua741 or ota")
+		netFile = fs.String("netlist", "", "netlist file (alternative to -circuit)")
+		inNode  = fs.String("in", "inp", "input node")
+		innNode = fs.String("inn", "inn", "negative input node (empty = single-ended)")
+		outNode = fs.String("out", "out", "output node")
+		fMin    = fs.Float64("fmin", 10, "band start (Hz)")
+		fMax    = fs.Float64("fmax", 1e7, "band end (Hz)")
+		points  = fs.Int("n", 15, "band sample count")
+		maxDB   = fs.Float64("maxdb", 0.5, "magnitude error budget (dB)")
+		maxDeg  = fs.Float64("maxdeg", 5, "phase error budget (degrees)")
+		emit    = fs.String("emit", "", "write the simplified circuit to this netlist file")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-	default:
-		fmt.Fprintln(os.Stderr, "simplify: need -circuit or -netlist")
-		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
-	fmt.Println(ckt.Stats())
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "simplify:", err)
+		return 1
+	}
+
+	ckt, code := cli.LoadCircuit(fs, *builtin, *netFile)
+	if ckt == nil {
+		return code
+	}
+	fmt.Fprintln(stdout, ckt.Stats())
 
 	freqs := bode.LogSpace(*fMin, *fMax, *points)
 	ref, err := sbg.ReferenceResponse(ckt, *inNode, *innNode, *outNode, freqs)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	res, err := sbg.Simplify(ckt, *inNode, *innNode, *outNode, freqs, ref,
 		sbg.Config{MaxErrDB: *maxDB, MaxPhaseDeg: *maxDeg})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	tb := tablefmt.New(
@@ -76,27 +81,23 @@ func main() {
 	for _, a := range res.Actions {
 		tb.Rowf(a.Element, a.Op, fmt.Sprintf("%.4f", a.WorstDB))
 	}
-	fmt.Println(tb)
-	fmt.Printf("elements: %d -> %d (%.0f%% removed)\n",
+	fmt.Fprintln(stdout, tb)
+	fmt.Fprintf(stdout, "elements: %d -> %d (%.0f%% removed)\n",
 		res.Before, res.After, 100*float64(res.Before-res.After)/float64(res.Before))
 
 	if *emit != "" {
 		f, err := os.Create(*emit)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if err := netlist.Format(f, res.Circuit); err != nil {
 			f.Close()
-			fail(err)
+			return fail(err)
 		}
 		if err := f.Close(); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("simplified netlist written to %s\n", *emit)
+		fmt.Fprintf(stdout, "simplified netlist written to %s\n", *emit)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "simplify:", err)
-	os.Exit(1)
+	return 0
 }

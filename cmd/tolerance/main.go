@@ -17,13 +17,11 @@ import (
 	"io"
 	"os"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/bode"
-	"repro/internal/circuit"
-	"repro/internal/circuits"
 	"repro/internal/montecarlo"
-	"repro/internal/netlist"
 	"repro/internal/tablefmt"
-	"repro/internal/tfspec"
+	"repro/pkg/engine"
 )
 
 func main() {
@@ -61,26 +59,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var ckt *circuit.Circuit
-	switch {
-	case *builtin == "ua741":
-		ckt = circuits.UA741()
-	case *builtin == "ota":
-		ckt = circuits.OTA()
-	case *netFile != "":
-		var perr error
-		ckt, perr = netlist.ParseFile(*netFile)
-		if perr != nil {
-			return fail(perr)
-		}
-	default:
-		fmt.Fprintln(stderr, "tolerance: need -circuit or -netlist")
-		fs.Usage()
-		return 2
+	ckt, code := cli.LoadCircuit(fs, *builtin, *netFile)
+	if ckt == nil {
+		return code
 	}
 	fmt.Fprintln(stdout, ckt.Stats())
 
-	spec := tfspec.Spec{Kind: *tfKind, In: *inNode, Inn: *innNode, Out: *outNode}
+	spec := engine.Spec{Kind: *tfKind, In: *inNode, Inn: *innNode, Out: *outNode}
 	freqs := bode.LogSpace(*fMin, *fMax, *points)
 	st, err := montecarlo.Run(ckt, spec, freqs, montecarlo.Config{
 		Samples: *samples, Tolerance: *tol, Seed: *seed, NoWarmStart: *noWarm,

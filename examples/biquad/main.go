@@ -8,15 +8,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
 	"math/cmplx"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
-	"repro/internal/nodal"
 	"repro/internal/roots"
+	"repro/pkg/engine"
 )
 
 func main() {
@@ -49,18 +49,18 @@ func main() {
 	ckt.AddC("cp2", "lp", "0", c2/50)
 	fmt.Println(ckt.Stats())
 
-	sys, err := nodal.Build(ckt)
+	eng, err := engine.New(engine.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tf, err := sys.VoltageGain(ckt, "in", "lp")
+	resp, err := eng.Generate(context.Background(), engine.Request{
+		Circuit: ckt,
+		Spec:    engine.Spec{Kind: "vgain", In: "in", Out: "lp"},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	num, den, err := core.GenerateTransferFunction(ckt, tf, core.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	num, den := resp.Num, resp.Den
 	fmt.Printf("\n%v\n%v\n", num, den)
 
 	poles, err := roots.Find(den.Poly(), roots.Config{})

@@ -8,13 +8,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
 
 	"repro/internal/circuits"
-	"repro/internal/core"
-	"repro/internal/mna"
+	"repro/pkg/engine"
 )
 
 func main() {
@@ -24,33 +24,34 @@ func main() {
 	ckt := circuits.LCLadder(order, 50, w0)
 	fmt.Println(ckt.Stats())
 
-	sys, err := mna.Build(ckt)
+	eng, err := engine.New(engine.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tf, err := sys.TransferEvaluators("out")
+	f, err := eng.Formulate(ckt, engine.Spec{Kind: "mna", Out: "out"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("MNA dimension %d, order bound %d\n\n", sys.Dim(), tf.Den.OrderBound)
+	fmt.Printf("MNA formulation, order bound %d\n\n", f.TF.Den.OrderBound)
 
 	// MNA determinant terms are not homogeneous in the conductances, so
-	// only frequency scaling is exact: SingleFactor keeps g pinned at 1.
-	cfg := core.Config{SingleFactor: true, InitFScale: 1 / w0}
-	num, err := core.Generate(tf.Num, cfg)
+	// only frequency scaling is exact: the formulation is FrequencyOnly,
+	// and the engine keeps g pinned at 1 with single-factor updates.
+	resp, err := eng.Generate(context.Background(), engine.Request{
+		Circuit:     ckt,
+		Formulation: f,
+		Options:     &engine.Options{InitFScale: 1 / w0},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	den, err := core.Generate(tf.Den, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	num, den := resp.Num, resp.Den
 	fmt.Println(num)
 	fmt.Println(den)
 
 	fmt.Println("\ndenominator coefficients (order", den.Order(), "— a 7th-order filter):")
 	for i, c := range den.Coeffs {
-		if c.Status == core.Valid && !c.Value.Zero() {
+		if c.Status == engine.Valid && !c.Value.Zero() {
 			fmt.Printf("  s^%d  %v\n", i, c.Value)
 		}
 	}

@@ -7,13 +7,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/circuits"
-	"repro/internal/core"
-	"repro/internal/interp"
-	"repro/internal/nodal"
+	"repro/pkg/engine"
 )
 
 func main() {
@@ -21,20 +20,24 @@ func main() {
 	inp, inn, out := circuits.OTAInputs()
 	fmt.Println(ckt.Stats())
 
-	sys, err := nodal.Build(ckt)
+	eng, err := engine.New(engine.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tf, err := sys.DifferentialVoltageGain(ckt, inp, inn, out)
+	f, err := eng.Formulate(ckt, engine.Spec{Kind: "diffgain", In: inp, Inn: inn, Out: out})
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The paper's order estimate is the capacitor count.
-	tf.Den.OrderBound = ckt.NumCapacitors()
+	f.TF.Den.OrderBound = ckt.NumCapacitors()
+	ctx := context.Background()
 
 	// --- Table 1a: unscaled interpolation ---
 	fmt.Println("\n1. Unit-circle interpolation (paper §2.2, Table 1a):")
-	unit := interp.UnitCircle(tf.Den)
+	_, unit, err := eng.Interpolate(ctx, f, 1, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, c := range unit.Raw {
 		fmt.Printf("   s^%d  %v\n", i, c)
 	}
@@ -42,11 +45,13 @@ func main() {
 	fmt.Println("     everything above s^1 is round-off noise.")
 
 	// --- Table 1b: one scale pair ---
-	fs := 1 / ckt.MeanCapacitance()
-	gs := 1 / ckt.MeanConductance()
+	fs, gs := engine.DefaultScales(ckt)
 	fmt.Printf("\n2. Fixed scaling f=%.3g, g=%.3g (paper §3, Table 1b):\n", fs, gs)
-	fixed := interp.FixedScale(tf.Den, fs, gs)
-	lo, hi, _ := interp.ValidRegion(fixed.Normalized, 6)
+	_, fixed, err := eng.Interpolate(ctx, f, fs, gs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	lo, hi, _ := engine.ValidRegion(fixed.Normalized, 6)
 	for i := range fixed.Normalized {
 		mark := " "
 		if i >= lo && i <= hi {
@@ -56,21 +61,22 @@ func main() {
 	}
 	fmt.Printf("   → the window s^%d..s^%d is valid; the rest needs other scales.\n", lo, hi)
 
-	// --- The adaptive algorithm ---
+	// --- The adaptive algorithm, seeded with the same scale pair ---
 	fmt.Println("\n3. Adaptive scaling (paper §3.2):")
-	den, err := core.Generate(tf.Den, core.Config{InitFScale: fs, InitGScale: gs})
+	resp, err := eng.Generate(ctx, engine.Request{Circuit: ckt, Formulation: f})
 	if err != nil {
 		log.Fatal(err)
 	}
+	den := resp.Den
 	for i, c := range den.Coeffs {
 		switch c.Status {
-		case core.Valid:
+		case engine.Valid:
 			fmt.Printf("   s^%-2d valid       %v\n", i, c.Value)
-		case core.Negligible:
+		case engine.Negligible:
 			fmt.Printf("   s^%-2d negligible  |p| < %v\n", i, c.Bound)
 		}
 	}
 	fmt.Printf("   → %s\n", den)
 	fmt.Printf("   → detected true order: %d (the a-priori estimate was %d)\n",
-		den.Order(), tf.Den.OrderBound)
+		den.Order(), f.TF.Den.OrderBound)
 }

@@ -6,13 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/circuits"
-	"repro/internal/core"
 	"repro/internal/exact"
-	"repro/internal/nodal"
+	"repro/pkg/engine"
 )
 
 func main() {
@@ -22,22 +22,21 @@ func main() {
 	ckt := circuits.RCLadder(n, 1e3, 1e-12)
 	fmt.Println(ckt.Stats())
 
-	// Formulate: nodal admittance matrix + cofactor transfer function.
-	sys, err := nodal.Build(ckt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tf, err := sys.VoltageGain(ckt, "in", circuits.RCLadderOut(n))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Generate references: numerator and denominator coefficients of
+	// Formulate (nodal admittance matrix + cofactor transfer function)
+	// and generate references: numerator and denominator coefficients of
 	// H(s) = N(s)/D(s), each with ≥ 6 significant digits.
-	num, den, err := core.GenerateTransferFunction(ckt, tf, core.Config{})
+	eng, err := engine.New(engine.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	resp, err := eng.Generate(context.Background(), engine.Request{
+		Circuit: ckt,
+		Spec:    engine.Spec{Kind: "vgain", In: "in", Out: circuits.RCLadderOut(n)},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	num, den := resp.Num, resp.Den
 	fmt.Println(num)
 	fmt.Println(den)
 	fmt.Println("\ndenominator coefficients:")

@@ -14,14 +14,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/circuits"
-	"repro/internal/core"
-	"repro/internal/nodal"
 	"repro/internal/symbolic"
 	"repro/internal/xmath"
+	"repro/pkg/engine"
 )
 
 func main() {
@@ -30,19 +30,18 @@ func main() {
 	fmt.Println(ckt.Stats())
 
 	// Step 1: numerical references via adaptive scaling.
-	sys, err := nodal.Build(ckt)
+	eng, err := engine.New(engine.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tf, err := sys.VoltageGain(ckt, "in", out)
+	resp, err := eng.Generate(context.Background(), engine.Request{
+		Circuit: ckt,
+		Spec:    engine.Spec{Kind: "vgain", In: "in", Out: out},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, den, err := core.GenerateTransferFunction(ckt, tf, core.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	refs := den.Poly()
+	refs := resp.Den.Poly()
 
 	// Step 2: symbolic term enumeration (exact, exponential — fine at
 	// this size).

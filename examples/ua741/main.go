@@ -8,15 +8,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"math"
 
 	"repro/internal/bode"
 	"repro/internal/circuits"
-	"repro/internal/core"
-	"repro/internal/mna"
-	"repro/internal/nodal"
+	"repro/pkg/engine"
 )
 
 func main() {
@@ -24,20 +22,18 @@ func main() {
 	inp, inn, out := circuits.UA741Inputs()
 	fmt.Println(ckt.Stats())
 
-	sys, err := nodal.Build(ckt)
+	eng, err := engine.New(engine.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tf, err := sys.DifferentialVoltageGain(ckt, inp, inn, out)
+	ctx := context.Background()
+	spec := engine.Spec{Kind: "diffgain", In: inp, Inn: inn, Out: out}
+	resp, err := eng.Generate(ctx, engine.Request{Circuit: ckt, Spec: spec})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("matrix order %d, order bound %d\n\n", sys.N(), tf.Den.OrderBound)
-
-	num, den, err := core.GenerateTransferFunction(ckt, tf, core.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	num, den := resp.Num, resp.Den
+	fmt.Printf("matrix order %d, order bound %d\n\n", ckt.NumNodes(), resp.Formulation.TF.Den.OrderBound)
 
 	fmt.Println("denominator valid-region tiling (Tables 2a/2b/3):")
 	for i, it := range den.Iterations {
@@ -67,19 +63,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	direct := ckt.Clone("+source")
-	direct.AddV("vdrive", inp, inn, 1)
-	msys, err := mna.Build(direct)
+	h, err := eng.ACResponse(ctx, ckt, spec, freqs)
 	if err != nil {
 		log.Fatal(err)
-	}
-	h := make([]complex128, len(freqs))
-	for i, f := range freqs {
-		x, err := msys.Solve(complex(0, 2*math.Pi*f))
-		if err != nil {
-			log.Fatal(err)
-		}
-		h[i], _ = msys.VoltageAt(x, out)
 	}
 	fromAC := bode.FromComplexResponse(freqs, h)
 	magErr, phErr, err := bode.Compare(fromCoeffs, fromAC)

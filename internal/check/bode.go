@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/bode"
@@ -47,9 +48,10 @@ func FreqRange(den poly.XPoly) (f0, f1 float64) {
 // cofactor interpolation pipeline beyond the sparse LU core, so
 // agreement is meaningful.
 //
-// kind selects the drive the transfer function assumes: "vgain" adds an
-// ideal 1 V source at in, "diffgain" a floating 1 V source between in
-// and inn, "transz" a 1 A current source into in. The circuit is cloned;
+// kind selects the drive the transfer function assumes (see
+// mna.Response): "vgain" adds an ideal 1 V source at in, "diffgain" a
+// floating 1 V source between in and inn, "transz" a 1 A current source
+// into in, and "mna" circuits drive themselves. The circuit is cloned;
 // the original is never modified. Tolerances of 0 select 0.05 dB and
 // 0.5° (the thresholds the µA741 Fig. 2 reproduction holds).
 func BodeVsAC(c *circuit.Circuit, kind, in, inn, out string, num, den *core.Result, tolDB, tolDeg float64, rep *Report) {
@@ -72,31 +74,10 @@ func BodeVsAC(c *circuit.Circuit, kind, in, inn, out string, num, den *core.Resu
 		return
 	}
 
-	driven := c.Clone("")
-	switch kind {
-	case "vgain":
-		driven.AddV("vcheck", in, "0", 1)
-	case "diffgain":
-		driven.AddV("vcheck", in, inn, 1)
-	case "transz":
-		driven.AddI("icheck", "0", in, 1)
-	default:
-		rep.assert(false, "bode", "unsupported transfer kind %q", kind)
-		return
-	}
-	msys, err := mna.Build(driven)
-	rep.assert(err == nil, "bode", "MNA build: %v", err)
-	if err != nil {
-		return
-	}
-	ac, err := msys.ACAnalysis(out, freqs)
+	h, err := mna.Response(context.Background(), c, kind, in, inn, out, freqs)
 	rep.assert(err == nil, "bode", "MNA AC analysis: %v", err)
 	if err != nil {
 		return
-	}
-	h := make([]complex128, len(ac))
-	for i, p := range ac {
-		h[i] = p.V
 	}
 	direct := bode.FromComplexResponse(freqs, h)
 	magErr, phsErr, err := bode.Compare(fromPolys, direct)

@@ -94,6 +94,19 @@ func TestBiquadBodeVsAC(t *testing.T) {
 	if !rep.Ok() {
 		t.Error(rep)
 	}
+	// The same circuit with its own source is the "mna" kind's drive.
+	driven := circuits.Biquad()
+	driven.AddV("vsrc", in, "0", 1)
+	rep = &check.Report{}
+	check.BodeVsAC(driven, "mna", "", "", out, num, den, 0, 0, rep)
+	if !rep.Ok() {
+		t.Errorf("mna kind: %s", rep)
+	}
+	rep = &check.Report{}
+	check.BodeVsAC(c, "vgian", in, "", out, num, den, 0, 0, rep)
+	if rep.Ok() {
+		t.Error("unknown kind passed the Bode check")
+	}
 }
 
 func TestOTADifferentialInvariants(t *testing.T) {

@@ -309,6 +309,27 @@ func (c *Circuit) MeanConductance() float64 {
 	return sum / float64(n)
 }
 
+// SeedScales returns the paper's first scale pair (§3): frequency scale
+// 1/mean(C) and conductance scale 1/mean(G). A factor with no mean to
+// invert — no such elements, or a reciprocal that overflows on
+// degenerate (subnormal) values — falls back to 1, and its warning
+// (fwarn or gwarn, empty otherwise) says so in the words generation
+// records as a quality event.
+func (c *Circuit) SeedScales() (fscale, gscale float64, fwarn, gwarn string) {
+	fscale, gscale = 1, 1
+	if mc := c.MeanCapacitance(); mc > 0 && !math.IsInf(1/mc, 0) {
+		fscale = 1 / mc
+	} else {
+		fwarn = "no capacitors: frequency-scale heuristic 1/mean(C) undefined, using InitFScale=1"
+	}
+	if mg := c.MeanConductance(); mg > 0 && !math.IsInf(1/mg, 0) {
+		gscale = 1 / mg
+	} else {
+		gwarn = "no conductances: conductance-scale heuristic 1/mean(G) undefined, using InitGScale=1"
+	}
+	return fscale, gscale, fwarn, gwarn
+}
+
 // AdmittanceOnly reports whether every element is in the G/R/C/VCCS
 // subset accepted by the nodal-analysis interpolation path.
 func (c *Circuit) AdmittanceOnly() bool {

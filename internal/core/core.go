@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/interp"
@@ -138,23 +137,17 @@ func GenerateTransferFunctionContext(ctx context.Context, c *circuit.Circuit, tf
 		return nil, nil, err
 	}
 	var diags []string
+	fscale, gscale, fwarn, gwarn := c.SeedScales()
 	if cfg.InitFScale == 0 {
-		// The reciprocal can overflow for degenerate (subnormal) element
-		// values that slipped past formulation; a non-finite seed would
-		// poison every scale proposal, so fall back like the no-element case.
-		if mc := c.MeanCapacitance(); mc > 0 && !math.IsInf(1/mc, 0) {
-			cfg.InitFScale = 1 / mc
-		} else {
-			cfg.InitFScale = 1
-			diags = append(diags, "no capacitors: frequency-scale heuristic 1/mean(C) undefined, using InitFScale=1")
+		cfg.InitFScale = fscale
+		if fwarn != "" {
+			diags = append(diags, fwarn)
 		}
 	}
 	if cfg.InitGScale == 0 {
-		if mg := c.MeanConductance(); mg > 0 && !math.IsInf(1/mg, 0) {
-			cfg.InitGScale = 1 / mg
-		} else {
-			cfg.InitGScale = 1
-			diags = append(diags, "no conductances: conductance-scale heuristic 1/mean(G) undefined, using InitGScale=1")
+		cfg.InitGScale = gscale
+		if gwarn != "" {
+			diags = append(diags, gwarn)
 		}
 	}
 	numEv, denEv := tf.Num, tf.Den

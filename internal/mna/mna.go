@@ -10,6 +10,7 @@
 package mna
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -280,28 +281,43 @@ func (sys *System) BranchCurrent(x []complex128, elemName string) (complex128, e
 	return x[br], nil
 }
 
-// ACPoint is one frequency-response sample.
-type ACPoint struct {
-	FreqHz float64
-	V      complex128
-}
-
-// ACAnalysis sweeps node out over the given frequencies (Hz) and returns
-// its complex voltage at each — the direct "electrical simulator"
-// reference the paper compares against in Fig. 2.
-func (sys *System) ACAnalysis(out string, freqsHz []float64) ([]ACPoint, error) {
-	pts := make([]ACPoint, 0, len(freqsHz))
-	for _, fHz := range freqsHz {
-		s := complex(0, 2*math.Pi*fHz)
-		x, err := sys.Solve(s)
-		if err != nil {
-			return nil, fmt.Errorf("mna: AC analysis at %g Hz: %w", fHz, err)
-		}
-		v, err := sys.VoltageAt(x, out)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, ACPoint{FreqHz: fHz, V: v})
+// Response is the direct AC analysis of a network function — the
+// "electrical simulator" reference the paper compares against in Fig. 2:
+// H(j2πf) at each frequency (Hz), the voltage at out under a unit drive.
+// The circuit is cloned and the drive added according to kind: a unit
+// voltage source at in for "vgain", between in and inn for "diffgain",
+// a unit current into in for "transz"; "mna" circuits drive themselves
+// through their own sources. Any other kind is an error. On
+// cancellation the computed prefix is returned with ctx.Err().
+func Response(ctx context.Context, c *circuit.Circuit, kind, in, inn, out string, freqsHz []float64) ([]complex128, error) {
+	driven := c.Clone("+source")
+	switch kind {
+	case "vgain":
+		driven.AddV("vdrive", in, "0", 1)
+	case "diffgain":
+		driven.AddV("vdrive", in, inn, 1)
+	case "transz":
+		driven.AddI("idrive", "0", in, 1)
+	case "mna":
+	default:
+		return nil, fmt.Errorf("mna: unknown transfer kind %q (want vgain, diffgain, transz or mna)", kind)
 	}
-	return pts, nil
+	sys, err := Build(driven)
+	if err != nil {
+		return nil, err
+	}
+	h := make([]complex128, len(freqsHz))
+	for i, f := range freqsHz {
+		if err := ctx.Err(); err != nil {
+			return h[:i], err
+		}
+		x, err := sys.Solve(complex(0, 2*math.Pi*f))
+		if err != nil {
+			return h[:i], fmt.Errorf("mna: AC analysis at %g Hz: %w", f, err)
+		}
+		if h[i], err = sys.VoltageAt(x, out); err != nil {
+			return h[:i], err
+		}
+	}
+	return h, nil
 }

@@ -1,6 +1,8 @@
 package mna
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -162,22 +164,53 @@ func TestACAnalysis(t *testing.T) {
 		AddR("r1", "in", "out", r).
 		AddC("c1", "out", "0", cap)
 	fc := 1 / (2 * math.Pi * r * cap)
-	sys, err := Build(c)
+	h, err := Response(context.Background(), c, "mna", "", "", "out", []float64{fc / 100, fc, fc * 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := sys.ACAnalysis("out", []float64{fc / 100, fc, fc * 100})
-	if err != nil {
-		t.Fatal(err)
+	if math.Abs(cmplx.Abs(h[0])-1) > 1e-3 {
+		t.Errorf("passband |H| = %v", cmplx.Abs(h[0]))
 	}
-	if math.Abs(cmplx.Abs(pts[0].V)-1) > 1e-3 {
-		t.Errorf("passband |H| = %v", cmplx.Abs(pts[0].V))
+	if math.Abs(cmplx.Abs(h[1])-1/math.Sqrt2) > 1e-9 {
+		t.Errorf("corner |H| = %v", cmplx.Abs(h[1]))
 	}
-	if math.Abs(cmplx.Abs(pts[1].V)-1/math.Sqrt2) > 1e-9 {
-		t.Errorf("corner |H| = %v", cmplx.Abs(pts[1].V))
+	if cmplx.Abs(h[2]) > 0.011 {
+		t.Errorf("stopband |H| = %v", cmplx.Abs(h[2]))
 	}
-	if cmplx.Abs(pts[2].V) > 0.011 {
-		t.Errorf("stopband |H| = %v", cmplx.Abs(pts[2].V))
+}
+
+// TestResponseDrives: each cofactor kind adds its unit drive to a
+// source-free RC low-pass, an unknown kind is refused instead of
+// answering all zeros, and a canceled context keeps the computed prefix.
+func TestResponseDrives(t *testing.T) {
+	c := circuit.New("rc")
+	c.AddR("r1", "in", "out", 1e3).AddC("c1", "out", "0", 1e-9).AddR("r2", "ref", "0", 1e3)
+	for _, tc := range []struct {
+		kind, in, inn string
+		want          complex128 // H(1 Hz)
+	}{
+		{"vgain", "in", "", 1},
+		{"diffgain", "in", "ref", 1},
+		{"transz", "out", "", complex(0, -1/(2*math.Pi*1e-9))}, // Z of c1
+	} {
+		h, err := Response(context.Background(), c, tc.kind, tc.in, tc.inn, "out", []float64{1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		if cmplx.Abs(h[0]-tc.want) > 1e-3*cmplx.Abs(tc.want) {
+			t.Errorf("%s: H(1 Hz) = %v, want ≈ %v", tc.kind, h[0], tc.want)
+		}
+	}
+	if h, err := Response(context.Background(), c, "vgian", "in", "", "out", []float64{1}); err == nil {
+		t.Errorf("unknown kind accepted: %v", h)
+	}
+	if len(c.Elements()) != 3 {
+		t.Errorf("Response modified the circuit: %d elements", len(c.Elements()))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if h, err := Response(ctx, c, "vgain", "in", "", "out", []float64{1, 10}); !errors.Is(err, context.Canceled) || len(h) != 0 {
+		t.Errorf("canceled: h = %v, err = %v", h, err)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/bode"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/tfspec"
 	"repro/pkg/engine"
 )
 
@@ -67,7 +66,7 @@ type Stats struct {
 
 // Run performs the analysis of the given transfer function over the
 // frequency band.
-func Run(c *circuit.Circuit, spec tfspec.Spec, freqsHz []float64, cfg Config) (*Stats, error) {
+func Run(c *circuit.Circuit, spec engine.Spec, freqsHz []float64, cfg Config) (*Stats, error) {
 	if cfg.Samples == 0 {
 		cfg.Samples = 100
 	}
@@ -89,7 +88,7 @@ func Run(c *circuit.Circuit, spec tfspec.Spec, freqsHz []float64, cfg Config) (*
 	}
 	resp, err := eng.GenerateBatch(context.Background(), engine.BatchRequest{
 		Circuit:     c,
-		Spec:        engine.Spec(spec),
+		Spec:        spec,
 		Points:      points,
 		NoWarmStart: cfg.NoWarmStart,
 	})

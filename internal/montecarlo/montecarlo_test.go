@@ -7,7 +7,7 @@ import (
 	"repro/internal/bode"
 	"repro/internal/circuit"
 	"repro/internal/circuits"
-	"repro/internal/tfspec"
+	"repro/pkg/engine"
 )
 
 func rcCircuit() *circuit.Circuit {
@@ -18,7 +18,7 @@ func rcCircuit() *circuit.Circuit {
 
 func TestZeroToleranceZeroSpread(t *testing.T) {
 	freqs := bode.LogSpace(1e3, 1e7, 9)
-	st, err := Run(rcCircuit(), tfspec.Spec{Kind: "vgain", In: "in", Out: "out"}, freqs,
+	st, err := Run(rcCircuit(), engine.Spec{Kind: "vgain", In: "in", Out: "out"}, freqs,
 		Config{Samples: 20, Tolerance: 0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestZeroToleranceZeroSpread(t *testing.T) {
 
 func TestSpreadGrowsWithTolerance(t *testing.T) {
 	freqs := bode.LogSpace(1e3, 1e7, 9)
-	spec := tfspec.Spec{Kind: "vgain", In: "in", Out: "out"}
+	spec := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
 	run := func(tol float64) float64 {
 		st, err := Run(rcCircuit(), spec, freqs, Config{Samples: 60, Tolerance: tol, Seed: 7})
 		if err != nil {
@@ -57,7 +57,7 @@ func TestSpreadGrowsWithTolerance(t *testing.T) {
 
 func TestDeterministicSeed(t *testing.T) {
 	freqs := bode.LogSpace(1e4, 1e6, 5)
-	spec := tfspec.Spec{Kind: "vgain", In: "in", Out: "out"}
+	spec := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
 	a, err := Run(rcCircuit(), spec, freqs, Config{Samples: 15, Tolerance: 0.1, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestDeterministicSeed(t *testing.T) {
 
 func TestQuantileOrderingInvariant(t *testing.T) {
 	freqs := bode.LogSpace(1e3, 1e8, 13)
-	st, err := Run(circuits.OTA(), tfspec.Spec{Kind: "diffgain", In: "inp", Inn: "inn", Out: "out"},
+	st, err := Run(circuits.OTA(), engine.Spec{Kind: "diffgain", In: "inp", Inn: "inn", Out: "out"},
 		freqs, Config{Samples: 25, Tolerance: 0.1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestMedianNearNominal(t *testing.T) {
 	// The median response under symmetric tolerance should track the
 	// nominal response within a fraction of the spread.
 	freqs := bode.LogSpace(1e4, 1e6, 5)
-	spec := tfspec.Spec{Kind: "vgain", In: "in", Out: "out"}
+	spec := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
 	st, err := Run(rcCircuit(), spec, freqs, Config{Samples: 200, Tolerance: 0.1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -114,11 +114,11 @@ func TestMedianNearNominal(t *testing.T) {
 
 func TestBadArgs(t *testing.T) {
 	freqs := bode.LogSpace(1e3, 1e6, 3)
-	if _, err := Run(rcCircuit(), tfspec.Spec{Kind: "vgain", In: "in", Out: "out"}, freqs,
+	if _, err := Run(rcCircuit(), engine.Spec{Kind: "vgain", In: "in", Out: "out"}, freqs,
 		Config{Tolerance: -0.1}); err == nil {
 		t.Error("negative tolerance accepted")
 	}
-	if _, err := Run(rcCircuit(), tfspec.Spec{Kind: "vgain", In: "in", Out: "zz"}, freqs,
+	if _, err := Run(rcCircuit(), engine.Spec{Kind: "vgain", In: "in", Out: "zz"}, freqs,
 		Config{Samples: 3}); err == nil {
 		t.Error("all-failing spec should error")
 	}

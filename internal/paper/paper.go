@@ -4,16 +4,15 @@
 package paper
 
 import (
+	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/bode"
 	"repro/internal/circuit"
 	"repro/internal/circuits"
 	"repro/internal/core"
 	"repro/internal/interp"
-	"repro/internal/mna"
-	"repro/internal/nodal"
+	"repro/pkg/engine"
 )
 
 // Table1 holds the OTA baselines: the unit-circle failure (1a) and the
@@ -36,56 +35,51 @@ type Table1 struct {
 func OTATable1() (*Table1, error) {
 	c := circuits.OTA()
 	inp, inn, out := circuits.OTAInputs()
-	sys, err := nodal.Build(c)
+	eng, err := engine.New(engine.Config{})
 	if err != nil {
 		return nil, err
 	}
-	tf, err := sys.DifferentialVoltageGain(c, inp, inn, out)
+	f, err := eng.Formulate(c, engine.Spec{Kind: "diffgain", In: inp, Inn: inn, Out: out})
 	if err != nil {
 		return nil, err
 	}
 	bound := c.NumCapacitors()
-	tf.Num.OrderBound = bound
-	tf.Den.OrderBound = bound
-	t := &Table1{
-		UnitNum: interp.UnitCircle(tf.Num),
-		UnitDen: interp.UnitCircle(tf.Den),
-		FScale:  1 / c.MeanCapacitance(),
-		GScale:  1 / c.MeanConductance(),
+	f.TF.Num.OrderBound = bound
+	f.TF.Den.OrderBound = bound
+	ctx := context.Background()
+	t := &Table1{}
+	if t.UnitNum, t.UnitDen, err = eng.Interpolate(ctx, f, 1, 1); err != nil {
+		return nil, err
 	}
-	t.FixedNum = interp.FixedScale(tf.Num, t.FScale, t.GScale)
-	t.FixedDen = interp.FixedScale(tf.Den, t.FScale, t.GScale)
+	t.FScale, t.GScale = engine.DefaultScales(c)
+	if t.FixedNum, t.FixedDen, err = eng.Interpolate(ctx, f, t.FScale, t.GScale); err != nil {
+		return nil, err
+	}
 	t.NumLo, t.NumHi, _ = interp.ValidRegion(t.FixedNum.Normalized, 6)
 	t.DenLo, t.DenHi, _ = interp.ValidRegion(t.FixedDen.Normalized, 6)
 	return t, nil
+}
+
+// ua741 is the µA741 circuit with its differential-gain spec.
+func ua741() (*circuit.Circuit, engine.Spec) {
+	inp, inn, out := circuits.UA741Inputs()
+	return circuits.UA741(), engine.Spec{Kind: "diffgain", In: inp, Inn: inn, Out: out}
 }
 
 // UA741Denominator runs the adaptive generator on the µA741 denominator
 // with the paper's mean-value seeds. The returned M is the homogeneity
 // degree needed to denormalize iteration records for display.
 func UA741Denominator(noReduce bool) (*core.Result, int, error) {
-	c := circuits.UA741()
-	inp, inn, out := circuits.UA741Inputs()
-	sys, err := nodal.Build(c)
+	c, spec := ua741()
+	eng, err := engine.New(engine.Config{Options: engine.Options{NoReduce: noReduce}})
 	if err != nil {
 		return nil, 0, err
 	}
-	tf, err := sys.DifferentialVoltageGain(c, inp, inn, out)
+	resp, err := eng.Generate(context.Background(), engine.Request{Circuit: c, Spec: spec})
 	if err != nil {
 		return nil, 0, err
 	}
-	cfg := core.Config{NoReduce: noReduce}
-	if mc := c.MeanCapacitance(); mc > 0 {
-		cfg.InitFScale = 1 / mc
-	}
-	if mg := c.MeanConductance(); mg > 0 {
-		cfg.InitGScale = 1 / mg
-	}
-	den, err := core.Generate(tf.Den, cfg)
-	if err != nil {
-		return den, 0, err
-	}
-	return den, sys.N() - 1, nil
+	return resp.Den, resp.Den.M, nil
 }
 
 // Fig2Data holds the Fig. 2 comparison.
@@ -102,41 +96,24 @@ func Fig2(points int) (*Fig2Data, error) {
 	if points < 2 {
 		return nil, fmt.Errorf("paper: need at least 2 points")
 	}
-	c := circuits.UA741()
-	inp, inn, out := circuits.UA741Inputs()
-	sys, err := nodal.Build(c)
+	c, spec := ua741()
+	eng, err := engine.New(engine.Config{})
 	if err != nil {
 		return nil, err
 	}
-	tf, err := sys.DifferentialVoltageGain(c, inp, inn, out)
-	if err != nil {
-		return nil, err
-	}
-	num, den, err := core.GenerateTransferFunction(c, tf, core.Config{})
+	ctx := context.Background()
+	resp, err := eng.Generate(ctx, engine.Request{Circuit: c, Spec: spec})
 	if err != nil {
 		return nil, err
 	}
 	d := &Fig2Data{Freqs: bode.LogSpace(1, 1e8, points)}
-	d.Interp, err = bode.FromPolys(num.Poly(), den.Poly(), d.Freqs)
+	d.Interp, err = bode.FromPolys(resp.Num.Poly(), resp.Den.Poly(), d.Freqs)
 	if err != nil {
 		return nil, err
 	}
-	direct := c.Clone("+source")
-	direct.AddV("vdrive", inp, inn, 1)
-	msys, err := mna.Build(direct)
+	h, err := eng.ACResponse(ctx, c, spec, d.Freqs)
 	if err != nil {
 		return nil, err
-	}
-	h := make([]complex128, len(d.Freqs))
-	for i, f := range d.Freqs {
-		x, err := msys.Solve(complex(0, 2*math.Pi*f))
-		if err != nil {
-			return nil, err
-		}
-		h[i], err = msys.VoltageAt(x, out)
-		if err != nil {
-			return nil, err
-		}
 	}
 	d.Direct = bode.FromComplexResponse(d.Freqs, h)
 	d.MagErrDB, d.PhsErr, err = bode.Compare(d.Interp, d.Direct)

@@ -17,6 +17,7 @@
 package sbg
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -61,10 +62,10 @@ type Result struct {
 // response is the complex transfer response sampled over the band.
 type response []complex128
 
-// driver abstracts how the circuit is excited and observed.
+// driver names how the circuit is excited and observed: differentially
+// between in and inn, or single-ended at in when inn is empty.
 type driver struct {
 	in, inn, out string
-	differential bool
 }
 
 // Simplify reduces the circuit driven differentially (inn != "") or
@@ -83,7 +84,7 @@ func Simplify(c *circuit.Circuit, in, inn, out string, freqsHz []float64, ref []
 	if len(ref) != len(freqsHz) {
 		return nil, fmt.Errorf("sbg: reference has %d points, band has %d", len(ref), len(freqsHz))
 	}
-	drv := driver{in: in, inn: inn, out: out, differential: inn != ""}
+	drv := driver{in: in, inn: inn, out: out}
 
 	// Work on name-indexed element lists with node-rename maps for
 	// shorts.
@@ -172,7 +173,7 @@ func Simplify(c *circuit.Circuit, in, inn, out string, freqsHz []float64, ref []
 // ReferenceResponse computes the complex response the simplifier
 // measures against, by direct AC analysis of the full circuit.
 func ReferenceResponse(c *circuit.Circuit, in, inn, out string, freqsHz []float64) ([]complex128, error) {
-	drv := driver{in: in, inn: inn, out: out, differential: inn != ""}
+	drv := driver{in: in, inn: inn, out: out}
 	return drv.respond(c, freqsHz)
 }
 
@@ -240,29 +241,11 @@ func (d driver) respond(c *circuit.Circuit, freqsHz []float64) (response, error)
 	if c == nil {
 		return nil, fmt.Errorf("sbg: empty circuit")
 	}
-	drvCkt := c.Clone("+drv")
-	if d.differential {
-		drvCkt.AddV("vsbg", d.in, d.inn, 1)
-	} else {
-		drvCkt.AddV("vsbg", d.in, "0", 1)
+	kind := "vgain"
+	if d.inn != "" {
+		kind = "diffgain"
 	}
-	sys, err := mna.Build(drvCkt)
-	if err != nil {
-		return nil, err
-	}
-	out := make(response, len(freqsHz))
-	for i, f := range freqsHz {
-		x, err := sys.Solve(complex(0, 2*math.Pi*f))
-		if err != nil {
-			return nil, err
-		}
-		v, err := sys.VoltageAt(x, d.out)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
+	return mna.Response(context.Background(), c, kind, d.in, d.inn, d.out, freqsHz)
 }
 
 // deviation returns worst-case dB and degree deviations between two

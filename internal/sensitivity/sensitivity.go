@@ -28,7 +28,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/poly"
-	"repro/internal/tfspec"
 	"repro/internal/xmath"
 	"repro/pkg/engine"
 )
@@ -58,14 +57,14 @@ type Sensitivity struct {
 
 // Analyze computes sensitivities of the spec'd network function for
 // every element at the given frequencies, sorted by descending MaxAbs.
-func Analyze(c *circuit.Circuit, spec tfspec.Spec, freqsHz []float64, cfg Config) ([]Sensitivity, error) {
+func Analyze(c *circuit.Circuit, spec engine.Spec, freqsHz []float64, cfg Config) ([]Sensitivity, error) {
 	out, _, err := AnalyzeBatch(c, spec, freqsHz, cfg)
 	return out, err
 }
 
 // AnalyzeBatch is Analyze, additionally returning the batch response so
 // callers can report the sweep's warm-start provenance and solve counts.
-func AnalyzeBatch(c *circuit.Circuit, spec tfspec.Spec, freqsHz []float64, cfg Config) ([]Sensitivity, *engine.BatchResponse, error) {
+func AnalyzeBatch(c *circuit.Circuit, spec engine.Spec, freqsHz []float64, cfg Config) ([]Sensitivity, *engine.BatchResponse, error) {
 	if cfg.RelStep == 0 {
 		cfg.RelStep = 1e-3
 	}
@@ -129,14 +128,14 @@ func AnalyzeBatch(c *circuit.Circuit, spec tfspec.Spec, freqsHz []float64, cfg C
 }
 
 // run sweeps the design points through the engine batch layer.
-func run(c *circuit.Circuit, spec tfspec.Spec, points []engine.BatchPoint, cfg Config) (*engine.BatchResponse, error) {
+func run(c *circuit.Circuit, spec engine.Spec, points []engine.BatchPoint, cfg Config) (*engine.BatchResponse, error) {
 	eng, err := engine.New(engine.Config{Options: cfg.Core})
 	if err != nil {
 		return nil, err
 	}
 	return eng.GenerateBatch(context.Background(), engine.BatchRequest{
 		Circuit:     c,
-		Spec:        engine.Spec(spec),
+		Spec:        spec,
 		Points:      points,
 		NoWarmStart: cfg.NoWarmStart,
 	})

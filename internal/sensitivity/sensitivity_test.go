@@ -8,7 +8,7 @@ import (
 	"repro/internal/bode"
 	"repro/internal/circuit"
 	"repro/internal/circuits"
-	"repro/internal/tfspec"
+	"repro/pkg/engine"
 )
 
 func dividerCircuit() *circuit.Circuit {
@@ -23,7 +23,7 @@ func TestDividerAnalyticSensitivities(t *testing.T) {
 	// H(0) = g1/(g1+g2): S_g1 = g2/(g1+g2) = 0.75, S_g2 = −0.75,
 	// S_c1 = 0 at DC-ish frequencies.
 	c := dividerCircuit()
-	spec := tfspec.Spec{Kind: "vgain", In: "in", Out: "out"}
+	spec := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
 	sens, err := Analyze(c, spec, []float64{1}, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestEulerHomogeneitySumRule(t *testing.T) {
 	// with s too); the exact invariant: scaling all G AND C by α leaves
 	// H(s) unchanged ⇒ Σ_x S_x(jω) = 0 over ALL elements.
 	c := dividerCircuit()
-	spec := tfspec.Spec{Kind: "vgain", In: "in", Out: "out"}
+	spec := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
 	freqs := bode.LogSpace(1e3, 1e9, 5)
 	sens, err := Analyze(c, spec, freqs, Config{})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestEulerHomogeneitySumRule(t *testing.T) {
 func TestEulerSumRuleOTA(t *testing.T) {
 	// The same invariant on an active circuit with gm elements.
 	c := circuits.OTA()
-	spec := tfspec.Spec{Kind: "diffgain", In: "inp", Inn: "inn", Out: "out"}
+	spec := engine.Spec{Kind: "diffgain", In: "inp", Inn: "inn", Out: "out"}
 	freqs := []float64{1e4, 1e7}
 	sens, err := Analyze(c, spec, freqs, Config{})
 	if err != nil {
@@ -89,7 +89,7 @@ func TestEulerSumRuleOTA(t *testing.T) {
 
 func TestRankingOrdered(t *testing.T) {
 	c := dividerCircuit()
-	spec := tfspec.Spec{Kind: "vgain", In: "in", Out: "out"}
+	spec := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
 	sens, err := Analyze(c, spec, []float64{1e3, 1e8}, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestRankingOrdered(t *testing.T) {
 
 func TestBadStepRejected(t *testing.T) {
 	c := dividerCircuit()
-	spec := tfspec.Spec{Kind: "vgain", In: "in", Out: "out"}
+	spec := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
 	if _, err := Analyze(c, spec, []float64{1}, Config{RelStep: 0.9}); err == nil {
 		t.Error("huge step accepted")
 	}

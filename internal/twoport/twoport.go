@@ -50,15 +50,12 @@ func YParams(c *circuit.Circuit, a, b string, cfg core.Config) (*Params, error) 
 	if ia == ib {
 		return nil, fmt.Errorf("twoport: ports coincide")
 	}
+	fscale, gscale, _, _ := c.SeedScales()
 	if cfg.InitFScale == 0 {
-		if mc := c.MeanCapacitance(); mc > 0 {
-			cfg.InitFScale = 1 / mc
-		}
+		cfg.InitFScale = fscale
 	}
 	if cfg.InitGScale == 0 {
-		if mg := c.MeanConductance(); mg > 0 {
-			cfg.InitGScale = 1 / mg
-		}
+		cfg.InitGScale = gscale
 	}
 	n := sys.N()
 	caps := sys.NumCapacitors()

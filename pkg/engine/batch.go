@@ -140,12 +140,14 @@ func (e *Engine) GenerateBatch(ctx context.Context, req BatchRequest) (*BatchRes
 	// every point then shares one initial frame and one drift reference,
 	// which is what keeps neighboring schedules within the replay drift
 	// bound. (A frequency-only backend already has its unit conductance
-	// scale from normalize.)
-	heurF, heurG := DefaultScales(req.Circuit)
-	if baseOpts.InitFScale == 0 {
+	// scale from normalize.) A factor whose heuristic is undefined stays
+	// unset: every point has the base's element kinds, so generation
+	// falls back to the same 1 and records the warning Generate records.
+	heurF, heurG, fwarn, gwarn := req.Circuit.SeedScales()
+	if baseOpts.InitFScale == 0 && fwarn == "" {
 		baseOpts.InitFScale = heurF
 	}
-	if baseOpts.InitGScale == 0 {
+	if baseOpts.InitGScale == 0 && gwarn == "" {
 		baseOpts.InitGScale = heurG
 	}
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/circuits"
-	"repro/internal/core"
 )
 
 func ladderSpec(n int) (c *Circuit, spec Spec) {
@@ -153,29 +152,65 @@ func TestGenerateBatchNoWarmStart(t *testing.T) {
 // TestGenerateBatchNominalMatchesGenerate pins that a batch of one
 // nominal point is bit-identical to a plain Generate with the same
 // pinned seed scales.
+// TestGenerateBatchNominalMatchesGenerate: a one-point batch of the
+// nominal circuit is the same request as Generate, so the wire bodies
+// must be byte-identical — including the seed-fallback warning events of
+// circuits without capacitors or without conductances.
 func TestGenerateBatchNominalMatchesGenerate(t *testing.T) {
+	parse := func(src string) *Circuit {
+		c, err := ParseNetlist(src, "inline")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	load := func(path string) *Circuit {
+		c, err := LoadNetlist(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	eng, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckt, spec := ladderSpec(5)
-	resp, err := eng.GenerateBatch(context.Background(), BatchRequest{Circuit: ckt, Spec: spec, Points: []BatchPoint{{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Points[0].Err != nil {
-		t.Fatal(resp.Points[0].Err)
-	}
-	heurF, heurG := DefaultScales(ckt)
-	opts := Options{InitFScale: heurF, InitGScale: heurG}
-	direct, err := eng.Generate(context.Background(), Request{Circuit: ckt, Spec: spec, Options: &opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := resp.Points[0].Response
-	if !core.CoefficientsEqual(r.Num.Coeffs, direct.Num.Coeffs) ||
-		!core.CoefficientsEqual(r.Den.Coeffs, direct.Den.Coeffs) {
-		t.Error("single nominal batch point differs from direct Generate")
+	rc, rcSpec := ladderSpec(5)
+	for _, tc := range []struct {
+		name string
+		ckt  *Circuit
+		spec Spec
+	}{
+		{"ladder5", rc, rcSpec},
+		{"resistive", parse("divider\nR1 in out 1k\nR2 out 0 1k\n.end\n"), Spec{Kind: "vgain", In: "in", Out: "out"}},
+		{"capacitive", parse("divider\nC1 in out 1n\nC2 out 0 1n\n.end\n"), Spec{Kind: "vgain", In: "in", Out: "out"}},
+		{"opamp", load("../../testdata/opamp.sp"), Spec{Kind: "diffgain", In: "inp", Inn: "inn", Out: "out"}},
+		{"rlc", load("../../testdata/rlc.sp"), Spec{Kind: "mna", Out: "out"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			direct, err := eng.Generate(context.Background(), Request{Circuit: tc.ckt, Spec: tc.spec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := eng.GenerateBatch(context.Background(), BatchRequest{Circuit: tc.ckt, Spec: tc.spec, Points: []BatchPoint{{}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := batch.Points[0].Err; err != nil {
+				t.Fatal(err)
+			}
+			want, err := EncodeResponseJSON(direct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := EncodeResponseJSON(batch.Points[0].Response)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Errorf("batch body (%d bytes) differs from Generate body (%d bytes)", len(got), len(want))
+			}
+		})
 	}
 }
 

@@ -23,8 +23,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/interp"
@@ -147,19 +145,6 @@ func (e *Engine) Formulate(c *Circuit, spec Spec) (*Formulation, error) {
 	return b.Formulate(c, spec)
 }
 
-// TransferFunction formulates spec and returns its transfer function —
-// the numerator/denominator evaluators ready for interpolation.
-func (e *Engine) TransferFunction(ctx context.Context, c *Circuit, spec Spec) (*TransferFunction, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	f, err := e.Formulate(c, spec)
-	if err != nil {
-		return nil, err
-	}
-	return f.TF, nil
-}
-
 // options resolves the generation options for a request against the
 // engine defaults and the formulation's constraints.
 func (e *Engine) options(req Request, f *Formulation) (Options, error) {
@@ -235,13 +220,7 @@ func (e *Engine) Interpolate(ctx context.Context, f *Formulation, fscale, gscale
 // circuit: frequency scale 1/mean(C), conductance scale 1/mean(G), each
 // falling back to 1 when the circuit has no such elements.
 func DefaultScales(c *Circuit) (fscale, gscale float64) {
-	fscale, gscale = 1, 1
-	if mc := c.MeanCapacitance(); mc > 0 {
-		fscale = 1 / mc
-	}
-	if mg := c.MeanConductance(); mg > 0 {
-		gscale = 1 / mg
-	}
+	fscale, gscale, _, _ = c.SeedScales()
 	return fscale, gscale
 }
 
@@ -250,35 +229,9 @@ func DefaultScales(c *Circuit) (fscale, gscale float64) {
 // Fig. 2 validation, fully independent of the interpolation pipeline.
 // The circuit is cloned and driven according to the spec kind (a unit
 // voltage source for "vgain"/"diffgain", a unit current source for
-// "transz"; "mna" circuits drive themselves through their own sources).
-// On cancellation the computed prefix is returned with ctx.Err().
+// "transz"; "mna" circuits drive themselves through their own sources);
+// an unknown kind is an error. On cancellation the computed prefix is
+// returned with ctx.Err().
 func (e *Engine) ACResponse(ctx context.Context, c *Circuit, spec Spec, freqsHz []float64) ([]complex128, error) {
-	direct := c.Clone("+source")
-	switch spec.Kind {
-	case "vgain":
-		direct.AddV("vdrive", spec.In, "0", 1)
-	case "diffgain":
-		direct.AddV("vdrive", spec.In, spec.Inn, 1)
-	case "transz":
-		direct.AddI("idrive", "0", spec.In, 1)
-	}
-	msys, err := mna.Build(direct)
-	if err != nil {
-		return nil, err
-	}
-	h := make([]complex128, len(freqsHz))
-	for i, f := range freqsHz {
-		if err := ctx.Err(); err != nil {
-			return h[:i], err
-		}
-		x, err := msys.Solve(complex(0, 2*math.Pi*f))
-		if err != nil {
-			return h[:i], fmt.Errorf("AC analysis at %g Hz: %w", f, err)
-		}
-		h[i], err = msys.VoltageAt(x, spec.Out)
-		if err != nil {
-			return h[:i], err
-		}
-	}
-	return h, nil
+	return mna.Response(ctx, c, spec.Kind, spec.In, spec.Inn, spec.Out, freqsHz)
 }

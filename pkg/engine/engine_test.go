@@ -9,7 +9,8 @@ import (
 	"repro/internal/check"
 	"repro/internal/circuits"
 	"repro/internal/core"
-	"repro/internal/tfspec"
+	"repro/internal/mna"
+	"repro/internal/nodal"
 )
 
 func TestBackendsRegistered(t *testing.T) {
@@ -62,6 +63,47 @@ func TestNewUnknownBackend(t *testing.T) {
 	}
 }
 
+// TestFormulateErrors: the auto-selected backends formulate every kind
+// and refuse what their formulation cannot express instead of
+// formulating something else.
+func TestFormulateErrors(t *testing.T) {
+	rc := circuits.RCLadder(2, 1e3, 1e-9)
+	sourced := circuits.RCLadder(2, 1e3, 1e-9)
+	sourced.AddV("vsrc", "in", "0", 1)
+	eng, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{
+		{Kind: "vgain", In: "in", Out: "n2"},
+		{Kind: "diffgain", In: "in", Inn: "n1", Out: "n2"},
+		{Kind: "transz", In: "in", Out: "n2"},
+		{Kind: "mna", Out: "n2"},
+	} {
+		ckt := rc
+		if spec.Kind == "mna" {
+			ckt = sourced
+		}
+		if f, err := eng.Formulate(ckt, spec); err != nil || f.TF == nil {
+			t.Fatalf("kind %s refused: %v", spec.Kind, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		ckt  *Circuit
+		spec Spec
+	}{
+		{"unknown kind", rc, Spec{Kind: "bogus", In: "in", Out: "n2"}},
+		{"unknown node", rc, Spec{Kind: "vgain", In: "in", Out: "zz"}},
+		{"source-free mna", rc, Spec{Kind: "mna", Out: "n2"}},
+		{"cofactor kind on a sourced circuit", sourced, Spec{Kind: "vgain", In: "in", Out: "n2"}},
+	} {
+		if _, err := eng.Formulate(tc.ckt, tc.spec); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
 func TestBackendKindMismatch(t *testing.T) {
 	eng, err := New(Config{Backend: "mna"})
 	if err != nil {
@@ -80,8 +122,8 @@ func TestBackendKindMismatch(t *testing.T) {
 }
 
 // TestGenerateMatchesDirectPipeline pins the behavior-preservation
-// contract: the engine must produce the same Results as the direct
-// tfspec + core wiring the CLIs used before.
+// contract: the engine must produce the same Results as a formulation
+// built directly with nodal and generated by core.
 func TestGenerateMatchesDirectPipeline(t *testing.T) {
 	ckt := circuits.OTA()
 	inp, inn, out := circuits.OTAInputs()
@@ -99,7 +141,11 @@ func TestGenerateMatchesDirectPipeline(t *testing.T) {
 		t.Errorf("auto backend = %q, want nodal", resp.Formulation.Backend)
 	}
 
-	_, tf, err := tfspec.Spec{Kind: spec.Kind, In: spec.In, Inn: spec.Inn, Out: spec.Out}.Resolve(ckt)
+	sys, err := nodal.Build(ckt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := sys.DifferentialVoltageGain(ckt, inp, inn, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +182,11 @@ func TestGenerateMNA(t *testing.T) {
 		t.Error("mna formulation not marked FrequencyOnly")
 	}
 
-	_, tf, err := tfspec.Spec{Kind: "mna", Out: out}.Resolve(ckt)
+	msys, err := mna.Build(ckt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := msys.TransferEvaluators(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,21 +314,39 @@ func TestInterpolate(t *testing.T) {
 func TestACResponse(t *testing.T) {
 	ckt := circuits.OTA()
 	inp, inn, out := circuits.OTAInputs()
-	spec := Spec{Kind: "diffgain", In: inp, Inn: inn, Out: out}
+	driven := circuits.OTA()
+	driven.AddV("vsrc", inp, inn, 1)
 	eng, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := eng.ACResponse(context.Background(), ckt, spec, []float64{1, 1e3, 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h) != 3 {
-		t.Fatalf("got %d response points, want 3", len(h))
-	}
-	for i, v := range h {
-		if v == 0 {
-			t.Errorf("response point %d is zero", i)
+	for _, tc := range []struct {
+		ckt  *Circuit
+		spec Spec
+		ok   bool
+	}{
+		{ckt, Spec{Kind: "diffgain", In: inp, Inn: inn, Out: out}, true},
+		{driven, Spec{Kind: "mna", Out: out}, true},
+		// A misspelled kind must be refused, not answered with zeros.
+		{ckt, Spec{Kind: "vgian", In: inp, Out: out}, false},
+	} {
+		h, err := eng.ACResponse(context.Background(), tc.ckt, tc.spec, []float64{1, 1e3, 1e6})
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("kind %q: accepted, response %v", tc.spec.Kind, h)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("kind %q: %v", tc.spec.Kind, err)
+		}
+		if len(h) != 3 {
+			t.Fatalf("kind %q: got %d response points, want 3", tc.spec.Kind, len(h))
+		}
+		for i, v := range h {
+			if v == 0 {
+				t.Errorf("kind %q: response point %d is zero", tc.spec.Kind, i)
+			}
 		}
 	}
 }
