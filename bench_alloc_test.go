@@ -12,7 +12,9 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"testing"
 
 	"repro/internal/circuit"
@@ -22,6 +24,7 @@ import (
 	"repro/internal/mna"
 	"repro/internal/nodal"
 	"repro/internal/xmath"
+	"repro/pkg/engine"
 )
 
 // benchEvalFrame measures the steady-state frame loop of polynomial
@@ -151,4 +154,29 @@ func BenchmarkEvalBatchMNABiquad(b *testing.B) {
 func BenchmarkEvalBatchMNALadder40(b *testing.B) {
 	ckt := circuits.RCLadder(40, 1e3, 1e-9)
 	benchEvalFrame(b, ckt, mnaDet(b, ckt))
+}
+
+// BenchmarkWireEncodeUA741 encodes the committed µA741 wire response
+// (testdata/ua741_diffgain.json) once per op. The encoder sizes its
+// buffer before it appends, so an op is exactly one allocation; the CI
+// gate on allocs/op keeps reflection and a growing buffer out.
+func BenchmarkWireEncodeUA741(b *testing.B) {
+	raw, err := os.ReadFile("testdata/ua741_diffgain.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, _, _, err := engine.DecodeResponseJSON(raw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got, err := engine.EncodeWireJSON(w); err != nil || !bytes.Equal(got, raw) {
+		b.Fatalf("re-encoding the µA741 reference changed its bytes (err %v)", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.EncodeWireJSON(w); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -20,11 +20,12 @@
 // on every host, so any increase is a real regression. Timings (ns/op
 // and friends) stay advisory — shared CI runners are too noisy to gate
 // on. For the steady-state hot-path benchmarks (BenchmarkEvalBatch*,
-// BenchmarkDetSparseUA741 and BenchmarkDetPlanned{Biquad,Ladder40,UA741})
-// and the cold structural-window matchings (BenchmarkStructuralWindowUA741),
-// allocs/op is also gated lower-is-better:
-// those ops are primed to zero heap allocations, so any count above the
-// baseline means the hot path started allocating again. The CI bench smoke job runs check mode for
+// BenchmarkDetSparseUA741 and BenchmarkDetPlanned{Biquad,Ladder40,UA741}),
+// the cold structural-window matchings (BenchmarkStructuralWindowUA741)
+// and the µA741 wire encoding (BenchmarkWireEncodeUA741), allocs/op is
+// also gated lower-is-better: those ops have an exact allocation count
+// (zero for the primed hot path, one buffer for the encoder), so any
+// count above the baseline means the op started allocating again. The CI bench smoke job runs check mode for
 // set membership and compare mode for the counters.
 package main
 
@@ -85,9 +86,10 @@ var deterministicUnits = map[string]bool{
 // zero heap allocations, making the count an exact property of the code
 // (not of the host or the GC) and safe to gate. The structural-window
 // matchings of a cold µA741 formulation run in one fresh scratch per op,
-// so their count is exact too. Everywhere else allocs/op stays advisory,
-// like timings.
-var allocGated = regexp.MustCompile(`^Benchmark(EvalBatch|DetSparseUA741$|DetPlanned(Biquad|Ladder40|UA741)$|StructuralWindowUA741$)`)
+// so their count is exact too, and so is the wire encoder's single
+// pre-sized buffer. Everywhere else allocs/op stays advisory, like
+// timings.
+var allocGated = regexp.MustCompile(`^Benchmark(EvalBatch|DetSparseUA741$|DetPlanned(Biquad|Ladder40|UA741)$|StructuralWindowUA741$|WireEncodeUA741$)`)
 
 // higherIsBetterUnits flips the regression direction for counters where
 // a drop is the regression: losing warm starts means a sweep fell back

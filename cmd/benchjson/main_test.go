@@ -142,9 +142,10 @@ func TestSnapshotAndCheckModes(t *testing.T) {
 
 // TestCompareAllocsGate pins the hot-path allocation gate: allocs/op is
 // compared (lower-is-better) on BenchmarkEvalBatch*,
-// BenchmarkDetSparseUA741 and BenchmarkDetPlanned* only, so a steady-state op that starts
-// allocating fails the gate while advisory allocation counts elsewhere
-// stay ignored.
+// BenchmarkDetSparseUA741, BenchmarkDetPlanned*,
+// BenchmarkStructuralWindowUA741 and BenchmarkWireEncodeUA741 only, so
+// an op that starts allocating more fails the gate while advisory
+// allocation counts elsewhere stay ignored.
 func TestCompareAllocsGate(t *testing.T) {
 	dir := t.TempDir()
 	old := writeSnapshot(t, dir, "old.json", []Entry{
@@ -158,6 +159,8 @@ func TestCompareAllocsGate(t *testing.T) {
 			"allocs/op": 3}},
 		{Name: "BenchmarkStructuralWindowUA741", N: 1, NsOp: 30000, Extra: map[string]float64{
 			"B/op": 7344, "allocs/op": 19}},
+		{Name: "BenchmarkWireEncodeUA741", N: 1, NsOp: 180000, Extra: map[string]float64{
+			"B/op": 40960, "allocs/op": 1}},
 	})
 
 	// A hot-path op that allocates again is a regression, even by one.
@@ -172,12 +175,14 @@ func TestCompareAllocsGate(t *testing.T) {
 			"allocs/op": 3}},
 		{Name: "BenchmarkStructuralWindowUA741", N: 1, NsOp: 30000, Extra: map[string]float64{
 			"B/op": 7400, "allocs/op": 20}},
+		{Name: "BenchmarkWireEncodeUA741", N: 1, NsOp: 180000, Extra: map[string]float64{
+			"B/op": 81920, "allocs/op": 2}},
 	})
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-compare", old, leaky}, strings.NewReader(""), &out, &errOut); code != 1 {
 		t.Fatalf("leaky hot path exited %d, want 1 (stdout %q)", code, out.String())
 	}
-	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40", "BenchmarkStructuralWindowUA741"} {
+	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40", "BenchmarkStructuralWindowUA741", "BenchmarkWireEncodeUA741"} {
 		if !strings.Contains(out.String(), "REGRESSION "+name+" allocs/op") {
 			t.Errorf("missing %s allocs regression in %q", name, out.String())
 		}

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/circuit"
+	"repro/internal/circuits"
 	"repro/internal/interp"
 	"repro/internal/nodal"
+	"repro/internal/xmath"
 )
 
 // waitNoLeaks asserts the goroutine count settles back to the baseline
@@ -193,4 +196,131 @@ func TestGenerateTransferFunctionContextCanceled(t *testing.T) {
 		t.Error("denominator Result produced although the numerator pass was canceled")
 	}
 	waitNoLeaks(t, baseline)
+}
+
+// ua741DiffGain formulates the µA741 differential gain: a transfer
+// function without a joint cache, whose two passes overlap unless
+// Parallelism is 1.
+func ua741DiffGain(t *testing.T) (*circuit.Circuit, *interp.TransferFunction) {
+	t.Helper()
+	c := circuits.UA741()
+	sys, err := nodal.Build(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inp, inn, out := circuits.UA741Inputs()
+	tf, err := sys.DifferentialVoltageGain(c, inp, inn, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tf.EvalBoth != nil {
+		t.Fatal("diffgain grew a joint evaluation; the overlapped path needs a transfer function without one")
+	}
+	return c, tf
+}
+
+// TestOverlappedPassesCancel pins the cancellation contract on the
+// overlapped path (diffgain, Parallelism 2): it returns the triples the
+// sequential run returns, and no goroutine outlives the call.
+func TestOverlappedPassesCancel(t *testing.T) {
+	c, tf := ua741DiffGain(t)
+	full, _, err := GenerateTransferFunction(c, tf, Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("pre-canceled", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		num, den, err := GenerateTransferFunctionContext(ctx, c, tf, Config{Parallelism: 2})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if num == nil || len(num.Iterations) != 0 {
+			t.Errorf("numerator = %v, want an empty partial Result", num)
+		}
+		if den != nil {
+			t.Error("denominator Result returned although the numerator pass was canceled")
+		}
+		waitNoLeaks(t, baseline)
+	})
+
+	t.Run("canceled at the first denominator iteration", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// The denominator pass runs ahead of the Observer, which sees
+		// its iterations only once the numerator is done. Hold its
+		// second frame until the Observer has canceled, so that frame
+		// is the one the cancellation stops.
+		gate := make(chan struct{})
+		gated := *tf
+		batch := tf.Den.EvalBatch
+		var calls atomic.Int32
+		gated.Den.EvalBatch = func(ctx context.Context, pts []complex128, f, g float64, workers int) []xmath.XComplex {
+			if calls.Add(1) > 1 {
+				select {
+				case <-gate:
+				case <-time.After(10 * time.Second):
+				}
+			}
+			return batch(ctx, pts, f, g, workers)
+		}
+		seen, denSeen := 0, 0
+		num, den, err := GenerateTransferFunctionContext(ctx, c, &gated, Config{
+			Parallelism: 2,
+			Observer: func(Iteration) {
+				seen++
+				if seen > len(full.Iterations) {
+					denSeen++
+					if denSeen == 1 {
+						cancel()
+						close(gate)
+					}
+				}
+			},
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if num == nil || len(num.Iterations) != len(full.Iterations) {
+			t.Fatalf("numerator not complete: %v", num)
+		}
+		if den == nil || len(den.Iterations) != 1 {
+			t.Fatalf("denominator = %v, want a partial Result with exactly 1 iteration", den)
+		}
+		if denSeen != 1 {
+			t.Errorf("Observer saw %d denominator iterations, want 1", denSeen)
+		}
+		waitNoLeaks(t, baseline)
+	})
+
+	t.Run("numerator over its solve budget", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		seen, denIterations := 0, 0
+		num, den, err := GenerateTransferFunctionContext(context.Background(), c, tf, Config{
+			Parallelism: 2,
+			MaxSolves:   full.TotalSolves - 1,
+			Observer: func(Iteration) {
+				seen++
+				if seen > len(full.Iterations) {
+					denIterations++
+				}
+			},
+		})
+		if !errors.Is(err, ErrIterationBudget) {
+			t.Fatalf("err = %v, want ErrIterationBudget", err)
+		}
+		if num == nil || num.TotalSolves >= full.TotalSolves {
+			t.Errorf("numerator = %v, want a partial Result under the budget", num)
+		}
+		if den != nil {
+			t.Error("denominator Result returned although the numerator pass failed")
+		}
+		if denIterations != 0 {
+			t.Errorf("Observer saw %d iterations past the failed numerator's", denIterations)
+		}
+		waitNoLeaks(t, baseline)
+	})
 }

@@ -44,10 +44,13 @@ type Config struct {
 	SingleFactor bool `json:"-"`
 	// Parallelism is the worker count for batched point evaluation:
 	// 0 selects GOMAXPROCS, 1 forces the serial path (also the fallback
-	// when the evaluator has no EvalBatch). Results are bit-identical
-	// across settings — evaluators are required to make each point a
-	// pure function of the point and the (serially primed) shared
-	// factorization plan, so parallelism affects wall clock only.
+	// when the evaluator has no EvalBatch). 1 also keeps the numerator
+	// and denominator passes of GenerateTransferFunction sequential;
+	// any other value lets passes without a joint cache overlap. Results
+	// are bit-identical across settings — evaluators are required to
+	// make each point a pure function of the point and the (serially
+	// primed) shared factorization plan, so parallelism affects wall
+	// clock only.
 	Parallelism int `json:"parallelism,omitempty"`
 	// NoMirror disables the Hermitian half-circle scheme: every
 	// interpolation then evaluates all K points instead of the ⌊K/2⌋+1
@@ -58,9 +61,14 @@ type Config struct {
 	// in GenerateTransferFunction even when the transfer function
 	// provides EvalBoth. For ablation benchmarks and differential checks.
 	NoJoint bool `json:"-"`
-	// Observer, when non-nil, is invoked synchronously after every
-	// completed interpolation with the Iteration just recorded. It runs
-	// on the generation goroutine: keep it fast and treat the Iteration
+	// Observer, when non-nil, is invoked after every completed
+	// interpolation with the Iteration just recorded. Calls are
+	// serialized, never concurrent, and in GenerateTransferFunction every
+	// numerator iteration comes before any denominator iteration. They
+	// do not always run on the caller's goroutine: an overlapped
+	// denominator pass (see Parallelism) delivers its iterations from
+	// its own goroutine, the ones completed before the numerator pass
+	// returned in one burst. Keep it fast and treat the Iteration
 	// (including its slices) as read-only.
 	Observer func(Iteration) `json:"-"`
 	// FrameRetries is the number of times a frame whose point evaluation

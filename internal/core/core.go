@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/interp"
@@ -123,7 +124,15 @@ func newGenerator(ctx context.Context, ev interp.Evaluator, cfg Config) *generat
 // unset), both polynomials are driven through a shared evaluation cache
 // keyed by (s, fscale, gscale): the denominator pass reuses every
 // factorization the numerator pass already performed at a coinciding
-// triple. Hit/miss counts are attributed per pass in the results.
+// triple. Hit/miss counts are attributed per pass in the results, so the
+// two passes run one after the other.
+//
+// Without a joint cache the passes share no state, and unless
+// cfg.Parallelism is 1 the denominator pass runs on its own goroutine,
+// overlapping the numerator pass. The results, errors and warning events
+// are those of the sequential run, and the Observer still sees every
+// numerator iteration before any denominator iteration (see
+// Config.Observer).
 func GenerateTransferFunction(c *circuit.Circuit, tf *interp.TransferFunction, cfg Config) (num, den *Result, err error) {
 	return GenerateTransferFunctionContext(context.Background(), c, tf, cfg)
 }
@@ -131,7 +140,9 @@ func GenerateTransferFunction(c *circuit.Circuit, tf *interp.TransferFunction, c
 // GenerateTransferFunctionContext is GenerateTransferFunction with
 // cooperative cancellation (see GenerateContext). A cancellation during
 // the numerator pass returns (partial num, nil, err); during the
-// denominator pass, (complete num, partial den, err).
+// denominator pass, (complete num, partial den, err). On the overlapped
+// path a failed numerator cancels the denominator pass and returns no
+// denominator, exactly as if it had never started.
 func GenerateTransferFunctionContext(ctx context.Context, c *circuit.Circuit, tf *interp.TransferFunction, cfg Config) (num, den *Result, err error) {
 	if cfg, err = cfg.Normalize(); err != nil {
 		return nil, nil, err
@@ -162,24 +173,110 @@ func GenerateTransferFunctionContext(ctx context.Context, c *circuit.Circuit, tf
 			r.AddEvent(QualityEvent{Kind: EventWarning, Frame: -1, Target: -1, Detail: d})
 		}
 	}
-	var numHits, numMisses int
-	num, err = GenerateContext(ctx, numEv, cfg)
+	var numErr, denErr error
+	if jc == nil && cfg.Parallelism != 1 {
+		num, den, numErr, denErr = overlapPasses(ctx, numEv, denEv, cfg)
+	} else {
+		var numHits, numMisses int
+		num, numErr = GenerateContext(ctx, numEv, cfg)
+		if jc != nil {
+			numHits, numMisses = jc.counters()
+			num.CacheHits, num.CacheMisses = numHits, numMisses
+		}
+		if numErr == nil {
+			den, denErr = GenerateContext(ctx, denEv, cfg)
+			if jc != nil {
+				h, m := jc.counters()
+				den.CacheHits, den.CacheMisses = h-numHits, m-numMisses
+			}
+		}
+	}
 	warn(num)
-	if jc != nil {
-		numHits, numMisses = jc.counters()
-		num.CacheHits, num.CacheMisses = numHits, numMisses
+	if numErr != nil {
+		return num, nil, fmt.Errorf("core: numerator of %s: %w", tf.Name, numErr)
 	}
-	if err != nil {
-		return num, nil, fmt.Errorf("core: numerator of %s: %w", tf.Name, err)
-	}
-	den, err = GenerateContext(ctx, denEv, cfg)
 	warn(den)
-	if jc != nil {
-		h, m := jc.counters()
-		den.CacheHits, den.CacheMisses = h-numHits, m-numMisses
-	}
-	if err != nil {
-		return num, den, fmt.Errorf("core: denominator of %s: %w", tf.Name, err)
+	if denErr != nil {
+		return num, den, fmt.Errorf("core: denominator of %s: %w", tf.Name, denErr)
 	}
 	return num, den, nil
+}
+
+// overlapPasses runs the numerator pass on the calling goroutine and the
+// denominator pass concurrently on its own, under a context derived from
+// ctx that is canceled when the numerator fails. The two passes share no
+// state, so each Result is bit-identical to a sequential run. It returns
+// only after the denominator goroutine has exited; a panic there is
+// re-raised here. When the numerator fails, the denominator's Result and
+// error are discarded, as if it had never started.
+func overlapPasses(ctx context.Context, numEv, denEv interp.Evaluator, cfg Config) (num, den *Result, numErr, denErr error) {
+	denCtx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	defer func() {
+		cancel()
+		<-done
+	}()
+	denCfg := cfg
+	var obs *heldObserver
+	if cfg.Observer != nil {
+		obs = &heldObserver{inner: cfg.Observer}
+		denCfg.Observer = obs.observe
+	}
+	var panicked any
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() }()
+		den, denErr = GenerateContext(denCtx, denEv, denCfg)
+	}()
+	num, numErr = GenerateContext(ctx, numEv, cfg)
+	if numErr != nil {
+		cancel()
+	}
+	if obs != nil {
+		obs.release(numErr == nil)
+	}
+	<-done
+	if panicked != nil {
+		panic(panicked)
+	}
+	if numErr != nil {
+		return num, nil, numErr, nil
+	}
+	return num, den, nil, denErr
+}
+
+// heldObserver keeps the denominator pass's Observer calls behind the
+// numerator's: it holds them back until release, then delivers the held
+// ones and every later one live (deliver) or drops them all. The mutex
+// is held across the caller's Observer on purpose: it is what keeps the
+// calls serialized, and the Observer has no way to reach it.
+type heldObserver struct {
+	mu       sync.Mutex
+	inner    func(Iteration)
+	released bool
+	deliver  bool
+	held     []Iteration
+}
+
+func (o *heldObserver) observe(it Iteration) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	switch {
+	case !o.released:
+		o.held = append(o.held, it)
+	case o.deliver:
+		o.inner(it)
+	}
+}
+
+func (o *heldObserver) release(deliver bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.released, o.deliver = true, deliver
+	if deliver {
+		for _, it := range o.held {
+			o.inner(it)
+		}
+	}
+	o.held = nil
 }

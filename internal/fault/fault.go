@@ -52,7 +52,8 @@ type Plan struct {
 	CorruptOneIn int
 	// TransientOneIn injects a NaN at roughly one in this many points,
 	// but only the first time each exact (s, fscale, gscale) triple is
-	// evaluated by this Plan — later evaluations of the same triple
+	// evaluated by one evaluator of this Plan (the numerator, the
+	// denominator or the joint one) — later evaluations of the same triple
 	// succeed. 0 disables.
 	TransientOneIn int
 	// SingularAngle, with AngleSet, fails every point whose phase
@@ -81,7 +82,10 @@ type Plan struct {
 }
 
 // tripleKey identifies one exact evaluation for the transient memory.
+// The evaluator is part of it: a numerator and a denominator pass may
+// run concurrently, so neither may heal the other's faults.
 type tripleKey struct {
+	ev   string
 	s    complex128
 	f, g float64
 }
@@ -120,7 +124,7 @@ func (p *Plan) hash(s complex128, f, g float64) uint64 {
 
 // decide counts the evaluation (firing CancelAfter when due) and
 // classifies the point against the plan.
-func (p *Plan) decide(s complex128, f, g float64) faultKind {
+func (p *Plan) decide(ev string, s complex128, f, g float64) faultKind {
 	n := p.evals.Add(1)
 	if p.CancelAfter > 0 && n >= p.CancelAfter && p.OnCancel != nil {
 		p.canceled.Do(p.OnCancel)
@@ -146,7 +150,7 @@ func (p *Plan) decide(s complex128, f, g float64) faultKind {
 		return faultInf
 	}
 	if p.TransientOneIn > 0 && (h>>32)%uint64(p.TransientOneIn) == 0 {
-		if _, loaded := p.seen.LoadOrStore(tripleKey{s, f, g}, struct{}{}); !loaded {
+		if _, loaded := p.seen.LoadOrStore(tripleKey{ev, s, f, g}, struct{}{}); !loaded {
 			return faultNaN
 		}
 	}
@@ -176,7 +180,7 @@ func wrapEvaluator(ev interp.Evaluator, p *Plan) interp.Evaluator {
 	inner := ev
 	ev.Eval = func(s complex128, fscale, gscale float64) xmath.XComplex {
 		p.sleep()
-		k := p.decide(s, fscale, gscale)
+		k := p.decide(inner.Name, s, fscale, gscale)
 		return inject(inner.Eval(s, fscale, gscale), k)
 	}
 	if inner.EvalBatch != nil {
@@ -185,7 +189,7 @@ func wrapEvaluator(ev interp.Evaluator, p *Plan) interp.Evaluator {
 			values := inner.EvalBatch(ctx, points, fscale, gscale, workers)
 			for i := range values {
 				if i < len(points) {
-					values[i] = inject(values[i], p.decide(points[i], fscale, gscale))
+					values[i] = inject(values[i], p.decide(inner.Name, points[i], fscale, gscale))
 				}
 			}
 			return values
@@ -208,7 +212,7 @@ func WrapFormulation(f *engine.Formulation, p *Plan) *engine.Formulation {
 			p.sleep()
 			// One factorization, one decision: both polynomials see the
 			// same fault, mirroring a real singular solve.
-			k := p.decide(s, fscale, gscale)
+			k := p.decide("joint", s, fscale, gscale)
 			n, d := innerBoth(s, fscale, gscale)
 			return inject(n, k), inject(d, k)
 		}

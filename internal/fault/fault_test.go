@@ -154,15 +154,20 @@ func TestCorruptInjectsInf(t *testing.T) {
 func TestTransientFaultsFirstSightOnly(t *testing.T) {
 	p := &Plan{TransientOneIn: 1, Seed: 9}
 	s := complex(0.6, 0.8)
-	if k := p.decide(s, 1e8, 1); k != faultNaN {
+	if k := p.decide("numerator", s, 1e8, 1); k != faultNaN {
 		t.Fatalf("first evaluation: kind %v, want faultNaN", k)
 	}
-	if k := p.decide(s, 1e8, 1); k != faultNone {
+	if k := p.decide("numerator", s, 1e8, 1); k != faultNone {
 		t.Errorf("second evaluation of the same triple: kind %v, want faultNone", k)
 	}
 	// A different scale pair is a different triple: faulted again.
-	if k := p.decide(s, 2e8, 1); k != faultNaN {
+	if k := p.decide("numerator", s, 2e8, 1); k != faultNaN {
 		t.Errorf("new triple: kind %v, want faultNaN", k)
+	}
+	// Another evaluator keeps its own memory: the numerator's first
+	// sight does not heal the denominator, whichever pass runs first.
+	if k := p.decide("denominator", s, 1e8, 1); k != faultNaN {
+		t.Errorf("same triple, other evaluator: kind %v, want faultNaN", k)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // XFloat is an extended-range real number mant × 2^exp.
@@ -294,18 +293,32 @@ func (x XFloat) Text(digits int) string {
 		digits = 1
 	}
 	neg, m, e := x.decParts()
-	// Rounding the mantissa may carry (9.9999 → 10.0).
-	s := strconv.FormatFloat(m, 'f', digits-1, 64)
-	if strings.HasPrefix(s, "10") {
-		m /= 10
-		e++
-		s = strconv.FormatFloat(m, 'f', digits-1, 64)
-	}
 	sign := ""
 	if neg {
 		sign = "-"
 	}
-	return fmt.Sprintf("%s%se%+03d", sign, s, e)
+	if math.IsNaN(m) || math.IsInf(m, 0) {
+		return fmt.Sprintf("%s%se%+03d", sign, strconv.FormatFloat(m, 'f', digits-1, 64), e)
+	}
+	// m is in [1, 10), so its 'e' form carries the digits of its 'f'
+	// form with digits-1 decimals, at an exponent of +00 — or +01 when
+	// rounding carries (9.9999996 → 1.00000e+01). Unlike 'f', 'e' takes
+	// strconv's fixed-precision fast path.
+	var buf [32]byte
+	b := append(buf[:0], sign...)
+	b = strconv.AppendFloat(b, m, 'e', digits-1, 64)
+	n := len(b) - len("e+00")
+	if b[n+3] == '1' {
+		e++
+	}
+	b = append(b[:n], 'e', '+')
+	if e < 0 {
+		b[n+1], e = '-', -e
+	}
+	if e < 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(e), 10))
 }
 
 // ApproxEqual reports whether x and y agree to within rel relative

@@ -1,7 +1,9 @@
 package xmath
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -328,4 +330,59 @@ func TestQuickCmpAbsConsistentWithLog(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// textOracle is Text as it was written before the 'e'-form fast path:
+// the 'f' form of the decimal mantissa, re-rounded after a carry, and
+// the exponent through fmt. It stays as the oracle the fast path must
+// match byte for byte.
+func textOracle(x XFloat, digits int) string {
+	if x.mant == 0 {
+		return "0"
+	}
+	if digits < 1 {
+		digits = 1
+	}
+	neg, m, e := x.decParts()
+	s := strconv.FormatFloat(m, 'f', digits-1, 64)
+	if strings.HasPrefix(s, "10") {
+		m /= 10
+		e++
+		s = strconv.FormatFloat(m, 'f', digits-1, 64)
+	}
+	sign := ""
+	if neg {
+		sign = "-"
+	}
+	return fmt.Sprintf("%s%se%+03d", sign, s, e)
+}
+
+// FuzzText pins Text to textOracle over the full exponent range, every
+// digit count a display uses, and the mantissas where rounding ties or
+// carries.
+func FuzzText(f *testing.F) {
+	for _, m := range []float64{1, -1, 1.5, 2.5, 9.5, 9.999995, 9.9999949, 9.99999999, 1.0000005, 1.1215, 3.52987, math.Nextafter(10, 0)} {
+		for _, exp := range []int64{0, -1, 3, -522, 1500, 40, -40} {
+			f.Add(m, exp, 6)
+		}
+	}
+	f.Add(1.23456789, int64(0), 3)
+	f.Add(9.6, int64(9), 1)
+	f.Add(math.NaN(), int64(0), 6)
+	f.Add(math.Inf(-1), int64(0), 6)
+	f.Fuzz(func(t *testing.T, m float64, exp int64, digits int) {
+		digits %= 20
+		var x XFloat
+		switch {
+		case math.IsNaN(m):
+			x = NaN()
+		case math.IsInf(m, 0):
+			x = Inf(int(math.Copysign(1, m)))
+		default:
+			x = FromParts(m, exp%(1<<20))
+		}
+		if got, want := x.Text(digits), textOracle(x, digits); got != want {
+			t.Fatalf("Text(%v × 2^%d, %d) = %q, want %q", m, exp, digits, got, want)
+		}
+	})
 }

@@ -72,9 +72,9 @@ type Request struct {
 	// for this request.
 	Options *Options
 	// Observer, when non-nil, receives every completed Iteration (it
-	// overrides any Observer in the options). It runs synchronously on
-	// the generation goroutine: keep it fast and treat the Iteration as
-	// read-only.
+	// overrides any Observer in the options) under the Options.Observer
+	// contract: serialized calls, numerator first. Keep it fast and
+	// treat the Iteration as read-only.
 	Observer func(Iteration)
 }
 

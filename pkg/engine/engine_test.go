@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,7 +39,10 @@ func (b fakeBackend) Formulate(c *Circuit, spec Spec) (*Formulation, error) {
 }
 
 func TestRegisterCustomBackend(t *testing.T) {
-	Register(fakeBackend{name: "test-fake"})
+	// A second run of the test (-count=2) finds it registered already.
+	if !slices.Contains(Backends(), "test-fake") {
+		Register(fakeBackend{name: "test-fake"})
+	}
 	eng, err := New(Config{Backend: "test-fake"})
 	if err != nil {
 		t.Fatalf("New with registered custom backend: %v", err)

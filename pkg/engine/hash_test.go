@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/pkg/engine"
@@ -213,7 +214,9 @@ func TestKeyIdentity(t *testing.T) {
 // an omitted drift bound and an explicit "no bound" share the key, 18
 // decades does not.
 func TestKeyFrequencyOnlyThroughWrappers(t *testing.T) {
-	engine.RegisterWrapper("keytest", func(b engine.Backend) engine.Backend { return b })
+	if !slices.Contains(engine.Wrappers(), "keytest") { // registered already under -count=2
+		engine.RegisterWrapper("keytest", func(b engine.Backend) engine.Backend { return b })
+	}
 	c := hashCircuit(t, lcNetlist)
 	for _, backend := range []string{"mna", "keytest:mna", "keytest:", "keytest:keytest:mna"} {
 		key := func(o engine.Options) string {

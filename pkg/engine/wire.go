@@ -281,11 +281,17 @@ func EncodeResponseJSON(resp *Response) ([]byte, error) {
 // EncodeWireJSON renders an already-converted wire response with the
 // same stable layout as EncodeResponseJSON.
 func EncodeWireJSON(w *WireResponse) ([]byte, error) {
-	raw, err := json.MarshalIndent(w, "", "  ")
-	if err != nil {
-		return nil, err
+	if w == nil {
+		return []byte("null\n"), nil
 	}
-	return append(raw, '\n'), nil
+	e := wireEncoder{sizing: true}
+	e.response(w)
+	if e.err != nil {
+		return nil, e.err
+	}
+	e.sizing, e.buf = false, make([]byte, 0, e.n+1)
+	e.response(w)
+	return append(e.buf, '\n'), nil
 }
 
 // DecodeResponseJSON parses an encoded wire response and reconstructs

@@ -2,9 +2,18 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// registerIdentity registers an identity wrapper under prefix unless an
+// earlier run of the same test (-count=2) already did.
+func registerIdentity(prefix string) {
+	if !slices.Contains(Wrappers(), prefix) {
+		RegisterWrapper(prefix, func(b Backend) Backend { return b })
+	}
+}
 
 func TestRegisterWrapperPanics(t *testing.T) {
 	cases := []struct {
@@ -29,7 +38,7 @@ func TestRegisterWrapperPanics(t *testing.T) {
 }
 
 func TestRegisterWrapperDuplicatePanics(t *testing.T) {
-	RegisterWrapper("test-dup", func(b Backend) Backend { return b })
+	registerIdentity("test-dup")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate RegisterWrapper did not panic")
@@ -39,7 +48,7 @@ func TestRegisterWrapperDuplicatePanics(t *testing.T) {
 }
 
 func TestWrapperResolution(t *testing.T) {
-	RegisterWrapper("test-id", func(b Backend) Backend { return b })
+	registerIdentity("test-id")
 	b, err := LookupBackend("test-id:nodal", Spec{})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +77,7 @@ func TestUnknownWrapperError(t *testing.T) {
 }
 
 func TestWrapperInnerErrorPropagates(t *testing.T) {
-	RegisterWrapper("test-prop", func(b Backend) Backend { return b })
+	registerIdentity("test-prop")
 	if _, err := LookupBackend("test-prop:no-such-backend", Spec{}); err == nil {
 		t.Fatal("unknown inner backend accepted through a wrapper")
 	}
@@ -116,7 +125,7 @@ func TestTaxonomyReexports(t *testing.T) {
 // TestWrapperListed registers its own prefix so it holds under any
 // test execution order (-shuffle=on).
 func TestWrapperListed(t *testing.T) {
-	RegisterWrapper("test-listed", func(b Backend) Backend { return b })
+	registerIdentity("test-listed")
 	found := false
 	for _, w := range Wrappers() {
 		if w == "test-listed" {

@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -546,6 +547,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(s.Stats())
 }
 
+// decodeOne decodes the one JSON value a request body holds. Anything
+// but whitespace after it is refused, so a body never means more than
+// the value the server acted on.
+func decodeOne(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	}
+	return errors.New("trailing data after the request object")
+}
+
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.inflight.Add(1)
@@ -553,7 +571,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 	var req GenerateRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeOne(body, &req); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, "body-too-large",

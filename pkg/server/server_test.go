@@ -164,6 +164,7 @@ func TestSingleFlightBurst(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	validBody := `{"netlist":"t\nR1 a b 1k\nC1 b 0 1n\n.end\n","spec":{"kind":"vgain","in":"a","out":"b"}}`
 	cases := []struct {
 		name   string
 		body   string
@@ -177,6 +178,11 @@ func TestBadRequests(t *testing.T) {
 			http.StatusBadRequest, "bad-request"},
 		{"unknown spec kind", `{"netlist":"t\nR1 a 0 1k\nR2 a b 1k\nRl b 0 1k\n.end\n","spec":{"kind":"zgain","in":"a","out":"b"}}`,
 			http.StatusUnprocessableEntity, "generation"},
+		// A body is one object: whatever follows it would be ignored.
+		{"second object", validBody + ` {"netlist":"junk"}`, http.StatusBadRequest, "bad-request"},
+		{"trailing garbage", validBody + ` trailing garbage`, http.StatusBadRequest, "bad-request"},
+		{"trailing bracket", validBody + `}`, http.StatusBadRequest, "bad-request"},
+		{"trailing scalar", validBody + "\n0", http.StatusBadRequest, "bad-request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,6 +203,16 @@ func TestBadRequests(t *testing.T) {
 				t.Errorf("kind = %q, want %q (%s)", eb.Kind, tc.kind, eb.Error)
 			}
 		})
+	}
+	// Trailing whitespace is not data: the same body with it is a 200.
+	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", strings.NewReader(validBody+" \r\n\t\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("valid body with trailing whitespace: status %d (%s)", resp.StatusCode, raw)
 	}
 }
 

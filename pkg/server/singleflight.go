@@ -31,8 +31,8 @@ type hub struct {
 func newHub() *hub { return &hub{subs: make(map[chan streamEvent]struct{})} }
 
 // publish appends the iteration to the history and offers it to every
-// subscriber without blocking. It runs synchronously on the generation
-// goroutine (it is the engine Observer), so everything here is O(subs).
+// subscriber without blocking. It runs synchronously inside a generation
+// pass (it is the engine Observer), so everything here is O(subs).
 func (h *hub) publish(it engine.WireIteration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
