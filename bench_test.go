@@ -626,6 +626,7 @@ func BenchmarkRouthUA741(b *testing.B) {
 func BenchmarkEndToEndUA741(b *testing.B) {
 	c, tf, cfg := ua741TF(b)
 	_ = c
+	var solves, frames int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		num, err := core.Generate(tf.Num, cfg)
@@ -639,7 +640,12 @@ func BenchmarkEndToEndUA741(b *testing.B) {
 		if num.Order() < 0 || den.Order() < 0 {
 			b.Fatal("degenerate result")
 		}
+		solves = num.TotalSolves + den.TotalSolves
+		frames = len(num.Iterations) + len(den.Iterations)
 	}
+	// Exact work counts of one generation, gated by benchjson.
+	b.ReportMetric(float64(solves), "solves/op")
+	b.ReportMetric(float64(frames), "interpolations/op")
 }
 
 // --- batch sweeps: warm-start amortization vs the cold ablation ---

@@ -267,17 +267,7 @@ func (c *Circuit) NumCapacitors() int {
 // paper's first frequency scale factor is its inverse. Returns 0 for a
 // capacitor-free circuit.
 func (c *Circuit) MeanCapacitance() float64 {
-	sum, n := 0.0, 0
-	for _, e := range c.elems {
-		if e.Kind == Capacitor {
-			sum += e.Value
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return c.mean(func(e Element) (float64, bool) { return e.Value, e.Kind == Capacitor })
 }
 
 // MeanConductance returns the arithmetic mean over all
@@ -285,28 +275,40 @@ func (c *Circuit) MeanCapacitance() float64 {
 // VCCS elements. The paper's first conductance scale factor is its
 // inverse. Returns 0 when the circuit has none.
 func (c *Circuit) MeanConductance() float64 {
-	sum, n := 0.0, 0
-	for _, e := range c.elems {
+	return c.mean(func(e Element) (float64, bool) {
 		switch e.Kind {
 		case Conductance:
-			sum += e.Value
+			return e.Value, true
 		case Resistor:
-			sum += 1 / e.Value
+			return 1 / e.Value, true
 		case VCCS:
-			if e.Value < 0 {
-				sum += -e.Value
-			} else {
-				sum += e.Value
-			}
-		default:
-			continue
+			return math.Abs(e.Value), true
 		}
-		n++
+		return 0, false
+	})
+}
+
+// mean returns the arithmetic mean of the values pick selects (0 when it
+// selects none). The values are summed in ascending order, so the mean —
+// and the seed scale pair built from it — is the same bit for bit
+// however the netlist orders its cards, as the content key assumes.
+func (c *Circuit) mean(pick func(Element) (float64, bool)) float64 {
+	var buf [256]float64
+	vals := buf[:0]
+	for _, e := range c.elems {
+		if v, ok := pick(e); ok {
+			vals = append(vals, v)
+		}
 	}
-	if n == 0 {
+	if len(vals) == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	sort.Float64s(vals)
+	sum := 0.0
+	for _, v := range vals {
+		sum += v
+	}
+	return sum / float64(len(vals))
 }
 
 // SeedScales returns the paper's first scale pair (§3): frequency scale

@@ -99,6 +99,29 @@ func TestMeans(t *testing.T) {
 	}
 }
 
+// TestSeedScalesOrderInvariant pins that the seed scale pair does not
+// depend on element order: the values below sum to 0.601 in one order
+// and 0.6010000000000001 in another, yet every order seeds the same bits
+// — the content key treats card order as spelling.
+func TestSeedScalesOrderInvariant(t *testing.T) {
+	vals := []float64{0.3, 0.1, 0.2, 1e-3}
+	build := func(order []int) *Circuit {
+		c := New("order")
+		for _, k := range order {
+			name := string(rune('a' + k))
+			c.AddG("g"+name, name, "0", vals[k]).AddC("c"+name, name, "0", vals[k]*1e-12)
+		}
+		return c
+	}
+	f0, g0, _, _ := build([]int{0, 1, 2, 3}).SeedScales()
+	for _, order := range [][]int{{3, 0, 2, 1}, {1, 2, 3, 0}, {3, 2, 1, 0}} {
+		f, g, _, _ := build(order).SeedScales()
+		if f != f0 || g != g0 {
+			t.Errorf("order %v seeds (%v, %v), order [0 1 2 3] seeds (%v, %v)", order, f, g, f0, g0)
+		}
+	}
+}
+
 func TestAdmittanceOnly(t *testing.T) {
 	c := New("t")
 	c.AddR("r", "a", "0", 1).AddC("c", "a", "0", 1e-12).AddVCCS("gm", "a", "0", "a", "0", 1e-3)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"repro/internal/interp"
 	"repro/internal/xmath"
 )
 
@@ -18,11 +19,20 @@ import (
 // uses K points — aliases exactly onto output slot k0+((j−k0) mod K).
 // slotErr accumulates those residual bounds per output slot so the
 // validity test can require every accepted coefficient to stand 10^σ
-// above the error actually landing on its slot.
+// above the error actually landing on its slot. Negligible bounds and
+// the far-side unknowns of a one-sided span (boundFar) alias the same
+// way: they stay in P(u) unsubtracted, bounded but not interpolated.
 type deflation struct {
-	// known holds the coefficients to subtract, in normalized form
-	// (zero at indices not deflated).
-	known []xmath.XComplex
+	span
+	// coeffs and sigDigits are the run's coefficients and σ, as of reset.
+	coeffs    []Coefficient
+	sigDigits int
+	// scaled holds each Valid value and each Negligible bound in the
+	// frame's normalized form (zero at the other indices). It depends
+	// only on the frame's scales, so reset fills it once per frame and
+	// aim reuses it for each candidate span; apply subtracts the Valid
+	// entries aim marks.
+	scaled []xmath.XFloat
 	// maxKnown is the largest normalized known magnitude; it competes
 	// with the window maximum for the round-off noise base.
 	maxKnown xmath.XFloat
@@ -32,60 +42,120 @@ type deflation struct {
 	slotErr []xmath.XFloat
 	// subtracted marks the deflated absolute indices.
 	subtracted []bool
-	// k0 is the window offset; kUse the reduced point count (window +
-	// guards); n the order bound.
-	k0, kUse, n int
+	// n is the order bound.
+	n int
 }
 
-// newDeflation prepares the eq. (17) subtraction for a window starting at
-// k0 with kUse points, under scale factors (f, gsc) and homogeneity
-// degree mDeg.
-func newDeflation(coeffs []Coefficient, f, gsc float64, mDeg, n, k0, kUse, sigDigits int) *deflation {
+// span is the window one frame's transform covers: absolute indices
+// [k0, l0], interpolated with kUse points (the window, its guard points
+// and any retry bump). A one-sided span (generator.sideRun) holds only
+// the Unknown run at a directed frame's own end and the uncertain Valid
+// coefficients next to it, which it re-measures instead of subtracting.
+type span struct {
+	k0, l0, kUse int
+	oneSided     bool
+}
+
+// reset prepares the eq. (17) subtraction of one frame under scale
+// factors (f, gsc) and homogeneity degree mDeg; aim then picks its span.
+// scaled and slotErr are per-run scratch, valid until the next reset;
+// subtracted escapes into the frame's Iteration and is allocated afresh
+// by the first aim after each reset.
+func (d *deflation) reset(coeffs []Coefficient, f, gsc float64, mDeg, n, sigDigits int) {
+	scaled := frameBuf(&d.scaled, n+1)
+	clear(scaled)
+	*d = deflation{coeffs: coeffs, sigDigits: sigDigits, scaled: scaled, slotErr: d.slotErr, n: n}
+	xf, xg := xmath.FromFloat(f), xmath.FromFloat(gsc)
+	for j, c := range coeffs {
+		switch c.Status {
+		case Valid:
+			scaled[j] = c.Value.Mul(xf.PowInt(j)).Mul(xg.PowInt(mDeg - j))
+		case Negligible:
+			scaled[j] = c.Bound.Mul(xf.PowInt(j)).Mul(xg.PowInt(mDeg - j))
+		}
+	}
+}
+
+// aim sets the span w: it marks the known coefficients to subtract —
+// all of them, except those inside a one-sided span, which the frame
+// re-measures — and aliases onto its output slot the residual each
+// subtracted coefficient leaves (it carries only σ+quality digits) and
+// each Negligible bound.
+func (d *deflation) aim(w span) {
 	// The slot table must reach every threshold index (≤ n) and every
 	// guard slot (< k0+kUse); retried frames bump kUse past the usual
 	// window+guardPoints, so size for whichever is larger.
-	slots := n + 1 + guardPoints
-	if k0+kUse > slots {
-		slots = k0 + kUse
+	slotErr := frameBuf(&d.slotErr, max(d.n+1+guardPoints, w.k0+w.kUse))
+	clear(slotErr)
+	if d.subtracted == nil {
+		d.subtracted = make([]bool, d.n+1)
+	} else {
+		clear(d.subtracted)
 	}
-	d := &deflation{
-		known:      make([]xmath.XComplex, n+1),
-		slotErr:    make([]xmath.XFloat, slots),
-		subtracted: make([]bool, n+1),
-		k0:         k0,
-		kUse:       kUse,
-		n:          n,
-	}
-	xf, xg := xmath.FromFloat(f), xmath.FromFloat(gsc)
-	for j, c := range coeffs {
-		var delta xmath.XFloat
-		switch c.Status {
-		case Valid:
-			if c.Value.Zero() {
-				continue
-			}
-			kn := c.Value.Mul(xf.PowInt(j)).Mul(xg.PowInt(mDeg - j))
-			d.known[j] = xmath.FromXFloat(kn)
-			d.subtracted[j] = true
-			if kn.Abs().CmpAbs(d.maxKnown) > 0 {
-				d.maxKnown = kn.Abs()
-			}
-			digits := math.Min(float64(sigDigits)+c.Quality, 15.5)
-			delta = kn.Abs().MulFloat(math.Pow(10, -digits))
-		case Negligible:
-			// A negligible coefficient's true value (≤ Bound) stays in
-			// P(u) unsubtracted and aliases like any other residue.
-			if c.Bound.Zero() {
-				continue
-			}
-			delta = c.Bound.Mul(xf.PowInt(j)).Mul(xg.PowInt(mDeg - j))
-		default:
+	d.span, d.maxKnown = w, xmath.XFloat{}
+	for j, x := range d.scaled {
+		if x.Zero() {
 			continue
 		}
-		slot := k0 + mod(j-k0, kUse)
-		d.slotErr[slot] = d.slotErr[slot].Add(delta)
+		delta := x
+		if c := d.coeffs[j]; c.Status == Valid {
+			if w.oneSided && j >= w.k0 && j <= w.l0 {
+				continue
+			}
+			d.subtracted[j] = true
+			mag := x.Abs()
+			if mag.CmpAbs(d.maxKnown) > 0 {
+				d.maxKnown = mag
+			}
+			digits := math.Min(float64(d.sigDigits)+c.Quality, 15.5)
+			delta = mag.MulFloat(math.Pow(10, -digits))
+		}
+		// A Negligible coefficient's true value (≤ Bound) stays in P(u)
+		// unsubtracted and aliases like any other residue.
+		slot := w.k0 + mod(j-w.k0, w.kUse)
+		slotErr[slot] = slotErr[slot].Add(delta)
 	}
-	return d
+}
+
+// boundFar admits the far side of a one-sided span — the Unknown
+// coefficients of the structural window outside [k0, l0] — through
+// their measured bounds (generator.bounds, rescaled by eq. 11) into
+// slotErr, as reset admits Negligible bounds; indices outside the
+// structural window are exact zeros. It reports false, and the frame
+// must keep its full window, when a far-side unknown has no measured
+// bound yet or when the bounds aliasing onto some slot exceed
+// 10^NoiseExp·maxKnown. That quantity is a lower bound on the frame's
+// own noise base (errBase in interpolate), so narrowing at most doubles
+// a threshold. On false, slotErr is partly updated and d must be aimed
+// again.
+func (g *generator) boundFar(d *deflation, f, gsc float64) bool {
+	limit := d.maxKnown.Mul(xmath.Pow10(interp.NoiseExp))
+	if limit.Zero() || g.bounds == nil {
+		return false
+	}
+	xf, xg := xmath.FromFloat(f), xmath.FromFloat(gsc)
+	// One output slot at a time: slot k0+r collects every j ≡ k0+r
+	// (mod kUse).
+	for r := 0; r < d.kUse; r++ {
+		var sum xmath.XFloat
+		for j := g.wlo + mod(d.k0+r-g.wlo, d.kUse); j <= g.whi; j += d.kUse {
+			if (j >= d.k0 && j <= d.l0) || g.res.Coeffs[j].Status != Unknown {
+				continue
+			}
+			b := g.bounds[j]
+			if b.Zero() {
+				return false
+			}
+			sum = sum.Add(b.Mul(xf.PowInt(j)).Mul(xg.PowInt(g.ev.M - j)))
+		}
+		if sum.CmpAbs(limit) > 0 {
+			return false
+		}
+		if !sum.Zero() {
+			d.slotErr[d.k0+r] = d.slotErr[d.k0+r].Add(sum)
+		}
+	}
+	return true
 }
 
 // apply performs the eq. (17) subtraction and u^k0 division in place.
@@ -99,8 +169,8 @@ func (d *deflation) apply(values []xmath.XComplex, pts []complex128) {
 		uPow := xmath.FromComplex(1)
 		xu := xmath.FromComplex(u)
 		for j := 0; j <= d.n; j++ {
-			if !d.known[j].Zero() {
-				v = v.Sub(d.known[j].Mul(uPow))
+			if d.subtracted[j] {
+				v = v.Sub(xmath.FromXFloat(d.scaled[j]).Mul(uPow))
 			}
 			uPow = uPow.Mul(xu)
 		}

@@ -24,7 +24,7 @@ const guardPoints = 3
 
 // generator runs the adaptive algorithm for one polynomial. The pipeline
 // stages are pluggable: policy plans each interpolation's scale factors
-// (eqs. 13–16), classify detects valid regions, and newDeflation/apply
+// (eqs. 13–16), classify detects valid regions, and frameSpan/apply
 // implement the eq. (17) problem-size reduction inside interpolate.
 type generator struct {
 	ctx      context.Context
@@ -55,6 +55,13 @@ type generator struct {
 	// set, run returned errColdRestart and GenerateContext reruns the
 	// whole generation cold (see warmstart.go).
 	restart string
+	// bounds[i] is the tightest measured upper bound on |p_i| over the
+	// contributing frames whose transform covered slot i while it was
+	// Unknown: |computed p'_i| + threshold_i, denormalized by eq. (11);
+	// zero where none was measured. A one-sided frame admits its
+	// far-side unknowns through them (boundFar). Nil until the first
+	// record.
+	bounds []xmath.XFloat
 	// Reusable per-run frame scratch: the point-value and raw-coefficient
 	// buffers live only inside one interpolate call (normalized is the
 	// value that escapes into the Result), so they and the transform
@@ -63,12 +70,13 @@ type generator struct {
 	raw  []xmath.XComplex
 	neg  []complex128
 	dfts dft.Scratch
+	defl deflation
 }
 
 // frameBuf re-slices buf to n, growing it only when capacity is short.
-func frameBuf(buf *[]xmath.XComplex, n int) []xmath.XComplex {
+func frameBuf[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]xmath.XComplex, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -139,6 +147,7 @@ func (g *generator) run() error {
 		} else {
 			stall = 0
 		}
+		g.settle(&fr)
 		// Stall watchdog: independent of the per-target escape above, a
 		// run where completed frames stop resolving anything at all is
 		// stuck (the per-target escape advances at least every StallLimit
@@ -179,6 +188,7 @@ func (g *generator) startFrames() (frames []frame, done bool, err error) {
 		g.markIdenticallyZero()
 		return nil, true, nil
 	}
+	g.settle(&initial)
 	return []frame{initial}, false, nil
 }
 
@@ -352,6 +362,114 @@ func (g *generator) window() (int, int) {
 	return k0, l0
 }
 
+// frameSpan picks the window of a frame and prepares its eq. (17)
+// deflation (nil when the frame covers the whole range): the
+// still-Unknown range of window(), or for a directed frame the
+// one-sided span at its own end (sideRun) when boundFar can bound the
+// far side instead of interpolating it.
+func (g *generator) frameSpan(purpose string, f, gsc float64, attempt int) (span, *deflation) {
+	k0, l0 := g.window()
+	full := span{k0: k0, l0: l0, kUse: pointCount(l0-k0+1, attempt)}
+	lo, hi, narrow := g.sideRun(purpose, k0, l0)
+	whole := k0 == 0 && l0 == g.n
+	if whole && !narrow {
+		return full, nil
+	}
+	d := &g.defl
+	d.reset(g.res.Coeffs, f, gsc, g.ev.M, g.n, g.cfg.SigDigits)
+	if narrow {
+		w := span{k0: lo, l0: hi, kUse: pointCount(hi-lo+1, attempt), oneSided: true}
+		d.aim(w)
+		if g.boundFar(d, f, gsc) {
+			return w, d
+		}
+	}
+	if whole {
+		return full, nil
+	}
+	d.aim(full)
+	return full, d
+}
+
+// sideRun returns the one-sided span of a directed frame inside the
+// window [k0, l0]: the Unknown run at the frame's own end — the lowest
+// run for "down", the highest for "up" — widened by the uncertain Valid
+// coefficients next to it. ok is false for the other purposes, under
+// NoReduce, when the span is the whole window, and when it misses the
+// next target. The cold loop always aims at nextTarget, so a warm replay
+// makes the same choice from the same coefficient state.
+func (g *generator) sideRun(purpose string, k0, l0 int) (lo, hi int, ok bool) {
+	if g.cfg.NoReduce {
+		return k0, l0, false
+	}
+	lo, hi = k0, l0
+	switch purpose {
+	case "down":
+		for hi = k0; hi < l0 && g.res.Coeffs[hi+1].Status == Unknown; hi++ {
+		}
+		for hi < l0 && g.uncertain(hi+1) {
+			hi++
+		}
+	case "up":
+		for lo = l0; lo > k0 && g.res.Coeffs[lo-1].Status == Unknown; lo-- {
+		}
+		for lo > k0 && g.uncertain(lo-1) {
+			lo--
+		}
+	default:
+		return k0, l0, false
+	}
+	t := g.nextTarget()
+	return lo, hi, (lo > k0 || hi < l0) && t >= lo && t <= hi
+}
+
+// uncertain reports whether coefficient i is Valid with an error bar
+// short of the certified grade: finalizeQuality's rule, quality below
+// the resolving frame's condition estimate. A full window would
+// re-measure it; a one-sided span keeps it in the transform instead of
+// subtracting it, so accept can still revise it.
+func (g *generator) uncertain(i int) bool {
+	c := &g.res.Coeffs[i]
+	return c.Status == Valid && !c.Value.Zero() && c.Quality < g.res.Iterations[c.Iteration].CondLog10
+}
+
+// settle runs once a completed frame's classifications are final (the
+// stall escape included): when a Schedule would keep the frame, its
+// measurements of the still-Unknown coefficients it covered tighten
+// bounds. Dropped frames record nothing, so a warm replay — which runs
+// exactly the kept frames — sees the same bounds at every frame.
+func (g *generator) settle(fr *frame) {
+	n := len(g.res.Iterations)
+	if g.cfg.NoReduce || (n > 1 && !g.res.Iterations[n-1].contributing()) {
+		return
+	}
+	xf, xg := xmath.FromFloat(fr.f), xmath.FromFloat(fr.g)
+	for i := max(fr.k0, g.wlo); i <= min(fr.l0, g.whi); i++ {
+		if g.res.Coeffs[i].Status != Unknown || (fr.subtracted != nil && fr.subtracted[i]) {
+			continue
+		}
+		b := fr.normalized[i].Abs().Add(fr.thresholdAt(g.cfg.SigDigits, i)).
+			Div(xf.PowInt(i)).
+			Div(xg.PowInt(g.ev.M - i))
+		if g.bounds == nil {
+			g.bounds = make([]xmath.XFloat, g.n+1)
+		}
+		if g.bounds[i].Zero() || b.CmpAbs(g.bounds[i]) < 0 {
+			g.bounds[i] = b
+		}
+	}
+}
+
+// pointCount returns the point count of a k-coefficient window on retry
+// attempt a (see interpolate for the retry geometry).
+func pointCount(k, attempt int) int {
+	kUse := k + guardPoints
+	if attempt > 0 {
+		kUse += 2*attempt - 1 + (kUse & 1)
+	}
+	return kUse
+}
+
 // interpolateRetry runs one interpolation, retrying with perturbed
 // geometry when a point solve comes back non-finite — the frame landed
 // on a system pole, or the evaluator injected or suffered a fault. Retry
@@ -410,14 +528,10 @@ func (g *generator) interpolate(f, gsc float64, purpose string, attempt int) (fr
 	}
 	g.frames++
 	start := time.Now()
-	k0, l0 := g.window()
+	w, defl := g.frameSpan(purpose, f, gsc, attempt)
+	k0, l0, kUse := w.k0, w.l0, w.kUse
 	k := l0 - k0 + 1
-	kUse := k + guardPoints
-	flip := false
-	if attempt > 0 {
-		kUse += 2*attempt - 1 + (kUse & 1)
-		flip = attempt%2 == 1
-	}
+	flip := attempt%2 == 1
 	pts := g.unitPoints(kUse)
 	if flip {
 		if cap(g.neg) < len(pts) {
@@ -428,11 +542,6 @@ func (g *generator) interpolate(f, gsc float64, purpose string, attempt int) (fr
 			neg[i] = -u
 		}
 		pts = neg
-	}
-	reduce := k0 > 0 || l0 < g.n
-	var defl *deflation
-	if reduce {
-		defl = newDeflation(g.res.Coeffs, f, gsc, g.ev.M, g.n, k0, kUse, g.cfg.SigDigits)
 	}
 	var slotErr []xmath.XFloat
 	var subtracted []bool
@@ -541,7 +650,7 @@ func (g *generator) interpolate(f, gsc float64, purpose string, attempt int) (fr
 		Attempt:     attempt,
 		DriftLog10:  drift,
 	}
-	fr := frame{f: f, g: gsc, normalized: normalized, lo: 1, hi: 0, maxIdx: -1, slotErr: slotErr, subtracted: subtracted}
+	fr := frame{f: f, g: gsc, normalized: normalized, k0: k0, l0: l0, lo: 1, hi: 0, maxIdx: -1, slotErr: slotErr, subtracted: subtracted}
 	// Round-off noise floor: relative to the largest magnitude the
 	// evaluation actually handled — the window max, or the deflated known
 	// part when that dominates (paper §2.2). The region seed is the

@@ -96,7 +96,7 @@ func (r *Result) Schedule() *Schedule {
 		Degraded:   r.Degraded(),
 	}
 	for i, it := range r.Iterations {
-		if i > 0 && it.NewValid == 0 && it.Revised == 0 && len(it.Negligible) == 0 {
+		if i > 0 && !it.contributing() {
 			continue
 		}
 		s.Frames = append(s.Frames, ScheduleFrame{
@@ -108,6 +108,14 @@ func (r *Result) Schedule() *Schedule {
 		})
 	}
 	return s
+}
+
+// contributing reports whether an iteration changed the coefficient
+// state: it resolved or revised a coefficient, or its evidence
+// classified a target Negligible. A Schedule keeps exactly these frames
+// (and the initial one).
+func (it *Iteration) contributing() bool {
+	return it.NewValid > 0 || it.Revised > 0 || len(it.Negligible) > 0
 }
 
 // errColdRestart signals GenerateContext that a warm replay aborted
@@ -220,6 +228,7 @@ func (g *generator) replay(sched *Schedule) (frames []frame, done bool, err erro
 				g.markNegligible(t, fr)
 			}
 		}
+		g.settle(&fr)
 	}
 	if len(frames) == 0 {
 		g.restart = "replay produced no valid regions"

@@ -10,12 +10,16 @@ import (
 type frame struct {
 	f, g       float64
 	normalized poly.XPoly // absolute index frame
+	k0, l0     int        // window the transform covered (absolute)
 	lo, hi     int        // valid region (absolute)
 	maxIdx     int        // index of the largest normalized coefficient
 	// base is the round-off error level 10^NoiseExp·max(|p'|, |known'|);
 	// slotErr[i] adds the eq. (17) deflation residual that aliases onto
 	// absolute index i (nil when the full point set was used). The
 	// validity threshold at index i is 10^σ·(base + slotErr[i]).
+	// slotErr is the generator's deflation scratch: it holds only until
+	// the next frame runs, so only the current frame's thresholds are
+	// ever read.
 	base    xmath.XFloat
 	slotErr []xmath.XFloat
 	// subtracted marks indices deflated out per eq. (17): their slots

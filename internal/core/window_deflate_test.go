@@ -79,7 +79,9 @@ func TestNewDeflationSlotSizing(t *testing.T) {
 			coeffs := make([]Coefficient, tc.n+1)
 			coeffs[0] = Coefficient{Status: Valid, Value: xmath.FromFloat(2)}
 			coeffs[tc.n] = Coefficient{Status: Negligible, Bound: xmath.FromFloat(1e-20)}
-			d := newDeflation(coeffs, 2, 0.5, tc.n, tc.n, tc.k0, tc.kUse, 6)
+			var d deflation
+			d.reset(coeffs, 2, 0.5, tc.n, tc.n, 6)
+			d.aim(span{k0: tc.k0, l0: tc.n, kUse: tc.kUse})
 			if len(d.slotErr) != tc.wantSlotCount {
 				t.Fatalf("len(slotErr) = %d, want %d", len(d.slotErr), tc.wantSlotCount)
 			}

@@ -143,13 +143,7 @@ func (e *Engine) GenerateBatch(ctx context.Context, req BatchRequest) (*BatchRes
 	// scale from normalize.) A factor whose heuristic is undefined stays
 	// unset: every point has the base's element kinds, so generation
 	// falls back to the same 1 and records the warning Generate records.
-	heurF, heurG, fwarn, gwarn := req.Circuit.SeedScales()
-	if baseOpts.InitFScale == 0 && fwarn == "" {
-		baseOpts.InitFScale = heurF
-	}
-	if baseOpts.InitGScale == 0 && gwarn == "" {
-		baseOpts.InitGScale = heurG
-	}
+	baseOpts = pinSeeds(baseOpts, req.Circuit)
 
 	resp := &BatchResponse{Points: make([]PointResult, len(req.Points))}
 	var prior *Formulation   // plan-share donor: the last formulation

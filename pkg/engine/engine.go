@@ -173,6 +173,23 @@ func normalize(opts Options, frequencyOnly bool) (Options, error) {
 	return opts.Normalize()
 }
 
+// pinSeeds sets each omitted (0) seed scale of normalized options to
+// the circuit's heuristic (Circuit.SeedScales), which is what generation
+// resolves it to. A factor whose heuristic falls back with a warning
+// stays 0: only a run that resolves it records the warning, so an
+// omitted seed and an explicit 1 are different requests there. The
+// content key and a batch's pinned seeds both come from here.
+func pinSeeds(opts Options, c *Circuit) Options {
+	f, g, fwarn, gwarn := c.SeedScales()
+	if opts.InitFScale == 0 && fwarn == "" {
+		opts.InitFScale = f
+	}
+	if opts.InitGScale == 0 && gwarn == "" {
+		opts.InitGScale = g
+	}
+	return opts
+}
+
 // Generate runs the full pipeline: formulate the network function, then
 // generate numerator and denominator references with the adaptive
 // algorithm (scale seeds from the paper's mean-capacitance /

@@ -26,8 +26,10 @@ func CanonicalKey(backend string, c *Circuit, spec Spec, opts Options) (string, 
 	if err != nil {
 		return "", fmt.Errorf("engine: canonical key: %w", err)
 	}
+	// An omitted seed is keyed as the value generation runs.
+	norm = pinSeeds(norm, c)
 	h := sha256.New()
-	fmt.Fprintf(h, "refkey v3\nbackend %s\nspec %s|%s|%s|%s\nopts %s\n",
+	fmt.Fprintf(h, "refkey v4\nbackend %s\nspec %s|%s|%s|%s\nopts %s\n",
 		backend, spec.Kind, spec.In, spec.Inn, spec.Out, norm.Key())
 	h.Write([]byte(canon))
 	return hex.EncodeToString(h.Sum(nil)), nil

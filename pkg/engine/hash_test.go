@@ -209,6 +209,75 @@ func TestKeyIdentity(t *testing.T) {
 	}
 }
 
+// TestKeySeedsResolved pins that an omitted seed is keyed as the
+// heuristic it runs: an explicit seed equal to Circuit.SeedScales
+// generates a byte-identical body and shares the key. A heuristic that
+// falls back with a warning (no capacitors: frequency scale 1) does not
+// resolve: only the omitted seed records the warning event, so the
+// explicit 1 keeps its own key.
+func TestKeySeedsResolved(t *testing.T) {
+	eng, err := engine.New(engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(src string, spec engine.Spec, o engine.Options) (string, []byte) {
+		t.Helper()
+		req := engine.Request{Circuit: hashCircuit(t, src), Spec: spec, Options: &o}
+		resp, err := eng.Generate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := engine.EncodeResponseJSON(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := engine.RequestKey(req, engine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key, body
+	}
+	rcgm := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
+	f, g := engine.DefaultScales(hashCircuit(t, rcgmNetlist))
+	lcF, _ := engine.DefaultScales(hashCircuit(t, lcNetlist))
+	for _, tc := range []struct {
+		name string
+		src  string
+		spec engine.Spec
+		o    engine.Options
+	}{
+		{"both seeds", rcgmNetlist, rcgm, engine.Options{InitFScale: f, InitGScale: g}},
+		{"frequency seed only", rcgmNetlist, rcgm, engine.Options{InitFScale: f}},
+		{"conductance seed only", rcgmNetlist, rcgm, engine.Options{InitGScale: g}},
+		{"mna frequency seed", lcNetlist, engine.Spec{Kind: "mna", Out: "out"}, engine.Options{InitFScale: lcF}},
+	} {
+		k0, b0 := run(tc.src, tc.spec, engine.Options{})
+		k1, b1 := run(tc.src, tc.spec, tc.o)
+		if !bytes.Equal(b0, b1) {
+			t.Errorf("%s: explicit heuristic seeds generated a different body", tc.name)
+			continue
+		}
+		if k0 != k1 {
+			t.Errorf("%s: byte-identical bodies split the key: %s vs %s", tc.name, k0, k1)
+		}
+	}
+
+	// A resistive divider has no mean capacitance to invert.
+	const divider = "div\nR1 in out 1k\nR2 out 0 1k\n.end\n"
+	spec := engine.Spec{Kind: "vgain", In: "in", Out: "out"}
+	if _, _, fwarn, _ := hashCircuit(t, divider).SeedScales(); fwarn == "" {
+		t.Fatal("divider: no frequency-scale warning")
+	}
+	k0, b0 := run(divider, spec, engine.Options{})
+	k1, b1 := run(divider, spec, engine.Options{InitFScale: 1})
+	if bytes.Equal(b0, b1) {
+		t.Error("divider: the omitted seed's warning event is missing from its body")
+	}
+	if k0 == k1 {
+		t.Errorf("divider: explicit frequency scale 1 shares key %s with the warned fallback", k0)
+	}
+}
+
 // TestKeyFrequencyOnlyThroughWrappers pins that the key path learns the
 // frequency-only override from the resolved backend, wrappers included:
 // an omitted drift bound and an explicit "no bound" share the key, 18
