@@ -316,12 +316,10 @@ func ua741Matrix(b *testing.B) *sparse.Matrix { return nodalMatrix(b, circuits.U
 // Factor. The warm-up factorization grows the workspace, so an op
 // allocates nothing.
 func BenchmarkDetSparseUA741(b *testing.B) {
-	m := ua741Matrix(b)
-	n := m.N()
-	pos, fill := matrixEntries(m)
+	a := matrixEntries(ua741Matrix(b))
 	var ws sparse.Workspace
 	factor := func() *sparse.LU {
-		ws.Assemble(nil, n, pos, fill)
+		ws.Assemble(nil, a, 0, 1, 1)
 		f, err := ws.Factor()
 		if err != nil {
 			b.Fatal(err)
@@ -338,20 +336,19 @@ func BenchmarkDetSparseUA741(b *testing.B) {
 	}
 }
 
-// matrixEntries lists m's nonzeros in row-major order, as positions and
-// the writer of their values: an assembly that reproduces m.
-func matrixEntries(m *sparse.Matrix) ([][2]int32, sparse.Fill) {
-	var pos [][2]int32
-	var vals []complex128
+// matrixEntries lists m's nonzeros in row-major order as an assembly
+// that reproduces m: every value in the unscaled block.
+func matrixEntries(m *sparse.Matrix) *sparse.Assembly {
+	a := &sparse.Assembly{N: m.N()}
 	for i := 0; i < m.N(); i++ {
 		for j := 0; j < m.N(); j++ {
 			if v := m.At(i, j); v != 0 {
-				pos = append(pos, [2]int32{int32(i), int32(j)})
-				vals = append(vals, v)
+				a.Pos = append(a.Pos, [2]int32{int32(i), int32(j)})
+				a.U = append(a.U, v)
 			}
 		}
 	}
-	return pos, func(k0 int, dst []complex128) { copy(dst, vals[k0:]) }
+	return a
 }
 
 func benchDetDense(b *testing.B, sm *sparse.Matrix) {
@@ -378,44 +375,9 @@ func BenchmarkDetDenseLadder40(b *testing.B) {
 }
 func BenchmarkDetDenseUA741(b *testing.B) { benchDetDense(b, ua741Matrix(b)) }
 
-// --- ablation: pivot-plan reuse vs full Markowitz per factorization ---
-
-// benchDetPlanned times the production planned path: re-assemble the
-// matrix's entries into the evaluator workspace, then run the compiled
-// replay of the shared plan the first factorization primed. The op
-// allocates nothing.
-func benchDetPlanned(b *testing.B, m *sparse.Matrix) {
-	n := m.N()
-	pos, fill := matrixEntries(m)
-	var sp sparse.SharedPlan
-	var ws sparse.Workspace
-	factor := func() *sparse.LU {
-		ws.Assemble(&sp, n, pos, fill)
-		f, err := ws.Factor()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
-	factor()
-	if !sp.Primed() {
-		b.Fatal("first factorization did not prime the plan")
-	}
-	factor() // the first replay grows the workspace's slot and LU buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if factor().Det().Zero() {
-			b.Fatal("zero det")
-		}
-	}
-}
-
-func BenchmarkDetPlannedBiquad(b *testing.B) { benchDetPlanned(b, nodalMatrix(b, circuits.Biquad())) }
-func BenchmarkDetPlannedLadder40(b *testing.B) {
-	benchDetPlanned(b, nodalMatrix(b, circuits.RCLadder(40, 1e3, 1e-9)))
-}
-func BenchmarkDetPlannedUA741(b *testing.B) { benchDetPlanned(b, ua741Matrix(b)) }
+// The planned and lane replays (BenchmarkDetPlanned*,
+// BenchmarkDetLanesUA741) are timed in internal/nodal, on the typed
+// stamps the nodal backend assembles from.
 
 // --- ablation: direct O(K²) IDFT vs radix-2 FFT ---
 

@@ -20,7 +20,8 @@
 // on every host, so any increase is a real regression. Timings (ns/op
 // and friends) stay advisory — shared CI runners are too noisy to gate
 // on. For the steady-state hot-path benchmarks (BenchmarkEvalBatch*,
-// BenchmarkDetSparseUA741 and BenchmarkDetPlanned{Biquad,Ladder40,UA741}),
+// BenchmarkDetSparseUA741, BenchmarkDetPlanned{Biquad,Ladder40,UA741}
+// and BenchmarkDetLanesUA741),
 // the cold structural-window matchings (BenchmarkStructuralWindowUA741)
 // and the µA741 wire encoding (BenchmarkWireEncodeUA741), allocs/op is
 // also gated lower-is-better: those ops have an exact allocation count
@@ -81,15 +82,15 @@ var deterministicUnits = map[string]bool{
 
 // allocGated matches the benchmarks whose allocs/op is deterministic:
 // the steady-state hot-path ops — the batched point evaluations, the
-// full factorization and the planned (compiled-replay) factorization
-// through a reused workspace — are primed so the measured op performs
+// full factorization, the planned (compiled-replay) factorization and
+// the lane replay through a reused workspace — are primed so the measured op performs
 // zero heap allocations, making the count an exact property of the code
 // (not of the host or the GC) and safe to gate. The structural-window
 // matchings of a cold µA741 formulation run in one fresh scratch per op,
 // so their count is exact too, and so is the wire encoder's single
 // pre-sized buffer. Everywhere else allocs/op stays advisory, like
 // timings.
-var allocGated = regexp.MustCompile(`^Benchmark(EvalBatch|DetSparseUA741$|DetPlanned(Biquad|Ladder40|UA741)$|StructuralWindowUA741$|WireEncodeUA741$)`)
+var allocGated = regexp.MustCompile(`^Benchmark(EvalBatch|DetSparseUA741$|DetPlanned(Biquad|Ladder40|UA741)$|DetLanesUA741$|StructuralWindowUA741$|WireEncodeUA741$)`)
 
 // higherIsBetterUnits flips the regression direction for counters where
 // a drop is the regression: losing warm starts means a sweep fell back

@@ -142,7 +142,7 @@ func TestSnapshotAndCheckModes(t *testing.T) {
 
 // TestCompareAllocsGate pins the hot-path allocation gate: allocs/op is
 // compared (lower-is-better) on BenchmarkEvalBatch*,
-// BenchmarkDetSparseUA741, BenchmarkDetPlanned*,
+// BenchmarkDetSparseUA741, BenchmarkDetPlanned*, BenchmarkDetLanesUA741,
 // BenchmarkStructuralWindowUA741 and BenchmarkWireEncodeUA741 only, so
 // an op that starts allocating more fails the gate while advisory
 // allocation counts elsewhere stay ignored.
@@ -155,6 +155,8 @@ func TestCompareAllocsGate(t *testing.T) {
 			"B/op": 0, "allocs/op": 0}},
 		{Name: "BenchmarkDetPlannedLadder40", N: 1, NsOp: 4000, Extra: map[string]float64{
 			"B/op": 0, "allocs/op": 0}},
+		{Name: "BenchmarkDetLanesUA741", N: 1, NsOp: 150000, Extra: map[string]float64{
+			"B/op": 0, "allocs/op": 0, "ns/point": 6000}},
 		{Name: "BenchmarkIDFTDirect49", N: 1, NsOp: 7000, Extra: map[string]float64{
 			"allocs/op": 3}},
 		{Name: "BenchmarkStructuralWindowUA741", N: 1, NsOp: 30000, Extra: map[string]float64{
@@ -171,6 +173,8 @@ func TestCompareAllocsGate(t *testing.T) {
 			"B/op": 64, "allocs/op": 1}},
 		{Name: "BenchmarkDetPlannedLadder40", N: 1, NsOp: 4000, Extra: map[string]float64{
 			"B/op": 32, "allocs/op": 1}},
+		{Name: "BenchmarkDetLanesUA741", N: 1, NsOp: 150000, Extra: map[string]float64{
+			"B/op": 16384, "allocs/op": 1, "ns/point": 6000}},
 		{Name: "BenchmarkIDFTDirect49", N: 1, NsOp: 7000, Extra: map[string]float64{
 			"allocs/op": 3}},
 		{Name: "BenchmarkStructuralWindowUA741", N: 1, NsOp: 30000, Extra: map[string]float64{
@@ -182,7 +186,7 @@ func TestCompareAllocsGate(t *testing.T) {
 	if code := run([]string{"-compare", old, leaky}, strings.NewReader(""), &out, &errOut); code != 1 {
 		t.Fatalf("leaky hot path exited %d, want 1 (stdout %q)", code, out.String())
 	}
-	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40", "BenchmarkStructuralWindowUA741", "BenchmarkWireEncodeUA741"} {
+	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40", "BenchmarkDetLanesUA741", "BenchmarkStructuralWindowUA741", "BenchmarkWireEncodeUA741"} {
 		if !strings.Contains(out.String(), "REGRESSION "+name+" allocs/op") {
 			t.Errorf("missing %s allocs regression in %q", name, out.String())
 		}

@@ -70,7 +70,7 @@ type Evaluator struct {
 	// stop dispatching further points and return promptly (slots never
 	// evaluated stay zero), leaving no goroutines behind. Callers detect
 	// the truncation through ctx.Err(); implementations built on
-	// RunBatch or ParallelForCtx inherit this behavior.
+	// RunBatch, RunChunks or ParallelForCtx inherit this behavior.
 	EvalBatch func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex
 }
 
@@ -196,72 +196,75 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) {
 // RunBatch is the shared skeleton for EvalBatch implementations whose
 // per-point work is independent given some shared read-only state that
 // the first evaluation establishes (in practice: a sparse pivot-order
-// plan primed by the first successful factorization).
-//
-// Points are evaluated serially until ready() reports the shared state
-// is established, so the priming point is always the same one the
-// serial path would prime with; the remaining points then fan out
-// across up to workers goroutines, each owning a point function from
-// newWorker (carrying per-worker scratch state). ready may be nil when
-// there is no priming phase.
-//
-// Because each point is a pure function of (point, shared state), the
-// output is bit-identical to evaluating every point serially.
-//
-// Cancellation: once ctx is done, no further points are claimed; points
-// already being evaluated finish, the pool drains, and the partially
-// filled slice is returned. RunBatch never leaks a goroutine — the
-// caller regains control only after every worker has exited.
+// plan primed by the first successful factorization). It is RunChunks
+// with one point per chunk.
 func RunBatch(ctx context.Context, points []complex128, workers int, ready func() bool, newWorker func() func(s complex128) xmath.XComplex) []xmath.XComplex {
-	return RunBatchInto(ctx, make([]xmath.XComplex, len(points)), points, workers, ready, newWorker)
+	return RunChunks(ctx, points, workers, 1, ready, func() func([]xmath.XComplex, []complex128) {
+		eval := newWorker()
+		return func(dst []xmath.XComplex, pts []complex128) { dst[0] = eval(pts[0]) }
+	})
 }
 
-// RunBatchInto is RunBatch writing into values, which must have
-// len(points) entries (slots never evaluated are zeroed). Callers that
-// hold a reusable frame buffer avoid the per-frame slice allocation;
-// everything else — the serial priming phase, the worker fan-out, the
-// cancellation contract — is identical.
-func RunBatchInto(ctx context.Context, values []xmath.XComplex, points []complex128, workers int, ready func() bool, newWorker func() func(s complex128) xmath.XComplex) []xmath.XComplex {
-	if len(values) != len(points) {
-		panic("interp: batch destination length does not match point count")
-	}
-	for i := range values {
-		values[i] = xmath.XComplex{}
-	}
+// RunChunks is RunBatch for workers that evaluate up to chunk points per
+// call, writing the value of pts[i] to dst[i].
+//
+// Points are evaluated one at a time until ready() reports the shared
+// state is established, so the priming point is always the same one the
+// serial path would prime with; the remaining points are then cut into
+// chunks of consecutive points that up to workers goroutines claim in
+// turn, each goroutine owning a chunk function from newWorker (carrying
+// per-worker scratch state). ready may be nil when there is no priming
+// phase.
+//
+// Each point's value must be a pure function of (point, shared state) —
+// not of the other points of its chunk — so the output is bit-identical
+// to evaluating every point serially, whatever the chunk size and the
+// worker count.
+//
+// Cancellation: once ctx is done, no further chunks are claimed; chunks
+// already being evaluated finish, the pool drains, and the partially
+// filled slice is returned (slots never evaluated stay zero). RunChunks
+// never leaks a goroutine — the caller regains control only after every
+// worker has exited.
+func RunChunks(ctx context.Context, points []complex128, workers, chunk int, ready func() bool, newWorker func() func(dst []xmath.XComplex, pts []complex128)) []xmath.XComplex {
+	values := make([]xmath.XComplex, len(points))
 	start := 0
-	var primer func(s complex128) xmath.XComplex
+	var primer func([]xmath.XComplex, []complex128)
 	if ready != nil && !ready() {
 		primer = newWorker()
 		for start < len(points) && !ready() {
 			if ctx.Err() != nil {
 				return values
 			}
-			values[start] = primer(points[start])
+			primer(values[start:start+1], points[start:start+1])
 			start++
 		}
 	}
-	n := len(points) - start
-	if n <= 0 {
+	// span returns the points of chunk c after the priming ones.
+	span := func(c int) (i, j int) {
+		i = start + c*chunk
+		return i, min(i+chunk, len(points))
+	}
+	chunks := (len(points) - start + chunk - 1) / chunk
+	if chunks <= 0 {
 		return values
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, chunks)
 	if workers <= 1 {
 		eval := primer
 		if eval == nil {
 			eval = newWorker()
 		}
-		for i := start; i < len(points); i++ {
+		for c := range chunks {
 			if ctx.Err() != nil {
 				return values
 			}
-			values[i] = eval(points[i])
+			i, j := span(c)
+			eval(values[i:j], points[i:j])
 		}
 		return values
 	}
 	var next atomic.Int64
-	next.Store(int64(start))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -276,11 +279,12 @@ func RunBatchInto(ctx context.Context, values []xmath.XComplex, points []complex
 				if ctx.Err() != nil {
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= len(points) {
+				c := int(next.Add(1)) - 1
+				if c >= chunks {
 					return
 				}
-				values[i] = eval(points[i])
+				i, j := span(c)
+				eval(values[i:j], points[i:j])
 			}
 		}()
 	}

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,6 +85,46 @@ func TestRunBatchNilReady(t *testing.T) {
 	for i, v := range values {
 		if v != xmath.FromComplex(pts[i]*2) {
 			t.Fatalf("value %d wrong", i)
+		}
+	}
+}
+
+// TestRunChunksCuts: after two priming points evaluated one at a time,
+// the rest arrive in chunks of consecutive points, none longer than the
+// chunk size, and every point is evaluated exactly once, at every worker
+// count and every tail length.
+func TestRunChunksCuts(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 6, 7, 25} {
+		for _, workers := range []int{1, 2, 3} {
+			pts := dft.UnitCirclePoints(n)
+			var mu sync.Mutex
+			var sizes []int
+			hits := make([]int, n)
+			var calls atomic.Int32
+			values := RunChunks(context.Background(), pts, workers, 4,
+				func() bool { return calls.Load() >= 2 },
+				func() func([]xmath.XComplex, []complex128) {
+					return func(dst []xmath.XComplex, chunk []complex128) {
+						calls.Add(1)
+						mu.Lock()
+						sizes = append(sizes, len(chunk))
+						for i, s := range chunk {
+							dst[i] = xmath.FromComplex(s)
+							hits[slices.Index(pts, s)]++
+						}
+						mu.Unlock()
+					}
+				})
+			for i, v := range values {
+				if v != xmath.FromComplex(pts[i]) || hits[i] != 1 {
+					t.Fatalf("n=%d workers=%d: point %d evaluated %d times, value %v", n, workers, i, hits[i], v)
+				}
+			}
+			for k, size := range sizes {
+				if (k < 2 && size != 1) || size > 4 {
+					t.Fatalf("n=%d workers=%d: chunk sizes %v", n, workers, sizes)
+				}
+			}
 		}
 	}
 }

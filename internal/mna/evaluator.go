@@ -31,30 +31,11 @@ import (
 // transforms coefficients exactly (p'_i = p_i·f^i). Use the generator
 // with Config.SingleFactor=true and leave the conductance scale at 1.
 
-// fill returns the writer of Y_MNA's entries at one point, in the order
-// of sys.pos: conductance-dimension entries multiplied by gscale,
-// structural entries untouched, frequency-proportional entries by
-// s·fscale.
-func (sys *System) fill(s complex128, fscale, gscale float64) sparse.Fill {
-	sc := s * complex(fscale, 0)
-	ng, nstr := len(sys.gDim), len(sys.gDim)+len(sys.structural)
-	return func(k0 int, dst []complex128) {
-		for d := range dst {
-			switch k := k0 + d; {
-			case k < ng:
-				dst[d] = complex(sys.gDim[k].v*gscale, 0)
-			case k < nstr:
-				dst[d] = complex(sys.structural[k-ng].v, 0)
-			default:
-				dst[d] = sc * complex(sys.sProp[k-nstr].v, 0)
-			}
-		}
-	}
-}
-
 // evalScratch is the reusable per-worker evaluation state of the one
-// MNA sparsity pattern: the factorization workspace (assembly values and
-// LU) and the RHS and solution vectors of the transfer solve.
+// MNA sparsity pattern: the factorization workspace (slot values, and
+// the rows and LU of a full or recording factorization once one is
+// needed) and the RHS and solution vectors of the transfer solve,
+// allocated by the first solve.
 type evalScratch struct {
 	ws  sparse.Workspace
 	rhs []complex128
@@ -72,10 +53,7 @@ func (sys *System) getScratch() *evalScratch {
 		return sc
 	}
 	sys.scratchMu.Unlock()
-	return &evalScratch{
-		rhs: make([]complex128, sys.dim),
-		sol: make([]complex128, sys.dim),
-	}
+	return new(evalScratch)
 }
 
 // putScratch returns a scratch to the free list.
@@ -94,16 +72,36 @@ func (sys *System) putScratch(sc *evalScratch) {
 // private full factorization without touching the plan (see
 // sparse.Workspace.FactorAssembly).
 func (sys *System) factorAt(sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	return sc.ws.FactorAssembly(sys.detPlan, sys.dim, sys.pos, sys.fill(s, fscale, gscale))
+	return sc.ws.FactorAssembly(sys.detPlan, &sys.asm, s, fscale, gscale)
 }
 
-// detAt evaluates D(s) = det Y_MNA(s), zero when singular.
+// dets evaluates D(s) = det Y_MNA(s) at every point of pts, zero where
+// singular, through the determinant-only lane replay (see
+// sparse.Workspace.Dets).
+func (sys *System) dets(sc *evalScratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
+	sc.ws.Dets(sys.detPlan, &sys.asm, pts, fscale, gscale, dst)
+}
+
+// detAt is dets at one point: the lane replay with one live lane.
 func (sys *System) detAt(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
-	lu, err := sys.factorAt(sc, s, fscale, gscale)
-	if err != nil {
-		return xmath.XComplex{}
+	var d [1]xmath.XComplex
+	sys.dets(sc, d[:], []complex128{s}, fscale, gscale)
+	return d[0]
+}
+
+// transferRHS returns sc's right-hand side loaded with the independent
+// sources at their AC values, sizing sc's solve vectors on first use.
+func (sys *System) transferRHS(sc *evalScratch) []complex128 {
+	if sc.rhs == nil {
+		sc.rhs = make([]complex128, sys.dim)
+		sc.sol = make([]complex128, sys.dim)
 	}
-	return lu.Det()
+	b := sc.rhs
+	clear(b)
+	for i, v := range sys.rhs {
+		b[i] = complex(v, 0)
+	}
+	return b
 }
 
 // numAt evaluates N(s) = X_out(s)·det Y_MNA(s) per eqs. (8)–(10), with
@@ -113,14 +111,7 @@ func (sys *System) numAt(sc *evalScratch, idx int, s complex128, fscale, gscale 
 	if err != nil {
 		return xmath.XComplex{} // structurally singular: N ≡ 0 here
 	}
-	b := sc.rhs
-	for i := range b {
-		b[i] = 0
-	}
-	for i, v := range sys.rhs {
-		b[i] = complex(v, 0)
-	}
-	if err := lu.SolveInto(sc.sol, b, &sc.ws); err != nil {
+	if err := lu.SolveInto(sc.sol, sys.transferRHS(sc), &sc.ws); err != nil {
 		return xmath.XComplex{}
 	}
 	x := sc.sol
@@ -130,12 +121,16 @@ func (sys *System) numAt(sc *evalScratch, idx int, s complex128, fscale, gscale 
 	return lu.Det().MulComplex(x[idx])
 }
 
-// evaluator wraps a per-point function of (scratch, s, fscale, gscale)
-// as an interp.Evaluator: the serial Eval draws its scratch from the
-// system pool per point (allocation-free in the steady state), and
-// EvalBatch fans out over per-worker pooled scratches — returned when
-// the batch drains — after serially priming the shared pivot plan.
-func (sys *System) evaluator(name string, bound int, at func(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex) interp.Evaluator {
+// evaluator wraps a point's value (at) and a chunk's values (chunk) as
+// an interp.Evaluator: the serial Eval runs at on a scratch drawn from
+// the system pool per point (allocation-free in the steady state), and
+// EvalBatch fans chunks of sparse.Lanes points out over per-worker
+// pooled scratches — returned when the batch drains — after serially
+// priming the shared pivot plan. chunk must give each point the value at
+// gives it.
+func (sys *System) evaluator(name string, bound int,
+	at func(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex,
+	chunk func(sc *evalScratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64)) interp.Evaluator {
 	return interp.Evaluator{
 		Name:       name,
 		M:          0,
@@ -149,20 +144,20 @@ func (sys *System) evaluator(name string, bound int, at func(sc *evalScratch, s 
 		EvalBatch: func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex {
 			var mu sync.Mutex
 			var acquired []*evalScratch
-			// RunBatch returns only after every worker goroutine has
+			// RunChunks returns only after every worker goroutine has
 			// exited, so the scratches are idle when released.
 			defer func() {
 				for _, sc := range acquired {
 					sys.putScratch(sc)
 				}
 			}()
-			return interp.RunBatch(ctx, points, workers, sys.detPlan.Primed, func() func(complex128) xmath.XComplex {
+			return interp.RunChunks(ctx, points, workers, sparse.Lanes, sys.detPlan.Primed, func() func([]xmath.XComplex, []complex128) {
 				sc := sys.getScratch()
 				mu.Lock()
 				acquired = append(acquired, sc)
 				mu.Unlock()
-				return func(s complex128) xmath.XComplex {
-					return at(sc, s, fscale, gscale)
+				return func(dst []xmath.XComplex, pts []complex128) {
+					chunk(sc, dst, pts, fscale, gscale)
 				}
 			})
 		},
@@ -187,7 +182,7 @@ func (sys *System) OrderBound() int {
 // reports M = 0 and expects the conductance scale to stay 1 (enforce
 // with core.Config.SingleFactor).
 func (sys *System) DetEvaluator() interp.Evaluator {
-	return sys.evaluator("denominator", sys.OrderBound(), sys.detAt)
+	return sys.evaluator("denominator", sys.OrderBound(), sys.detAt, sys.dets)
 }
 
 // TransferEvaluators returns the numerator and denominator evaluators of
@@ -213,13 +208,18 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 		return nil, fmt.Errorf("mna: no independent source with nonzero AC value")
 	}
 	bound := sys.OrderBound()
-	num := sys.evaluator("numerator", bound, func(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
+	numPoint := func(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
 		return sys.numAt(sc, idx, s, fscale, gscale)
+	}
+	num := sys.evaluator("numerator", bound, numPoint, func(sc *evalScratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
+		for i, s := range pts {
+			dst[i] = numPoint(sc, s, fscale, gscale)
+		}
 	})
 	tf := &interp.TransferFunction{
 		Name: fmt.Sprintf("V(%s)/source", out),
 		Num:  num,
-		Den:  sys.evaluator("denominator", bound, sys.detAt),
+		Den:  sys.evaluator("denominator", bound, sys.detAt, sys.dets),
 	}
 	// Joint mode: eqs. (8)–(10) already obtain N from the same
 	// factorization that gives D = det Y_MNA, so EvalBoth is the numAt
@@ -232,14 +232,7 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 			return xmath.XComplex{}, xmath.XComplex{}
 		}
 		det := lu.Det()
-		b := sc.rhs
-		for i := range b {
-			b[i] = 0
-		}
-		for i, v := range sys.rhs {
-			b[i] = complex(v, 0)
-		}
-		if err := lu.SolveInto(sc.sol, b, &sc.ws); err != nil {
+		if err := lu.SolveInto(sc.sol, sys.transferRHS(sc), &sc.ws); err != nil {
 			return xmath.XComplex{}, det
 		}
 		x := sc.sol

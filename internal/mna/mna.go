@@ -43,7 +43,7 @@ type System struct {
 	gDim       []stamp
 	structural []stamp
 	sProp      []stamp
-	pos        [][2]int32 // positions of gDim, structural and sProp, in that order: the assembly order
+	asm        sparse.Assembly // gDim, structural and sProp as typed stamps, in that order: the assembly order
 	rhs        []float64
 	branch     map[string]int // element name -> branch unknown index
 	names      []string       // unknown labels for diagnostics
@@ -179,11 +179,22 @@ func Build(c *circuit.Circuit) (*System, error) {
 			return nil, fmt.Errorf("mna: unsupported element kind %v", e.Kind)
 		}
 	}
-	sys.pos = make([][2]int32, 0, len(sys.gDim)+len(sys.structural)+len(sys.sProp))
+	ng, nu, nc := len(sys.gDim), len(sys.structural), len(sys.sProp)
+	sys.asm = sparse.Assembly{N: dim, Pos: make([][2]int32, 0, ng+nu+nc),
+		G: make([]float64, ng), U: make([]complex128, nu), C: make([]float64, nc)}
 	for _, list := range [][]stamp{sys.gDim, sys.structural, sys.sProp} {
 		for _, st := range list {
-			sys.pos = append(sys.pos, [2]int32{int32(st.i), int32(st.j)})
+			sys.asm.Pos = append(sys.asm.Pos, [2]int32{int32(st.i), int32(st.j)})
 		}
+	}
+	for k, st := range sys.gDim {
+		sys.asm.G[k] = st.v
+	}
+	for k, st := range sys.structural {
+		sys.asm.U[k] = complex(st.v, 0)
+	}
+	for k, st := range sys.sProp {
+		sys.asm.C[k] = st.v
 	}
 	return sys, nil
 }

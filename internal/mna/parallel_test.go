@@ -43,17 +43,20 @@ func TestMNABatchBitIdentical(t *testing.T) {
 		}
 		return tf.Den
 	}
+	// Point counts that end a batch on every tail of a lane pass.
 	for which, label := range []string{"det", "num", "den"} {
 		serial := mk(which).EvalPoints(pts, 1e7, 1, 1)
-		for _, workers := range []int{2, 4, 8} {
-			ev := mk(which)
-			if ev.EvalBatch == nil {
-				t.Fatalf("%s: no EvalBatch", label)
-			}
-			got := ev.EvalBatch(context.Background(), pts, 1e7, 1, workers)
-			for i := range got {
-				if got[i] != serial[i] {
-					t.Fatalf("%s workers=%d point %d: %v != %v", label, workers, i, got[i], serial[i])
+		for _, n := range []int{1, 2, 3, 5, len(pts)} {
+			for _, workers := range []int{2, 3, 4, 8} {
+				ev := mk(which)
+				if ev.EvalBatch == nil {
+					t.Fatalf("%s: no EvalBatch", label)
+				}
+				got := ev.EvalBatch(context.Background(), pts[:n], 1e7, 1, workers)
+				for i := range got {
+					if got[i] != serial[i] {
+						t.Fatalf("%s %d points workers=%d point %d: %v != %v", label, n, workers, i, got[i], serial[i])
+					}
 				}
 			}
 		}
@@ -164,6 +167,27 @@ func TestConcurrentPrimingBatchAndEvalBoth(t *testing.T) {
 		}
 		if both[i][0] != wantNum[i] || both[i][1] != wantDen[i] {
 			t.Fatalf("point %d: EvalBoth (%v, %v) != serial (%v, %v)", i, both[i][0], both[i][1], wantNum[i], wantDen[i])
+		}
+	}
+}
+
+// TestMNAEvalAllocatesNothing: once the plan is primed and the scratch
+// pool holds a workspace, a single-point Eval of the determinant and of
+// the numerator allocates nothing.
+func TestMNAEvalAllocatesNothing(t *testing.T) {
+	sys, err := Build(mnaBatchCircuit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf, err := sys.TransferEvaluators("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := complex(0.6, 0.8)
+	for _, ev := range []interp.Evaluator{sys.DetEvaluator(), tf.Num} {
+		ev.Eval(s, 1e7, 1)
+		if allocs := testing.AllocsPerRun(20, func() { ev.Eval(s, 1e7, 1) }); allocs != 0 {
+			t.Fatalf("%s: %v allocs per Eval, want 0", ev.Name, allocs)
 		}
 	}
 }

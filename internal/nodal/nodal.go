@@ -114,13 +114,11 @@ type pattern struct {
 	proj projection
 	plan sparse.SharedPlan
 
-	// The stamps the projection keeps, resolved once, conductances first
-	// — the assembly order of every point: pos holds their projected
-	// positions, and src indexes sys.gStamps for the first ng of them and
-	// sys.cStamps for the rest. They depend on stamp positions only,
-	// which every system adopting the pattern shares.
+	// The projected positions of the stamps the projection keeps (see
+	// System.kept), conductances first: the assembly order of every
+	// point, and ng of them conductances. They depend on stamp positions
+	// only, which every system adopting the pattern shares.
 	pos [][2]int32
-	src []int32
 	ng  int
 
 	scratchMu sync.Mutex
@@ -132,27 +130,63 @@ type pattern struct {
 	degrees     interp.DegreeWindow
 }
 
-// newPattern resolves proj's surviving stamps of sys.
-func (sys *System) newPattern(proj projection) *pattern {
-	total := len(sys.gStamps) + len(sys.cStamps)
-	pat := &pattern{proj: proj, pos: make([][2]int32, 0, total), src: make([]int32, 0, total)}
-	keep := func(stamps []stamp) {
-		for k, st := range stamps {
+// kept calls fn with each of sys's stamps that proj keeps, and its
+// projected position, conductances first, and returns how many
+// conductances it kept.
+func (sys *System) kept(proj projection, fn func(st stamp, i, j int32)) (ng int) {
+	for k, stamps := range [2][]stamp{sys.gStamps, sys.cStamps} {
+		for _, st := range stamps {
 			if i, j := proj.row[st.i], proj.col[st.j]; i >= 0 && j >= 0 {
-				pat.src = append(pat.src, int32(k))
-				pat.pos = append(pat.pos, [2]int32{int32(i), int32(j)})
+				fn(st, int32(i), int32(j))
+				if k == 0 {
+					ng++
+				}
 			}
 		}
 	}
-	keep(sys.gStamps)
-	pat.ng = len(pat.src)
-	keep(sys.cStamps)
+	return ng
+}
+
+// newPattern resolves proj's surviving stamps of sys.
+func (sys *System) newPattern(proj projection) *pattern {
+	pat := &pattern{proj: proj, pos: make([][2]int32, 0, len(sys.gStamps)+len(sys.cStamps))}
+	pat.ng = sys.kept(proj, func(_ stamp, i, j int32) {
+		pat.pos = append(pat.pos, [2]int32{i, j})
+	})
 	return pat
 }
 
+// bound is a pattern bound to one system, whose stamp values it gathers
+// in the pattern's assembly order on first use: the typed stamps every
+// point of that system assembles from. Systems that adopt a pattern
+// share it, not its values, and a pattern only formulated for its
+// degree window never gathers them.
+type bound struct {
+	*pattern
+	sys  *System
+	once sync.Once
+	asm  sparse.Assembly
+}
+
+// assembly returns b's typed stamps: sys's conductances in the G block,
+// its capacitances in the C block.
+func (b *bound) assembly() *sparse.Assembly {
+	b.once.Do(b.gather)
+	return &b.asm
+}
+
+func (b *bound) gather() {
+	vals := make([]float64, 0, len(b.pos))
+	b.sys.kept(b.proj, func(st stamp, _, _ int32) {
+		vals = append(vals, st.v)
+	})
+	b.asm = sparse.Assembly{N: b.proj.dim, Pos: b.pos, G: vals[:b.ng], C: vals[b.ng:]}
+}
+
 // evalScratch is the per-worker reusable evaluation state of one
-// pattern: the factorization workspace (assembly values and LU) and the
-// Cramer RHS/solution vectors, sized for the pattern's dimension.
+// pattern: the factorization workspace (slot values, and the rows and LU
+// of a full or recording factorization once one is needed) and the
+// Cramer RHS/solution vectors, allocated by the first joint solve.
 type evalScratch struct {
 	ws  sparse.Workspace
 	rhs []complex128
@@ -174,11 +208,7 @@ func (pat *pattern) get() *evalScratch {
 		return sc
 	}
 	pat.scratchMu.Unlock()
-	dim := pat.proj.dim
-	return &evalScratch{
-		rhs: make([]complex128, dim),
-		sol: make([]complex128, dim),
-	}
+	return new(evalScratch)
 }
 
 // put returns a scratch to the free list.
@@ -188,41 +218,31 @@ func (pat *pattern) put(sc *evalScratch) {
 	pat.scratchMu.Unlock()
 }
 
-// fill returns the writer of the pattern's stamp values at one point,
-// in the order of pat.pos.
-func (sys *System) fill(pat *pattern, s complex128, fscale, gscale float64) sparse.Fill {
-	sc := s * complex(fscale, 0)
-	return func(k0 int, dst []complex128) {
-		for d := range dst {
-			if k := k0 + d; k < pat.ng {
-				dst[d] = complex(sys.gStamps[pat.src[k]].v*gscale, 0)
-			} else {
-				dst[d] = sc * complex(sys.cStamps[pat.src[k]].v, 0)
-			}
+// factorAt factors b's matrix at one point under the pattern's shared
+// plan — once the plan is primed, a compiled replay that allocates
+// nothing, with a private full factorization on a plan miss (see
+// sparse.Workspace.FactorAssembly).
+func (b *bound) factorAt(sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
+	return sc.ws.FactorAssembly(&b.plan, b.assembly(), s, fscale, gscale)
+}
+
+// dets writes the signed determinants of b's matrix at the points pts,
+// zero where singular, through the determinant-only lane replay (see
+// sparse.Workspace.Dets).
+func (b *bound) dets(sc *evalScratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
+	sc.ws.Dets(&b.plan, b.assembly(), pts, fscale, gscale, dst)
+	if b.proj.sign < 0 {
+		for i := range dst {
+			dst[i] = dst[i].Neg()
 		}
 	}
 }
 
-// factorAt factors the pattern's matrix at one point under the
-// pattern's shared plan — once the plan is primed, a compiled replay
-// that allocates nothing, with a private full factorization on a plan
-// miss (see sparse.Workspace.FactorAssembly).
-func (sys *System) factorAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	return sc.ws.FactorAssembly(&pat.plan, pat.proj.dim, pat.pos, sys.fill(pat, s, fscale, gscale))
-}
-
-// detAt evaluates the pattern's signed determinant at one point, zero
-// when singular.
-func (sys *System) detAt(pat *pattern, sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
-	lu, err := sys.factorAt(pat, sc, s, fscale, gscale)
-	if err != nil {
-		return xmath.XComplex{}
-	}
-	det := lu.Det()
-	if pat.proj.sign < 0 {
-		det = det.Neg()
-	}
-	return det
+// detAt is dets at one point: the lane replay with one live lane.
+func (b *bound) detAt(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
+	var d [1]xmath.XComplex
+	b.dets(sc, d[:], []complex128{s}, fscale, gscale)
+	return d[0]
 }
 
 // System is the assembled grounded node-admittance structure: separate
@@ -238,9 +258,11 @@ type System struct {
 	// patterns caches a projection plus shared pivot-order plan per
 	// derived determinant. Keys: {-1,-1} for the full determinant, {r,c}
 	// for first-order cofactors, and synthetic keys for merged/shorted
-	// variants.
+	// variants. bounds holds this system's values of each, by the same
+	// keys.
 	mu       sync.Mutex
 	patterns map[[2]int]*pattern
+	bounds   map[[2]int]*bound
 	// match is the scratch every structural window of this system is
 	// computed in, guarded by mu.
 	match matcher
@@ -271,7 +293,7 @@ func (sys *System) AdoptPatterns(prev *System) bool {
 	shared := prev.patterns
 	prev.mu.Unlock()
 	sys.mu.Lock()
-	sys.patterns = shared
+	sys.patterns, sys.bounds = shared, nil
 	sys.mu.Unlock()
 	return true
 }
@@ -290,11 +312,14 @@ func sameStampPositions(a, b []stamp) bool {
 	return true
 }
 
-// pattern returns the cached pattern for key, creating it with mk on
-// first use.
-func (sys *System) pattern(key [2]int, mk func() projection) *pattern {
+// pattern returns the cached pattern for key bound to sys's values,
+// creating the pattern with mk on first use.
+func (sys *System) pattern(key [2]int, mk func() projection) *bound {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
+	if b, ok := sys.bounds[key]; ok {
+		return b
+	}
 	if sys.patterns == nil {
 		sys.patterns = make(map[[2]int]*pattern)
 	}
@@ -303,7 +328,12 @@ func (sys *System) pattern(key [2]int, mk func() projection) *pattern {
 		p = sys.newPattern(mk())
 		sys.patterns[key] = p
 	}
-	return p
+	if sys.bounds == nil {
+		sys.bounds = make(map[[2]int]*bound)
+	}
+	b := &bound{pattern: p, sys: sys}
+	sys.bounds[key] = b
+	return b
 }
 
 // degreeWindow returns a copy of pat's structural degree window,
@@ -319,40 +349,40 @@ func (sys *System) degreeWindow(pat *pattern) *interp.DegreeWindow {
 }
 
 // evaluator builds an interp.Evaluator over one cached pattern: the
-// serial Eval evaluates with a pooled scratch (allocation-free in the
-// steady state), while EvalBatch fans the frame's points out over a
-// worker pool with one pooled scratch per worker — returned to the
-// pattern's free list when the batch drains — serially priming the
-// shared pivot plan first so serial and parallel runs are bit-identical.
-// Degrees carries the pattern's structural degree window (window.go).
+// serial Eval evaluates one point with a pooled scratch (allocation-free
+// in the steady state), while EvalBatch fans the frame's points out in
+// chunks of sparse.Lanes over a worker pool with one pooled scratch per
+// worker — returned to the pattern's free list when the batch drains —
+// serially priming the shared pivot plan first. Both run the
+// determinant-only lane replay, whose value at a point does not depend
+// on the other points of its pass, so serial and parallel runs are
+// bit-identical. Degrees carries the pattern's structural degree window
+// (window.go).
 func (sys *System) evaluator(name string, m int, key [2]int, mk func() projection) interp.Evaluator {
-	pat := sys.pattern(key, mk)
+	b := sys.pattern(key, mk)
 	return interp.Evaluator{
 		Name: name, M: m, OrderBound: sys.orderBound(m),
-		Degrees: sys.degreeWindow(pat),
+		Degrees: sys.degreeWindow(b.pattern),
 		Eval: func(s complex128, f, g float64) xmath.XComplex {
-			sc := pat.get()
-			det := sys.detAt(pat, sc, s, f, g)
-			pat.put(sc)
-			return det
+			return b.detPooled(s, f, g)
 		},
 		EvalBatch: func(ctx context.Context, points []complex128, f, g float64, workers int) []xmath.XComplex {
 			var mu sync.Mutex
 			var acquired []*evalScratch
-			// RunBatch returns only after every worker goroutine has
+			// RunChunks returns only after every worker goroutine has
 			// exited, so the scratches are idle when released.
 			defer func() {
 				for _, sc := range acquired {
-					pat.put(sc)
+					b.put(sc)
 				}
 			}()
-			return interp.RunBatch(ctx, points, workers, pat.plan.Primed, func() func(complex128) xmath.XComplex {
-				sc := pat.get()
+			return interp.RunChunks(ctx, points, workers, sparse.Lanes, b.plan.Primed, func() func([]xmath.XComplex, []complex128) {
+				sc := b.get()
 				mu.Lock()
 				acquired = append(acquired, sc)
 				mu.Unlock()
-				return func(s complex128) xmath.XComplex {
-					return sys.detAt(pat, sc, s, f, g)
+				return func(dst []xmath.XComplex, pts []complex128) {
+					b.dets(sc, dst, pts, f, g)
 				}
 			})
 		},
@@ -376,14 +406,16 @@ func (sys *System) jointCramer(in int, pick func(det xmath.XComplex, x []complex
 	evalBoth := func(s complex128, fscale, gscale float64) (num, den xmath.XComplex) {
 		sc := pat.get()
 		defer pat.put(sc)
-		lu, err := sys.factorAt(pat, sc, s, fscale, gscale)
+		lu, err := pat.factorAt(sc, s, fscale, gscale)
 		if err != nil {
 			return xmath.XComplex{}, xmath.XComplex{}
 		}
-		b := sc.rhs
-		for i := range b {
-			b[i] = 0
+		if sc.rhs == nil {
+			sc.rhs = make([]complex128, pat.proj.dim)
+			sc.sol = make([]complex128, pat.proj.dim)
 		}
+		b := sc.rhs
+		clear(b)
 		b[in] = 1
 		if err := lu.SolveInto(sc.sol, b, &sc.ws); err != nil {
 			return xmath.XComplex{}, xmath.XComplex{}
@@ -413,6 +445,10 @@ func Build(c *circuit.Circuit) (*System, error) {
 		return nil, fmt.Errorf("nodal: circuit %q contains non-admittance elements; use the MNA path for analysis or reduce sources to Norton equivalents", c.Name)
 	}
 	sys := &System{n: c.NumNodes(), numCaps: c.NumCapacitors()}
+	// Every element stamps at most four entries.
+	nc := 4 * c.NumCapacitors()
+	sys.gStamps = make([]stamp, 0, 4*len(c.Elements())-nc)
+	sys.cStamps = make([]stamp, 0, nc)
 	for _, e := range c.Elements() {
 		p, n := c.NodeIndex(e.P), c.NodeIndex(e.N)
 		switch e.Kind {
@@ -501,28 +537,28 @@ func cofactorSign(r, c int) float64 {
 // C_rc(s) = (−1)^(r+c)·det(Y(s) with row r and column c deleted)
 // of the scaled matrix.
 func (sys *System) Cofactor(r, c int, s complex128, fscale, gscale float64) xmath.XComplex {
-	return sys.detPooled(sys.cofactorPattern(r, c), s, fscale, gscale)
+	return sys.cofactorPattern(r, c).detPooled(s, fscale, gscale)
 }
 
 // detPooled is detAt through the pattern's scratch pool — the shared
-// path of the public single-point evaluation methods.
-func (sys *System) detPooled(pat *pattern, s complex128, fscale, gscale float64) xmath.XComplex {
-	sc := pat.get()
-	det := sys.detAt(pat, sc, s, fscale, gscale)
-	pat.put(sc)
+// path of the single-point evaluations.
+func (b *bound) detPooled(s complex128, fscale, gscale float64) xmath.XComplex {
+	sc := b.get()
+	det := b.detAt(sc, s, fscale, gscale)
+	b.put(sc)
 	return det
 }
 
-func (sys *System) cofactorPattern(r, c int) *pattern {
+func (sys *System) cofactorPattern(r, c int) *bound {
 	return sys.pattern([2]int{r, c}, func() projection { return cofactorProjection(sys.n, r, c) })
 }
 
 // Det evaluates det Y(s) of the scaled matrix.
 func (sys *System) Det(s complex128, fscale, gscale float64) xmath.XComplex {
-	return sys.detPooled(sys.detPattern(), s, fscale, gscale)
+	return sys.detPattern().detPooled(s, fscale, gscale)
 }
 
-func (sys *System) detPattern() *pattern {
+func (sys *System) detPattern() *bound {
 	return sys.pattern([2]int{-1, -1}, func() projection { return identityProjection(sys.n) })
 }
 
@@ -532,10 +568,10 @@ func (sys *System) detPattern() *pattern {
 // C_aa + C_bb − C_ab − C_ba, but without the ~6-digit cancellation the
 // explicit sum suffers on weakly-coupled input pairs.
 func (sys *System) DetShorted(a, b int, s complex128, fscale, gscale float64) xmath.XComplex {
-	return sys.detPooled(sys.shortedPattern(a, b), s, fscale, gscale)
+	return sys.shortedPattern(a, b).detPooled(s, fscale, gscale)
 }
 
-func (sys *System) shortedPattern(a, b int) *pattern {
+func (sys *System) shortedPattern(a, b int) *bound {
 	return sys.pattern([2]int{-2 - a, -2 - b}, func() projection { return shortedProjection(sys.n, a, b) })
 }
 
@@ -550,10 +586,10 @@ func (sys *System) shortedPattern(a, b int) *pattern {
 // difference). Verified against the explicit cofactor difference in
 // the package tests.
 func (sys *System) CofactorMergedRows(a, b, c int, s complex128, fscale, gscale float64) xmath.XComplex {
-	return sys.detPooled(sys.mergedRowsPattern(a, b, c), s, fscale, gscale)
+	return sys.mergedRowsPattern(a, b, c).detPooled(s, fscale, gscale)
 }
 
-func (sys *System) mergedRowsPattern(a, b, c int) *pattern {
+func (sys *System) mergedRowsPattern(a, b, c int) *bound {
 	return sys.pattern([2]int{-100 - a*sys.n - b, c}, func() projection { return mergedRowsProjection(sys.n, a, b, c) })
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/circuits"
 	"repro/internal/dft"
 	"repro/internal/interp"
 	"repro/internal/sparse"
@@ -171,7 +172,7 @@ func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
 	sys.Det(prime, 1, 1)
 
 	sc := pat.get()
-	sc.ws.Assemble(&pat.plan, pat.proj.dim, pat.pos, sys.fill(pat, miss, 1, 1))
+	sc.ws.Assemble(&pat.plan, pat.assembly(), miss, 1, 1)
 	if _, err := sc.ws.Factor(); err != sparse.ErrPlanMiss {
 		t.Fatalf("replay at s=%v: err = %v, want ErrPlanMiss", miss, err)
 	}
@@ -188,7 +189,7 @@ func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
 	// The next point replays (no miss) and matches a system that never
 	// saw the miss.
 	sc = pat.get()
-	sc.ws.Assemble(&pat.plan, pat.proj.dim, pat.pos, sys.fill(pat, next, 1, 1))
+	sc.ws.Assemble(&pat.plan, pat.assembly(), next, 1, 1)
 	if _, err := sc.ws.Factor(); err != nil {
 		t.Fatalf("replay after the miss: %v", err)
 	}
@@ -217,15 +218,15 @@ func TestPlanMissFallbackReusesScratch(t *testing.T) {
 
 	sc := pat.get()
 	defer pat.put(sc)
-	sc.ws.Assemble(&pat.plan, pat.proj.dim, pat.pos, sys.fill(pat, miss, 1, 1))
+	sc.ws.Assemble(&pat.plan, pat.assembly(), miss, 1, 1)
 	if _, err := sc.ws.Factor(); err != sparse.ErrPlanMiss {
 		t.Fatalf("replay at s=%v: err = %v, want ErrPlanMiss", miss, err)
 	}
-	if got := sys.detAt(pat, sc, miss, 1, 1); got != want {
+	if got := pat.detAt(sc, miss, 1, 1); got != want {
 		t.Fatalf("fallback det = %v, fresh Factor %v", got, want)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if got := sys.detAt(pat, sc, miss, 1, 1); got != want {
+		if got := pat.detAt(sc, miss, 1, 1); got != want {
 			t.Fatalf("repeated fallback det = %v, want %v", got, want)
 		}
 	})
@@ -267,6 +268,57 @@ func TestConcurrentFirstCompile(t *testing.T) {
 		for i := range serial {
 			if got[k][i] != serial[i] {
 				t.Fatalf("batch %d point %d: %v != serial %v", k, i, got[k][i], serial[i])
+			}
+		}
+	}
+}
+
+// TestLanesMatchRecordingReplay: the determinant-only lane replay behind
+// every nodal evaluator gives each point the bits the recording replay
+// (FactorAssembly, then LU.Det) gives it alone — on the µA741's
+// differential-gain patterns at the seed scales, at Parallelism 1, 2 and
+// 3, and at point counts that end a batch on every tail of a pass.
+func TestLanesMatchRecordingReplay(t *testing.T) {
+	u := circuits.UA741()
+	inp, inn, out := circuits.UA741Inputs()
+	ip, in, o := u.NodeIndex(inp), u.NodeIndex(inn), u.NodeIndex(out)
+	f, g, _, _ := u.SeedScales()
+	pts := dft.UnitCirclePoints(49)[:25]
+	build := func() *System {
+		sys, err := Build(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	for which, pattern := range []func(*System) *bound{
+		func(sys *System) *bound { return sys.mergedRowsPattern(ip, in, o) },
+		func(sys *System) *bound { return sys.shortedPattern(ip, in) },
+	} {
+		b := pattern(build())
+		var sc evalScratch
+		want := make([]xmath.XComplex, len(pts))
+		for i, s := range pts {
+			lu, err := b.factorAt(&sc, s, f, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[i] = lu.Det(); b.proj.sign < 0 {
+				want[i] = want[i].Neg()
+			}
+		}
+		for _, n := range []int{1, 2, 3, 5, 25} {
+			for _, par := range []int{1, 2, 3} {
+				tf, err := build().DifferentialVoltageGain(u, inp, inn, out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev := []interp.Evaluator{tf.Num, tf.Den}[which]
+				for i, got := range ev.EvalPoints(pts[:n], f, g, par) {
+					if got != want[i] {
+						t.Fatalf("%s, %d points, parallelism %d: point %d = %v, recording replay %v", ev.Name, n, par, i, got, want[i])
+					}
+				}
 			}
 		}
 	}

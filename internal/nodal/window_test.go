@@ -244,10 +244,10 @@ func BenchmarkStructuralWindowUA741(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var m matcher
-		if w := m.structuralWindow(num); w.Hi != 45 {
+		if w := m.structuralWindow(num.pattern); w.Hi != 45 {
 			b.Fatalf("numerator window %+v", w)
 		}
-		if w := m.structuralWindow(den); w.Hi != 47 {
+		if w := m.structuralWindow(den.pattern); w.Hi != 47 {
 			b.Fatalf("denominator window %+v", w)
 		}
 	}

@@ -6,15 +6,17 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/xmath"
 )
 
 // referenceMarkowitz is the map-based Markowitz factorization the flat
 // rows must reproduce bit for bit: it eliminates w, consuming its
 // contents, with the pivot rule of Workspace.markowitz. Map iteration
 // order is random, but every choice it makes is order-independent — a
-// total order on (cost, magnitude, row, column) for the pivot, one update
-// per entry, sorted U rows, multipliers by ascending row — as long as no
-// candidate magnitude is NaN.
+// total order on (cost, magnitude, row, column) for the pivot, with a NaN
+// magnitude below every number, one update per entry, sorted U rows,
+// multipliers by ascending row.
 func referenceMarkowitz(w *Matrix, threshold float64) (*LU, error) {
 	n := w.n
 	f := &LU{
@@ -78,9 +80,13 @@ func referenceMarkowitz(w *Matrix, threshold float64) (*LU, error) {
 					continue
 				}
 				cost := (rc - 1) * (colCount[j] - 1)
+				// Larger magnitude first, a NaN magnitude below every
+				// number; equal (or both NaN) falls to (row, column).
+				larger := a > bestAbs || (bestAbs != bestAbs && a == a)
+				same := a == bestAbs || (a != a && bestAbs != bestAbs)
 				better := cost < bestCost ||
-					(cost == bestCost && (a > bestAbs ||
-						(a == bestAbs && (bi < 0 || i < bi || (i == bi && j < bj)))))
+					(cost == bestCost && (larger ||
+						(same && (bi < 0 || i < bi || (i == bi && j < bj)))))
 				if better {
 					bestCost, bestAbs, bi, bj = cost, a, i, j
 				}
@@ -262,8 +268,8 @@ func (a *assembly) add(i, j int, v complex128) {
 	a.vals = append(a.vals, v)
 }
 
-// fill writes a's values.
-func (a *assembly) fill(k0 int, dst []complex128) { copy(dst, a.vals[k0:]) }
+// of returns a as an n×n Assembly: its values in the unscaled block.
+func (a *assembly) of(n int) *Assembly { return &Assembly{N: n, Pos: a.pos, U: a.vals} }
 
 // factorEntries assembles es into ws under sp and factors it, reporting
 // a plan miss as ErrPlanMiss.
@@ -272,7 +278,7 @@ func factorEntries(ws *Workspace, sp *SharedPlan, n int, es []entry) (*LU, error
 	for _, e := range es {
 		a.add(e.i, e.j, e.v)
 	}
-	ws.Assemble(sp, n, a.pos, a.fill)
+	ws.Assemble(sp, a.of(n), 0, 1, 1)
 	return ws.Factor()
 }
 
@@ -499,7 +505,9 @@ func bandScales(rng *rand.Rand, st []fuzzStamp, n int, s complex128, first [2]in
 // unit-circle points, a point that shrinks the first planned pivot to
 // force a guard trip, and points that put it in the stability guard's
 // band — and requires the same miss decision and bit-identical
-// factorizations.
+// factorizations. Its lane mode runs the same matrices through Dets,
+// several points per pass, and requires each point's determinant to be
+// the recording replay's bit for bit.
 func FuzzCompiledReplay(f *testing.F) {
 	f.Add(uint8(5), uint8(4), int64(1), uint8(0))
 	f.Add(uint8(9), uint8(12), int64(2), uint8(1))
@@ -526,7 +534,7 @@ func FuzzCompiledReplay(f *testing.F) {
 		prime := complex(0, 1)
 		var a assembly
 		assembleStamps(st, prime, nil, a.add)
-		ws.Assemble(&sp, n, a.pos, a.fill)
+		ws.Assemble(&sp, a.of(n), 0, 1, 1)
 		if _, err := ws.Factor(); err != nil {
 			return // singular at the priming point: nothing is planned
 		}
@@ -555,7 +563,7 @@ func FuzzCompiledReplay(f *testing.F) {
 			want, ok := referenceReplay(ref, c.pivRow, c.pivCol)
 			a = assembly{}
 			assembleStamps(st, p.s, p.sc, a.add)
-			ws.Assemble(&sp, n, a.pos, a.fill)
+			ws.Assemble(&sp, a.of(n), 0, 1, 1)
 			got, err := ws.Factor()
 			if ok != (err == nil) {
 				t.Fatalf("s=%v scale=%+v: reference ok=%v, compiled err=%v", p.s, p.sc, ok, err)
@@ -570,7 +578,130 @@ func FuzzCompiledReplay(f *testing.F) {
 				t.Fatal("replay replaced the shared plan")
 			}
 		}
+
+		// Lane mode: the same matrices as typed stamps, one assembly per
+		// scaling with the points as lanes, so that guard trips and band
+		// pivots share passes with ordinary points.
+		bases := []complex128{prime, 1, -1, complex(0, -1), cmplx.Rect(1, theta), 0}
+		scales := []*scaleAt{nil}
+		for _, p := range points {
+			if p.sc != nil {
+				scales = append(scales, p.sc)
+			}
+		}
+		for _, sc := range scales {
+			requireSameDets(t, &sp, typedStamps(st, n, sc), bases)
+		}
 	})
+}
+
+// typedStamps is the fuzz circuit's assembly as typed stamps: every
+// stamp's position once for its conductance part and once more for its
+// frequency part, the stamps at sc.pos scaled by sc.factor when sc is
+// non-nil. At the point s, with unit scale factors, it adds what
+// assembleStamps adds.
+func typedStamps(st []fuzzStamp, n int, sc *scaleAt) *Assembly {
+	a := &Assembly{N: n}
+	for _, e := range st {
+		a.Pos = append(a.Pos, [2]int32{int32(e.i), int32(e.j)})
+	}
+	a.Pos = append(a.Pos, a.Pos...)
+	for _, e := range st {
+		f := 1.0
+		if sc != nil && e.i == sc.pos[0] && e.j == sc.pos[1] {
+			f = sc.factor
+		}
+		a.G = append(a.G, e.g*f)
+		a.C = append(a.C, e.c*f)
+	}
+	return a
+}
+
+// detOrPanic returns det() and whether it panicked.
+func detOrPanic(det func() xmath.XComplex) (d xmath.XComplex, panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	return det(), false
+}
+
+// sameX reports bitwise equality of two extended complex numbers.
+func sameX(a, b xmath.XComplex) bool { return sameBits(a.Mant(), b.Mant()) && a.Exp() == b.Exp() }
+
+// requireSameDets runs Dets over a at the points pts (every tail of a
+// pass, through a reused workspace) and requires each point's
+// determinant to be the one the recording replay's LU.Det gives it alone
+// — bit for bit — with a panic where that product panics.
+func requireSameDets(t *testing.T, sp *SharedPlan, a *Assembly, pts []complex128) {
+	t.Helper()
+	var ref, lw Workspace
+	want := make([]xmath.XComplex, len(pts))
+	panics := false
+	for i, s := range pts {
+		var p bool
+		want[i], p = detOrPanic(func() xmath.XComplex {
+			f, err := ref.FactorAssembly(sp, a, s, 1, 1)
+			if err != nil {
+				return xmath.XComplex{}
+			}
+			return f.Det()
+		})
+		panics = panics || p
+	}
+	for n := 1; n <= len(pts); n++ {
+		got := make([]xmath.XComplex, n)
+		_, p := detOrPanic(func() xmath.XComplex {
+			lw.Dets(sp, a, pts[:n], 1, 1, got)
+			return xmath.XComplex{}
+		})
+		if p {
+			if !panics {
+				t.Fatalf("Dets over %d points panicked; no point's LU.Det does", n)
+			}
+			continue
+		}
+		for i := range got {
+			if !sameX(got[i], want[i]) {
+				t.Fatalf("%d points: Dets[%d] at s=%v = %v, recording replay %v", n, i, pts[i], got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestDetsLaneMissFallsBackAlone: in a pass whose second lane trips the
+// stability guard, only that point is factored again, and every lane
+// gets the determinant the recording replay gives its point alone.
+func TestDetsLaneMissFallsBackAlone(t *testing.T) {
+	// Y = [[1 + s·c, 1], [1, 0.5]] pivots on (0, 0) first when primed at
+	// s = j; at s = −1 that pivot is ~1e-14, far inside the guard.
+	a := &Assembly{N: 2, Pos: [][2]int32{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {0, 0}},
+		G: []float64{1, 1, 1, 0.5}, C: []float64{1 - 1e-14}}
+	pts := []complex128{complex(0.6, 0.8), -1, 1, complex(0, -1)}
+	var sp SharedPlan
+	var ws Workspace
+	prime := make([]xmath.XComplex, 1)
+	ws.Dets(&sp, a, []complex128{complex(0, 1)}, 1, 1, prime)
+	if c := sp.c.Load(); c == nil || c.pivRow[0] != 0 || c.pivCol[0] != 0 {
+		t.Fatal("plan does not pivot on (0, 0) first")
+	}
+	lanes := make([]xmath.XComplex, len(pts))
+	if missed := ws.detLanes(sp.c.Load(), a, pts, 1, 1, lanes); missed != 1<<1 {
+		t.Fatalf("missed lanes %04b, want 0010", missed)
+	}
+	got := make([]xmath.XComplex, len(pts))
+	ws.Dets(&sp, a, pts, 1, 1, got)
+	var ref Workspace
+	for i, s := range pts {
+		f, err := ref.FactorAssembly(&sp, a, s, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameX(got[i], f.Det()) {
+			t.Fatalf("lane %d (s=%v): %v, alone %v", i, s, got[i], f.Det())
+		}
+	}
+	ref.Assemble(&sp, a, -1, 1, 1)
+	if _, err := ref.Factor(); err != ErrPlanMiss {
+		t.Fatalf("the replay at s=−1: err = %v, want ErrPlanMiss", err)
+	}
 }
 
 // markowitzAdds draws the add sequence of one FuzzMarkowitz input: the
@@ -603,28 +734,6 @@ func markowitzAdds(rng *rand.Rand, n int, density, mode, point uint8) []entry {
 	return es
 }
 
-// hasNaN reports whether any pivot, U entry or multiplier of f has a NaN
-// part.
-func hasNaN(f *LU) bool {
-	nan := func(v complex128) bool { return math.IsNaN(real(v)) || math.IsNaN(imag(v)) }
-	for k := range f.pivVal {
-		if nan(f.pivVal[k]) {
-			return true
-		}
-		for _, e := range f.urows[k] {
-			if nan(e.val) {
-				return true
-			}
-		}
-		for _, me := range f.mults[k] {
-			if nan(me.mult) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // FuzzMarkowitz feeds one add sequence to the map-based reference
 // (through Matrix.Add) and to both production entry points —
 // Matrix.Factor and a reused Workspace's Assemble(nil)/Factor —
@@ -650,16 +759,6 @@ func FuzzMarkowitz(f *testing.F) {
 			return m
 		}
 		want, wantErr := referenceMarkowitz(build(), DefaultThreshold)
-		again, againErr := referenceMarkowitz(build(), DefaultThreshold)
-		// A NaN magnitude passes every comparison false, so the reference's
-		// pivot choice then depends on map iteration order. Such inputs are
-		// excluded: those on which two reference runs disagree, and — since
-		// agreeing twice proves nothing — any whose factorization carries a
-		// NaN at all.
-		if wantErr != againErr || (wantErr == nil && (hasNaN(want) || hasNaN(again) ||
-			!slices.Equal(want.pivRow, again.pivRow) || !slices.Equal(want.pivCol, again.pivCol))) {
-			return
-		}
 		check := func(label string, got *LU, err error) {
 			t.Helper()
 			if err != wantErr {
@@ -703,7 +802,7 @@ func TestReplayGuardBranches(t *testing.T) {
 	var sp SharedPlan
 	var ws Workspace
 	a := at(4, 1)
-	ws.Assemble(&sp, 2, a.pos, a.fill)
+	ws.Assemble(&sp, a.of(2), 0, 1, 1)
 	if _, err := ws.Factor(); err != nil {
 		t.Fatal(err)
 	}
@@ -745,7 +844,7 @@ func TestReplayGuardBranches(t *testing.T) {
 			t.Errorf("p=%v r=%v: prefilter clears=%v, want %v", tc.p, tc.r, got, tc.clears)
 		}
 		a := at(tc.p, tc.r)
-		ws.Assemble(&sp, 2, a.pos, a.fill)
+		ws.Assemble(&sp, a.of(2), 0, 1, 1)
 		_, err := ws.Factor()
 		ref := New(2)
 		for k, p := range a.pos {
@@ -754,6 +853,45 @@ func TestReplayGuardBranches(t *testing.T) {
 		_, ok := referenceReplay(ref, c.pivRow, c.pivCol)
 		if miss := err == ErrPlanMiss; miss != !ok || miss != tc.miss {
 			t.Errorf("p=%v r=%v: compiled miss=%v (err %v), reference miss=%v, want %v", tc.p, tc.r, miss, err, !ok, tc.miss)
+		}
+	}
+}
+
+// TestDivisorMatchesDivision: a hoisted divisor's quo gives the bits of
+// Go's complex division n / m for ordinary values, for both branches of
+// Smith's algorithm, and for zero, infinite and NaN parts on either
+// side. Where the compiler fuses a product into a sum (FMA targets), the
+// runtime's division fuses too, and so must quo.
+func TestDivisorMatchesDivision(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	negZero := math.Copysign(0, -1)
+	special := []float64{0, negZero, 1, -2.5, 1e-300, 3e300, inf, -inf, nan}
+	var vals []complex128
+	for _, re := range special {
+		for _, im := range special {
+			vals = append(vals, complex(re, im))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 2000 {
+		vals = append(vals, complex(rng.NormFloat64(), rng.NormFloat64()))
+	}
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	for k, m := range vals {
+		d := newDivisor(m)
+		// Every special numerator against every divisor; each random
+		// divisor against a few random numerators.
+		ns := vals[:len(special)*len(special)]
+		if k >= len(ns) {
+			ns = vals[len(ns)+rng.Intn(len(vals)-len(ns)-8):][:8]
+		}
+		for _, n := range ns {
+			if got, want := d.quo(n), n/m; !same(got, want) {
+				t.Fatalf("(%v) / (%v): quo %v, division %v", n, m, got, want)
+			}
 		}
 	}
 }

@@ -208,10 +208,70 @@ func compile(f *LU, pos [][2]int32) *compiled {
 	return c
 }
 
+// Assembly is a matrix given as typed stamps: the structural positions
+// of its values, in accumulation order, and the values as three blocks
+// in that order. Position k < len(G) receives G[k]·gscale, the next
+// len(U) positions receive U[k] as it is, and the rest receive
+// s·fscale·C[k]. The circuit backends lay their stamps out this way —
+// conductances, then (MNA) the unscaled ±1 and gain couplings, then
+// capacitances and inductances — and gather the values once per system
+// and pattern, so a point's assembly reads three flat slices.
+type Assembly struct {
+	N   int          // matrix order
+	Pos [][2]int32   // len(G)+len(U)+len(C) positions
+	G   []float64    // conductance block, scaled by gscale
+	U   []complex128 // unscaled block
+	C   []float64    // frequency block, scaled by s·fscale
+}
+
+// at returns the value of position k at the point whose frequency
+// factor is sc = s·fscale.
+func (a *Assembly) at(k int, sc complex128, gscale float64) complex128 {
+	if k < len(a.G) {
+		return complex(a.G[k]*gscale, 0)
+	}
+	if k -= len(a.G); k < len(a.U) {
+		return a.U[k]
+	}
+	return sc * complex(a.C[k-len(a.U)], 0)
+}
+
+// accumulate writes the assembly's values into compiled slots, one lane
+// per frequency factor: with L = len(sc) lanes and m = len(v)/L slots,
+// lane l's slots are v[l·m : (l+1)·m], and value k at lane l is added
+// into slot[k] of that lane, from zero and in assembly order; each value
+// is the one at returns. The G and U blocks, which come first, add the
+// same values to every lane, so lane 0 takes them and the other lanes
+// copy its sums.
+func (a *Assembly) accumulate(v []complex128, slot []int32, sc []complex128, gscale float64) {
+	m := len(v) / len(sc)
+	v0 := v[:m]
+	clear(v0)
+	k := 0
+	for _, g := range a.G {
+		v0[slot[k]] += complex(g*gscale, 0)
+		k++
+	}
+	for _, x := range a.U {
+		v0[slot[k]] += x
+		k++
+	}
+	for l := 1; l < len(sc); l++ {
+		copy(v[l*m:], v0)
+	}
+	slot = slot[k:]
+	for l, f := range sc {
+		vl := v[l*m : (l+1)*m]
+		for k, c := range a.C {
+			vl[slot[k]] += f * complex(c, 0)
+		}
+	}
+}
+
 // Workspace holds one evaluator's reusable factorization storage. A
-// point is loaded by Assemble — the values of a fixed list of positions,
-// handed over in one call — and factored by Factor; FactorAssembly does
-// both and answers a plan miss.
+// point is loaded by Assemble and factored by Factor; FactorAssembly
+// does both and answers a plan miss, and Dets evaluates determinants
+// alone, several points per pass.
 //
 // Once the shared plan is primed, the values go straight into a slot
 // array laid out by the compiled plan and Factor runs the compiled
@@ -220,20 +280,20 @@ func compile(f *LU, pos [][2]int32) *compiled {
 // way the LU is written into grow-only workspace buffers, so a reused
 // workspace allocates nothing once it has factored its largest matrix,
 // and the returned LU aliases the workspace (valid only until the next
-// factorization through it). A Workspace is not safe for concurrent use;
-// the batched evaluation layer keeps one per worker.
+// factorization through it). A workspace that only ever runs Dets on a
+// primed plan holds the slot values alone. A Workspace is not safe for
+// concurrent use; the batched evaluation layer keeps one per worker.
 type Workspace struct {
 	plan *SharedPlan // plan to replay or prime; nil for a plain factorization
 
-	// Compiled replay (c non-nil): one value per slot.
+	// Compiled replay (c non-nil): one value per slot, or per slot and
+	// lane under Dets.
 	c    *compiled
 	vals []complex128
 
 	// Full factorization: the assembled rows and the positions added.
 	rows flatRows
 	pos  [][2]int32
-
-	chunk [fillChunk]complex128 // Assemble's value buffer
 
 	lu   LU
 	piv  []int        // pivot rows then columns of a full factorization; a replay's are the plan's
@@ -253,75 +313,60 @@ func (ws *Workspace) ensure(n int) {
 	ws.lu.mults = ws.lu.mults[:n]
 }
 
-// Fill writes the values of one point's assembly: fill(k0, dst) sets
-// dst[d] to the value at position k0+d. Assemble asks for the values in
-// order, in chunks of at most fillChunk into a fixed workspace buffer,
-// so a point's values need no storage of their own.
-type Fill func(k0 int, dst []complex128)
-
-// fillChunk is the size of Assemble's value buffer.
-const fillChunk = 64
-
-// Assemble loads an n×n matrix for a factorization under sp: value k,
-// written by fill, is accumulated into element pos[k], in order, with
-// Matrix.Add's rules (a zero adds nothing and an exact cancellation
-// leaves an absent entry). Every position is structural, whatever its
-// value. When sp is primed, the values are added straight into the
-// compiled plan's value slots — value k into the slot of the priming
-// assembly's k-th position, so the caller must pass the same positions
-// at every point. Otherwise they go into flat rows for a full Markowitz
-// factorization that primes sp; pass a nil sp for a plain full
-// factorization, such as the fallback after ErrPlanMiss. The workspace
-// keeps pos, not a copy, until the next Assemble.
-func (ws *Workspace) Assemble(sp *SharedPlan, n int, pos [][2]int32, fill Fill) {
+// Assemble loads a's matrix at the point s under the scale factors
+// fscale and gscale (see Assembly) for a factorization under sp. Value k
+// is accumulated into element a.Pos[k], in order, with Matrix.Add's
+// rules (a zero adds nothing and an exact cancellation leaves an absent
+// entry). Every position is structural, whatever its value. When sp is
+// primed, the values are added straight into the compiled plan's value
+// slots — value k into the slot of the priming assembly's k-th position,
+// so the caller must pass the same positions at every point. Otherwise
+// they go into flat rows for a full Markowitz factorization that primes
+// sp; pass a nil sp for a plain full factorization, such as the fallback
+// after ErrPlanMiss. The workspace keeps a.Pos, not a copy, until the
+// next Assemble.
+func (ws *Workspace) Assemble(sp *SharedPlan, a *Assembly, s complex128, fscale, gscale float64) {
 	ws.plan = sp
 	ws.c = nil
 	if sp != nil {
-		if c := sp.c.Load(); c != nil {
-			ws.c = c
-			ws.vals = resize(ws.vals, c.nnz)
-			clear(ws.vals)
-			if cap(ws.ubuf) < len(c.ucol) {
-				ws.ubuf = make([]urowEntry, len(c.ucol))
-			}
-			if cap(ws.mbuf) < len(c.trow) {
-				ws.mbuf = make([]multEntry, len(c.trow))
-			}
-			ws.ensure(c.n)
-		}
+		ws.c = sp.c.Load()
 	}
-	if ws.c == nil {
-		ws.rows.reset(n)
-		ws.pos = pos
+	sc := s * complex(fscale, 0)
+	if c := ws.c; c != nil {
+		ws.vals = resize(ws.vals, c.nnz)
+		if cap(ws.ubuf) < len(c.ucol) {
+			ws.ubuf = make([]urowEntry, len(c.ucol))
+		}
+		if cap(ws.mbuf) < len(c.trow) {
+			ws.mbuf = make([]multEntry, len(c.trow))
+		}
+		ws.ensure(c.n)
+		a.accumulate(ws.vals, c.slot, []complex128{sc}, gscale)
+		return
 	}
-	for k0 := 0; k0 < len(pos); k0 += fillChunk {
-		vals := ws.chunk[:min(fillChunk, len(pos)-k0)]
-		fill(k0, vals)
-		if ws.c != nil {
-			slot, v := ws.c.slot[k0:k0+len(vals)], ws.vals
-			for k, x := range vals {
-				v[slot[k]] += x
-			}
-			continue
-		}
-		for k, x := range vals {
-			p := pos[k0+k]
-			ws.rows.add(int(p[0]), int(p[1]), x)
-		}
+	ws.rows.reset(a.N)
+	ws.pos = a.Pos
+	for k, p := range a.Pos {
+		ws.rows.add(int(p[0]), int(p[1]), a.at(k, sc, gscale))
 	}
 }
 
-// FactorAssembly assembles the values fill writes at pos under sp (see
-// Assemble) and factors the matrix. When the compiled replay misses, it
-// re-assembles the same values for a private full factorization, leaving
-// the plan untouched, so the result at a point never depends on which
-// points were factored before it (beyond the one-time priming).
-func (ws *Workspace) FactorAssembly(sp *SharedPlan, n int, pos [][2]int32, fill Fill) (*LU, error) {
-	ws.Assemble(sp, n, pos, fill)
-	f, err := ws.Factor()
+// FactorAssembly assembles a at s under sp (see Assemble) and factors
+// the matrix. When the compiled replay misses, it re-assembles the same
+// values for a private full factorization, leaving the plan untouched,
+// so the result at a point never depends on which points were factored
+// before it (beyond the one-time priming).
+func (ws *Workspace) FactorAssembly(sp *SharedPlan, a *Assembly, s complex128, fscale, gscale float64) (*LU, error) {
+	return ws.factorAssembly(sp, a, s, fscale, gscale, true)
+}
+
+// factorAssembly is FactorAssembly; see factor for record.
+func (ws *Workspace) factorAssembly(sp *SharedPlan, a *Assembly, s complex128, fscale, gscale float64, record bool) (*LU, error) {
+	ws.Assemble(sp, a, s, fscale, gscale)
+	f, err := ws.factor(record)
 	if err == ErrPlanMiss {
-		ws.Assemble(nil, n, pos, fill)
-		f, err = ws.Factor()
+		ws.Assemble(nil, a, s, fscale, gscale)
+		f, err = ws.factor(record)
 	}
 	return f, err
 }
@@ -331,11 +376,16 @@ func (ws *Workspace) FactorAssembly(sp *SharedPlan, n int, pos [][2]int32, fill 
 // stability guard; the assembled values are consumed either way, so the
 // caller re-assembles with a nil plan. A full factorization that
 // succeeds primes the plan Assemble was given, if it is still unprimed.
-func (ws *Workspace) Factor() (*LU, error) {
+func (ws *Workspace) Factor() (*LU, error) { return ws.factor(true) }
+
+// factor is Factor. With record false a full factorization keeps only
+// the pivots (see markowitz): the determinant, and the pivot order a plan
+// is primed with.
+func (ws *Workspace) factor(record bool) (*LU, error) {
 	if ws.c != nil {
 		return ws.replay()
 	}
-	f, err := ws.markowitz(DefaultThreshold)
+	f, err := ws.markowitz(DefaultThreshold, record)
 	if err == nil && ws.plan != nil {
 		ws.plan.prime(f, ws.pos)
 	}
@@ -367,6 +417,7 @@ func (ws *Workspace) replay() (*LU, error) {
 		}
 		f.urows[k] = u
 		f.pivVal = append(f.pivVal, piv)
+		div := newDivisor(piv)
 		width := len(uslot)
 		mults := ws.mbuf[st.t0:st.t0:st.t1]
 		for t, r := range c.trow[st.t0:st.t1] {
@@ -376,19 +427,31 @@ func (ws *Workspace) replay() (*LU, error) {
 			if fv == 0 {
 				continue
 			}
-			mult := fv / piv
+			mult := div.quo(fv)
 			mults = append(mults, multEntry{row: int(r), mult: mult})
-			for p, s := range uslot {
-				x := v[s]
-				if x == 0 || int32(p) == st.piv {
-					continue
-				}
-				v[tsl[p]] -= mult * x
-			}
+			eliminate(v, uslot, tsl, int(st.piv), mult)
 		}
 		f.mults[k] = mults
 	}
 	return f, nil
+}
+
+// eliminate subtracts mult times the pivot row, the values v[uslot],
+// from the target row, the values v[tsl] — skipping the pivot column,
+// which is the target's multiplier source, and every exact zero of the
+// pivot row.
+func eliminate(v []complex128, uslot, tsl []int32, piv int, mult complex128) {
+	tsl = tsl[:len(uslot)]
+	for p, s := range uslot[:piv] {
+		if x := v[s]; x != 0 {
+			v[tsl[p]] -= mult * x
+		}
+	}
+	for p := piv + 1; p < len(uslot); p++ {
+		if x := v[uslot[p]]; x != 0 {
+			v[tsl[p]] -= mult * x
+		}
+	}
 }
 
 // unsafePivot is the stability guard: it reports whether |piv| <

@@ -219,7 +219,7 @@ func (m *Matrix) Factor(threshold float64) (*LU, error) {
 			ws.rows.push(i, cell{col: int32(j), val: v})
 		}
 	}
-	return ws.markowitz(threshold)
+	return ws.markowitz(threshold, true)
 }
 
 // Det returns the determinant as an extended-range complex number: the

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 
 	"repro/internal/netlist"
 )
@@ -29,11 +30,18 @@ func CanonicalKey(backend string, c *Circuit, spec Spec, opts Options) (string, 
 	// An omitted seed is keyed as the value generation runs.
 	norm = pinSeeds(norm, c)
 	h := sha256.New()
+	f := specField.Replace
 	fmt.Fprintf(h, "refkey v4\nbackend %s\nspec %s|%s|%s|%s\nopts %s\n",
-		backend, spec.Kind, spec.In, spec.Inn, spec.Out, norm.Key())
+		backend, f(spec.Kind), f(spec.In), f(spec.Inn), f(spec.Out), norm.Key())
 	h.Write([]byte(canon))
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
+
+// specField escapes a Spec field for the key's spec line, whose fields
+// are joined by '|': node names may hold '|' (and, through the API, a
+// backslash or a newline), so that two different Specs cannot spell one
+// line. A field without those characters keeps its text.
+var specField = strings.NewReplacer(`\`, `\\`, "|", `\|`, "\n", `\n`)
 
 // RequestKey is CanonicalKey applied to a Request against an engine's
 // configuration: a nil Request.Options falls back to cfg.Options, and

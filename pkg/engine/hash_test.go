@@ -407,3 +407,44 @@ func TestRequestKey(t *testing.T) {
 		t.Error("request Options override did not change the key")
 	}
 }
+
+// pipeNetlist has the nodes "a|", "a", "b" and "|b": the diffgain specs
+// (a|, b) and (a, |b) once both spelled "spec diffgain|a||b|out" in the
+// key text.
+const pipeNetlist = "pipes\nR1 a| b 1k\nR2 a b 2k\nR3 |b out 3k\nR4 b out 1k\nC1 out 0 1n\nC2 a 0 2n\nR5 a 0 10k\nR6 |b 0 5k\nR7 a| 0 4k\n.end\n"
+
+// TestKeySpecFieldsEscaped: two different specs whose fields join into
+// the same text get different results and different keys.
+func TestKeySpecFieldsEscaped(t *testing.T) {
+	c := hashCircuit(t, pipeNetlist)
+	eng, err := engine.New(engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	var bodies [][]byte
+	for _, spec := range []engine.Spec{
+		{Kind: "diffgain", In: "a|", Inn: "b", Out: "out"},
+		{Kind: "diffgain", In: "a", Inn: "|b", Out: "out"},
+	} {
+		resp, err := eng.Generate(context.Background(), engine.Request{Circuit: c, Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := engine.EncodeResponseJSON(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := engine.CanonicalKey("nodal", c, spec, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, bodies = append(keys, key), append(bodies, body)
+	}
+	if bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatal("the two specs generated the same body; the test circuit does not tell them apart")
+	}
+	if keys[0] == keys[1] {
+		t.Errorf("different results share the key %s", keys[0])
+	}
+}

@@ -147,3 +147,31 @@ func TestIterationBudgetClampsNormalizedLimit(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestPipeSpecsDoNotShareAnEntry: diffgain (a|, b) and (a, |b) on a
+// circuit with all four nodes are different results; the second request
+// must generate, not be answered with the first one's cached body.
+func TestPipeSpecsDoNotShareAnEntry(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	netlist, err := json.Marshal("pipes\nR1 a| b 1k\nR2 a b 2k\nR3 |b out 3k\nR4 b out 1k\nC1 out 0 1n\nC2 a 0 2n\nR5 a 0 10k\nR6 |b 0 5k\nR7 a| 0 4k\n.end\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies [][]byte
+	for _, spec := range []string{
+		`{"kind":"diffgain","in":"a|","inn":"b","out":"out"}`,
+		`{"kind":"diffgain","in":"a","inn":"|b","out":"out"}`,
+	} {
+		resp, raw := postRaw(t, ts.URL, `{"netlist":`+string(netlist)+`,"spec":`+spec+`}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", spec, resp.StatusCode, raw)
+		}
+		if got := resp.Header.Get("X-Cache"); got != "miss" {
+			t.Errorf("%s: X-Cache = %q, want miss", spec, got)
+		}
+		bodies = append(bodies, raw)
+	}
+	if bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("the two specs were answered with one body")
+	}
+}
