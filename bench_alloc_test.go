@@ -64,7 +64,7 @@ func benchEvalFrame(b *testing.B, ckt *circuit.Circuit, evs ...interp.Evaluator)
 		// the one the serial frames sized; the second pass covers any
 		// remaining growth so the timed op starts in the steady state even
 		// at -benchtime=1x.
-		parallel, err := ev.EvalPointsCtx(ctx, fr.pts, fs, gs, 4)
+		parallel, err := ev.EvalPointsInto(ctx, make([]xmath.XComplex, half), fr.pts, fs, gs, 4)
 		if err != nil {
 			b.Fatal(err)
 		}

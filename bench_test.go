@@ -32,9 +32,7 @@ import (
 	"repro/internal/sbg"
 	"repro/internal/sensitivity"
 	"repro/internal/sparse"
-	"repro/internal/stability"
 	"repro/internal/symbolic"
-	"repro/internal/twoport"
 	"repro/internal/xmath"
 	"repro/pkg/engine"
 )
@@ -541,16 +539,6 @@ func BenchmarkSensitivityOTA(b *testing.B) {
 	}
 }
 
-func BenchmarkTwoPortYParams(b *testing.B) {
-	c := circuits.GmCCascade(5, 1e-4, 1e-5, 1e-12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := twoport.YParams(c, "in", circuits.GmCCascadeOut(5), core.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSDGStreamFirst10(b *testing.B) {
 	c := circuits.GmCCascade(4, 1e-4, 1e-5, 1e-12)
 	b.ResetTimer()
@@ -563,22 +551,6 @@ func BenchmarkSDGStreamFirst10(b *testing.B) {
 			if _, ok := ts.Next(); !ok {
 				b.Fatal("stream dried up")
 			}
-		}
-	}
-}
-
-func BenchmarkRouthUA741(b *testing.B) {
-	_, tf, cfg := ua741TF(b)
-	den, err := core.Generate(tf.Den, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dp := den.Poly()
-	dp = dp[:dp.Degree()+1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stability.Routh(dp); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

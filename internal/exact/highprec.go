@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"runtime"
@@ -398,7 +399,7 @@ func HPVoltageGain(c *circuit.Circuit, in, out string, prec uint) (num, den poly
 	// The per-point cofactors are independent dense LU eliminations in
 	// big.Float arithmetic, which is deterministic regardless of
 	// scheduling — safe to fan out unconditionally.
-	interp.ParallelFor(k, runtime.GOMAXPROCS(0), func(p int) {
+	interp.ParallelFor(context.Background(), k, runtime.GOMAXPROCS(0), func(p int) {
 		s := pts[p]
 		numVals[p] = cofactorBC(scaled, n, s, i, o, prec)
 		denVals[p] = cofactorBC(scaled, n, s, i, i, prec)

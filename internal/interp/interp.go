@@ -64,13 +64,13 @@ type Evaluator struct {
 	// deterministic: the returned values must be bit-identical to calling
 	// Eval on each point in order, regardless of workers. Evaluators that
 	// cannot guarantee this must leave EvalBatch nil, which makes
-	// EvalPoints fall back to the serial loop.
+	// EvalPointsInto fall back to the serial loop.
 	//
 	// ctx carries cancellation: once it is done, implementations must
 	// stop dispatching further points and return promptly (slots never
 	// evaluated stay zero), leaving no goroutines behind. Callers detect
 	// the truncation through ctx.Err(); implementations built on
-	// RunBatch, RunChunks or ParallelForCtx inherit this behavior.
+	// RunBatch, RunChunks or ParallelFor inherit this behavior.
 	EvalBatch func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex
 }
 
@@ -102,31 +102,19 @@ func Workers(parallelism int) int {
 	return parallelism
 }
 
-// EvalPoints evaluates the polynomial at every point of a frame. With
+// EvalPointsInto evaluates the polynomial at every point of a frame,
+// writing into dst, which must have len(points) entries. With
 // parallelism 1 — or when the evaluator has no batch implementation —
-// it runs the plain serial loop; otherwise it dispatches EvalBatch with
-// the resolved worker count. Both paths return bit-identical values.
-func (ev Evaluator) EvalPoints(points []complex128, fscale, gscale float64, parallelism int) []xmath.XComplex {
-	values, _ := ev.EvalPointsCtx(context.Background(), points, fscale, gscale, parallelism)
-	return values
-}
-
-// EvalPointsCtx is EvalPoints under a context: when ctx is canceled (or
-// its deadline passes) mid-frame, evaluation stops dispatching further
-// points and returns the partially-filled slice alongside ctx.Err().
-// With a never-canceled context the values are bit-identical to
-// EvalPoints — the cancellation checks do not perturb the arithmetic.
-func (ev Evaluator) EvalPointsCtx(ctx context.Context, points []complex128, fscale, gscale float64, parallelism int) ([]xmath.XComplex, error) {
-	return ev.EvalPointsInto(ctx, make([]xmath.XComplex, len(points)), points, fscale, gscale, parallelism)
-}
-
-// EvalPointsInto is EvalPointsCtx writing into dst, which must have
-// len(points) entries. On the serial path (parallelism 1, or no batch
-// implementation) the loop fills dst directly and — when the evaluator's
-// Eval draws its scratch from a pool, as the circuit backends do — the
-// whole frame evaluates without allocating. The parallel path dispatches
-// EvalBatch unchanged and copies into dst, so values stay bit-identical
-// across parallelism settings.
+// the serial loop fills dst directly and, when the evaluator's Eval
+// draws its scratch from a pool as the circuit backends do, the whole
+// frame evaluates without allocating. Otherwise it dispatches EvalBatch
+// with the resolved worker count and copies into dst; both paths return
+// bit-identical values.
+//
+// When ctx is canceled (or its deadline passes) mid-frame, evaluation
+// stops dispatching further points and returns the partially-filled
+// slice alongside ctx.Err(). The cancellation checks do not perturb the
+// arithmetic.
 func (ev Evaluator) EvalPointsInto(ctx context.Context, dst []xmath.XComplex, points []complex128, fscale, gscale float64, parallelism int) ([]xmath.XComplex, error) {
 	if len(dst) != len(points) {
 		panic("interp: destination length does not match point count")
@@ -147,19 +135,13 @@ func (ev Evaluator) EvalPointsInto(ctx context.Context, dst []xmath.XComplex, po
 }
 
 // ParallelFor runs fn(i) for i in [0, n) across up to workers
-// goroutines, pulling indices from a shared atomic counter. It returns
-// after every index has completed. With workers ≤ 1 (or n ≤ 1) it
-// degenerates to a plain loop on the calling goroutine.
-func ParallelFor(n, workers int, fn func(i int)) {
-	ParallelForCtx(context.Background(), n, workers, fn)
-}
-
-// ParallelForCtx is ParallelFor under a context: once ctx is done, no
-// further indices are claimed (indices already started still finish) and
-// the call returns after every in-flight fn has completed — so no
-// goroutine outlives the call regardless of cancellation timing. The
-// caller learns about the truncation from ctx.Err().
-func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) {
+// goroutines, pulling indices from a shared atomic counter. With
+// workers ≤ 1 (or n ≤ 1) it degenerates to a plain loop on the calling
+// goroutine. Once ctx is done, no further indices are claimed (indices
+// already started still finish); the call returns after every in-flight
+// fn has completed, so no goroutine outlives it. The caller learns about
+// the truncation from ctx.Err().
+func ParallelFor(ctx context.Context, n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -306,7 +288,7 @@ func FromPoly(name string, p poly.XPoly, m int) Evaluator {
 		EvalBatch: func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex {
 			norm := p.Normalize(fscale, gscale, m)
 			values := make([]xmath.XComplex, len(points))
-			ParallelForCtx(ctx, len(points), workers, func(i int) {
+			ParallelFor(ctx, len(points), workers, func(i int) {
 				values[i] = norm.Eval(xmath.FromComplex(points[i]))
 			})
 			return values
@@ -364,21 +346,14 @@ type Result struct {
 // factors using k points on the unit circle (k must exceed the polynomial
 // order; use ev.OrderBound+1 when in doubt).
 func Run(ev Evaluator, fscale, gscale float64, k int) Result {
-	return RunWithParallelism(ev, fscale, gscale, k, 1)
-}
-
-// RunWithParallelism is Run with an explicit parallelism knob (0 =
-// GOMAXPROCS, 1 = serial). The result is bit-identical across
-// parallelism settings; see Evaluator.EvalBatch.
-func RunWithParallelism(ev Evaluator, fscale, gscale float64, k, parallelism int) Result {
-	r, _ := RunCtx(context.Background(), ev, fscale, gscale, k, parallelism)
+	r, _ := RunCtx(context.Background(), ev, fscale, gscale, k, 1)
 	return r
 }
 
-// RunCtx is RunWithParallelism under a context: cancellation mid-frame
-// aborts the point evaluations and returns a zero Result alongside
-// ctx.Err(). With a never-canceled context the Result is bit-identical
-// to RunWithParallelism.
+// RunCtx is Run with an explicit parallelism knob (0 = GOMAXPROCS,
+// 1 = serial) under a context: cancellation mid-frame aborts the point
+// evaluations and returns a zero Result alongside ctx.Err(). The Result
+// is bit-identical across parallelism settings; see Evaluator.EvalBatch.
 func RunCtx(ctx context.Context, ev Evaluator, fscale, gscale float64, k, parallelism int) (Result, error) {
 	if k <= 0 {
 		panic("interp: point count must be positive")
@@ -388,7 +363,7 @@ func RunCtx(ctx context.Context, ev Evaluator, fscale, gscale float64, k, parall
 	// runs both use the mirrored scheme, so they stay bit-identical.
 	half := dft.HermitianHalf(k)
 	pts := dft.UnitCirclePoints(k)
-	values, err := ev.EvalPointsCtx(ctx, pts[:half], fscale, gscale, parallelism)
+	values, err := ev.EvalPointsInto(ctx, make([]xmath.XComplex, half), pts[:half], fscale, gscale, parallelism)
 	if err != nil {
 		return Result{}, err
 	}

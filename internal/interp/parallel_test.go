@@ -31,14 +31,14 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		const n = 137
 		var hits [n]atomic.Int32
-		ParallelFor(n, workers, func(i int) { hits[i].Add(1) })
+		ParallelFor(context.Background(), n, workers, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d hit %d times", workers, i, got)
 			}
 		}
 	}
-	ParallelFor(0, 4, func(int) { t.Fatal("fn called for n=0") })
+	ParallelFor(context.Background(), 0, 4, func(int) { t.Fatal("fn called for n=0") })
 }
 
 func TestRunBatchSerialUntilReady(t *testing.T) {
@@ -137,12 +137,22 @@ func testPoly() poly.XPoly {
 	return p
 }
 
+// evalPoints evaluates ev at every point of pts through EvalPointsInto.
+func evalPoints(t testing.TB, ev Evaluator, pts []complex128, f, g float64, parallelism int) []xmath.XComplex {
+	t.Helper()
+	values, err := ev.EvalPointsInto(context.Background(), make([]xmath.XComplex, len(pts)), pts, f, g, parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return values
+}
+
 func TestEvalPointsBitIdenticalAcrossParallelism(t *testing.T) {
 	ev := FromPoly("p", testPoly(), 8)
 	pts := dft.UnitCirclePoints(32)
-	serial := ev.EvalPoints(pts, 2.5, 0.5, 1)
+	serial := evalPoints(t, ev, pts, 2.5, 0.5, 1)
 	for _, par := range []int{0, 2, 4, 16} {
-		got := ev.EvalPoints(pts, 2.5, 0.5, par)
+		got := evalPoints(t, ev, pts, 2.5, 0.5, par)
 		for i := range got {
 			if got[i] != serial[i] {
 				t.Fatalf("parallelism %d: point %d differs: %v vs %v", par, i, got[i], serial[i])
@@ -161,7 +171,7 @@ func TestEvalPointsNoBatchFallsBack(t *testing.T) {
 		},
 	}
 	pts := dft.UnitCirclePoints(8)
-	ev.EvalPoints(pts, 1, 1, 0) // no EvalBatch: serial fallback, no data race on calls
+	evalPoints(t, ev, pts, 1, 1, 0) // no EvalBatch: serial fallback, no data race on calls
 	if calls != 8 {
 		t.Fatalf("Eval called %d times, want 8", calls)
 	}
@@ -171,7 +181,10 @@ func TestRunWithParallelismMatchesRun(t *testing.T) {
 	ev := FromPoly("p", testPoly(), 8)
 	ref := Run(ev, 3, 0.25, 10)
 	for _, par := range []int{0, 1, 4} {
-		r := RunWithParallelism(ev, 3, 0.25, 10, par)
+		r, err := RunCtx(context.Background(), ev, 3, 0.25, 10, par)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range ref.Raw {
 			if r.Raw[i] != ref.Raw[i] {
 				t.Fatalf("parallelism %d: raw[%d] differs", par, i)

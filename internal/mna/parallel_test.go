@@ -45,7 +45,7 @@ func TestMNABatchBitIdentical(t *testing.T) {
 	}
 	// Point counts that end a batch on every tail of a lane pass.
 	for which, label := range []string{"det", "num", "den"} {
-		serial := mk(which).EvalPoints(pts, 1e7, 1, 1)
+		serial := evalPoints(t, mk(which), pts, 1e7, 1, 1)
 		for _, n := range []int{1, 2, 3, 5, len(pts)} {
 			for _, workers := range []int{2, 3, 4, 8} {
 				ev := mk(which)
@@ -61,6 +61,16 @@ func TestMNABatchBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// evalPoints evaluates ev at every point of pts through EvalPointsInto.
+func evalPoints(t testing.TB, ev interp.Evaluator, pts []complex128, f, g float64, parallelism int) []xmath.XComplex {
+	t.Helper()
+	values, err := ev.EvalPointsInto(context.Background(), make([]xmath.XComplex, len(pts)), pts, f, g, parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return values
 }
 
 func TestMNASharedPatternAcrossEvaluators(t *testing.T) {
@@ -80,11 +90,11 @@ func TestMNASharedPatternAcrossEvaluators(t *testing.T) {
 		return sys, tf
 	}
 	sysA, tfA := fresh()
-	_ = sysA.DetEvaluator().EvalPoints(pts, 1e7, 1, 1) // primes the plan
-	numShared := tfA.Num.EvalPoints(pts, 1e7, 1, 1)
+	evalPoints(t, sysA.DetEvaluator(), pts, 1e7, 1, 1) // primes the plan
+	numShared := evalPoints(t, tfA.Num, pts, 1e7, 1, 1)
 
 	_, tfB := fresh()
-	numFresh := tfB.Num.EvalPoints(pts, 1e7, 1, 1)
+	numFresh := evalPoints(t, tfB.Num, pts, 1e7, 1, 1)
 	for i := range numShared {
 		if numShared[i] != numFresh[i] {
 			t.Fatalf("point %d: primed-by-det %v != fresh %v", i, numShared[i], numFresh[i])
@@ -142,8 +152,8 @@ func TestConcurrentPrimingBatchAndEvalBoth(t *testing.T) {
 		return sys, tf
 	}
 	_, ref := fresh()
-	wantDen := ref.Den.EvalPoints(pts, 1e7, 1, 1)
-	wantNum := ref.Num.EvalPoints(pts, 1e7, 1, 1)
+	wantDen := evalPoints(t, ref.Den, pts, 1e7, 1, 1)
+	wantNum := evalPoints(t, ref.Num, pts, 1e7, 1, 1)
 
 	sys, tf := fresh()
 	var batch []xmath.XComplex

@@ -92,7 +92,7 @@ func shortedProjection(n, a, b int) projection {
 
 // mergedRowsProjection adds row b into row a, deletes row b and column
 // c: the single-determinant form of C_ac − C_bc, with sign (−1)^(b+c+1)
-// (see CofactorMergedRows).
+// (see mergedRowsPattern).
 func mergedRowsProjection(n, a, b, c int) projection {
 	sign := 1.0
 	if (b+c+1)%2 != 0 {
@@ -358,8 +358,7 @@ func (sys *System) degreeWindow(pat *pattern) *interp.DegreeWindow {
 // on the other points of its pass, so serial and parallel runs are
 // bit-identical. Degrees carries the pattern's structural degree window
 // (window.go).
-func (sys *System) evaluator(name string, m int, key [2]int, mk func() projection) interp.Evaluator {
-	b := sys.pattern(key, mk)
+func (sys *System) evaluator(name string, m int, b *bound) interp.Evaluator {
 	return interp.Evaluator{
 		Name: name, M: m, OrderBound: sys.orderBound(m),
 		Degrees: sys.degreeWindow(b.pattern),
@@ -533,13 +532,6 @@ func cofactorSign(r, c int) float64 {
 	return -1
 }
 
-// Cofactor evaluates the signed first-order cofactor
-// C_rc(s) = (−1)^(r+c)·det(Y(s) with row r and column c deleted)
-// of the scaled matrix.
-func (sys *System) Cofactor(r, c int, s complex128, fscale, gscale float64) xmath.XComplex {
-	return sys.cofactorPattern(r, c).detPooled(s, fscale, gscale)
-}
-
 // detPooled is detAt through the pattern's scratch pool — the shared
 // path of the single-point evaluations.
 func (b *bound) detPooled(s complex128, fscale, gscale float64) xmath.XComplex {
@@ -549,46 +541,38 @@ func (b *bound) detPooled(s complex128, fscale, gscale float64) xmath.XComplex {
 	return det
 }
 
+// The pattern helpers below own the key of each derived determinant,
+// so that every evaluator and test of one determinant shares its plan.
+
+// cofactorPattern is the signed first-order cofactor
+// C_rc(s) = (−1)^(r+c)·det(Y(s) with row r and column c deleted).
 func (sys *System) cofactorPattern(r, c int) *bound {
 	return sys.pattern([2]int{r, c}, func() projection { return cofactorProjection(sys.n, r, c) })
 }
 
-// Det evaluates det Y(s) of the scaled matrix.
-func (sys *System) Det(s complex128, fscale, gscale float64) xmath.XComplex {
-	return sys.detPattern().detPooled(s, fscale, gscale)
-}
-
+// detPattern is det Y(s).
 func (sys *System) detPattern() *bound {
 	return sys.pattern([2]int{-1, -1}, func() projection { return identityProjection(sys.n) })
 }
 
-// DetShorted evaluates det of Y(s) with node b merged into node a (rows
+// shortedPattern is det of Y(s) with node b merged into node a (rows
 // and columns summed) — the circuit with the two nodes shorted. By
 // multilinearity this single determinant equals the four-cofactor sum
 // C_aa + C_bb − C_ab − C_ba, but without the ~6-digit cancellation the
 // explicit sum suffers on weakly-coupled input pairs.
-func (sys *System) DetShorted(a, b int, s complex128, fscale, gscale float64) xmath.XComplex {
-	return sys.shortedPattern(a, b).detPooled(s, fscale, gscale)
-}
-
 func (sys *System) shortedPattern(a, b int) *bound {
 	return sys.pattern([2]int{-2 - a, -2 - b}, func() projection { return shortedProjection(sys.n, a, b) })
 }
 
-// CofactorMergedRows evaluates the single-determinant form of
-// C_a,c − C_b,c: det of Y(s) with row b added into row a, row b and
-// column c removed, with the appropriate cofactor sign. Like DetShorted
-// it avoids the cancellation of the explicit difference.
+// mergedRowsPattern is the single-determinant form of C_a,c − C_b,c:
+// det of Y(s) with row b added into row a, row b and column c removed,
+// with the appropriate cofactor sign. Like shortedPattern it avoids the
+// cancellation of the explicit difference.
 //
 // Multilinear expansion of the merged row gives
 // C_ac − C_bc = (−1)^(b+c+1)·det(reduced), with b the deleted row —
 // independent of whether a < b (the row move parity absorbs the
-// difference). Verified against the explicit cofactor difference in
-// the package tests.
-func (sys *System) CofactorMergedRows(a, b, c int, s complex128, fscale, gscale float64) xmath.XComplex {
-	return sys.mergedRowsPattern(a, b, c).detPooled(s, fscale, gscale)
-}
-
+// difference). TestDifferentialGainMatchesMNA checks the sign.
 func (sys *System) mergedRowsPattern(a, b, c int) *bound {
 	return sys.pattern([2]int{-100 - a*sys.n - b, c}, func() projection { return mergedRowsProjection(sys.n, a, b, c) })
 }
@@ -618,10 +602,8 @@ func (sys *System) VoltageGain(c *circuit.Circuit, in, out string) (*interp.Tran
 	m := sys.n - 1
 	tf := &interp.TransferFunction{
 		Name: fmt.Sprintf("V(%s)/V(%s)", out, in),
-		Num: sys.evaluator("numerator", m, [2]int{i, o},
-			func() projection { return cofactorProjection(sys.n, i, o) }),
-		Den: sys.evaluator("denominator", m, [2]int{i, i},
-			func() projection { return cofactorProjection(sys.n, i, i) }),
+		Num:  sys.evaluator("numerator", m, sys.cofactorPattern(i, o)),
+		Den:  sys.evaluator("denominator", m, sys.cofactorPattern(i, i)),
 	}
 	tf.EvalBoth, tf.BothReady = sys.jointCramer(i, func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex) {
 		return cramerValue(det, x, o), cramerValue(det, x, i)
@@ -661,10 +643,8 @@ func (sys *System) DifferentialVoltageGain(c *circuit.Circuit, inp, inn, out str
 	// shorted single-determinant forms exist to avoid.
 	return &interp.TransferFunction{
 		Name: fmt.Sprintf("V(%s)/(V(%s)-V(%s))", out, inp, inn),
-		Num: sys.evaluator("numerator", m, [2]int{-100 - ip*sys.n - in, o},
-			func() projection { return mergedRowsProjection(sys.n, ip, in, o) }),
-		Den: sys.evaluator("denominator", m, [2]int{-2 - ip, -2 - in},
-			func() projection { return shortedProjection(sys.n, ip, in) }),
+		Num:  sys.evaluator("numerator", m, sys.mergedRowsPattern(ip, in, o)),
+		Den:  sys.evaluator("denominator", m, sys.shortedPattern(ip, in)),
 	}, nil
 }
 
@@ -681,10 +661,8 @@ func (sys *System) Transimpedance(c *circuit.Circuit, in, out string) (*interp.T
 	}
 	tf := &interp.TransferFunction{
 		Name: fmt.Sprintf("V(%s)/I(%s)", out, in),
-		Num: sys.evaluator("numerator", sys.n-1, [2]int{i, o},
-			func() projection { return cofactorProjection(sys.n, i, o) }),
-		Den: sys.evaluator("denominator", sys.n, [2]int{-1, -1},
-			func() projection { return identityProjection(sys.n) }),
+		Num:  sys.evaluator("numerator", sys.n-1, sys.cofactorPattern(i, o)),
+		Den:  sys.evaluator("denominator", sys.n, sys.detPattern()),
 	}
 	tf.EvalBoth, tf.BothReady = sys.jointCramer(i, func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex) {
 		return cramerValue(det, x, o), det

@@ -28,6 +28,16 @@ func batchCircuit() *circuit.Circuit {
 	return c
 }
 
+// evalPoints evaluates ev at every point of pts through EvalPointsInto.
+func evalPoints(t testing.TB, ev interp.Evaluator, pts []complex128, f, g float64, parallelism int) []xmath.XComplex {
+	t.Helper()
+	values, err := ev.EvalPointsInto(context.Background(), make([]xmath.XComplex, len(pts)), pts, f, g, parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return values
+}
+
 // assertBatchMatchesSerial checks EvalBatch against the serial Eval loop
 // bit-for-bit at several worker counts, on fresh systems so the shared
 // plan priming sequence is identical.
@@ -35,7 +45,7 @@ func assertBatchMatchesSerial(t *testing.T, mk func() interp.Evaluator, f, g flo
 	t.Helper()
 	pts := dft.UnitCirclePoints(24)
 	serialEv := mk()
-	serial := serialEv.EvalPoints(pts, f, g, 1)
+	serial := evalPoints(t, serialEv, pts, f, g, 1)
 	for _, workers := range []int{2, 4, 8} {
 		ev := mk()
 		if ev.EvalBatch == nil {
@@ -135,13 +145,13 @@ func TestProjectionMatchesLegacyForms(t *testing.T) {
 			if cofactorSign(r, cc) < 0 {
 				want = want.Neg()
 			}
-			got := sys.Cofactor(r, cc, s, f, g)
+			got := sys.cofactorPattern(r, cc).detPooled(s, f, g)
 			if !got.Real().ApproxEqual(want.Real(), 1e-12) || !got.Imag().ApproxEqual(want.Imag(), 1e-12) {
 				t.Fatalf("cofactor (%d,%d): %v vs %v", r, cc, got, want)
 			}
 		}
 	}
-	if got, want := sys.Det(s, f, g), full.Det(); !got.Real().ApproxEqual(want.Real(), 1e-12) {
+	if got, want := sys.detPattern().detPooled(s, f, g), full.Det(); !got.Real().ApproxEqual(want.Real(), 1e-12) {
 		t.Fatalf("det: %v vs %v", got, want)
 	}
 }
@@ -169,7 +179,7 @@ func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
 	prime, miss, next := complex(0, 1), complex(-1, 0), complex(0.6, 0.8)
 	sys := mk()
 	pat := sys.detPattern()
-	sys.Det(prime, 1, 1)
+	pat.detPooled(prime, 1, 1)
 
 	sc := pat.get()
 	sc.ws.Assemble(&pat.plan, pat.assembly(), miss, 1, 1)
@@ -182,7 +192,7 @@ func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sys.Det(miss, 1, 1), full.Det(); got != want {
+	if got, want := pat.detPooled(miss, 1, 1), full.Det(); got != want {
 		t.Fatalf("det at the miss = %v, fresh Factor %v", got, want)
 	}
 
@@ -194,9 +204,9 @@ func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
 		t.Fatalf("replay after the miss: %v", err)
 	}
 	pat.put(sc)
-	clean := mk()
-	clean.Det(prime, 1, 1)
-	if got, want := sys.Det(next, 1, 1), clean.Det(next, 1, 1); got != want {
+	clean := mk().detPattern()
+	clean.detPooled(prime, 1, 1)
+	if got, want := pat.detPooled(next, 1, 1), clean.detPooled(next, 1, 1); got != want {
 		t.Fatalf("det after the miss = %v, without it %v", got, want)
 	}
 }
@@ -209,7 +219,7 @@ func TestPlanMissFallbackReusesScratch(t *testing.T) {
 	sys := missSystem(t)
 	prime, miss := complex(0, 1), complex(-1, 0)
 	pat := sys.detPattern()
-	sys.Det(prime, 1, 1)
+	pat.detPooled(prime, 1, 1)
 	full, err := sys.MatrixAt(miss, 1, 1).Factor(sparse.DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +262,7 @@ func TestConcurrentFirstCompile(t *testing.T) {
 		}
 		return tf.Num
 	}
-	serial := mk().EvalPoints(pts, 1e12, 1e3, 1)
+	serial := evalPoints(t, mk(), pts, 1e12, 1e3, 1)
 	ev := mk()
 	var got [2][]xmath.XComplex
 	var wg sync.WaitGroup
@@ -314,7 +324,7 @@ func TestLanesMatchRecordingReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 				ev := []interp.Evaluator{tf.Num, tf.Den}[which]
-				for i, got := range ev.EvalPoints(pts[:n], f, g, par) {
+				for i, got := range evalPoints(t, ev, pts[:n], f, g, par) {
 					if got != want[i] {
 						t.Fatalf("%s, %d points, parallelism %d: point %d = %v, recording replay %v", ev.Name, n, par, i, got, want[i])
 					}

@@ -122,6 +122,3 @@ func Fig2(points int) (*Fig2Data, error) {
 	}
 	return d, nil
 }
-
-// OTACircuit exposes the Fig. 1 circuit for the rendering layer.
-func OTACircuit() *circuit.Circuit { return circuits.OTA() }

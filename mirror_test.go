@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -63,11 +64,11 @@ func TestMirroredPointValuesBitIdenticalToConj(t *testing.T) {
 				f, g := scale[0], scale[1]
 				// Fresh systems per path so plan priming is identical.
 				for _, ev := range fixtureEvaluators(t, fx) {
-					serial := ev.EvalPoints(pts, f, g, 1)
+					serial, _ := ev.EvalPointsInto(context.Background(), make([]xmath.XComplex, k), pts, f, g, 1)
 					assertMirrorSymmetry(t, fx.name+"/"+ev.Name+"/serial", pts, serial)
 				}
 				for _, ev := range fixtureEvaluators(t, fx) {
-					par := ev.EvalPoints(pts, f, g, workers)
+					par, _ := ev.EvalPointsInto(context.Background(), make([]xmath.XComplex, k), pts, f, g, workers)
 					assertMirrorSymmetry(t, fx.name+"/"+ev.Name+"/parallel", pts, par)
 				}
 			}

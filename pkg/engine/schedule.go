@@ -91,8 +91,8 @@ func parseScale(s, what string) (float64, error) {
 	return f, nil
 }
 
-// ScheduleWire converts a Schedule to its wire form.
-func ScheduleWire(s *Schedule) (*WireSchedule, error) {
+// scheduleWire converts a Schedule to its wire form.
+func scheduleWire(s *Schedule) (*WireSchedule, error) {
 	if s == nil {
 		return nil, nil
 	}
@@ -173,10 +173,10 @@ func EncodeWarmStartJSON(key string, ws *WarmStart) ([]byte, error) {
 	}
 	w := &WireWarmStart{Version: ScheduleWireVersion, Key: key}
 	var err error
-	if w.Num, err = ScheduleWire(ws.Num); err != nil {
+	if w.Num, err = scheduleWire(ws.Num); err != nil {
 		return nil, err
 	}
-	if w.Den, err = ScheduleWire(ws.Den); err != nil {
+	if w.Den, err = scheduleWire(ws.Den); err != nil {
 		return nil, err
 	}
 	raw, err := json.MarshalIndent(w, "", "  ")

@@ -134,8 +134,8 @@ func (w *WireResponse) WorstRelError() float64 {
 	return worst
 }
 
-// ResultWire converts a Result to its wire form.
-func ResultWire(r *Result) *WireResult {
+// resultWire converts a Result to its wire form.
+func resultWire(r *Result) *WireResult {
 	if r == nil {
 		return nil
 	}
@@ -199,7 +199,7 @@ func ResponseWire(resp *Response) *WireResponse {
 	if resp == nil {
 		return nil
 	}
-	w := &WireResponse{Num: ResultWire(resp.Num), Den: ResultWire(resp.Den), Tier: resp.Tier().String()}
+	w := &WireResponse{Num: resultWire(resp.Num), Den: resultWire(resp.Den), Tier: resp.Tier().String()}
 	if resp.Formulation != nil {
 		w.Backend = resp.Formulation.Backend
 	}
