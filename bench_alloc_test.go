@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
@@ -58,20 +59,14 @@ func benchEvalFrame(b *testing.B, ckt *circuit.Circuit, evs ...interp.Evaluator)
 		frames[i] = fr
 
 		// Priming: the parallel pass first (it pins the serial-vs-parallel
-		// bit-identity invariant and primes the shared pivot plan), then
-		// two serial frames. Serial priming runs last so the scratch on top
-		// of the evaluator free list — the one the timed loop will pop — is
-		// the one the serial frames sized; the second pass covers any
-		// remaining growth so the timed op starts in the steady state even
-		// at -benchtime=1x.
+		// bit-identity invariant and primes the shared pivot plan), then a
+		// serial frame to compare with.
 		parallel, err := ev.EvalPointsInto(ctx, make([]xmath.XComplex, half), fr.pts, fs, gs, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for range 2 {
-			if _, err := ev.EvalPointsInto(ctx, fr.values, fr.pts, fs, gs, 1); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := ev.EvalPointsInto(ctx, fr.values, fr.pts, fs, gs, 1); err != nil {
+			b.Fatal(err)
 		}
 		for k := range fr.values {
 			if fr.values[k] != parallel[k] {
@@ -81,9 +76,7 @@ func benchEvalFrame(b *testing.B, ckt *circuit.Circuit, evs ...interp.Evaluator)
 		dft.HermitianInverseInto(fr.raw, fr.values, kUse, &fr.scratch)
 	}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	op := func() {
 		for _, fr := range frames {
 			if _, err := fr.ev.EvalPointsInto(ctx, fr.values, fr.pts, fs, gs, 1); err != nil {
 				b.Fatal(err)
@@ -94,6 +87,30 @@ func benchEvalFrame(b *testing.B, ckt *circuit.Circuit, evs ...interp.Evaluator)
 			}
 		}
 	}
+	// One untimed op: serial evaluation pops the scratch on top of the
+	// shared stack for each point and pushes it back, so every point of
+	// every frame runs in that one scratch, which this op grows for all
+	// of them. The timed op then starts in the steady state even at
+	// -benchtime=1x.
+	op()
+	timeAlone(b, op)
+}
+
+// timeAlone reports allocations and times op b.N times on a single P.
+// Allocation counts are process-wide, so a gated count must not see
+// other goroutines allocate while the timer runs, as the runtime's own
+// do once per process (the scavenger's first sleep grows its P's timer
+// heap by 16 B). With one P nothing runs beside op, which neither
+// blocks nor yields.
+func timeAlone(b *testing.B, op func()) {
+	b.Helper()
+	b.ReportAllocs()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
 }
 
 func nodalDen(b *testing.B, ckt *circuit.Circuit, in, out string) interp.Evaluator {
@@ -172,11 +189,44 @@ func BenchmarkWireEncodeUA741(b *testing.B) {
 	if got, err := engine.EncodeWireJSON(w); err != nil || !bytes.Equal(got, raw) {
 		b.Fatalf("re-encoding the µA741 reference changed its bytes (err %v)", err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	timeAlone(b, func() {
 		if _, err := engine.EncodeWireJSON(w); err != nil {
 			b.Fatal(err)
 		}
+	})
+}
+
+// BenchmarkEncodeResponseUA741 times what a ua741-cold op and a service
+// miss pay to encode a fresh µA741 generation: EncodeResponseJSON of the
+// engine's response, conversion to the wire form included. The
+// response's bytes must be the committed reference's. An op's
+// allocations are the wire form's (the response, its two results, their
+// coefficient and iteration lists, one buffer for every coefficient
+// text) and the body, a count fixed by the layout, which the CI gate on
+// allocs/op holds.
+func BenchmarkEncodeResponseUA741(b *testing.B) {
+	eng, err := engine.New(engine.Config{})
+	if err != nil {
+		b.Fatal(err)
 	}
+	inp, inn, out := circuits.UA741Inputs()
+	resp, err := eng.Generate(context.Background(), engine.Request{
+		Circuit: circuits.UA741(),
+		Spec:    engine.Spec{Kind: "diffgain", In: inp, Inn: inn, Out: out},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/ua741_diffgain.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got, err := engine.EncodeResponseJSON(resp); err != nil || !bytes.Equal(got, want) {
+		b.Fatalf("the µA741 generation does not encode as the committed reference (err %v)", err)
+	}
+	timeAlone(b, func() {
+		if _, err := engine.EncodeResponseJSON(resp); err != nil {
+			b.Fatal(err)
+		}
+	})
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/circuits"
 	"repro/internal/core"
-	"repro/internal/dense"
 	"repro/internal/dft"
 	"repro/internal/interp"
 	"repro/internal/mna"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/roots"
 	"repro/internal/sbg"
 	"repro/internal/sensitivity"
-	"repro/internal/sparse"
 	"repro/internal/symbolic"
 	"repro/internal/xmath"
 	"repro/pkg/engine"
@@ -295,87 +293,10 @@ func BenchmarkAblationTuningRPlus2(b *testing.B)  { benchTuningR(b, 2) }
 
 // --- ablation: sparse Markowitz LU vs dense LU determinants ---
 
-// nodalMatrix assembles the circuit's scaled node-admittance matrix at
-// s = j, the setting of the generator's unit-circle points.
-func nodalMatrix(b *testing.B, c *circuit.Circuit) *sparse.Matrix {
-	b.Helper()
-	sys, err := nodal.Build(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sys.MatrixAt(complex(0, 1), 1/c.MeanCapacitance(), 1/c.MeanConductance())
-}
-
-func ua741Matrix(b *testing.B) *sparse.Matrix { return nodalMatrix(b, circuits.UA741()) }
-
-// BenchmarkDetSparseUA741 times the production full Markowitz
-// factorization — the one that primes a plan or answers a plan miss: a
-// reused workspace, the matrix's entries assembled without a plan,
-// Factor. The warm-up factorization grows the workspace, so an op
-// allocates nothing.
-func BenchmarkDetSparseUA741(b *testing.B) {
-	a := matrixEntries(ua741Matrix(b))
-	var ws sparse.Workspace
-	factor := func() *sparse.LU {
-		ws.Assemble(nil, a, 0, 1, 1)
-		f, err := ws.Factor()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
-	factor()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if factor().Det().Zero() {
-			b.Fatal("zero det")
-		}
-	}
-}
-
-// matrixEntries lists m's nonzeros in row-major order as an assembly
-// that reproduces m: every value in the unscaled block.
-func matrixEntries(m *sparse.Matrix) *sparse.Assembly {
-	a := &sparse.Assembly{N: m.N()}
-	for i := 0; i < m.N(); i++ {
-		for j := 0; j < m.N(); j++ {
-			if v := m.At(i, j); v != 0 {
-				a.Pos = append(a.Pos, [2]int32{int32(i), int32(j)})
-				a.U = append(a.U, v)
-			}
-		}
-	}
-	return a
-}
-
-func benchDetDense(b *testing.B, sm *sparse.Matrix) {
-	n := sm.N()
-	m := dense.New(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := sm.At(i, j); v != 0 {
-				m.Set(i, j, v)
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m.Det().Zero() {
-			b.Fatal("zero det")
-		}
-	}
-}
-
-func BenchmarkDetDenseBiquad(b *testing.B) { benchDetDense(b, nodalMatrix(b, circuits.Biquad())) }
-func BenchmarkDetDenseLadder40(b *testing.B) {
-	benchDetDense(b, nodalMatrix(b, circuits.RCLadder(40, 1e3, 1e-9)))
-}
-func BenchmarkDetDenseUA741(b *testing.B) { benchDetDense(b, ua741Matrix(b)) }
-
-// The planned and lane replays (BenchmarkDetPlanned*,
-// BenchmarkDetLanesUA741) are timed in internal/nodal, on the typed
-// stamps the nodal backend assembles from.
+// The dense LU (BenchmarkDetDense*), the full Markowitz factorization
+// (BenchmarkDetSparseUA741) and the planned and lane replays
+// (BenchmarkDetPlanned*, BenchmarkDetLanesUA741) are timed in
+// internal/nodal, on the typed stamps the nodal backend assembles from.
 
 // --- ablation: direct O(K²) IDFT vs radix-2 FFT ---
 

@@ -22,11 +22,13 @@
 // on. For the steady-state hot-path benchmarks (BenchmarkEvalBatch*,
 // BenchmarkDetSparseUA741, BenchmarkDetPlanned{Biquad,Ladder40,UA741}
 // and BenchmarkDetLanesUA741),
-// the cold structural-window matchings (BenchmarkStructuralWindowUA741)
-// and the µA741 wire encoding (BenchmarkWireEncodeUA741), allocs/op is
-// also gated lower-is-better: those ops have an exact allocation count
-// (zero for the primed hot path, one buffer for the encoder), so any
-// count above the baseline means the op started allocating again. The CI bench smoke job runs check mode for
+// the cold structural-window matchings (BenchmarkStructuralWindowUA741),
+// the µA741 wire encoding (BenchmarkWireEncodeUA741) and the encoding of
+// a generated µA741 response (BenchmarkEncodeResponseUA741), allocs/op
+// is also gated lower-is-better: those ops have an exact allocation
+// count (zero for the primed hot path, one buffer for the encoder, the
+// wire form's few for a response), so any count above the baseline
+// means the op started allocating again. The CI bench smoke job runs check mode for
 // set membership and compare mode for the counters.
 package main
 
@@ -87,10 +89,10 @@ var deterministicUnits = map[string]bool{
 // zero heap allocations, making the count an exact property of the code
 // (not of the host or the GC) and safe to gate. The structural-window
 // matchings of a cold µA741 formulation run in one fresh scratch per op,
-// so their count is exact too, and so is the wire encoder's single
-// pre-sized buffer. Everywhere else allocs/op stays advisory, like
-// timings.
-var allocGated = regexp.MustCompile(`^Benchmark(EvalBatch|DetSparseUA741$|DetPlanned(Biquad|Ladder40|UA741)$|DetLanesUA741$|StructuralWindowUA741$|WireEncodeUA741$)`)
+// so their count is exact too, and so are the wire encoder's single
+// pre-sized buffer and a response's conversion to the wire form.
+// Everywhere else allocs/op stays advisory, like timings.
+var allocGated = regexp.MustCompile(`^Benchmark(EvalBatch|DetSparseUA741$|DetPlanned(Biquad|Ladder40|UA741)$|DetLanesUA741$|StructuralWindowUA741$|WireEncodeUA741$|EncodeResponseUA741$)`)
 
 // higherIsBetterUnits flips the regression direction for counters where
 // a drop is the regression: losing warm starts means a sweep fell back

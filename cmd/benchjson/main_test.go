@@ -143,7 +143,8 @@ func TestSnapshotAndCheckModes(t *testing.T) {
 // TestCompareAllocsGate pins the hot-path allocation gate: allocs/op is
 // compared (lower-is-better) on BenchmarkEvalBatch*,
 // BenchmarkDetSparseUA741, BenchmarkDetPlanned*, BenchmarkDetLanesUA741,
-// BenchmarkStructuralWindowUA741 and BenchmarkWireEncodeUA741 only, so
+// BenchmarkStructuralWindowUA741, BenchmarkWireEncodeUA741 and
+// BenchmarkEncodeResponseUA741 only, so
 // an op that starts allocating more fails the gate while advisory
 // allocation counts elsewhere stay ignored.
 func TestCompareAllocsGate(t *testing.T) {
@@ -163,6 +164,8 @@ func TestCompareAllocsGate(t *testing.T) {
 			"B/op": 7344, "allocs/op": 19}},
 		{Name: "BenchmarkWireEncodeUA741", N: 1, NsOp: 180000, Extra: map[string]float64{
 			"B/op": 40960, "allocs/op": 1}},
+		{Name: "BenchmarkEncodeResponseUA741", N: 1, NsOp: 170000, Extra: map[string]float64{
+			"B/op": 59000, "allocs/op": 9}},
 	})
 
 	// A hot-path op that allocates again is a regression, even by one.
@@ -181,12 +184,14 @@ func TestCompareAllocsGate(t *testing.T) {
 			"B/op": 7400, "allocs/op": 20}},
 		{Name: "BenchmarkWireEncodeUA741", N: 1, NsOp: 180000, Extra: map[string]float64{
 			"B/op": 81920, "allocs/op": 2}},
+		{Name: "BenchmarkEncodeResponseUA741", N: 1, NsOp: 170000, Extra: map[string]float64{
+			"B/op": 83000, "allocs/op": 299}},
 	})
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-compare", old, leaky}, strings.NewReader(""), &out, &errOut); code != 1 {
 		t.Fatalf("leaky hot path exited %d, want 1 (stdout %q)", code, out.String())
 	}
-	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40", "BenchmarkDetLanesUA741", "BenchmarkStructuralWindowUA741", "BenchmarkWireEncodeUA741"} {
+	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40", "BenchmarkDetLanesUA741", "BenchmarkStructuralWindowUA741", "BenchmarkWireEncodeUA741", "BenchmarkEncodeResponseUA741"} {
 		if !strings.Contains(out.String(), "REGRESSION "+name+" allocs/op") {
 			t.Errorf("missing %s allocs regression in %q", name, out.String())
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/cmplx"
-	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/interp"
@@ -31,38 +30,6 @@ import (
 // transforms coefficients exactly (p'_i = p_i·f^i). Use the generator
 // with Config.SingleFactor=true and leave the conductance scale at 1.
 
-// evalScratch is the reusable per-worker evaluation state of the one
-// MNA sparsity pattern: the factorization workspace (slot values, and
-// the rows and LU of a full or recording factorization once one is
-// needed) and the RHS and solution vectors of the transfer solve,
-// allocated by the first solve.
-type evalScratch struct {
-	ws  sparse.Workspace
-	rhs []complex128
-	sol []complex128
-}
-
-// getScratch pops a scratch from the system's free list, building one
-// sized for the MNA dimension when the list is empty.
-func (sys *System) getScratch() *evalScratch {
-	sys.scratchMu.Lock()
-	if n := len(sys.free); n > 0 {
-		sc := sys.free[n-1]
-		sys.free = sys.free[:n-1]
-		sys.scratchMu.Unlock()
-		return sc
-	}
-	sys.scratchMu.Unlock()
-	return new(evalScratch)
-}
-
-// putScratch returns a scratch to the free list.
-func (sys *System) putScratch(sc *evalScratch) {
-	sys.scratchMu.Lock()
-	sys.free = append(sys.free, sc)
-	sys.scratchMu.Unlock()
-}
-
 // factorAt factors the scaled matrix at one point under the system's
 // shared pivot-order plan (primed once per System by the first
 // successful factorization; replayed read-only afterwards — across
@@ -71,50 +38,45 @@ func (sys *System) putScratch(sc *evalScratch) {
 // replay reuses sc's workspace and allocates nothing; a plan miss runs a
 // private full factorization without touching the plan (see
 // sparse.Workspace.FactorAssembly).
-func (sys *System) factorAt(sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	return sc.ws.FactorAssembly(sys.detPlan, &sys.asm, s, fscale, gscale)
+func (sys *System) factorAt(sc *sparse.Scratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
+	return sc.WS.FactorAssembly(sys.detPlan, &sys.asm, s, fscale, gscale)
 }
 
 // dets evaluates D(s) = det Y_MNA(s) at every point of pts, zero where
 // singular, through the determinant-only lane replay (see
 // sparse.Workspace.Dets).
-func (sys *System) dets(sc *evalScratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
-	sc.ws.Dets(sys.detPlan, &sys.asm, pts, fscale, gscale, dst)
+func (sys *System) dets(sc *sparse.Scratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
+	sc.WS.Dets(sys.detPlan, &sys.asm, pts, fscale, gscale, dst)
 }
 
 // detAt is dets at one point: the lane replay with one live lane.
-func (sys *System) detAt(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
+func (sys *System) detAt(sc *sparse.Scratch, s complex128, fscale, gscale float64) xmath.XComplex {
 	var d [1]xmath.XComplex
 	sys.dets(sc, d[:], []complex128{s}, fscale, gscale)
 	return d[0]
 }
 
 // transferRHS returns sc's right-hand side loaded with the independent
-// sources at their AC values, sizing sc's solve vectors on first use.
-func (sys *System) transferRHS(sc *evalScratch) []complex128 {
-	if sc.rhs == nil {
-		sc.rhs = make([]complex128, sys.dim)
-		sc.sol = make([]complex128, sys.dim)
-	}
-	b := sc.rhs
-	clear(b)
+// sources at their AC values, and its solution vector.
+func (sys *System) transferRHS(sc *sparse.Scratch) (rhs, sol []complex128) {
+	rhs, sol = sc.Vectors(sys.dim)
 	for i, v := range sys.rhs {
-		b[i] = complex(v, 0)
+		rhs[i] = complex(v, 0)
 	}
-	return b
+	return rhs, sol
 }
 
 // numAt evaluates N(s) = X_out(s)·det Y_MNA(s) per eqs. (8)–(10), with
 // one factorization serving both the determinant and the solve.
-func (sys *System) numAt(sc *evalScratch, idx int, s complex128, fscale, gscale float64) xmath.XComplex {
+func (sys *System) numAt(sc *sparse.Scratch, idx int, s complex128, fscale, gscale float64) xmath.XComplex {
 	lu, err := sys.factorAt(sc, s, fscale, gscale)
 	if err != nil {
 		return xmath.XComplex{} // structurally singular: N ≡ 0 here
 	}
-	if err := lu.SolveInto(sc.sol, sys.transferRHS(sc), &sc.ws); err != nil {
+	b, x := sys.transferRHS(sc)
+	if err := lu.SolveInto(x, b, &sc.WS); err != nil {
 		return xmath.XComplex{}
 	}
-	x := sc.sol
 	if cmplx.IsNaN(x[idx]) || cmplx.IsInf(x[idx]) {
 		return xmath.XComplex{}
 	}
@@ -123,39 +85,31 @@ func (sys *System) numAt(sc *evalScratch, idx int, s complex128, fscale, gscale 
 
 // evaluator wraps a point's value (at) and a chunk's values (chunk) as
 // an interp.Evaluator: the serial Eval runs at on a scratch drawn from
-// the system pool per point (allocation-free in the steady state), and
+// the shared stack per point (allocation-free in the steady state), and
 // EvalBatch fans chunks of sparse.Lanes points out over per-worker
-// pooled scratches — returned when the batch drains — after serially
-// priming the shared pivot plan. chunk must give each point the value at
-// gives it.
+// scratches leased from the stack — returned when the batch drains —
+// after serially priming the shared pivot plan. chunk must give each
+// point the value at gives it.
 func (sys *System) evaluator(name string, bound int,
-	at func(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex,
-	chunk func(sc *evalScratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64)) interp.Evaluator {
+	at func(sc *sparse.Scratch, s complex128, fscale, gscale float64) xmath.XComplex,
+	chunk func(sc *sparse.Scratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64)) interp.Evaluator {
 	return interp.Evaluator{
 		Name:       name,
 		M:          0,
 		OrderBound: bound,
 		Eval: func(s complex128, fscale, gscale float64) xmath.XComplex {
-			sc := sys.getScratch()
+			sc := sparse.GetScratch()
 			v := at(sc, s, fscale, gscale)
-			sys.putScratch(sc)
+			sparse.PutScratch(sc)
 			return v
 		},
 		EvalBatch: func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex {
-			var mu sync.Mutex
-			var acquired []*evalScratch
 			// RunChunks returns only after every worker goroutine has
 			// exited, so the scratches are idle when released.
-			defer func() {
-				for _, sc := range acquired {
-					sys.putScratch(sc)
-				}
-			}()
+			var lease sparse.Lease
+			defer lease.Release()
 			return interp.RunChunks(ctx, points, workers, sparse.Lanes, sys.detPlan.Primed, func() func([]xmath.XComplex, []complex128) {
-				sc := sys.getScratch()
-				mu.Lock()
-				acquired = append(acquired, sc)
-				mu.Unlock()
+				sc := lease.Get()
 				return func(dst []xmath.XComplex, pts []complex128) {
 					chunk(sc, dst, pts, fscale, gscale)
 				}
@@ -208,10 +162,10 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 		return nil, fmt.Errorf("mna: no independent source with nonzero AC value")
 	}
 	bound := sys.OrderBound()
-	numPoint := func(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
+	numPoint := func(sc *sparse.Scratch, s complex128, fscale, gscale float64) xmath.XComplex {
 		return sys.numAt(sc, idx, s, fscale, gscale)
 	}
-	num := sys.evaluator("numerator", bound, numPoint, func(sc *evalScratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
+	num := sys.evaluator("numerator", bound, numPoint, func(sc *sparse.Scratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
 		for i, s := range pts {
 			dst[i] = numPoint(sc, s, fscale, gscale)
 		}
@@ -225,17 +179,17 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 	// factorization that gives D = det Y_MNA, so EvalBoth is the numAt
 	// computation with the determinant reported alongside.
 	tf.EvalBoth = func(s complex128, fscale, gscale float64) (n, d xmath.XComplex) {
-		sc := sys.getScratch()
-		defer sys.putScratch(sc)
+		sc := sparse.GetScratch()
+		defer sparse.PutScratch(sc)
 		lu, err := sys.factorAt(sc, s, fscale, gscale)
 		if err != nil {
 			return xmath.XComplex{}, xmath.XComplex{}
 		}
 		det := lu.Det()
-		if err := lu.SolveInto(sc.sol, sys.transferRHS(sc), &sc.ws); err != nil {
+		b, x := sys.transferRHS(sc)
+		if err := lu.SolveInto(x, b, &sc.WS); err != nil {
 			return xmath.XComplex{}, det
 		}
-		x := sc.sol
 		if cmplx.IsNaN(x[idx]) || cmplx.IsInf(x[idx]) {
 			return xmath.XComplex{}, det
 		}

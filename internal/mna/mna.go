@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/sparse"
@@ -53,14 +52,6 @@ type System struct {
 	// sparse.SharedPlan). It is held by pointer so AdoptPlan can share
 	// one plan across the Systems of a batch sweep.
 	detPlan *sparse.SharedPlan
-
-	// scratchMu guards free, the evaluation-scratch free list shared by
-	// every evaluator of the system (they all factor the one MNA
-	// pattern). A mutex-guarded stack, not a sync.Pool: steady-state
-	// evaluation must allocate deterministically (zero times), and a
-	// sync.Pool may be emptied by any GC cycle.
-	scratchMu sync.Mutex
-	free      []*evalScratch
 }
 
 // AdoptPlan shares the donor system's pivot-order plan with sys and

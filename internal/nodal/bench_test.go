@@ -1,14 +1,52 @@
 package nodal
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/circuits"
+	"repro/internal/dense"
 	"repro/internal/dft"
 	"repro/internal/sparse"
 	"repro/internal/xmath"
 )
+
+// matrixAt assembles Y(s) with every conductance multiplied by gscale
+// and every capacitance by fscale,
+//
+//	Y_ij = gscale·G_ij + s·fscale·C_ij,
+//
+// as a map-based matrix: the reference construction the projected
+// typed-stamp assemblies are checked against.
+func (sys *System) matrixAt(s complex128, fscale, gscale float64) *sparse.Matrix {
+	m := sparse.New(sys.n)
+	for _, st := range sys.gStamps {
+		m.Add(st.i, st.j, complex(st.v*gscale, 0))
+	}
+	sc := s * complex(fscale, 0)
+	for _, st := range sys.cStamps {
+		m.Add(st.i, st.j, sc*complex(st.v, 0))
+	}
+	return m
+}
+
+// timeAlone reports allocations and times op b.N times on a single P.
+// Allocation counts are process-wide, so a gated count must not see
+// other goroutines allocate while the timer runs, as the runtime's own
+// do once per process (the scavenger's first sleep grows its P's timer
+// heap by 16 B). With one P nothing runs beside op, which neither
+// blocks nor yields.
+func timeAlone(b *testing.B, op func()) {
+	b.Helper()
+	b.ReportAllocs()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+}
 
 // benchDet returns the full determinant det Y of c's nodal system, with
 // its typed stamps gathered as every nodal evaluation gathers them, and
@@ -30,7 +68,7 @@ func benchDet(b *testing.B, c *circuit.Circuit) (pat *bound, fscale, gscale floa
 // the second grows the workspace, so an op allocates nothing.
 func benchDetPlanned(b *testing.B, c *circuit.Circuit) {
 	pat, f, g := benchDet(b, c)
-	var sc evalScratch
+	var sc sparse.Scratch
 	factor := func() *sparse.LU {
 		lu, err := pat.factorAt(&sc, 1i, f, g)
 		if err != nil {
@@ -43,13 +81,11 @@ func benchDetPlanned(b *testing.B, c *circuit.Circuit) {
 		b.Fatal("first factorization did not prime the plan")
 	}
 	factor()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	timeAlone(b, func() {
 		if factor().Det().Zero() {
 			b.Fatal("zero det")
 		}
-	}
+	})
 }
 
 func BenchmarkDetPlannedBiquad(b *testing.B)   { benchDetPlanned(b, circuits.Biquad()) }
@@ -66,17 +102,12 @@ func BenchmarkDetLanesUA741(b *testing.B) {
 	const k = 49
 	pts := dft.UnitCirclePoints(k)[:dft.HermitianHalf(k)]
 	dst := make([]xmath.XComplex, len(pts))
-	var sc evalScratch
+	var sc sparse.Scratch
 	pat.dets(&sc, dst, pts, f, g)
 	if !pat.plan.Primed() {
 		b.Fatal("first pass did not prime the plan")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pat.dets(&sc, dst, pts, f, g)
-	}
-	b.StopTimer()
+	timeAlone(b, func() { pat.dets(&sc, dst, pts, f, g) })
 	for _, d := range dst {
 		if d.Zero() {
 			b.Fatal("zero det")
@@ -84,3 +115,63 @@ func BenchmarkDetLanesUA741(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
 }
+
+// BenchmarkDetSparseUA741 times the full Markowitz factorization that
+// primes a pattern's plan in every cold µA741 generation (and answers a
+// plan miss): the typed stamps of the differential-gain denominator —
+// the shorted input pair — at s = j and the seed scales, assembled into
+// flat rows and factored for the determinant alone, without a plan,
+// through a reused scratch. The warm-up factorization grows the
+// scratch, so an op allocates nothing.
+func BenchmarkDetSparseUA741(b *testing.B) {
+	u := circuits.UA741()
+	sys, err := Build(u)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inp, inn, _ := circuits.UA741Inputs()
+	pat := sys.shortedPattern(u.NodeIndex(inp), u.NodeIndex(inn))
+	f, g, _, _ := u.SeedScales()
+	var sc sparse.Scratch
+	pts := []complex128{1i}
+	var det [1]xmath.XComplex
+	factor := func() {
+		sc.WS.Dets(nil, pat.assembly(), pts, f, g, det[:])
+		if det[0].Zero() {
+			b.Fatal("zero det")
+		}
+	}
+	factor()
+	timeAlone(b, factor)
+}
+
+// benchDetDense times the dense LU determinant of c's full node-
+// admittance matrix at s = j and the circuit's seed scales: the
+// ablation the sparse factorizations are compared with.
+func benchDetDense(b *testing.B, c *circuit.Circuit) {
+	sys, err := Build(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, g, _, _ := c.SeedScales()
+	sm := sys.matrixAt(1i, f, g)
+	n := sm.N()
+	m := dense.New(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if v := sm.At(i, j); v != 0 {
+				m.Set(i, j, v)
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.Det().Zero() {
+			b.Fatal("zero det")
+		}
+	}
+}
+
+func BenchmarkDetDenseBiquad(b *testing.B)   { benchDetDense(b, circuits.Biquad()) }
+func BenchmarkDetDenseLadder40(b *testing.B) { benchDetDense(b, circuits.RCLadder(40, 1e3, 1e-9)) }
+func BenchmarkDetDenseUA741(b *testing.B)    { benchDetDense(b, circuits.UA741()) }

@@ -106,10 +106,11 @@ func mergedRowsProjection(n, a, b, c int) projection {
 // projection's stamp positions — by the first successful factorization
 // anywhere in a run, and replayed read-only at every later point: across
 // all points of a frame and all frames of a Generate run, and across the
-// systems of a sweep that adopt the pattern. The pattern also owns the
-// free list of evaluation scratches for its dimension, so steady-state
-// evaluation reuses factorization workspaces and RHS vectors instead of
-// allocating per point.
+// systems of a sweep that adopt the pattern. Its evaluations draw their
+// factorization workspaces and RHS vectors from the process-wide scratch
+// stack (sparse.GetScratch), so steady-state evaluation reuses buffers
+// instead of allocating per point, and a new pattern starts from buffers
+// earlier patterns grew.
 type pattern struct {
 	proj projection
 	plan sparse.SharedPlan
@@ -120,9 +121,6 @@ type pattern struct {
 	// only, which every system adopting the pattern shares.
 	pos [][2]int32
 	ng  int
-
-	scratchMu sync.Mutex
-	free      []*evalScratch
 
 	// degrees is the structural degree window of the determinant
 	// (window.go), computed once on first use by any adopting system.
@@ -183,54 +181,19 @@ func (b *bound) gather() {
 	b.asm = sparse.Assembly{N: b.proj.dim, Pos: b.pos, G: vals[:b.ng], C: vals[b.ng:]}
 }
 
-// evalScratch is the per-worker reusable evaluation state of one
-// pattern: the factorization workspace (slot values, and the rows and LU
-// of a full or recording factorization once one is needed) and the
-// Cramer RHS/solution vectors, allocated by the first joint solve.
-type evalScratch struct {
-	ws  sparse.Workspace
-	rhs []complex128
-	sol []complex128
-}
-
-// get pops a scratch from the pattern's free list, building one sized
-// for the pattern when the list is empty. The list is a mutex-guarded
-// stack rather than a sync.Pool on purpose: a sync.Pool may be emptied
-// by any GC cycle, which would make the steady state's allocation count
-// nondeterministic, while the stack guarantees zero allocations once one
-// scratch per concurrent evaluator exists.
-func (pat *pattern) get() *evalScratch {
-	pat.scratchMu.Lock()
-	if n := len(pat.free); n > 0 {
-		sc := pat.free[n-1]
-		pat.free = pat.free[:n-1]
-		pat.scratchMu.Unlock()
-		return sc
-	}
-	pat.scratchMu.Unlock()
-	return new(evalScratch)
-}
-
-// put returns a scratch to the free list.
-func (pat *pattern) put(sc *evalScratch) {
-	pat.scratchMu.Lock()
-	pat.free = append(pat.free, sc)
-	pat.scratchMu.Unlock()
-}
-
 // factorAt factors b's matrix at one point under the pattern's shared
 // plan — once the plan is primed, a compiled replay that allocates
 // nothing, with a private full factorization on a plan miss (see
 // sparse.Workspace.FactorAssembly).
-func (b *bound) factorAt(sc *evalScratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	return sc.ws.FactorAssembly(&b.plan, b.assembly(), s, fscale, gscale)
+func (b *bound) factorAt(sc *sparse.Scratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
+	return sc.WS.FactorAssembly(&b.plan, b.assembly(), s, fscale, gscale)
 }
 
 // dets writes the signed determinants of b's matrix at the points pts,
 // zero where singular, through the determinant-only lane replay (see
 // sparse.Workspace.Dets).
-func (b *bound) dets(sc *evalScratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
-	sc.ws.Dets(&b.plan, b.assembly(), pts, fscale, gscale, dst)
+func (b *bound) dets(sc *sparse.Scratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
+	sc.WS.Dets(&b.plan, b.assembly(), pts, fscale, gscale, dst)
 	if b.proj.sign < 0 {
 		for i := range dst {
 			dst[i] = dst[i].Neg()
@@ -239,7 +202,7 @@ func (b *bound) dets(sc *evalScratch, dst []xmath.XComplex, pts []complex128, fs
 }
 
 // detAt is dets at one point: the lane replay with one live lane.
-func (b *bound) detAt(sc *evalScratch, s complex128, fscale, gscale float64) xmath.XComplex {
+func (b *bound) detAt(sc *sparse.Scratch, s complex128, fscale, gscale float64) xmath.XComplex {
 	var d [1]xmath.XComplex
 	b.dets(sc, d[:], []complex128{s}, fscale, gscale)
 	return d[0]
@@ -263,9 +226,6 @@ type System struct {
 	mu       sync.Mutex
 	patterns map[[2]int]*pattern
 	bounds   map[[2]int]*bound
-	// match is the scratch every structural window of this system is
-	// computed in, guarded by mu.
-	match matcher
 }
 
 // AdoptPatterns shares the donor system's pattern cache — projections
@@ -337,12 +297,15 @@ func (sys *System) pattern(key [2]int, mk func() projection) *bound {
 }
 
 // degreeWindow returns a copy of pat's structural degree window,
-// computing it on first use.
+// computing it on first use in the shared matcher.
 func (sys *System) degreeWindow(pat *pattern) *interp.DegreeWindow {
 	pat.degreesOnce.Do(func() {
-		sys.mu.Lock()
-		pat.degrees = sys.match.structuralWindow(pat)
-		sys.mu.Unlock()
+		windows.Lock()
+		pat.degrees = windows.structuralWindow(pat)
+		if cap(windows.cols) > maxMatcherEntries {
+			windows.matcher = matcher{}
+		}
+		windows.Unlock()
 	})
 	w := pat.degrees
 	return &w
@@ -352,7 +315,7 @@ func (sys *System) degreeWindow(pat *pattern) *interp.DegreeWindow {
 // serial Eval evaluates one point with a pooled scratch (allocation-free
 // in the steady state), while EvalBatch fans the frame's points out in
 // chunks of sparse.Lanes over a worker pool with one pooled scratch per
-// worker — returned to the pattern's free list when the batch drains —
+// worker — returned to the shared stack when the batch drains —
 // serially priming the shared pivot plan first. Both run the
 // determinant-only lane replay, whose value at a point does not depend
 // on the other points of its pass, so serial and parallel runs are
@@ -366,20 +329,12 @@ func (sys *System) evaluator(name string, m int, b *bound) interp.Evaluator {
 			return b.detPooled(s, f, g)
 		},
 		EvalBatch: func(ctx context.Context, points []complex128, f, g float64, workers int) []xmath.XComplex {
-			var mu sync.Mutex
-			var acquired []*evalScratch
 			// RunChunks returns only after every worker goroutine has
 			// exited, so the scratches are idle when released.
-			defer func() {
-				for _, sc := range acquired {
-					b.put(sc)
-				}
-			}()
+			var lease sparse.Lease
+			defer lease.Release()
 			return interp.RunChunks(ctx, points, workers, sparse.Lanes, b.plan.Primed, func() func([]xmath.XComplex, []complex128) {
-				sc := b.get()
-				mu.Lock()
-				acquired = append(acquired, sc)
-				mu.Unlock()
+				sc := lease.Get()
 				return func(dst []xmath.XComplex, pts []complex128) {
 					b.dets(sc, dst, pts, f, g)
 				}
@@ -403,23 +358,18 @@ func (sys *System) evaluator(name string, m int, b *bound) interp.Evaluator {
 func (sys *System) jointCramer(in int, pick func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex)) (func(s complex128, fscale, gscale float64) (num, den xmath.XComplex), func() bool) {
 	pat := sys.detPattern()
 	evalBoth := func(s complex128, fscale, gscale float64) (num, den xmath.XComplex) {
-		sc := pat.get()
-		defer pat.put(sc)
+		sc := sparse.GetScratch()
+		defer sparse.PutScratch(sc)
 		lu, err := pat.factorAt(sc, s, fscale, gscale)
 		if err != nil {
 			return xmath.XComplex{}, xmath.XComplex{}
 		}
-		if sc.rhs == nil {
-			sc.rhs = make([]complex128, pat.proj.dim)
-			sc.sol = make([]complex128, pat.proj.dim)
-		}
-		b := sc.rhs
-		clear(b)
+		b, x := sc.Vectors(pat.proj.dim)
 		b[in] = 1
-		if err := lu.SolveInto(sc.sol, b, &sc.ws); err != nil {
+		if err := lu.SolveInto(x, b, &sc.WS); err != nil {
 			return xmath.XComplex{}, xmath.XComplex{}
 		}
-		return pick(lu.Det(), sc.sol)
+		return pick(lu.Det(), x)
 	}
 	return evalBoth, pat.plan.Primed
 }
@@ -505,25 +455,6 @@ func (sys *System) N() int { return sys.n }
 // NumCapacitors returns the capacitor count (the order upper bound).
 func (sys *System) NumCapacitors() int { return sys.numCaps }
 
-// MatrixAt assembles Y(s) with every conductance multiplied by gscale and
-// every capacitance by fscale:
-//
-//	Y_ij = gscale·G_ij + s·fscale·C_ij
-//
-// Evaluating the scaled matrix at unit-circle points makes the
-// interpolated coefficients p'_i = p_i·fscale^i·gscale^(M−i) (eq. 11).
-func (sys *System) MatrixAt(s complex128, fscale, gscale float64) *sparse.Matrix {
-	m := sparse.New(sys.n)
-	for _, st := range sys.gStamps {
-		m.Add(st.i, st.j, complex(st.v*gscale, 0))
-	}
-	sc := s * complex(fscale, 0)
-	for _, st := range sys.cStamps {
-		m.Add(st.i, st.j, sc*complex(st.v, 0))
-	}
-	return m
-}
-
 // cofactorSign returns (−1)^(r+c).
 func cofactorSign(r, c int) float64 {
 	if (r+c)%2 == 0 {
@@ -532,12 +463,12 @@ func cofactorSign(r, c int) float64 {
 	return -1
 }
 
-// detPooled is detAt through the pattern's scratch pool — the shared
+// detPooled is detAt through a scratch from the shared stack — the
 // path of the single-point evaluations.
 func (b *bound) detPooled(s complex128, fscale, gscale float64) xmath.XComplex {
-	sc := b.get()
+	sc := sparse.GetScratch()
 	det := b.detAt(sc, s, fscale, gscale)
-	b.put(sc)
+	sparse.PutScratch(sc)
 	return det
 }
 

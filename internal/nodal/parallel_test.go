@@ -129,7 +129,7 @@ func TestTransimpedanceBatchBitIdentical(t *testing.T) {
 
 // TestProjectionMatchesLegacyForms cross-checks the stamp-projection
 // assembly against the reference construction through the full matrix
-// (MatrixAt + Minor), which the pre-batch implementation used.
+// (matrixAt + Minor), which the pre-batch implementation used.
 func TestProjectionMatchesLegacyForms(t *testing.T) {
 	c := batchCircuit()
 	sys, err := Build(c)
@@ -138,7 +138,7 @@ func TestProjectionMatchesLegacyForms(t *testing.T) {
 	}
 	s := complex(0.3, 0.7)
 	f, g := 2e9, 500.0
-	full := sys.MatrixAt(s, f, g)
+	full := sys.matrixAt(s, f, g)
 	for r := 0; r < sys.N(); r++ {
 		for cc := 0; cc < sys.N(); cc++ {
 			want := full.Minor([]int{r}, []int{cc}).Det()
@@ -181,14 +181,14 @@ func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
 	pat := sys.detPattern()
 	pat.detPooled(prime, 1, 1)
 
-	sc := pat.get()
-	sc.ws.Assemble(&pat.plan, pat.assembly(), miss, 1, 1)
-	if _, err := sc.ws.Factor(); err != sparse.ErrPlanMiss {
+	sc := sparse.GetScratch()
+	sc.WS.Assemble(&pat.plan, pat.assembly(), miss, 1, 1)
+	if _, err := sc.WS.Factor(); err != sparse.ErrPlanMiss {
 		t.Fatalf("replay at s=%v: err = %v, want ErrPlanMiss", miss, err)
 	}
-	pat.put(sc)
+	sparse.PutScratch(sc)
 
-	full, err := sys.MatrixAt(miss, 1, 1).Factor(sparse.DefaultThreshold)
+	full, err := sys.matrixAt(miss, 1, 1).Factor(sparse.DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +198,12 @@ func TestPlanMissFallsBackAndKeepsPlan(t *testing.T) {
 
 	// The next point replays (no miss) and matches a system that never
 	// saw the miss.
-	sc = pat.get()
-	sc.ws.Assemble(&pat.plan, pat.assembly(), next, 1, 1)
-	if _, err := sc.ws.Factor(); err != nil {
+	sc = sparse.GetScratch()
+	sc.WS.Assemble(&pat.plan, pat.assembly(), next, 1, 1)
+	if _, err := sc.WS.Factor(); err != nil {
 		t.Fatalf("replay after the miss: %v", err)
 	}
-	pat.put(sc)
+	sparse.PutScratch(sc)
 	clean := mk().detPattern()
 	clean.detPooled(prime, 1, 1)
 	if got, want := pat.detPooled(next, 1, 1), clean.detPooled(next, 1, 1); got != want {
@@ -220,16 +220,16 @@ func TestPlanMissFallbackReusesScratch(t *testing.T) {
 	prime, miss := complex(0, 1), complex(-1, 0)
 	pat := sys.detPattern()
 	pat.detPooled(prime, 1, 1)
-	full, err := sys.MatrixAt(miss, 1, 1).Factor(sparse.DefaultThreshold)
+	full, err := sys.matrixAt(miss, 1, 1).Factor(sparse.DefaultThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := full.Det()
 
-	sc := pat.get()
-	defer pat.put(sc)
-	sc.ws.Assemble(&pat.plan, pat.assembly(), miss, 1, 1)
-	if _, err := sc.ws.Factor(); err != sparse.ErrPlanMiss {
+	sc := sparse.GetScratch()
+	defer sparse.PutScratch(sc)
+	sc.WS.Assemble(&pat.plan, pat.assembly(), miss, 1, 1)
+	if _, err := sc.WS.Factor(); err != sparse.ErrPlanMiss {
 		t.Fatalf("replay at s=%v: err = %v, want ErrPlanMiss", miss, err)
 	}
 	if got := pat.detAt(sc, miss, 1, 1); got != want {
@@ -306,7 +306,7 @@ func TestLanesMatchRecordingReplay(t *testing.T) {
 		func(sys *System) *bound { return sys.shortedPattern(ip, in) },
 	} {
 		b := pattern(build())
-		var sc evalScratch
+		var sc sparse.Scratch
 		want := make([]xmath.XComplex, len(pts))
 		for i, s := range pts {
 			lu, err := b.factorAt(&sc, s, f, g)

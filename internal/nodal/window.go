@@ -2,6 +2,7 @@ package nodal
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/interp"
 )
@@ -43,6 +44,20 @@ type matcher struct {
 	used       []bool
 	reached    []int32
 }
+
+// windows is the one matcher of the process. A pattern's window is
+// computed once, so a single scratch behind a lock serves every system,
+// and a new system's matchings start from buffers earlier ones grew.
+// Only buffers survive a matching; a matcher grown past
+// maxMatcherEntries by one large pattern is dropped after it.
+var windows struct {
+	sync.Mutex
+	matcher
+}
+
+// maxMatcherEntries bounds the pattern entries the shared matcher keeps
+// room for between matchings.
+const maxMatcherEntries = 1 << 16
 
 // grow returns s resized to n, reallocating only when capacity is short.
 func grow[T any](s []T, n int) []T {

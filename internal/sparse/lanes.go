@@ -29,13 +29,17 @@ const Lanes = 4
 // point's determinant does not depend on the other points of its pass or
 // on how a batch is cut into passes. A lane whose planned pivot reads
 // zero or fails the guard stops, and only its point is factored again
-// without the plan.
+// without the plan. A nil sp factors every point in full and primes
+// nothing.
 func (ws *Workspace) Dets(sp *SharedPlan, a *Assembly, pts []complex128, fscale, gscale float64, dst []xmath.XComplex) {
 	if len(dst) != len(pts) {
 		panic("sparse: Dets destination length does not match point count")
 	}
 	for len(pts) > 0 {
-		c := sp.c.Load()
+		var c *compiled
+		if sp != nil {
+			c = sp.c.Load()
+		}
 		if c == nil {
 			dst[0] = ws.det(sp, a, pts[0], fscale, gscale)
 			pts, dst = pts[1:], dst[1:]

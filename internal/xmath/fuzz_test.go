@@ -66,6 +66,11 @@ func FuzzXFloat(f *testing.F) {
 		if p := x.PowInt(2); !p.ApproxEqual(x.Mul(x), 1e-14) {
 			t.Fatalf("x^2 = %v, want x*x = %v", p, x.Mul(x))
 		}
+		for _, n := range []int{1, 3, 7, 48, int(shift%97 + 96)} {
+			if got, want := x.PowInt(n), powIntOracle(x, n); got != want {
+				t.Fatalf("x^%d = %v·2^%d, want %v·2^%d", n, got.Mant(), got.Exp(), want.Mant(), want.Exp())
+			}
+		}
 
 		// Ordering is antisymmetric and consistent with subtraction.
 		if x.Cmp(y) != -y.Cmp(x) {

@@ -20,22 +20,27 @@ import (
 
 // MarshalText implements encoding.TextMarshaler.
 func (x XFloat) MarshalText() ([]byte, error) {
+	return x.AppendText(make([]byte, 0, 32))
+}
+
+// AppendText implements encoding.TextAppender: it appends MarshalText's
+// spelling of x to b, so a caller that spells many values can write them
+// into one buffer.
+func (x XFloat) AppendText(b []byte) ([]byte, error) {
 	switch {
 	case x.IsNaN():
-		return []byte("NaN"), nil
+		return append(b, "NaN"...), nil
 	case !x.Finite():
 		if x.mant < 0 {
-			return []byte("-Inf"), nil
+			return append(b, "-Inf"...), nil
 		}
-		return []byte("+Inf"), nil
+		return append(b, "+Inf"...), nil
 	case x.mant == 0:
-		return []byte("0"), nil
+		return append(b, '0'), nil
 	}
-	b := make([]byte, 0, 32)
 	b = strconv.AppendFloat(b, x.mant, 'g', -1, 64)
 	b = append(b, 'p')
-	b = strconv.AppendInt(b, x.exp, 10)
-	return b, nil
+	return strconv.AppendInt(b, x.exp, 10), nil
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler. It accepts the

@@ -43,6 +43,22 @@ func TestMarshalTextRoundTrip(t *testing.T) {
 		if string(again) != string(text) {
 			t.Errorf("re-marshal of %q produced %q", text, again)
 		}
+		checkAppendText(t, x, text)
+	}
+}
+
+// checkAppendText asserts that AppendText appends MarshalText's bytes,
+// text, after the bytes already in its buffer.
+func checkAppendText(t *testing.T, x XFloat, text []byte) {
+	t.Helper()
+	for _, prefix := range []string{"", "x", "1.5p3,"} {
+		got, err := x.AppendText([]byte(prefix))
+		if err != nil {
+			t.Fatalf("AppendText(%q): %v", text, err)
+		}
+		if string(got) != prefix+string(text) {
+			t.Errorf("AppendText after %q = %q, want %q", prefix, got, prefix+string(text))
+		}
 	}
 }
 
@@ -63,6 +79,7 @@ func TestMarshalTextNonFinite(t *testing.T) {
 		if string(text) != tc.want {
 			t.Errorf("MarshalText = %q, want %q", text, tc.want)
 		}
+		checkAppendText(t, tc.x, text)
 		var back XFloat
 		if err := back.UnmarshalText(text); err != nil {
 			t.Fatalf("UnmarshalText(%q): %v", text, err)

@@ -178,19 +178,53 @@ func (x XFloat) PowInt(n int) XFloat {
 		inv = true
 		n = -n
 	}
-	result := FromFloat(1)
-	base := x
-	for n > 0 {
-		if n&1 == 1 {
-			result = result.Mul(base)
+	var result XFloat
+	if x.mant != 0 && x.Finite() {
+		result = x.powNormal(n)
+	} else {
+		result = FromFloat(1)
+		base := x
+		for n > 0 {
+			if n&1 == 1 {
+				result = result.Mul(base)
+			}
+			base = base.Mul(base)
+			n >>= 1
 		}
-		base = base.Mul(base)
-		n >>= 1
 	}
 	if inv {
 		return FromFloat(1).Div(result)
 	}
 	return result
+}
+
+// powNormal is the binary exponentiation of PowInt for a nonzero finite
+// x and n > 0, with every Mul inlined: both factors of each product
+// have magnitudes in [1,2), so the product's magnitude lies in [1,4)
+// and Mul's normalization is at most one exact halving. The roundings
+// are Mul's, product for product.
+func (x XFloat) powNormal(n int) XFloat {
+	rm, re := 1.0, int64(0)
+	bm, be := x.mant, x.exp
+	for {
+		if n&1 == 1 {
+			rm *= bm
+			re += be
+			if math.Abs(rm) >= 2 {
+				rm *= 0.5
+				re++
+			}
+		}
+		if n >>= 1; n == 0 {
+			return XFloat{mant: rm, exp: re}
+		}
+		bm *= bm
+		be += be
+		if bm >= 2 {
+			bm *= 0.5
+			be++
+		}
+	}
 }
 
 // Cmp compares x and y, returning -1, 0 or +1.
@@ -286,26 +320,29 @@ func (x XFloat) String() string { return x.Text(6) }
 // Text formats x in scientific notation with the given number of
 // significant digits.
 func (x XFloat) Text(digits int) string {
+	var buf [32]byte
+	return string(x.AppendDigits(buf[:0], digits))
+}
+
+// AppendDigits appends Text(digits) to b.
+func (x XFloat) AppendDigits(b []byte, digits int) []byte {
 	if x.mant == 0 {
-		return "0"
+		return append(b, '0')
 	}
 	if digits < 1 {
 		digits = 1
 	}
 	neg, m, e := x.decParts()
-	sign := ""
 	if neg {
-		sign = "-"
+		b = append(b, '-')
 	}
 	if math.IsNaN(m) || math.IsInf(m, 0) {
-		return fmt.Sprintf("%s%se%+03d", sign, strconv.FormatFloat(m, 'f', digits-1, 64), e)
+		return fmt.Appendf(b, "%se%+03d", strconv.FormatFloat(m, 'f', digits-1, 64), e)
 	}
 	// m is in [1, 10), so its 'e' form carries the digits of its 'f'
 	// form with digits-1 decimals, at an exponent of +00 — or +01 when
 	// rounding carries (9.9999996 → 1.00000e+01). Unlike 'f', 'e' takes
 	// strconv's fixed-precision fast path.
-	var buf [32]byte
-	b := append(buf[:0], sign...)
 	b = strconv.AppendFloat(b, m, 'e', digits-1, 64)
 	n := len(b) - len("e+00")
 	if b[n+3] == '1' {
@@ -318,7 +355,7 @@ func (x XFloat) Text(digits int) string {
 	if e < 10 {
 		b = append(b, '0')
 	}
-	return string(strconv.AppendInt(b, int64(e), 10))
+	return strconv.AppendInt(b, int64(e), 10)
 }
 
 // ApproxEqual reports whether x and y agree to within rel relative

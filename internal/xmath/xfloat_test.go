@@ -3,6 +3,7 @@ package xmath
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -332,6 +333,51 @@ func TestQuickCmpAbsConsistentWithLog(t *testing.T) {
 	}
 }
 
+// powIntOracle is PowInt as binary exponentiation through Mul, the
+// form its inlined loop must match bit for bit.
+func powIntOracle(x XFloat, n int) XFloat {
+	if n == 0 {
+		return FromFloat(1)
+	}
+	inv := n < 0
+	if inv {
+		n = -n
+	}
+	result, base := FromFloat(1), x
+	for ; n > 0; n >>= 1 {
+		if n&1 == 1 {
+			result = result.Mul(base)
+		}
+		base = base.Mul(base)
+	}
+	if inv {
+		return FromFloat(1).Div(result)
+	}
+	return result
+}
+
+// TestPowIntMatchesMulChain pins PowInt to powIntOracle on mantissas
+// where products round up to the next binade, at the largest mantissa,
+// and on random values, for exponents 0..300 in both signs.
+func TestPowIntMatchesMulChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bases := []XFloat{FromFloat(1), FromFloat(-1), FromFloat(math.Sqrt2), FromFloat(-math.Sqrt2),
+		FromFloat(math.Nextafter(2, 0)), FromFloat(1.9999999), FromFloat(10), FromParts(1.5, -3000), {}}
+	for range 200 {
+		bases = append(bases, FromParts(1+rng.Float64(), int64(rng.Intn(4001)-2000)).MulFloat(float64(1-2*rng.Intn(2))))
+	}
+	for _, x := range bases {
+		for n := -300; n <= 300; n++ {
+			if x.Zero() && n < 0 {
+				continue
+			}
+			if got, want := x.PowInt(n), powIntOracle(x, n); got != want {
+				t.Fatalf("(%v·2^%d)^%d = %v·2^%d, want %v·2^%d", x.Mant(), x.Exp(), n, got.Mant(), got.Exp(), want.Mant(), want.Exp())
+			}
+		}
+	}
+}
+
 // textOracle is Text as it was written before the 'e'-form fast path:
 // the 'f' form of the decimal mantissa, re-rounded after a carry, and
 // the exponent through fmt. It stays as the oracle the fast path must
@@ -359,7 +405,9 @@ func textOracle(x XFloat, digits int) string {
 
 // FuzzText pins Text to textOracle over the full exponent range, every
 // digit count a display uses, and the mantissas where rounding ties or
-// carries.
+// carries, and the append forms to the functions they append: AppendDigits
+// to Text and AppendText to MarshalText, byte for byte after a prefix
+// they must keep.
 func FuzzText(f *testing.F) {
 	for _, m := range []float64{1, -1, 1.5, 2.5, 9.5, 9.999995, 9.9999949, 9.99999999, 1.0000005, 1.1215, 3.52987, math.Nextafter(10, 0)} {
 		for _, exp := range []int64{0, -1, 3, -522, 1500, 40, -40} {
@@ -370,6 +418,8 @@ func FuzzText(f *testing.F) {
 	f.Add(9.6, int64(9), 1)
 	f.Add(math.NaN(), int64(0), 6)
 	f.Add(math.Inf(-1), int64(0), 6)
+	f.Add(math.Inf(1), int64(0), 6)
+	f.Add(0.0, int64(0), 6)
 	f.Fuzz(func(t *testing.T, m float64, exp int64, digits int) {
 		digits %= 20
 		var x XFloat
@@ -381,8 +431,20 @@ func FuzzText(f *testing.F) {
 		default:
 			x = FromParts(m, exp%(1<<20))
 		}
-		if got, want := x.Text(digits), textOracle(x, digits); got != want {
+		want := textOracle(x, digits)
+		if got := x.Text(digits); got != want {
 			t.Fatalf("Text(%v × 2^%d, %d) = %q, want %q", m, exp, digits, got, want)
+		}
+		const prefix = "≈"
+		if got := string(x.AppendDigits([]byte(prefix), digits)); got != prefix+want {
+			t.Fatalf("AppendDigits(%v × 2^%d, %d) = %q, want %q", m, exp, digits, got, prefix+want)
+		}
+		text, err := x.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := x.AppendText([]byte(prefix)); err != nil || string(got) != prefix+string(text) {
+			t.Fatalf("AppendText(%v × 2^%d) = %q, %v; want %q", m, exp, got, err, prefix+string(text))
 		}
 	})
 }

@@ -71,7 +71,8 @@ func scaleText(v float64) (string, error) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return "", fmt.Errorf("engine: schedule scale %v is not representable", v)
 	}
-	return xfloatText(xmath.FromFloat(v)), nil
+	b, err := xmath.FromFloat(v).MarshalText()
+	return string(b), err
 }
 
 // parseScale inverts scaleText bit-exactly. The xmath text form spells

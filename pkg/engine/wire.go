@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/xmath"
@@ -134,8 +135,10 @@ func (w *WireResponse) WorstRelError() float64 {
 	return worst
 }
 
-// resultWire converts a Result to its wire form.
-func resultWire(r *Result) *WireResult {
+// resultWire converts a Result to its wire form. The coefficient texts
+// (Value, Bound, Approx) are written into texts, whose strings they are
+// cut from, instead of one string each.
+func resultWire(r *Result, texts *strings.Builder) *WireResult {
 	if r == nil {
 		return nil
 	}
@@ -166,21 +169,69 @@ func resultWire(r *Result) *WireResult {
 		}
 		switch c.Status {
 		case Valid:
-			wc.Value = xfloatText(c.Value)
-			wc.Approx = c.Value.String()
+			wc.Value, wc.Approx = coefficientTexts(texts, c.Value)
 		case Negligible:
-			wc.Bound = xfloatText(c.Bound)
-			wc.Approx = c.Bound.String()
+			wc.Bound, wc.Approx = coefficientTexts(texts, c.Bound)
 		}
 		w.Coeffs[i] = wc
 	}
-	for _, ev := range r.Quality.Events {
-		w.Events = append(w.Events, WireQualityEvent{Kind: ev.Kind, Frame: ev.Frame, Target: ev.Target, Detail: ev.Detail})
+	if len(r.Quality.Events) > 0 {
+		w.Events = make([]WireQualityEvent, len(r.Quality.Events))
+		for i, ev := range r.Quality.Events {
+			w.Events[i] = WireQualityEvent{Kind: ev.Kind, Frame: ev.Frame, Target: ev.Target, Detail: ev.Detail}
+		}
 	}
-	for _, it := range r.Iterations {
-		w.Iterations = append(w.Iterations, IterationWire(it))
+	if len(r.Iterations) > 0 {
+		w.Iterations = make([]WireIteration, len(r.Iterations))
+		for i, it := range r.Iterations {
+			w.Iterations[i] = IterationWire(it)
+		}
 	}
 	return w
+}
+
+// coefficientTexts writes x's exact text and its 6-digit rendering into
+// texts and returns both, cut from the builder's bytes. A builder never
+// changes bytes it has written, so the strings stay valid as it grows.
+func coefficientTexts(texts *strings.Builder, x xmath.XFloat) (exact, approx string) {
+	start := texts.Len()
+	var buf [64]byte
+	b, err := x.AppendText(buf[:0])
+	if err != nil {
+		// AppendText on XFloat cannot fail; keep the signature honest.
+		panic(err)
+	}
+	texts.Write(b)
+	mid := texts.Len()
+	texts.Write(x.AppendDigits(buf[:0], 6))
+	all := texts.String()
+	return all[start:mid], all[mid:]
+}
+
+// textsBound bounds the bytes coefficientTexts writes for r: an exact
+// text is at most a 19-byte mantissa, 'p' and the binary exponent, and
+// its rendering at most 11 bytes and the decimal exponent, which is no
+// longer than the binary one. NaN and ±Inf (exponent 0) spell in at most
+// 30 bytes, the 20-digit decimal exponent of their rendering included.
+// A short bound would only cost the builder a regrowth.
+func textsBound(r *Result) int {
+	if r == nil {
+		return 0
+	}
+	n := 0
+	for _, c := range r.Coeffs {
+		var x xmath.XFloat
+		switch c.Status {
+		case Valid:
+			x = c.Value
+		case Negligible:
+			x = c.Bound
+		default:
+			continue
+		}
+		n += 32 + 2*intLen(int(x.Exp()))
+	}
+	return n
 }
 
 // IterationWire converts one Iteration to the summary streamed to
@@ -199,7 +250,9 @@ func ResponseWire(resp *Response) *WireResponse {
 	if resp == nil {
 		return nil
 	}
-	w := &WireResponse{Num: resultWire(resp.Num), Den: resultWire(resp.Den), Tier: resp.Tier().String()}
+	var texts strings.Builder
+	texts.Grow(textsBound(resp.Num) + textsBound(resp.Den))
+	w := &WireResponse{Num: resultWire(resp.Num, &texts), Den: resultWire(resp.Den, &texts), Tier: resp.Tier().String()}
 	if resp.Formulation != nil {
 		w.Backend = resp.Formulation.Backend
 	}
@@ -317,15 +370,6 @@ func DecodeResponseJSON(raw []byte) (*WireResponse, *Result, *Result, error) {
 		den = r
 	}
 	return &w, num, den, nil
-}
-
-func xfloatText(x xmath.XFloat) string {
-	b, err := x.MarshalText()
-	if err != nil {
-		// MarshalText on XFloat cannot fail; keep the signature honest.
-		panic(err)
-	}
-	return string(b)
 }
 
 func parseXFloat(dst *xmath.XFloat, s string, i int, what string) error {

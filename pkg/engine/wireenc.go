@@ -20,11 +20,27 @@ type wireEncoder struct {
 	sizing bool
 	n      int
 	buf    []byte
+	// escapes counts the string bytes the sizing pass found unsafe
+	// (see jsonSafe). When there are none, the writing pass copies every
+	// string whole.
+	escapes int
 	// first is set by open and cleared by the first member or element
 	// of the value just opened, which is therefore written without a
 	// leading comma.
 	first bool
 	err   error
+	// cond and drift hold the last condition estimate and scale drift
+	// the writing pass spelled, and where in buf: a frame's pair recurs
+	// on every coefficient the frame resolved, and a repeat is copied
+	// instead of formatted again.
+	cond, drift spelling
+}
+
+// spelling is a float64, by its bits, and its bytes buf[off:off+n]; n is
+// 0 until a value is recorded.
+type spelling struct {
+	bits   uint64
+	off, n int32
 }
 
 // maxFloatLen bounds the length of a float64 in encoding/json's
@@ -32,9 +48,11 @@ type wireEncoder struct {
 // "-1.2345678901234567e-308" in 'e' form.
 const maxFloatLen = 25
 
-// spaces holds the indentation of the deepest wire member (depth 5,
-// WireIteration.Negligible's elements).
-const spaces = "          "
+// breaks is the separator of the deepest wire member (depth 5,
+// WireIteration.Negligible's elements): a comma, a newline and its
+// indentation. Shallower separators are its prefixes, and a first
+// member's or a closing bracket's line break drops the comma.
+const breaks = ",\n          "
 
 func (e *wireEncoder) response(w *WireResponse) {
 	e.open('{')
@@ -110,8 +128,8 @@ func (e *wireEncoder) coeff(d int, c *WireCoefficient) {
 	e.field(d, "tier")
 	e.str(c.Tier)
 	e.floatOmit(d, "rel_error", c.RelError)
-	e.floatOmit(d, "cond_log10", c.CondLog10)
-	e.floatOmit(d, "drift_log10", c.DriftLog10)
+	e.repeatOmit(d, "cond_log10", c.CondLog10, &e.cond)
+	e.repeatOmit(d, "drift_log10", c.DriftLog10, &e.drift)
 	e.intOmit(d, "retries", c.Retries)
 	e.close(d-1, '}')
 }
@@ -182,8 +200,7 @@ func (e *wireEncoder) close(d int, c byte) {
 		e.n += 2*d + 2
 		return
 	}
-	e.buf = append(e.buf, '\n')
-	e.buf = append(e.buf, spaces[:2*d]...)
+	e.buf = append(e.buf, breaks[1:2+2*d]...)
 	e.buf = append(e.buf, c)
 }
 
@@ -194,12 +211,12 @@ func (e *wireEncoder) elem(d int) {
 		e.n += 2*d + 2
 		return
 	}
-	if !e.first {
-		e.buf = append(e.buf, ',')
+	from := 0
+	if e.first {
+		from = 1
 	}
 	e.first = false
-	e.buf = append(e.buf, '\n')
-	e.buf = append(e.buf, spaces[:2*d]...)
+	e.buf = append(e.buf, breaks[from:2+2*d]...)
 }
 
 // field starts member key at depth d. Keys are plain ASCII: they need
@@ -288,24 +305,49 @@ func (e *wireEncoder) floatOmit(d int, key string, v float64) {
 	}
 }
 
+// repeatOmit is floatOmit for a member whose value often repeats the
+// one it had last: the writing pass copies the spelling sp holds when v
+// has its bits, and otherwise records v's.
+func (e *wireEncoder) repeatOmit(d int, key string, v float64, sp *spelling) {
+	if v == 0 {
+		return
+	}
+	e.field(d, key)
+	bits := math.Float64bits(v)
+	if e.sizing || sp.n == 0 || sp.bits != bits {
+		start := len(e.buf)
+		e.float(v)
+		*sp = spelling{bits: bits, off: int32(start), n: int32(len(e.buf) - start)}
+		return
+	}
+	e.buf = append(e.buf, e.buf[sp.off:sp.off+sp.n]...)
+}
+
 // str quotes s as encoding/json does with HTML escaping on. The sizing
 // pass bounds every byte that may need escaping by the six of a \u00XX
 // escape, which also covers the \ufffd written for an invalid byte and the
-// \u2028 written for a three-byte line separator.
+// \u2028 written for a three-byte line separator. When the sizing pass
+// found no such byte in the whole response, the writing pass copies each
+// string whole.
 func (e *wireEncoder) str(s string) {
 	if e.sizing {
-		e.n += 2
+		escaped := 0
 		for i := 0; i < len(s); i++ {
-			if jsonSafe(s[i]) {
-				e.n++
-			} else {
-				e.n += 6
+			if !jsonSafe(s[i]) {
+				escaped++
 			}
 		}
+		e.n += 2 + len(s) + 5*escaped
+		e.escapes += escaped
+		return
+	}
+	b := append(e.buf, '"')
+	if e.escapes == 0 {
+		b = append(b, s...)
+		e.buf = append(b, '"')
 		return
 	}
 	const hex = "0123456789abcdef"
-	b := append(e.buf, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
@@ -365,6 +407,11 @@ func (e *wireEncoder) strOmit(d int, key, s string) {
 // HTML-escaped JSON string: printable ASCII other than the quote, the
 // backslash and <, >, &. Bytes from 0x80 on are not safe: they start
 // multi-byte runes, which str checks separately.
-func jsonSafe(c byte) bool {
-	return c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-}
+func jsonSafe(c byte) bool { return safeBytes[c] }
+
+var safeBytes = func() (t [256]bool) {
+	for c := byte(0x20); c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
