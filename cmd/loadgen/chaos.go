@@ -1,18 +1,18 @@
 // Chaos mode: loadgen spawns refserve itself and kills it — repeatedly,
 // mid-burst, under disk-fault injection — then audits what survived.
 //
-// Each cycle starts a fresh refserve process against the SAME persistent
-// store directories (that is the point: state carries across crashes),
+// Each cycle starts a fresh refserve process against the SAME disk
+// cache directory (that is the point: state carries across crashes),
 // drives a mixed burst at it — valid hot and cold generations, malformed
 // payloads, oversized bodies, and on some cycles a slow-loris connection
 // that never finishes its request — and delivers SIGTERM while all of
 // that is in flight. The process must exit 0 within the drain deadline
-// plus slack regardless. Between cycles the harness scrubs both stores
-// offline, quarantining any torn entry the kill left behind.
+// plus slack regardless. Between cycles the harness scrubs the disk
+// cache offline, quarantining any torn entry the kill left behind.
 //
 // Gates (see chaosReport.gate): every exit clean, zero 5xx other than
 // intentional sheds (503 + Retry-After), every 200 carrying a valid
-// quality tier, and zero corrupt entries in either store after the final
+// quality tier, and zero corrupt disk-cache entries after the final
 // scrub.
 package main
 
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/blobstore"
-	"repro/pkg/engine"
 )
 
 type chaosConfig struct {
@@ -84,16 +83,13 @@ type chaosReport struct {
 	// DirtyExits counts cycles where refserve exited nonzero or had to
 	// be SIGKILLed past the drain deadline. Gate: 0.
 	DirtyExits int `json:"dirty_exits"`
-	// Store audit, cumulative over the per-cycle scrubs plus the final
+	// Disk-cache audit, cumulative over the per-cycle scrubs plus the final
 	// verify. Quarantined entries are detected corruption (fine — the
 	// evidence is preserved and out of the serving path); Corrupt counts
 	// entries still live after the final scrub. Gate: 0 corrupt.
 	CacheOK          int `json:"cache_entries_ok"`
 	CacheQuarantined int `json:"cache_entries_quarantined"`
 	CacheCorrupt     int `json:"cache_entries_corrupt"`
-	SchedOK          int `json:"schedule_entries_ok"`
-	SchedQuarantined int `json:"schedule_entries_quarantined"`
-	SchedCorrupt     int `json:"schedule_entries_corrupt"`
 
 	// shedGateMs mirrors chaosConfig.shedGateMs for gate(); it is not
 	// part of the serialized report.
@@ -122,9 +118,6 @@ func (r *chaosReport) gate(stderr io.Writer) int {
 	if r.CacheCorrupt > 0 {
 		fail("%d corrupt result-cache entries still live after the final scrub", r.CacheCorrupt)
 	}
-	if r.SchedCorrupt > 0 {
-		fail("%d corrupt schedule-store entries still live after the final scrub", r.SchedCorrupt)
-	}
 	if r.OK200 == 0 {
 		fail("no request ever succeeded — the harness never actually exercised the server")
 	}
@@ -149,7 +142,6 @@ func runChaos(cfg chaosConfig, stdout, stderr io.Writer) (*chaosReport, error) {
 		}
 	}
 	cacheDir := filepath.Join(dir, "results")
-	schedDir := filepath.Join(dir, "schedules")
 
 	fxs, err := buildFixtures([]string{"biquad", "ladder40"})
 	if err != nil {
@@ -163,29 +155,21 @@ func runChaos(cfg chaosConfig, stdout, stderr io.Writer) (*chaosReport, error) {
 	for cycle := 0; cycle < cfg.cycles; cycle++ {
 		faulty := cfg.faultOneIn > 0 && cycle%2 == 1
 		loris := cycle%3 == 2
-		if err := chaosCycle(cfg, rep, fxs, dir, cacheDir, schedDir, cycle, faulty, loris, &shedLats, stdout, stderr); err != nil {
+		if err := chaosCycle(cfg, rep, fxs, dir, cacheDir, cycle, faulty, loris, &shedLats, stdout, stderr); err != nil {
 			return nil, fmt.Errorf("cycle %d: %w", cycle, err)
 		}
 		// Offline scrub between cycles: quarantine whatever the kill tore.
-		if _, q, err := blobstore.Scrub(nil, cacheDir, ".result.json", nil); err == nil {
+		if _, q, err := blobstore.Scrub(nil, cacheDir, ".result.json"); err == nil {
 			rep.CacheQuarantined += q
-		}
-		if _, q, err := blobstore.Scrub(nil, schedDir, ".schedule.json", scheduleCheck); err == nil {
-			rep.SchedQuarantined += q
 		}
 	}
 
 	// Final audit: after the last scrub, nothing corrupt may remain live.
-	okc, corrupt, err := blobstore.Verify(nil, cacheDir, ".result.json", nil)
+	okc, corrupt, err := blobstore.Verify(nil, cacheDir, ".result.json")
 	if err != nil {
 		return nil, fmt.Errorf("final cache verify: %w", err)
 	}
 	rep.CacheOK, rep.CacheCorrupt = okc, corrupt
-	oks, bad, err := blobstore.Verify(nil, schedDir, ".schedule.json", scheduleCheck)
-	if err != nil {
-		return nil, fmt.Errorf("final schedule verify: %w", err)
-	}
-	rep.SchedOK, rep.SchedCorrupt = oks, bad
 
 	sort.Slice(shedLats, func(i, j int) bool { return shedLats[i] < shedLats[j] })
 	rep.ShedP50Ms = percentile(shedLats, 0.50).Seconds() * 1e3
@@ -193,14 +177,14 @@ func runChaos(cfg chaosConfig, stdout, stderr io.Writer) (*chaosReport, error) {
 
 	fmt.Fprintf(stdout, "chaos: %d requests (%d ok, %d 4xx, %d sheds p50 %.2fms, %d killed in flight), %d unintentional 5xx, %d dirty exits\n",
 		rep.Requests, rep.OK200, rep.Client4xx, rep.Sheds, rep.ShedP50Ms, rep.KilledInFlight, rep.Status5xx, rep.DirtyExits)
-	fmt.Fprintf(stdout, "chaos: stores after final scrub: cache %d ok / %d corrupt (%d quarantined en route), schedules %d ok / %d corrupt (%d quarantined)\n",
-		rep.CacheOK, rep.CacheCorrupt, rep.CacheQuarantined, rep.SchedOK, rep.SchedCorrupt, rep.SchedQuarantined)
+	fmt.Fprintf(stdout, "chaos: disk cache after final scrub: %d ok / %d corrupt (%d quarantined en route)\n",
+		rep.CacheOK, rep.CacheCorrupt, rep.CacheQuarantined)
 	return rep, nil
 }
 
 // chaosCycle runs one start → burst → SIGTERM → verify-exit round.
 func chaosCycle(cfg chaosConfig, rep *chaosReport, fxs []fixture,
-	dir, cacheDir, schedDir string, cycle int, faulty, loris bool,
+	dir, cacheDir string, cycle int, faulty, loris bool,
 	shedLats *[]time.Duration, stdout, stderr io.Writer) error {
 
 	portfile := filepath.Join(dir, fmt.Sprintf("port-%d", cycle))
@@ -208,7 +192,6 @@ func chaosCycle(cfg chaosConfig, rep *chaosReport, fxs []fixture,
 	args := []string{
 		"-addr", "127.0.0.1:0",
 		"-portfile", portfile,
-		"-schedule-cache", schedDir,
 		"-cache-dir", cacheDir,
 		"-drain-timeout", cfg.drainTimeout.String(),
 		// Tight admission bounds so the burst actually sheds.
@@ -420,16 +403,4 @@ func waitHealthy(client *http.Client, url string, timeout time.Duration) error {
 		time.Sleep(20 * time.Millisecond)
 	}
 	return fmt.Errorf("refserve at %s never became healthy within %s", url, timeout)
-}
-
-// scheduleCheck is the schedule store's key check for the offline
-// audit: the envelope must decode and name the content address its
-// file is stored under. Version-skewed or degraded envelopes are benign
-// refusals, not corruption.
-func scheduleCheck(key string, body []byte) error {
-	w, _, err := engine.DecodeWarmStartJSON(body)
-	if err == nil && w.Key != key {
-		err = fmt.Errorf("envelope recorded for key %s", w.Key)
-	}
-	return err
 }

@@ -14,7 +14,7 @@
 //	                  disk faults, malformed payloads, oversized bodies and
 //	                  slow-loris connections; gates that every exit is clean,
 //	                  no 5xx other than intentional sheds escapes, and the
-//	                  persistent stores hold zero corrupt entries at the end
+//	                  disk cache holds zero corrupt entries at the end
 //
 // The workload draws from the repo's reference fixtures (biquad, a
 // 40-section RC ladder, the µA741) rendered to netlist text. Hot
@@ -148,8 +148,7 @@ type serverStats struct {
 		ShedsDraining  uint64  `json:"sheds_draining"`
 		QueueWaitP99Ms float64 `json:"queue_wait_p99_ms"`
 	} `json:"admission"`
-	BudgetDegraded      uint64 `json:"budget_degraded"`
-	ScheduleQuarantines uint64 `json:"schedule_quarantines"`
+	BudgetDegraded uint64 `json:"budget_degraded"`
 }
 
 // sheds is the total across shed reasons.
@@ -313,8 +312,7 @@ func summarize(mode string, samples []sample, elapsed time.Duration, before, aft
 	r.CacheMisses = after.Cache.Misses - before.Cache.Misses
 	r.DiskHits = after.DiskCache.Hits - before.DiskCache.Hits
 	r.ServerSheds = after.sheds() - before.sheds()
-	r.Quarantines = (after.DiskCache.Quarantines + after.ScheduleQuarantines) -
-		(before.DiskCache.Quarantines + before.ScheduleQuarantines)
+	r.Quarantines = after.DiskCache.Quarantines - before.DiskCache.Quarantines
 	return r
 }
 

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/blobstore"
-	"repro/pkg/engine"
 	"repro/pkg/server"
 )
 
@@ -169,58 +167,18 @@ func TestSummarizeShedAccounting(t *testing.T) {
 	}
 }
 
-// TestAuditSchedules: the chaos harness's schedule audit — blobstore
-// Verify/Scrub with scheduleCheck — passes a valid envelope, detects a
-// torn one and a well-framed one filed under the wrong key, and (when
-// scrubbing) quarantines both aside rather than deleting them.
-func TestAuditSchedules(t *testing.T) {
-	dir := t.TempDir()
-	store, err := engine.OpenScheduleStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestChaosGateCorruptCache: a corrupt result-cache entry still live
+// after the final scrub fails the chaos gate on its own.
+func TestChaosGateCorruptCache(t *testing.T) {
+	var errb bytes.Buffer
+	if code := (&chaosReport{OK200: 1}).gate(&errb); code != 0 {
+		t.Fatalf("clean report: exit %d, want 0\n%s", code, errb.String())
 	}
-	key := strings.Repeat("a", 64)
-	ws := &engine.WarmStart{Num: &engine.Schedule{
-		Name: "numerator", M: 1, OrderBound: 1, SigDigits: 6,
-		SeedFScale: 1, SeedGScale: 1,
-		Frames: []engine.ScheduleFrame{{FScale: 1, GScale: 1, Purpose: "initial"}},
-	}}
-	if err := store.Save(key, ws); err != nil {
-		t.Fatal(err)
+	if code := (&chaosReport{OK200: 1, CacheCorrupt: 1}).gate(&errb); code != 1 {
+		t.Fatalf("one corrupt live entry: exit %d, want 1", code)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, key+".schedule.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := strings.Repeat("b", 64)
-	if err := os.WriteFile(filepath.Join(dir, torn+".schedule.json"), raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	misfiled := strings.Repeat("c", 64)
-	if err := os.WriteFile(filepath.Join(dir, misfiled+".schedule.json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ok, bad, err := blobstore.Verify(nil, dir, ".schedule.json", scheduleCheck)
-	if err != nil || ok != 1 || bad != 2 {
-		t.Fatalf("dry audit = (%d ok, %d bad, %v), want (1, 2, nil)", ok, bad, err)
-	}
-	if _, q, err := blobstore.Scrub(nil, dir, ".schedule.json", scheduleCheck); err != nil || q != 2 {
-		t.Fatalf("fix audit quarantined %d (%v), want 2", q, err)
-	}
-	ok, bad, err = blobstore.Verify(nil, dir, ".schedule.json", scheduleCheck)
-	if err != nil || ok != 1 || bad != 0 {
-		t.Fatalf("post-fix audit = (%d ok, %d bad, %v), want (1, 0, nil)", ok, bad, err)
-	}
-	ents, _ := os.ReadDir(dir)
-	var quarantined int
-	for _, e := range ents {
-		if strings.Contains(e.Name(), ".quarantined-") {
-			quarantined++
-		}
-	}
-	if quarantined != 2 {
-		t.Errorf("quarantine evidence files = %d, want 2 (rename, never delete)", quarantined)
+	if !strings.Contains(errb.String(), "corrupt result-cache entries") {
+		t.Errorf("gate message does not name the result cache:\n%s", errb.String())
 	}
 }
 
@@ -260,7 +218,7 @@ func TestChaosModeEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.DirtyExits != 0 || rep.Status5xx != 0 || rep.CacheCorrupt != 0 || rep.SchedCorrupt != 0 {
+	if rep.DirtyExits != 0 || rep.Status5xx != 0 || rep.CacheCorrupt != 0 {
 		t.Fatalf("chaos invariants violated: %+v", rep)
 	}
 	if rep.OK200 == 0 || rep.Requests == 0 {

@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		allowDeg   = fs.Bool("allow-degraded", false, "return a degraded partial result instead of failing when frames or watchdogs give up")
 		exactRec   = fs.Bool("exact-recovery", false, "snap certified coefficients to rationals and verify them against the exact-arithmetic oracle, upgrading matches to the exact tier (adaptive method)")
 		minTier    = fs.String("min-tier", "", "fail (exit 1) unless the result reaches this quality tier: numeric, certified or exact (adaptive method)")
-		schedCache = fs.String("schedule-cache", "", "directory of the persistent scale-schedule store (adaptive method): warm-start from a previously converged schedule of this request, persist the converged one")
 		timeout    = fs.Duration("timeout", 0, "abort generation after this long (0 = no limit); partial results are printed")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the generation to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile (after generation) to this file")
@@ -161,26 +160,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 					it.Purpose, it.FScale, it.GScale, it.K, it.NewValid)
 			}
 		}
-		var store *engine.ScheduleStore
-		var key string
-		if *schedCache != "" {
-			store, err = engine.OpenScheduleStore(*schedCache, nil)
-			if err != nil {
-				return fail(err)
-			}
-			key, err = engine.RequestKey(req, cfg)
-			if err != nil {
-				return fail(err)
-			}
-			if warm, reason := store.Load(key); warm != nil {
-				opts := cfg.Options
-				opts.WarmStart = warm
-				req.Options = &opts
-				fmt.Fprintf(stdout, "schedule cache: warm candidate %s\n", key[:12])
-			} else {
-				fmt.Fprintf(stdout, "schedule cache: cold (%s)\n", reason)
-			}
-		}
 		resp, err := eng.Generate(ctx, req)
 		if resp != nil {
 			if resp.Num != nil {
@@ -192,13 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if err != nil {
 			return fail(err)
-		}
-		if store != nil && !resp.Degraded() {
-			if ws := resp.WarmState(); ws != nil {
-				if err := store.Save(key, ws); err != nil {
-					fmt.Fprintln(stderr, "refgen: schedule cache:", err)
-				}
-			}
 		}
 		if gateTier {
 			if got := resp.Tier(); got < tierGate {

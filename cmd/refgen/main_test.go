@@ -251,50 +251,3 @@ func TestRunAllowDegradedFlagAccepted(t *testing.T) {
 		t.Errorf("clean run reported as degraded:\n%s", out.String())
 	}
 }
-
-// TestRunScheduleCache drives the persistent schedule store end to end:
-// the first run is cold and persists its converged schedule, the second
-// run warm-starts from disk with zero adaptation iterations and the
-// same coefficient table.
-func TestRunScheduleCache(t *testing.T) {
-	rc := writeNetlist(t)
-	dir := t.TempDir()
-	args := []string{"-netlist", rc, "-parallel", "1", "-schedule-cache", dir}
-
-	var out1, err1 bytes.Buffer
-	if code := run(args, &out1, &err1); code != 0 {
-		t.Fatalf("first run exit code = %d, stderr: %s", code, err1.String())
-	}
-	if !strings.Contains(out1.String(), "schedule cache: cold (no stored schedule)") {
-		t.Errorf("first run did not report a cold store:\n%s", out1.String())
-	}
-
-	var out2, err2 bytes.Buffer
-	if code := run(args, &out2, &err2); code != 0 {
-		t.Fatalf("second run exit code = %d, stderr: %s", code, err2.String())
-	}
-	if !strings.Contains(out2.String(), "schedule cache: warm candidate") {
-		t.Errorf("second run did not load the stored schedule:\n%s", out2.String())
-	}
-	if got := strings.Count(out2.String(), "0 adaptation iterations"); got != 2 {
-		t.Errorf("second run reported %d polynomials with zero adaptation, want 2:\n%s", got, out2.String())
-	}
-
-	// The coefficient rows must match exactly: warm replay is
-	// bit-identical to the cold run. (Solve-count lines legitimately
-	// differ — that is the point of replaying.)
-	if rows1, rows2 := coeffRows(out1.String()), coeffRows(out2.String()); rows1 != rows2 {
-		t.Errorf("warm-replayed coefficient rows differ from the cold run:\n%s\nvs\n%s", rows1, rows2)
-	}
-}
-
-// coeffRows extracts the s^i coefficient-table rows of a refgen report.
-func coeffRows(out string) string {
-	var rows []string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "s^") {
-			rows = append(rows, line)
-		}
-	}
-	return strings.Join(rows, "\n")
-}

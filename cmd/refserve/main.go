@@ -9,10 +9,10 @@
 //
 // On SIGTERM (or SIGINT) the server drains: admission sheds new
 // generations with 503 + Retry-After, /healthz answers 503, in-flight
-// generations finish and persist their schedules, and the process exits
+// generations finish and fill the cache tiers, and the process exits
 // 0 — or, at -drain-timeout, cancels what is left (streaming clients
 // get a terminal error event) and still exits 0. Crash-safety of the
-// disk stores does not depend on the drain succeeding.
+// disk cache tier does not depend on the drain succeeding.
 package main
 
 import (
@@ -62,13 +62,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- net.Addr, stop <-
 		timeout       = fs.Duration("timeout", 0, "default per-request deadline (0 = 60s)")
 		maxTimeout    = fs.Duration("max-timeout", 0, "deadline and generation-time ceiling (0 = 5m)")
 		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline after SIGTERM before in-flight work is canceled")
-		schedCache    = fs.String("schedule-cache", "", "directory of the persistent scale-schedule store (empty = disabled)")
 		cacheDir      = fs.String("cache-dir", "", "directory of the persistent result-cache tier (empty = disabled)")
 		iterBudget    = fs.Int("iteration-budget", 0, "server-enforced per-request frame budget; exhaustion degrades the result (0 = off)")
 		solveBudget   = fs.Int("solve-budget", 0, "server-enforced per-request point-solve budget (0 = off)")
 		memoryBudget  = fs.Int64("memory-budget", 0, "server-enforced per-request arena-size budget, bytes (0 = off)")
-		faultSeed     = fs.Int64("store-fault-seed", 0, "seed for the deterministic disk-fault injector under the stores")
-		faultOneIn    = fs.Int("store-fault-one-in", 0, "inject a disk fault (torn write / bit flip / rename / read failure) into roughly 1 in N store operations (0 = off); chaos testing only")
+		faultSeed     = fs.Int64("store-fault-seed", 0, "seed for the deterministic disk-fault injector under the disk cache tier")
+		faultOneIn    = fs.Int("store-fault-one-in", 0, "inject a disk fault (torn write / bit flip / rename / read failure) into roughly 1 in N disk-cache operations (0 = off); chaos testing only")
 		debugAddr     = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled; never exposed on the serving port)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -79,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- net.Addr, stop <-
 		return 2
 	}
 
-	var storeFS engine.FS
+	var storeFS server.FS
 	if *faultOneIn > 0 {
 		storeFS = faultfs.New(&faultfs.Plan{
 			Seed:           *faultSeed,
@@ -100,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- net.Addr, stop <-
 		MaxBodyBytes:    *maxBodyBytes,
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
-		ScheduleDir:     *schedCache,
 		CacheDir:        *cacheDir,
 		StoreFS:         storeFS,
 		IterationBudget: *iterBudget,

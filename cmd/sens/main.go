@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fMax    = fs.Float64("fmax", 1e8, "band end (Hz)")
 		points  = fs.Int("points", 9, "frequency points")
 		top     = fs.Int("top", 15, "number of elements to list (0 = all)")
-		noWarm  = fs.Bool("no-warm", false, "disable warm starts between design points (ablation)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -66,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	spec := engine.Spec{Kind: *tfKind, In: *inNode, Inn: *innNode, Out: *outNode}
 	freqs := bode.LogSpace(*fMin, *fMax, *points)
-	sens, batch, err := sensitivity.AnalyzeBatch(ckt, spec, freqs, sensitivity.Config{NoWarmStart: *noWarm})
+	sens, batch, err := sensitivity.AnalyzeBatch(ckt, spec, freqs, sensitivity.Config{})
 	if err != nil {
 		return fail(err)
 	}

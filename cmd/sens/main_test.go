@@ -59,22 +59,3 @@ func TestRunOTASmoke(t *testing.T) {
 		t.Errorf("warm-start sweep reported zero warm starts:\n%s", out.String())
 	}
 }
-
-// TestRunNoWarmAblation pins the -no-warm flag path: the sweep must run
-// entirely cold and still agree on the ranking table.
-func TestRunNoWarmAblation(t *testing.T) {
-	var warm, cold, errb bytes.Buffer
-	if code := run([]string{"-circuit", "ota", "-top", "3"}, &warm, &errb); code != 0 {
-		t.Fatalf("warm run exit code = %d, stderr: %s", code, errb.String())
-	}
-	if code := run([]string{"-circuit", "ota", "-top", "3", "-no-warm"}, &cold, &errb); code != 0 {
-		t.Fatalf("cold run exit code = %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(cold.String(), " 0 warm starts, 0 cold fallbacks") {
-		t.Errorf("-no-warm run still reports warm activity:\n%s", cold.String())
-	}
-	table := func(s string) string { return s[:strings.Index(s, "batch:")] }
-	if table(warm.String()) != table(cold.String()) {
-		t.Errorf("warm and cold rankings differ:\nwarm:\n%s\ncold:\n%s", warm.String(), cold.String())
-	}
-}

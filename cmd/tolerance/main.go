@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tol     = fs.Float64("tol", 0.05, "relative element tolerance (±)")
 		samples = fs.Int("n", 100, "Monte Carlo samples")
 		seed    = fs.Int64("seed", 1, "random seed")
-		noWarm  = fs.Bool("no-warm", false, "disable warm starts between samples (ablation)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -68,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spec := engine.Spec{Kind: *tfKind, In: *inNode, Inn: *innNode, Out: *outNode}
 	freqs := bode.LogSpace(*fMin, *fMax, *points)
 	st, err := montecarlo.Run(ckt, spec, freqs, montecarlo.Config{
-		Samples: *samples, Tolerance: *tol, Seed: *seed, NoWarmStart: *noWarm,
+		Samples: *samples, Tolerance: *tol, Seed: *seed,
 	})
 	if err != nil {
 		return fail(err)

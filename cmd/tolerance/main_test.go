@@ -55,22 +55,3 @@ func TestRunOTASmoke(t *testing.T) {
 		}
 	}
 }
-
-// TestRunNoWarmAblation pins the -no-warm flag: same seed must give the
-// same quantile table with zero warm activity.
-func TestRunNoWarmAblation(t *testing.T) {
-	var warm, cold, errb bytes.Buffer
-	if code := run([]string{"-circuit", "ota", "-n", "6", "-points", "3"}, &warm, &errb); code != 0 {
-		t.Fatalf("warm run exit code = %d, stderr: %s", code, errb.String())
-	}
-	if code := run([]string{"-circuit", "ota", "-n", "6", "-points", "3", "-no-warm"}, &cold, &errb); code != 0 {
-		t.Fatalf("cold run exit code = %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(cold.String(), " 0 warm starts, 0 cold fallbacks") {
-		t.Errorf("-no-warm run still reports warm activity:\n%s", cold.String())
-	}
-	table := func(s string) string { return s[:strings.Index(s, "batch:")] }
-	if table(warm.String()) != table(cold.String()) {
-		t.Errorf("warm and cold quantiles differ:\nwarm:\n%s\ncold:\n%s", warm.String(), cold.String())
-	}
-}

@@ -1,7 +1,6 @@
-// Package blobstore is the one crash-safe, content-hash-framed file
-// store behind every persistent tier in the repo: the server's result
-// cache and the engine's schedule store are thin typed views over it,
-// and the chaos harness audits both with Verify and Scrub.
+// Package blobstore is the crash-safe, content-hash-framed file store
+// behind the server's persistent result-cache tier; the chaos harness
+// audits it offline with Verify and Scrub.
 //
 // One entry is one file, <dir>/<key><ext>, holding
 // "sha256:<lowercase hex>\n" + body. Put writes a temp file and renames
@@ -103,9 +102,6 @@ func newStore(dir, ext string, fsys FS) *Store {
 	return &Store{dir: dir, ext: ext, fs: fsys}
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path maps a key to its file. Keys are content addresses, so every
 // rune is path-safe.
 func (s *Store) path(key string) string {
@@ -150,7 +146,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 			s.hits.Add(1)
 			return body, nil
 		}
-		s.Quarantine(key)
+		s.quarantine(key)
 	}
 	s.misses.Add(1)
 	return nil, err
@@ -172,12 +168,11 @@ func (s *Store) Put(key string, body []byte) error {
 	return nil
 }
 
-// Quarantine renames the entry under key aside — never deletes it — so
+// quarantine renames the entry under key aside — never deletes it — so
 // the address reads as absent while the bytes survive for diagnosis.
-// Get calls it on a frame defect; callers call it for defects only they
-// can see (an envelope that does not decode, or names another key). A
-// failed rename leaves the entry live and the counter unchanged.
-func (s *Store) Quarantine(key string) error {
+// Get and Scrub call it on a frame defect. A failed rename leaves the
+// entry live and the counter unchanged.
+func (s *Store) quarantine(key string) error {
 	p := s.path(key)
 	if err := s.fs.Rename(p, fmt.Sprintf("%s.quarantined-%d-%d", p, os.Getpid(), seq.Add(1))); err != nil {
 		return err
@@ -200,21 +195,21 @@ func (s *Store) Stats() Stats {
 }
 
 // Verify audits dir offline: every live <key><ext> entry must pass its
-// frame and, when check is non-nil, check(key, body). Temp residue and
-// quarantined files are skipped — they are already out of the serving
-// path. A nil fsys selects the real filesystem.
-func Verify(fsys FS, dir, ext string, check func(key string, body []byte) error) (ok, corrupt int, err error) {
-	return walk(newStore(dir, ext, fsys), check, false)
+// frame. Temp residue and quarantined files are skipped — they are
+// already out of the serving path. A nil fsys selects the real
+// filesystem.
+func Verify(fsys FS, dir, ext string) (ok, corrupt int, err error) {
+	return walk(newStore(dir, ext, fsys), false)
 }
 
 // Scrub is Verify that also quarantines every corrupt entry, through
-// the same Quarantine the serving path uses. It stops at the first
+// the same quarantine the serving path uses. It stops at the first
 // entry it cannot read or rename, leaving that entry live.
-func Scrub(fsys FS, dir, ext string, check func(key string, body []byte) error) (ok, quarantined int, err error) {
-	return walk(newStore(dir, ext, fsys), check, true)
+func Scrub(fsys FS, dir, ext string) (ok, quarantined int, err error) {
+	return walk(newStore(dir, ext, fsys), true)
 }
 
-func walk(s *Store, check func(key string, body []byte) error, fix bool) (ok, bad int, err error) {
+func walk(s *Store, fix bool) (ok, bad int, err error) {
 	ents, err := s.fs.ReadDir(s.dir)
 	if err != nil {
 		return 0, 0, err
@@ -228,16 +223,12 @@ func walk(s *Store, check func(key string, body []byte) error, fix bool) (ok, ba
 		if err != nil {
 			return ok, bad, err
 		}
-		body, defect := unframe(raw)
-		if defect == nil && check != nil {
-			defect = check(key, body)
-		}
-		if defect == nil {
+		if _, defect := unframe(raw); defect == nil {
 			ok++
 			continue
 		}
 		if fix {
-			if err := s.Quarantine(key); err != nil {
+			if err := s.quarantine(key); err != nil {
 				return ok, bad, err
 			}
 		}

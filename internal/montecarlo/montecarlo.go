@@ -37,9 +37,6 @@ type Config struct {
 	Seed int64
 	// Core passes through generator options.
 	Core core.Config
-	// NoWarmStart disables cross-sample warm starting (every sample runs
-	// a full cold generation) — the ablation baseline.
-	NoWarmStart bool
 }
 
 // Quantiles holds the magnitude distribution at one frequency.
@@ -87,10 +84,9 @@ func Run(c *circuit.Circuit, spec engine.Spec, freqsHz []float64, cfg Config) (*
 		return nil, fmt.Errorf("montecarlo: %w", err)
 	}
 	resp, err := eng.GenerateBatch(context.Background(), engine.BatchRequest{
-		Circuit:     c,
-		Spec:        spec,
-		Points:      points,
-		NoWarmStart: cfg.NoWarmStart,
+		Circuit: c,
+		Spec:    spec,
+		Points:  points,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("montecarlo: %w", err)

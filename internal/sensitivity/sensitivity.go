@@ -39,9 +39,6 @@ type Config struct {
 	RelStep float64
 	// Core passes through generator options.
 	Core core.Config
-	// NoWarmStart disables warm starting between the design points
-	// (every point regenerates cold) — the ablation baseline.
-	NoWarmStart bool
 }
 
 // Sensitivity is one element's normalized sensitivity at each frequency.
@@ -134,10 +131,9 @@ func run(c *circuit.Circuit, spec engine.Spec, points []engine.BatchPoint, cfg C
 		return nil, err
 	}
 	return eng.GenerateBatch(context.Background(), engine.BatchRequest{
-		Circuit:     c,
-		Spec:        spec,
-		Points:      points,
-		NoWarmStart: cfg.NoWarmStart,
+		Circuit: c,
+		Spec:    spec,
+		Points:  points,
 	})
 }
 

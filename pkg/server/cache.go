@@ -34,6 +34,12 @@ type CacheStats struct {
 // JSON keys hits, misses, writes and quarantines.
 type DiskCacheStats = blobstore.Stats
 
+// FS is the whole-file filesystem surface under the Config.CacheDir
+// tier (see Config.StoreFS). Nil selects the real filesystem; tests and
+// the chaos harness pass internal/faultfs, which tears writes, flips
+// bits and fails renames or reads on a seeded plan.
+type FS = blobstore.FS
+
 // cache is the content-addressed LRU result cache. It is bounded both
 // by entry count and by total encoded bytes — the byte bound is the one
 // that matters operationally, since a ladder response is an order of

@@ -22,6 +22,9 @@ import (
 	"time"
 
 	"repro/internal/blobstore"
+	"repro/internal/circuit"
+	"repro/internal/circuits"
+	"repro/internal/netlist"
 	"repro/pkg/engine"
 )
 
@@ -306,38 +309,84 @@ func TestOversizedBodyIs413(t *testing.T) {
 	}
 }
 
-// TestDiskCacheAcrossRestart: a result generated before a restart is
-// served from the persistent tier (X-Cache: disk) by the next process,
-// then from memory.
+// TestDiskCacheAcrossRestart pins the content-address contract across
+// processes, nodal and MNA fixtures alike: two fresh servers' misses
+// for one key give byte-identical bodies, and a restarted server serves
+// those same bytes from the persistent tier (X-Cache: disk) with zero
+// generations, then from memory.
 func TestDiskCacheAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
+	format := func(c *circuit.Circuit) string {
+		src, err := netlist.FormatString(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	biqIn, biqOut := circuits.BiquadNodes()
+	uaInp, uaInn, uaOut := circuits.UA741Inputs()
+	for _, tc := range []struct {
+		name string
+		req  GenerateRequest
+		// respelled, when set, is the netlist the restarted server is
+		// asked for: same content address, different text.
+		respelled string
+	}{
+		{"rc", vgain(rcNetlist, "in", "n1"), rcRespelled},
+		{"biquad", vgain(format(circuits.Biquad()), biqIn, biqOut), ""},
+		{"ladder40", vgainLadder(), ""},
+		{"ua741", GenerateRequest{Netlist: format(circuits.UA741()),
+			Spec: SpecJSON{Kind: "diffgain", In: uaInp, Inn: uaInn, Out: uaOut}}, ""},
+		{"lc5", GenerateRequest{Netlist: format(circuits.LCLadder(5, 50, 1e6)),
+			Spec: SpecJSON{Kind: "mna", In: "vin", Out: "out"}}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			generate := func(cfg Config) []byte {
+				t.Helper()
+				s, ts := newTestServer(t, cfg)
+				defer s.Close()
+				defer ts.Close()
+				resp, raw := post(t, ts.URL, tc.req)
+				if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+					t.Fatalf("fresh server: status %d, X-Cache %q, want a miss: %s",
+						resp.StatusCode, resp.Header.Get("X-Cache"), raw)
+				}
+				if st := s.Stats(); st.Generations != 1 {
+					t.Fatalf("fresh server ran %d generations, want 1", st.Generations)
+				}
+				return raw
+			}
+			dir := t.TempDir()
+			rawA := generate(Config{})
+			rawB := generate(Config{CacheDir: dir})
+			if !bytes.Equal(rawA, rawB) {
+				t.Fatalf("two misses of one key differ (%d vs %d bytes)", len(rawA), len(rawB))
+			}
 
-	s1, ts1 := newTestServer(t, Config{CacheDir: dir})
-	if resp, raw := post(t, ts1.URL, vgain(rcNetlist, "in", "n1")); resp.StatusCode != http.StatusOK {
-		t.Fatalf("first generation: %d %s", resp.StatusCode, raw)
-	}
-	if st := s1.Stats(); st.DiskCache.Writes != 1 {
-		t.Fatalf("disk writes = %d, want 1", st.DiskCache.Writes)
-	}
-	ts1.Close()
-	s1.Close()
-
-	s2, ts2 := newTestServer(t, Config{CacheDir: dir})
-	resp, rawDisk := post(t, ts2.URL, vgain(rcRespelled, "in", "n1")) // same address, respelled
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "disk" {
-		t.Fatalf("restarted server: status %d, X-Cache %q, want disk hit",
-			resp.StatusCode, resp.Header.Get("X-Cache"))
-	}
-	resp2, rawHot := post(t, ts2.URL, vgain(rcNetlist, "in", "n1"))
-	if resp2.Header.Get("X-Cache") != "hit" {
-		t.Errorf("second read: X-Cache %q, want memory hit after disk promotion",
-			resp2.Header.Get("X-Cache"))
-	}
-	if !bytes.Equal(rawDisk, rawHot) {
-		t.Error("disk and memory tiers disagree byte-for-byte")
-	}
-	if st := s2.Stats(); st.Generations != 0 {
-		t.Errorf("restarted server ran %d generations, want 0 (disk tier should answer)", st.Generations)
+			s, ts := newTestServer(t, Config{CacheDir: dir})
+			req := tc.req
+			if tc.respelled != "" {
+				req.Netlist = tc.respelled
+			}
+			resp, rawDisk := post(t, ts.URL, req)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "disk" {
+				t.Fatalf("restarted server: status %d, X-Cache %q, want disk hit",
+					resp.StatusCode, resp.Header.Get("X-Cache"))
+			}
+			if !bytes.Equal(rawDisk, rawB) {
+				t.Error("disk tier serves bytes other than the generated body")
+			}
+			resp, rawHot := post(t, ts.URL, tc.req)
+			if resp.Header.Get("X-Cache") != "hit" {
+				t.Errorf("second read: X-Cache %q, want memory hit after disk promotion",
+					resp.Header.Get("X-Cache"))
+			}
+			if !bytes.Equal(rawDisk, rawHot) {
+				t.Error("disk and memory tiers disagree byte-for-byte")
+			}
+			if st := s.Stats(); st.Generations != 0 {
+				t.Errorf("restarted server ran %d generations, want 0 (disk tier should answer)", st.Generations)
+			}
+		})
 	}
 }
 
@@ -393,7 +442,7 @@ func TestDiskCacheQuarantinesCorruption(t *testing.T) {
 	// The quarantined bytes survive on disk; the offline verifier sees a
 	// clean store (the rewritten entry) with no corruption in the
 	// serving path.
-	ok, corrupt, err := blobstore.Verify(nil, dir, ".result.json", nil)
+	ok, corrupt, err := blobstore.Verify(nil, dir, ".result.json")
 	if err != nil || ok != 1 || corrupt != 0 {
 		t.Errorf("blobstore.Verify = (%d ok, %d corrupt, %v), want (1, 0, nil)", ok, corrupt, err)
 	}
@@ -468,11 +517,11 @@ func TestScrubDiskCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ok, quarantined, err := blobstore.Scrub(nil, dir, ".result.json", nil)
+	ok, quarantined, err := blobstore.Scrub(nil, dir, ".result.json")
 	if err != nil || ok != 1 || quarantined != 1 {
 		t.Fatalf("blobstore.Scrub = (%d ok, %d quarantined, %v), want (1, 1, nil)", ok, quarantined, err)
 	}
-	ok, corrupt, err := blobstore.Verify(nil, dir, ".result.json", nil)
+	ok, corrupt, err := blobstore.Verify(nil, dir, ".result.json")
 	if err != nil || ok != 1 || corrupt != 0 {
 		t.Fatalf("post-scrub blobstore.Verify = (%d, %d, %v), want (1, 0, nil)", ok, corrupt, err)
 	}
@@ -613,11 +662,9 @@ func TestStatsGoldenWire(t *testing.T) {
 			GenLatencyEWMAMs: 12.5,
 			QueueWaitP50Ms:   0.25, QueueWaitP90Ms: 1.5, QueueWaitP99Ms: 3,
 		},
-		BudgetDegraded:      1,
-		ScheduleWarmStarts:  2,
-		ScheduleQuarantines: 1,
-		Tiers:               TierCounts{Exact: 1, Certified: 1, Numeric: 1, Degraded: 0},
-		WorstRelError:       1.25e-9,
+		BudgetDegraded: 1,
+		Tiers:          TierCounts{Exact: 1, Certified: 1, Numeric: 1, Degraded: 0},
+		WorstRelError:  1.25e-9,
 		Backends: []BackendStats{
 			{Name: "mna", Generations: 1, Tiers: TierCounts{Numeric: 1}, WorstRelError: 1.25e-9},
 			{Name: "nodal", Generations: 2, Tiers: TierCounts{Exact: 1, Certified: 1}},

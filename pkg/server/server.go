@@ -79,17 +79,6 @@ type Config struct {
 	// (kind body-too-large) as soon as the limit is crossed. 0 selects
 	// 4 MiB.
 	MaxBodyBytes int64
-	// ScheduleDir, when non-empty, roots a persistent schedule store
-	// (engine.ScheduleStore): flights that miss the result cache load a
-	// previously converged scale schedule for their content address and
-	// warm-start from it, and persist their own schedule on success.
-	// Replay is bit-identical at the coefficient level (and falls back
-	// to a cold run when the stored schedule is refused), so the store
-	// changes the iteration trail and solve counts of the body, never
-	// the generated reference. Entries are SHA-256 framed like CacheDir's;
-	// a torn, bit-flipped or unframed (older build) entry is quarantined
-	// and the flight starts cold. Empty disables the store.
-	ScheduleDir string
 	// CacheDir, when non-empty, roots the persistent tier of the result
 	// cache: finished non-degraded bodies are written through (temp file
 	// + rename, "sha256:<hex>\n" + body) and a restarted server serves
@@ -97,11 +86,11 @@ type Config struct {
 	// quarantined (renamed aside, never deleted) and regenerated, never
 	// served. Empty disables the tier.
 	CacheDir string
-	// StoreFS, when non-nil, replaces the real filesystem under both
-	// disk stores (ScheduleDir and CacheDir) — the seam the chaos
-	// harness uses to inject torn writes, bit flips and rename or read
-	// failures (internal/faultfs). Nil selects the real filesystem.
-	StoreFS engine.FS
+	// StoreFS, when non-nil, replaces the real filesystem under the
+	// CacheDir tier — the seam the chaos harness uses to inject torn
+	// writes, bit flips and rename or read failures (internal/faultfs).
+	// Nil selects the real filesystem.
+	StoreFS FS
 	// IterationBudget, SolveBudget and MemoryBudget are server-enforced
 	// per-request resource budgets, applied to every generation
 	// regardless of what the request's options ask for: the frame
@@ -153,12 +142,6 @@ type Stats struct {
 	// BudgetDegraded counts generations the server's resource budgets
 	// degraded into labeled partial results (never cached).
 	BudgetDegraded uint64 `json:"budget_degraded"`
-	// ScheduleWarmStarts counts flights that replayed a schedule loaded
-	// from the persistent store (0 when Config.ScheduleDir is unset).
-	ScheduleWarmStarts uint64 `json:"schedule_warm_starts,omitempty"`
-	// ScheduleQuarantines counts corrupt schedule-store entries moved
-	// aside (see engine.ScheduleStore).
-	ScheduleQuarantines uint64 `json:"schedule_quarantines"`
 	// Tiers counts completed generations by result quality tier.
 	Tiers TierCounts `json:"tiers"`
 	// WorstRelError is the largest certified relative error estimate
@@ -188,14 +171,13 @@ type BackendStats struct {
 // Server implements the service. Create with New, serve Handler, Close
 // when done (Close waits for in-flight generations to unwind). For a
 // graceful exit call StartDrain first: new generations shed with 503 +
-// Retry-After and /healthz flips to 503 while in-flight flights finish
-// and persist their schedules; Close then cancels whatever remains.
+// Retry-After and /healthz flips to 503 while in-flight flights finish;
+// Close then cancels whatever remains.
 type Server struct {
 	cfg      Config
 	eng      *engine.Engine
 	cache    *cache
 	disk     *blobstore.Store
-	sched    *engine.ScheduleStore
 	group    *group
 	adm      *admission
 	base     context.Context
@@ -210,7 +192,6 @@ type Server struct {
 	requests       atomic.Uint64
 	inflight       atomic.Int64
 	serverErrors   atomic.Uint64
-	schedWarm      atomic.Uint64
 	budgetDegraded atomic.Uint64
 	tierCounts     [4]atomic.Uint64 // indexed by engine.Tier
 	worstRelBits   atomic.Uint64    // math.Float64bits of the max seen
@@ -291,13 +272,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 4 << 20
 	}
-	var sched *engine.ScheduleStore
-	if cfg.ScheduleDir != "" {
-		sched, err = engine.OpenScheduleStore(cfg.ScheduleDir, cfg.StoreFS)
-		if err != nil {
-			return nil, err
-		}
-	}
 	var disk *blobstore.Store
 	if cfg.CacheDir != "" {
 		disk, err = blobstore.Open(cfg.CacheDir, ".result.json", cfg.StoreFS)
@@ -311,7 +285,6 @@ func New(cfg Config) (*Server, error) {
 		eng:      eng,
 		cache:    newCache(cfg.CacheEntries, cfg.CacheBytes),
 		disk:     disk,
-		sched:    sched,
 		group:    newGroup(),
 		adm:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
 		base:     base,
@@ -325,7 +298,7 @@ func New(cfg Config) (*Server, error) {
 // here on is shed immediately (503 + Retry-After, reason draining),
 // /healthz answers 503 so load balancers rotate the instance out, and
 // cache hits keep being served. In-flight flights are unaffected — they
-// finish, answer their waiters and persist their schedules. Call Close
+// finish, answer their waiters and fill the cache tiers. Call Close
 // (after the HTTP server's own Shutdown) to cancel whatever is still
 // running at the drain deadline.
 func (s *Server) StartDrain() { s.draining.Store(true) }
@@ -344,20 +317,18 @@ func (s *Server) Close() {
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Since:               s.started.Format(time.RFC3339Nano),
-		Draining:            s.draining.Load(),
-		Cache:               s.cache.stats(),
-		DiskCache:           s.disk.Stats(),
-		Generations:         s.generations.Load(),
-		SingleflightShared:  s.shared.Load(),
-		Requests:            s.requests.Load(),
-		Inflight:            s.inflight.Load(),
-		ServerErrors:        s.serverErrors.Load(),
-		MaxConcurrent:       s.cfg.MaxConcurrent,
-		Admission:           s.adm.stats(),
-		BudgetDegraded:      s.budgetDegraded.Load(),
-		ScheduleWarmStarts:  s.schedWarm.Load(),
-		ScheduleQuarantines: s.sched.Quarantines(),
+		Since:              s.started.Format(time.RFC3339Nano),
+		Draining:           s.draining.Load(),
+		Cache:              s.cache.stats(),
+		DiskCache:          s.disk.Stats(),
+		Generations:        s.generations.Load(),
+		SingleflightShared: s.shared.Load(),
+		Requests:           s.requests.Load(),
+		Inflight:           s.inflight.Load(),
+		ServerErrors:       s.serverErrors.Load(),
+		MaxConcurrent:      s.cfg.MaxConcurrent,
+		Admission:          s.adm.stats(),
+		BudgetDegraded:     s.budgetDegraded.Load(),
 		Tiers: TierCounts{
 			Exact:     s.tierCounts[engine.TierExact].Load(),
 			Certified: s.tierCounts[engine.TierCertified].Load(),
@@ -625,10 +596,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, kind, err)
 		return
 	}
-	// The requested tier joins the cache/single-flight identity (the
-	// schedule store keeps the content address alone): a min_tier=exact
-	// request must never be answered with a cached numeric-tier body,
-	// and a tier-gated flight's 422 must not poison untiered waiters.
+	// The requested tier joins the cache/single-flight identity: a
+	// min_tier=exact request must never be answered with a cached
+	// numeric-tier body, and a tier-gated flight's 422 must not poison
+	// untiered waiters.
 	cacheKey := key
 	if gateTier {
 		cacheKey = key + "+tier-" + req.MinTier
@@ -663,7 +634,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	fl, leader := s.group.join(cacheKey)
 	if leader {
 		s.wg.Add(1)
-		go s.runFlight(fl, ereq, key, time.Now().Add(timeout), minTier, gateTier)
+		go s.runFlight(fl, ereq, time.Now().Add(timeout), minTier, gateTier)
 	} else {
 		s.shared.Add(1)
 	}
@@ -717,10 +688,8 @@ func (s *Server) diskGet(cacheKey string) *entry {
 // MaxTimeout, so waiter cancellation can never abort shared work. The
 // leader's deadline does steer admission: a flight that cannot start
 // before it is shed for every waiter (they would all time out anyway).
-// schedKey is the bare content address for the schedule store (the
-// flight key may carry a tier suffix); minTier/gateTier carry the
-// request's quality floor.
-func (s *Server) runFlight(fl *flight, ereq engine.Request, schedKey string, deadline time.Time, minTier engine.Tier, gateTier bool) {
+// minTier/gateTier carry the request's quality floor.
+func (s *Server) runFlight(fl *flight, ereq engine.Request, deadline time.Time, minTier engine.Tier, gateTier bool) {
 	defer s.wg.Done()
 	if _, err := s.adm.acquire(deadline, s.draining.Load, s.base.Done()); err != nil {
 		s.group.finish(fl, nil, err, errStatus(err))
@@ -734,16 +703,6 @@ func (s *Server) runFlight(fl *flight, ereq engine.Request, schedKey string, dea
 	s.generations.Add(1)
 	ereq.Observer = func(it engine.Iteration) { fl.hub.publish(engine.IterationWire(it)) }
 	budgeted := s.applyBudgets(ereq.Options)
-	if s.sched != nil {
-		// A result-cache miss can still warm-start: replay the schedule a
-		// previous flight of this content address converged to. WarmStart
-		// is excluded from the address, and a refused or aborted replay
-		// falls back to a cold run, so the coefficients are bit-identical
-		// either way — only the iteration trail and solve count shrink.
-		if warm, _ := s.sched.Load(schedKey); warm != nil {
-			ereq.Options.WarmStart = warm
-		}
-	}
 	genStart := time.Now()
 	resp, err := s.eng.Generate(ctx, ereq)
 	s.adm.observeGen(time.Since(genStart))
@@ -757,16 +716,6 @@ func (s *Server) runFlight(fl *flight, ereq engine.Request, schedKey string, dea
 		backend = resp.Formulation.Backend
 	}
 	s.recordQuality(backend, tier, resp.WorstRelError())
-	if s.sched != nil && !resp.Degraded() {
-		if resp.Num != nil && resp.Num.WarmStarted && resp.Den != nil && resp.Den.WarmStarted {
-			s.schedWarm.Add(1)
-		}
-		if ws := resp.WarmState(); ws != nil {
-			// Best-effort persistence: a failed write costs the next
-			// process a warm start, nothing else.
-			_ = s.sched.Save(schedKey, ws)
-		}
-	}
 	if gateTier && tier < minTier {
 		s.group.finish(fl, nil, &tierError{got: tier, want: minTier}, http.StatusUnprocessableEntity)
 		return

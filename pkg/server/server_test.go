@@ -9,8 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -558,95 +556,5 @@ func TestHubLagAndReplay(t *testing.T) {
 	hist2, ch2 := h.subscribe(4)
 	if ch2 != nil || len(hist2) != 2 {
 		t.Error("closed hub should return full history and nil channel")
-	}
-}
-
-// TestScheduleStoreWarmStart proves the cross-process warm-start loop:
-// a second server sharing only the schedule directory (fresh result
-// cache) misses its cache, loads the first server's converged schedule,
-// replays it with fewer solves, and resolves bit-identical coefficients.
-func TestScheduleStoreWarmStart(t *testing.T) {
-	dir := t.TempDir()
-	_, tsA := newTestServer(t, Config{ScheduleDir: dir})
-	respA, rawA := post(t, tsA.URL, vgain(rcNetlist, "in", "n1"))
-	if respA.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", respA.StatusCode, rawA)
-	}
-
-	sB, tsB := newTestServer(t, Config{ScheduleDir: dir})
-	respB, rawB := post(t, tsB.URL, vgain(rcNetlist, "in", "n1"))
-	if respB.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", respB.StatusCode, rawB)
-	}
-	if got := respB.Header.Get("X-Cache"); got != "miss" {
-		t.Errorf("second server X-Cache = %q, want miss (fresh result cache)", got)
-	}
-	st := sB.Stats()
-	if st.ScheduleWarmStarts != 1 {
-		t.Errorf("schedule warm starts = %d, want 1", st.ScheduleWarmStarts)
-	}
-	if st.Generations != 1 {
-		t.Errorf("generations = %d, want 1", st.Generations)
-	}
-
-	// Replay must reproduce the cold run's coefficients bit for bit
-	// while doing strictly less work (fewer or equal solves — the
-	// iteration trail is the one part of the body allowed to differ).
-	_, numA, denA, err := engine.DecodeResponseJSON(rawA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wB, numB, denB, err := engine.DecodeResponseJSON(rawB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range []struct {
-		label      string
-		cold, warm *engine.Result
-	}{{"num", numA, numB}, {"den", denA, denB}} {
-		if len(pair.cold.Coeffs) != len(pair.warm.Coeffs) {
-			t.Fatalf("%s: coefficient counts differ", pair.label)
-		}
-		for i := range pair.cold.Coeffs {
-			c, w := pair.cold.Coeffs[i], pair.warm.Coeffs[i]
-			if c.Status != w.Status || c.Value != w.Value || c.Bound != w.Bound || c.Quality != w.Quality {
-				t.Errorf("%s s^%d: warm replay diverged from cold run", pair.label, i)
-			}
-		}
-		if pair.warm.TotalSolves > pair.cold.TotalSolves {
-			t.Errorf("%s: warm replay solved %d points, cold only %d", pair.label, pair.warm.TotalSolves, pair.cold.TotalSolves)
-		}
-	}
-	if wB.Tier == engine.TierDegraded.String() {
-		t.Error("warm replay degraded")
-	}
-}
-
-// TestScheduleStoreColdOnGarbage: a corrupt stored schedule must not
-// fail the request — the flight falls back to a cold generation.
-func TestScheduleStoreColdOnGarbage(t *testing.T) {
-	dir := t.TempDir()
-	req := vgain(rcNetlist, "in", "n1")
-	circ, err := engine.ParseNetlist(req.Netlist, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := engine.RequestKey(engine.Request{
-		Circuit: circ,
-		Spec:    engine.Spec{Kind: "vgain", In: "in", Out: "n1"},
-	}, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, key+".schedule.json"), []byte(`{"version":1,`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sv, ts := newTestServer(t, Config{ScheduleDir: dir})
-	resp, raw := post(t, ts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
-	}
-	if st := sv.Stats(); st.ScheduleWarmStarts != 0 {
-		t.Errorf("schedule warm starts = %d, want 0 (garbage file)", st.ScheduleWarmStarts)
 	}
 }
