@@ -295,8 +295,9 @@ func BenchmarkAblationTuningRPlus2(b *testing.B)  { benchTuningR(b, 2) }
 
 // The dense LU (BenchmarkDetDense*), the full Markowitz factorization
 // (BenchmarkDetSparseUA741) and the planned and lane replays
-// (BenchmarkDetPlanned*, BenchmarkDetLanesUA741) are timed in
-// internal/nodal, on the typed stamps the nodal backend assembles from.
+// (BenchmarkDetPlanned*, BenchmarkDetLanesUA741,
+// BenchmarkDetSolveLanesLadder40) are timed in internal/nodal, on the
+// typed stamps the nodal backend assembles from.
 
 // --- ablation: direct O(K²) IDFT vs radix-2 FFT ---
 

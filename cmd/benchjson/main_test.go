@@ -143,7 +143,7 @@ func TestSnapshotAndCheckModes(t *testing.T) {
 // TestCompareAllocsGate pins the hot-path allocation gate: allocs/op is
 // compared (lower-is-better) on BenchmarkEvalBatch*,
 // BenchmarkDetSparseUA741, BenchmarkDetPlanned*, BenchmarkDetLanesUA741,
-// BenchmarkStructuralWindowUA741, BenchmarkWireEncodeUA741 and
+// BenchmarkDetSolveLanesLadder40, BenchmarkStructuralWindowUA741, BenchmarkWireEncodeUA741 and
 // BenchmarkEncodeResponseUA741 only, so
 // an op that starts allocating more fails the gate while advisory
 // allocation counts elsewhere stay ignored.
@@ -158,6 +158,8 @@ func TestCompareAllocsGate(t *testing.T) {
 			"B/op": 0, "allocs/op": 0}},
 		{Name: "BenchmarkDetLanesUA741", N: 1, NsOp: 150000, Extra: map[string]float64{
 			"B/op": 0, "allocs/op": 0, "ns/point": 6000}},
+		{Name: "BenchmarkDetSolveLanesLadder40", N: 1, NsOp: 60000, Extra: map[string]float64{
+			"B/op": 0, "allocs/op": 0, "ns/point": 2900}},
 		{Name: "BenchmarkIDFTDirect49", N: 1, NsOp: 7000, Extra: map[string]float64{
 			"allocs/op": 3}},
 		{Name: "BenchmarkStructuralWindowUA741", N: 1, NsOp: 30000, Extra: map[string]float64{
@@ -178,6 +180,8 @@ func TestCompareAllocsGate(t *testing.T) {
 			"B/op": 32, "allocs/op": 1}},
 		{Name: "BenchmarkDetLanesUA741", N: 1, NsOp: 150000, Extra: map[string]float64{
 			"B/op": 16384, "allocs/op": 1, "ns/point": 6000}},
+		{Name: "BenchmarkDetSolveLanesLadder40", N: 1, NsOp: 60000, Extra: map[string]float64{
+			"B/op": 1024, "allocs/op": 1, "ns/point": 2900}},
 		{Name: "BenchmarkIDFTDirect49", N: 1, NsOp: 7000, Extra: map[string]float64{
 			"allocs/op": 3}},
 		{Name: "BenchmarkStructuralWindowUA741", N: 1, NsOp: 30000, Extra: map[string]float64{
@@ -191,7 +195,7 @@ func TestCompareAllocsGate(t *testing.T) {
 	if code := run([]string{"-compare", old, leaky}, strings.NewReader(""), &out, &errOut); code != 1 {
 		t.Fatalf("leaky hot path exited %d, want 1 (stdout %q)", code, out.String())
 	}
-	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40", "BenchmarkDetLanesUA741", "BenchmarkStructuralWindowUA741", "BenchmarkWireEncodeUA741", "BenchmarkEncodeResponseUA741"} {
+	for _, name := range []string{"BenchmarkEvalBatchBiquad", "BenchmarkDetSparseUA741", "BenchmarkDetPlannedLadder40", "BenchmarkDetLanesUA741", "BenchmarkDetSolveLanesLadder40", "BenchmarkStructuralWindowUA741", "BenchmarkWireEncodeUA741", "BenchmarkEncodeResponseUA741"} {
 		if !strings.Contains(out.String(), "REGRESSION "+name+" allocs/op") {
 			t.Errorf("missing %s allocs regression in %q", name, out.String())
 		}

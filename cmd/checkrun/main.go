@@ -118,7 +118,7 @@ func (h *harness) trial(ctx context.Context, rng *rand.Rand, o options, rep *che
 	check.ParityResults(num, par.Num, rep)
 	check.ParityResults(den, par.Den, rep)
 
-	// The joint path (shared EvalBoth cache, the default above) must
+	// The joint path (shared joint-form cache, the default above) must
 	// reproduce a fully independent two-pass generation within the same
 	// tolerance the Bareiss oracle is held to.
 	indep, ierr := h.eng.Generate(ctx, engine.Request{

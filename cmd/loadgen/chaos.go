@@ -159,13 +159,13 @@ func runChaos(cfg chaosConfig, stdout, stderr io.Writer) (*chaosReport, error) {
 			return nil, fmt.Errorf("cycle %d: %w", cycle, err)
 		}
 		// Offline scrub between cycles: quarantine whatever the kill tore.
-		if _, q, err := blobstore.Scrub(nil, cacheDir, ".result.json"); err == nil {
+		if _, q, err := blobstore.Scrub(nil, cacheDir); err == nil {
 			rep.CacheQuarantined += q
 		}
 	}
 
 	// Final audit: after the last scrub, nothing corrupt may remain live.
-	okc, corrupt, err := blobstore.Verify(nil, cacheDir, ".result.json")
+	okc, corrupt, err := blobstore.Verify(nil, cacheDir)
 	if err != nil {
 		return nil, fmt.Errorf("final cache verify: %w", err)
 	}

@@ -2,7 +2,7 @@
 // behind the server's persistent result-cache tier; the chaos harness
 // audits it offline with Verify and Scrub.
 //
-// One entry is one file, <dir>/<key><ext>, holding
+// One entry is one file, <dir>/<key>.result.json (Ext), holding
 // "sha256:<lowercase hex>\n" + body. Put writes a temp file and renames
 // it over the entry, so a reader sees the old entry or the new one,
 // never a truncation. Get verifies the frame; a torn or bit-flipped
@@ -74,10 +74,13 @@ type Stats struct {
 	Quarantines uint64 `json:"quarantines"`
 }
 
-// Store is one directory of framed entries sharing a file extension.
-// It is safe for concurrent use.
+// Ext is the file extension of every entry.
+const Ext = ".result.json"
+
+// Store is one directory of framed entries. It is safe for concurrent
+// use.
 type Store struct {
-	dir, ext    string
+	dir         string
 	fs          FS
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -85,27 +88,27 @@ type Store struct {
 	quarantines atomic.Uint64
 }
 
-// Open opens (creating if needed) the store of <key><ext> files in dir.
-// A nil fsys selects the real filesystem.
-func Open(dir, ext string, fsys FS) (*Store, error) {
-	s := newStore(dir, ext, fsys)
+// Open opens (creating if needed) the store of <key>.result.json files
+// in dir. A nil fsys selects the real filesystem.
+func Open(dir string, fsys FS) (*Store, error) {
+	s := newStore(dir, fsys)
 	if err := s.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func newStore(dir, ext string, fsys FS) *Store {
+func newStore(dir string, fsys FS) *Store {
 	if fsys == nil {
 		fsys = OsFS{}
 	}
-	return &Store{dir: dir, ext: ext, fs: fsys}
+	return &Store{dir: dir, fs: fsys}
 }
 
 // path maps a key to its file. Keys are content addresses, so every
 // rune is path-safe.
 func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key+s.ext)
+	return filepath.Join(s.dir, key+Ext)
 }
 
 // frame prefixes body with its content hash.
@@ -194,19 +197,19 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Verify audits dir offline: every live <key><ext> entry must pass its
-// frame. Temp residue and quarantined files are skipped — they are
-// already out of the serving path. A nil fsys selects the real
+// Verify audits dir offline: every live <key>.result.json entry must
+// pass its frame. Temp residue and quarantined files are skipped — they
+// are already out of the serving path. A nil fsys selects the real
 // filesystem.
-func Verify(fsys FS, dir, ext string) (ok, corrupt int, err error) {
-	return walk(newStore(dir, ext, fsys), false)
+func Verify(fsys FS, dir string) (ok, corrupt int, err error) {
+	return walk(newStore(dir, fsys), false)
 }
 
 // Scrub is Verify that also quarantines every corrupt entry, through
 // the same quarantine the serving path uses. It stops at the first
 // entry it cannot read or rename, leaving that entry live.
-func Scrub(fsys FS, dir, ext string) (ok, quarantined int, err error) {
-	return walk(newStore(dir, ext, fsys), true)
+func Scrub(fsys FS, dir string) (ok, quarantined int, err error) {
+	return walk(newStore(dir, fsys), true)
 }
 
 func walk(s *Store, fix bool) (ok, bad int, err error) {
@@ -215,7 +218,7 @@ func walk(s *Store, fix bool) (ok, bad int, err error) {
 		return 0, 0, err
 	}
 	for _, e := range ents {
-		key, live := strings.CutSuffix(e.Name(), s.ext)
+		key, live := strings.CutSuffix(e.Name(), Ext)
 		if e.IsDir() || !live {
 			continue
 		}

@@ -54,7 +54,7 @@ func entries(t *testing.T, dir string) (live, quarantined, tmp int) {
 // TestStore drives one entry of each defect class through the serving
 // path (Get) and the offline audit (Verify, Scrub, Verify).
 func TestStore(t *testing.T) {
-	const ext = ".result.json"
+	const ext = blobstore.Ext
 	good := framed(body)
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)-len(body)/2] ^= 0x04
@@ -89,7 +89,7 @@ func TestStore(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, tc.file), tc.raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			store, err := blobstore.Open(dir, ext, nil)
+			store, err := blobstore.Open(dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,15 +131,15 @@ func TestStore(t *testing.T) {
 			} else if isEntry {
 				wantOK = 1
 			}
-			ok, bad, err := blobstore.Verify(nil, dir, ext)
+			ok, bad, err := blobstore.Verify(nil, dir)
 			if err != nil || ok != wantOK || bad != wantBad {
 				t.Fatalf("Verify = (%d, %d, %v), want (%d, %d, nil)", ok, bad, err, wantOK, wantBad)
 			}
-			ok, q, err := blobstore.Scrub(nil, dir, ext)
+			ok, q, err := blobstore.Scrub(nil, dir)
 			if err != nil || ok != wantOK || q != wantBad {
 				t.Fatalf("Scrub = (%d, %d, %v), want (%d, %d, nil)", ok, q, err, wantOK, wantBad)
 			}
-			ok, bad, err = blobstore.Verify(nil, dir, ext)
+			ok, bad, err = blobstore.Verify(nil, dir)
 			if err != nil || ok != wantOK || bad != 0 {
 				t.Fatalf("Verify after Scrub = (%d, %d, %v), want (%d, 0, nil)", ok, bad, err, wantOK)
 			}
@@ -155,7 +155,7 @@ func TestStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		fsys := faultfs.New(&faultfs.Plan{Seed: 1, RenameOneIn: 1})
-		store, err := blobstore.Open(dir, ext, fsys)
+		store, err := blobstore.Open(dir, fsys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,13 +165,13 @@ func TestStore(t *testing.T) {
 		if q := store.Stats().Quarantines; q != 0 {
 			t.Errorf("Quarantines = %d after a failed rename, want 0", q)
 		}
-		if _, q, err := blobstore.Scrub(fsys, dir, ext); !faultfs.IsInjected(err) || q != 0 {
+		if _, q, err := blobstore.Scrub(fsys, dir); !faultfs.IsInjected(err) || q != 0 {
 			t.Errorf("Scrub = (%d quarantined, %v), want (0, injected rename fault)", q, err)
 		}
 		if live, q, _ := entries(t, dir); live != 1 || q != 0 {
 			t.Errorf("after failed quarantines: %d live, %d quarantined, want 1 and 0", live, q)
 		}
-		if _, bad, err := blobstore.Verify(nil, dir, ext); err != nil || bad != 1 {
+		if _, bad, err := blobstore.Verify(nil, dir); err != nil || bad != 1 {
 			t.Errorf("Verify = (%d corrupt, %v), want the entry still flagged", bad, err)
 		}
 	})
@@ -181,14 +181,14 @@ func TestStore(t *testing.T) {
 // temp file that never outlives the call, and Get serves it back.
 func TestPutGetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	store, err := blobstore.Open(dir, ".result.json", nil)
+	store, err := blobstore.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Put(keyA, body); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, keyA+".result.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, keyA+blobstore.Ext))
 	if err != nil || !bytes.Equal(raw, framed(body)) {
 		t.Fatalf("on-disk entry %q (%v), want %q", raw, err, framed(body))
 	}
@@ -211,7 +211,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 func openStore(t *testing.T, fsys blobstore.FS) (*blobstore.Store, string) {
 	t.Helper()
 	dir := t.TempDir()
-	store, err := blobstore.Open(dir, ".result.json", fsys)
+	store, err := blobstore.Open(dir, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestQuarantinePreservesAndHeals(t *testing.T) {
 	}
 	// Tear the live entry, as a crashed writer without the temp+rename
 	// discipline would.
-	path := filepath.Join(dir, keyA+".result.json")
+	path := filepath.Join(dir, keyA+blobstore.Ext)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestPutRenameFault(t *testing.T) {
 	if err := good.Put(keyA, body); err != nil {
 		t.Fatal(err)
 	}
-	store, err := blobstore.Open(dir, ".result.json", faultfs.New(&faultfs.Plan{Seed: 3, RenameOneIn: 1}))
+	store, err := blobstore.Open(dir, faultfs.New(&faultfs.Plan{Seed: 3, RenameOneIn: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

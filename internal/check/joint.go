@@ -6,7 +6,7 @@ import (
 )
 
 // JointVsIndependent cross-checks a generation that ran through the
-// shared numerator/denominator evaluation cache (EvalBoth) against an
+// shared numerator/denominator evaluation cache (the joint form) against an
 // independent two-pass generation (core.Config.NoJoint) of the same
 // transfer function. The joint values come from a different elimination
 // of the same matrices, so coefficients are compared at the given

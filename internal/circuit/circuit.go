@@ -14,7 +14,9 @@ package circuit
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -218,16 +220,28 @@ func (c *Circuit) AddI(name, p, n string, amps float64) *Circuit {
 func (c *Circuit) Elements() []Element { return c.elems }
 
 // Clone returns an independent copy of the circuit (same name unless
-// suffix is non-empty, in which case it is appended).
+// suffix is non-empty, in which case it is appended): its element list,
+// names and node indices are copied as they are, without re-adding the
+// elements, which the source circuit has already validated.
 func (c *Circuit) Clone(suffix string) *Circuit {
-	out := New(c.Name + suffix)
-	for _, e := range c.elems {
-		if err := out.AddElement(e); err != nil {
-			// The source circuit already passed these checks.
-			panic(fmt.Sprintf("circuit: clone of %q failed: %v", c.Name, err))
-		}
+	return &Circuit{
+		Name:     c.Name + suffix,
+		elems:    slices.Clone(c.elems),
+		names:    maps.Clone(c.names),
+		nodeIdx:  maps.Clone(c.nodeIdx),
+		nodeList: slices.Clone(c.nodeList),
 	}
-	return out
+}
+
+// SetValue sets the value of the i-th element (in Elements order),
+// refusing a non-finite value as AddElement does.
+func (c *Circuit) SetValue(i int, v float64) error {
+	e := &c.elems[i]
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("circuit: element %q has non-finite value %g", e.Name, v)
+	}
+	e.Value = v
+	return nil
 }
 
 // NumNodes returns the number of non-ground nodes.

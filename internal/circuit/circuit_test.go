@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -159,6 +160,62 @@ func TestIsGround(t *testing.T) {
 	for _, n := range []string{"1", "out", "ground"} {
 		if IsGround(n) {
 			t.Errorf("IsGround(%q) = true", n)
+		}
+	}
+}
+
+// TestCloneIndependent: a clone has the base's name (plus the suffix),
+// nodes, node indices and elements, and neither changing a clone's
+// values nor adding to it reaches the base.
+func TestCloneIndependent(t *testing.T) {
+	base := New("t")
+	base.AddR("r1", "a", "b", 100).AddC("c1", "b", "0", 1e-12).AddVCCS("g1", "b", "0", "a", "0", 1e-3)
+	c := base.Clone("+x")
+	if c.Name != "t+x" {
+		t.Errorf("clone name %q, want %q", c.Name, "t+x")
+	}
+	if !slices.Equal(c.Elements(), base.Elements()) || !slices.Equal(c.Nodes(), base.Nodes()) {
+		t.Fatalf("clone elements %v nodes %v, base %v %v", c.Elements(), c.Nodes(), base.Elements(), base.Nodes())
+	}
+	for _, n := range append(base.Nodes(), "0", "zzz") {
+		if c.NodeIndex(n) != base.NodeIndex(n) {
+			t.Errorf("NodeIndex(%q): clone %d, base %d", n, c.NodeIndex(n), base.NodeIndex(n))
+		}
+	}
+	for _, e := range base.Elements() {
+		if !c.HasElement(e.Name) {
+			t.Errorf("clone lacks element %q", e.Name)
+		}
+	}
+
+	if err := c.SetValue(0, 200); err != nil {
+		t.Fatal(err)
+	}
+	c.AddR("r2", "b", "d", 50)
+	if v := base.Elements()[0].Value; v != 100 {
+		t.Errorf("base r1 = %g after the clone's SetValue, want 100", v)
+	}
+	if len(base.Elements()) != 3 || base.HasElement("r2") || base.NumNodes() != 2 || base.NodeIndex("d") != -2 {
+		t.Errorf("adding to the clone reached the base: %d elements, r2 %v, %d nodes", len(base.Elements()), base.HasElement("r2"), base.NumNodes())
+	}
+	if c.Elements()[0].Value != 200 || c.NodeIndex("d") != 2 {
+		t.Errorf("clone r1 = %g, d = %d; want 200, 2", c.Elements()[0].Value, c.NodeIndex("d"))
+	}
+}
+
+// TestSetValueRejectsNonFinite: SetValue refuses what AddElement
+// refuses, with the same message, and leaves the value unchanged.
+func TestSetValueRejectsNonFinite(t *testing.T) {
+	c := New("t")
+	c.AddR("r1", "a", "0", 100)
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		err := c.SetValue(0, v)
+		want := c.AddElement(Element{Kind: Resistor, Name: "r9", P: "a", N: "0", Value: v})
+		if err == nil || want == nil || strings.Replace(err.Error(), "r1", "r9", 1) != want.Error() {
+			t.Errorf("SetValue(%g) = %v, AddElement says %v", v, err, want)
+		}
+		if c.Elements()[0].Value != 100 {
+			t.Errorf("refused SetValue(%g) changed the value to %g", v, c.Elements()[0].Value)
 		}
 	}
 }

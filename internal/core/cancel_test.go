@@ -213,7 +213,7 @@ func ua741DiffGain(t *testing.T) (*circuit.Circuit, *interp.TransferFunction) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tf.EvalBoth != nil {
+	if tf.EvalBothChunk != nil {
 		t.Fatal("diffgain grew a joint evaluation; the overlapped path needs a transfer function without one")
 	}
 	return c, tf

@@ -59,7 +59,8 @@ type Config struct {
 	NoMirror bool `json:"-"`
 	// NoJoint disables the shared numerator/denominator evaluation cache
 	// in GenerateTransferFunction even when the transfer function
-	// provides EvalBoth. For ablation benchmarks and differential checks.
+	// provides a joint form. For ablation benchmarks and differential
+	// checks.
 	NoJoint bool `json:"-"`
 	// Observer, when non-nil, is invoked after every completed
 	// interpolation with the Iteration just recorded. Calls are

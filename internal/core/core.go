@@ -120,9 +120,10 @@ func newGenerator(ctx context.Context, ev interp.Evaluator, cfg Config) *generat
 // invert; the factor falls back to 1.0 and the fallback is recorded as a
 // warning quality event in both results.
 //
-// When the transfer function provides EvalBoth (and cfg.NoJoint is
-// unset), both polynomials are driven through a shared evaluation cache
-// keyed by (s, fscale, gscale): the denominator pass reuses every
+// When the transfer function provides a joint form (EvalBothChunk; see
+// interp.TransferFunction) and cfg.NoJoint is unset, both
+// polynomials are driven through a shared evaluation cache keyed by
+// (s, fscale, gscale): the denominator pass reuses every
 // factorization the numerator pass already performed at a coinciding
 // triple. Hit/miss counts are attributed per pass in the results, so the
 // two passes run one after the other.
@@ -163,8 +164,8 @@ func GenerateTransferFunctionContext(ctx context.Context, c *circuit.Circuit, tf
 	}
 	numEv, denEv := tf.Num, tf.Den
 	var jc *jointCache
-	if !cfg.NoJoint && tf.EvalBoth != nil {
-		jc = newJointCache(tf)
+	if eval := tf.EvalBothChunk; !cfg.NoJoint && eval != nil {
+		jc = newJointCache(eval, tf.BothReady)
 		numEv = jc.evaluator(tf.Num, func(n, _ xmath.XComplex) xmath.XComplex { return n })
 		denEv = jc.evaluator(tf.Den, func(_, d xmath.XComplex) xmath.XComplex { return d })
 	}

@@ -1,13 +1,18 @@
 package core
 
 import (
+	"context"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/dft"
 	"repro/internal/interp"
 	"repro/internal/nodal"
 	"repro/internal/poly"
+	"repro/internal/sparse"
 	"repro/internal/xmath"
 )
 
@@ -38,16 +43,19 @@ func TestNoMirrorMatchesMirrored(t *testing.T) {
 }
 
 // synthTF builds a transfer function from two explicit polynomials with
-// an EvalBoth that simply evaluates both — bit-identical to the
-// independent evaluators by construction, as the contract demands.
+// an EvalBothChunk that simply evaluates both at each point —
+// bit-identical to the independent evaluators by construction, as the
+// contract demands.
 func synthTF(np, dp poly.XPoly, m int) *interp.TransferFunction {
 	tf := &interp.TransferFunction{
 		Name: "synth",
 		Num:  interp.FromPoly("numerator", np, m),
 		Den:  interp.FromPoly("denominator", dp, m),
 	}
-	tf.EvalBoth = func(s complex128, fscale, gscale float64) (num, den xmath.XComplex) {
-		return tf.Num.Eval(s, fscale, gscale), tf.Den.Eval(s, fscale, gscale)
+	tf.EvalBothChunk = func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64) {
+		for i, s := range pts {
+			num[i], den[i] = tf.Num.Eval(s, fscale, gscale), tf.Den.Eval(s, fscale, gscale)
+		}
 	}
 	return tf
 }
@@ -76,7 +84,7 @@ func TestJointCacheMatchesIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// EvalBoth is bit-identical to the independent evaluators here, so
+	// EvalBothChunk is bit-identical to the independent evaluators here, so
 	// the generated coefficients must match exactly.
 	for i := range jnum.Coeffs {
 		if jnum.Coeffs[i] != inum.Coeffs[i] {
@@ -160,6 +168,83 @@ func TestJointCacheParallelBitIdentical(t *testing.T) {
 				par, pnum.CacheHits, pnum.CacheMisses, snum.CacheHits, snum.CacheMisses,
 				pden.CacheHits, pden.CacheMisses, sden.CacheHits, sden.CacheMisses)
 		}
+	}
+}
+
+// TestJointCacheRacingChunks: workers of concurrent batches racing on
+// the same keys (run under -race in CI) each get every point's joint
+// value, the chunk form sees at most sparse.Lanes points per call, and
+// the misses still count each distinct key once, however the chunks that
+// claimed a key and the chunks that reached its latch first interleave.
+func TestJointCacheRacingChunks(t *testing.T) {
+	np := profilePoly([]float64{0, -3, -7}, nil)
+	dp := profilePoly([]float64{-1, -4, -6}, nil)
+	num, den := interp.FromPoly("numerator", np, 2), interp.FromPoly("denominator", dp, 2)
+	var widest atomic.Int64
+	jc := newJointCache(func(n, d []xmath.XComplex, pts []complex128, f, g float64) {
+		for {
+			w := widest.Load()
+			if int64(len(pts)) <= w || widest.CompareAndSwap(w, int64(len(pts))) {
+				break
+			}
+		}
+		for i, s := range pts {
+			n[i], d[i] = num.Eval(s, f, g), den.Eval(s, f, g)
+		}
+	}, nil)
+	evs := []interp.Evaluator{
+		jc.evaluator(num, func(n, _ xmath.XComplex) xmath.XComplex { return n }),
+		jc.evaluator(den, func(_, d xmath.XComplex) xmath.XComplex { return d }),
+	}
+	pts := dft.UnitCirclePoints(37)
+	const batches = 8
+	var wg sync.WaitGroup
+	for b := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ev, plain := evs[b%2], []interp.Evaluator{num, den}[b%2]
+			sub := pts[b%3:] // overlapping, differently cut point sets
+			got := ev.EvalBatch(context.Background(), sub, 2, 0.5, 3)
+			for i, s := range sub {
+				if want := plain.Eval(s, 2, 0.5); got[i] != want {
+					t.Errorf("batch %d point %d: %v, want %v", b, i, got[i], want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	lookups := 0
+	for b := range batches {
+		lookups += len(pts) - b%3
+	}
+	if hits, misses := jc.counters(); misses != len(pts) || hits != lookups-len(pts) {
+		t.Errorf("counters: %d hits, %d misses; want %d, %d", hits, misses, lookups-len(pts), len(pts))
+	}
+	if w := widest.Load(); w > sparse.Lanes {
+		t.Errorf("chunk form called with %d points, more than sparse.Lanes", w)
+	}
+}
+
+// TestJointSerialEvalAllocatesNothing: the single-point Eval that the
+// serial frame loop calls for every point draws its chunk buffers from a
+// pool, so a lookup that hits the cache allocates nothing, and a miss
+// allocates only its entry (plus the map's occasional growth).
+func TestJointSerialEvalAllocatesNothing(t *testing.T) {
+	jc := newJointCache(func(n, d []xmath.XComplex, pts []complex128, f, g float64) {
+		for i, s := range pts {
+			n[i], d[i] = xmath.FromComplex(s), xmath.FromComplex(complex(f, g))
+		}
+	}, nil)
+	ev := jc.evaluator(interp.Evaluator{Name: "numerator"}, func(n, _ xmath.XComplex) xmath.XComplex { return n })
+	s := complex(0.6, 0.8)
+	ev.Eval(s, 1, 1)
+	if allocs := testing.AllocsPerRun(50, func() { ev.Eval(s, 1, 1) }); allocs != 0 {
+		t.Errorf("cache hit: %v allocs per Eval, want 0", allocs)
+	}
+	g := 1.0
+	if allocs := testing.AllocsPerRun(50, func() { g++; ev.Eval(s, 1, g) }); allocs > 1 {
+		t.Errorf("cache miss: %v allocs per Eval, want at most 1 (the entry)", allocs)
 	}
 }
 

@@ -66,8 +66,8 @@ type Plan struct {
 	// AngleTol is the phase tolerance of SingularAngle; 0 selects 1e-9.
 	AngleTol float64
 	// Latency is slept once per evaluator dispatch — per point on the
-	// serial path, per batch on the parallel path — to exercise
-	// deadlines mid-run. Values are unaffected.
+	// serial path, per batch on the parallel path, per chunk of the
+	// joint form — to exercise deadlines mid-run. Values are unaffected.
 	Latency time.Duration
 	// CancelAfter, when positive, fires OnCancel once after that many
 	// point evaluations — mid-frame context cancellation.
@@ -199,22 +199,23 @@ func wrapEvaluator(ev interp.Evaluator, p *Plan) interp.Evaluator {
 }
 
 // WrapFormulation returns a copy of f whose evaluators (Num, Den and
-// the joint EvalBoth) pass through the plan. The input formulation is
-// not modified.
+// the joint form EvalBothChunk) pass through the plan. The input
+// formulation is not modified.
 func WrapFormulation(f *engine.Formulation, p *Plan) *engine.Formulation {
 	wf := *f
 	tf := *f.TF
 	tf.Num = wrapEvaluator(tf.Num, p)
 	tf.Den = wrapEvaluator(tf.Den, p)
-	if f.TF.EvalBoth != nil {
-		innerBoth := f.TF.EvalBoth
-		tf.EvalBoth = func(s complex128, fscale, gscale float64) (num, den xmath.XComplex) {
+	if inner := f.TF.EvalBothChunk; inner != nil {
+		tf.EvalBothChunk = func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64) {
 			p.sleep()
-			// One factorization, one decision: both polynomials see the
-			// same fault, mirroring a real singular solve.
-			k := p.decide("joint", s, fscale, gscale)
-			n, d := innerBoth(s, fscale, gscale)
-			return inject(n, k), inject(d, k)
+			inner(num, den, pts, fscale, gscale)
+			for i, s := range pts {
+				// One factorization, one decision: both polynomials see
+				// the same fault, mirroring a real singular solve.
+				k := p.decide("joint", s, fscale, gscale)
+				num[i], den[i] = inject(num[i], k), inject(den[i], k)
+			}
 		}
 	}
 	wf.TF = &tf

@@ -298,27 +298,37 @@ func FromPoly(name string, p poly.XPoly, m int) Evaluator {
 
 // TransferFunction bundles the two polynomials of H(s) = N(s)/D(s).
 //
-// EvalBoth, when non-nil, evaluates numerator and denominator at one
-// point from a single matrix factorization — the joint mode
-// core.GenerateTransferFunction drives through its shared evaluation
-// cache. Implementations must be deterministic and must return values
-// bit-identical to Num.Eval/Den.Eval at the same (s, fscale, gscale);
-// producers that cannot guarantee that (e.g. evaluators whose numerator
-// uses a structurally different matrix) leave it nil and the generator
-// falls back to the two independent passes.
+// EvalBothChunk, when non-nil, evaluates numerator and denominator at a
+// chunk of points, each from a single matrix factorization — the joint
+// mode core.GenerateTransferFunction drives through its shared
+// evaluation cache, sparse.Lanes points at a time. Implementations must
+// be deterministic and must give every point the values, bit-identical
+// to Num.Eval/Den.Eval at the same (s, fscale, gscale), that it gets
+// alone, whatever the other points of its chunk; producers that cannot
+// guarantee that (e.g. evaluators whose numerator uses a structurally
+// different matrix) leave it nil and the generator falls back to the
+// two independent passes.
 //
 // BothReady, when non-nil, reports whether the shared read-only state
-// behind EvalBoth (in practice a sparse pivot-order plan) is already
-// primed; it plays the role of RunBatch's ready() so the cached joint
-// path keeps the serial-priming determinism contract.
+// behind the joint form (in practice a sparse pivot-order plan) is
+// already primed; it plays the role of RunChunks' ready() so the cached
+// joint path keeps the serial-priming determinism contract.
 type TransferFunction struct {
 	Name string
 	Num  Evaluator
 	Den  Evaluator
 
-	// EvalBoth returns (N(s), D(s)) from one factorization. Optional.
+	// EvalBothChunk writes (N(s), D(s)) at each point of pts to the same
+	// index of num and den. Optional.
+	EvalBothChunk func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64)
+	// EvalBoth, the former per-point joint form, is deprecated: nothing
+	// sets or reads it. It remains only because perfbench's timing
+	// wrapper (timeFormulation) still names it, and goes once that
+	// wrapper times EvalBothChunk instead. (No "Deprecated:" marker, so
+	// that staticcheck does not fail on the wrapper's use.)
 	EvalBoth func(s complex128, fscale, gscale float64) (num, den xmath.XComplex)
-	// BothReady reports whether EvalBoth's shared state is primed. Optional.
+	// BothReady reports whether the joint form's shared state is primed.
+	// Optional.
 	BothReady func() bool
 }
 

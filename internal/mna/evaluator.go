@@ -30,18 +30,6 @@ import (
 // transforms coefficients exactly (p'_i = p_i·f^i). Use the generator
 // with Config.SingleFactor=true and leave the conductance scale at 1.
 
-// factorAt factors the scaled matrix at one point under the system's
-// shared pivot-order plan (primed once per System by the first
-// successful factorization; replayed read-only afterwards — across
-// points, frames, and both the det and transfer evaluators, which share
-// the one MNA sparsity pattern). Once the plan is primed the compiled
-// replay reuses sc's workspace and allocates nothing; a plan miss runs a
-// private full factorization without touching the plan (see
-// sparse.Workspace.FactorAssembly).
-func (sys *System) factorAt(sc *sparse.Scratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	return sc.WS.FactorAssembly(sys.detPlan, &sys.asm, s, fscale, gscale)
-}
-
 // dets evaluates D(s) = det Y_MNA(s) at every point of pts, zero where
 // singular, through the determinant-only lane replay (see
 // sparse.Workspace.Dets).
@@ -56,31 +44,44 @@ func (sys *System) detAt(sc *sparse.Scratch, s complex128, fscale, gscale float6
 	return d[0]
 }
 
-// transferRHS returns sc's right-hand side loaded with the independent
-// sources at their AC values, and its solution vector.
-func (sys *System) transferRHS(sc *sparse.Scratch) (rhs, sol []complex128) {
-	rhs, sol = sc.Vectors(sys.dim)
+// solves evaluates det Y_MNA(s) into dets and solves Y_MNA(s)·X = E —
+// E the independent sources at their AC values — at every point of pts,
+// through the lane replay with a right-hand side (see
+// sparse.Workspace.Solves): one factorization serves both. The solution
+// at pts[i] is x[i·dim : (i+1)·dim], in sc until its next use; it is NaN
+// where the matrix is singular.
+func (sys *System) solves(sc *sparse.Scratch, dets []xmath.XComplex, pts []complex128, fscale, gscale float64) (x []complex128) {
+	rhs, x := sc.Vectors(sys.dim, len(pts))
 	for i, v := range sys.rhs {
 		rhs[i] = complex(v, 0)
 	}
-	return rhs, sol
+	sc.WS.Solves(sys.detPlan, &sys.asm, pts, fscale, gscale, rhs, dets, x)
+	return x
 }
 
-// numAt evaluates N(s) = X_out(s)·det Y_MNA(s) per eqs. (8)–(10), with
-// one factorization serving both the determinant and the solve.
+// transferValue is N(s) = X_out(s)·det Y_MNA(s) per eqs. (8)–(10), zero
+// when X_out is not finite (a singular point's solution is NaN).
+func transferValue(det xmath.XComplex, xout complex128) xmath.XComplex {
+	if cmplx.IsNaN(xout) || cmplx.IsInf(xout) {
+		return xmath.XComplex{}
+	}
+	return det.MulComplex(xout)
+}
+
+// nums evaluates N(s) at every point of pts, the solution's entry idx
+// times the determinant.
+func (sys *System) nums(sc *sparse.Scratch, idx int, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
+	x := sys.solves(sc, dst, pts, fscale, gscale)
+	for i := range pts {
+		dst[i] = transferValue(dst[i], x[i*sys.dim+idx])
+	}
+}
+
+// numAt is nums at one point.
 func (sys *System) numAt(sc *sparse.Scratch, idx int, s complex128, fscale, gscale float64) xmath.XComplex {
-	lu, err := sys.factorAt(sc, s, fscale, gscale)
-	if err != nil {
-		return xmath.XComplex{} // structurally singular: N ≡ 0 here
-	}
-	b, x := sys.transferRHS(sc)
-	if err := lu.SolveInto(x, b, &sc.WS); err != nil {
-		return xmath.XComplex{}
-	}
-	if cmplx.IsNaN(x[idx]) || cmplx.IsInf(x[idx]) {
-		return xmath.XComplex{}
-	}
-	return lu.Det().MulComplex(x[idx])
+	var n [1]xmath.XComplex
+	sys.nums(sc, idx, n[:], []complex128{s}, fscale, gscale)
+	return n[0]
 }
 
 // evaluator wraps a point's value (at) and a chunk's values (chunk) as
@@ -166,9 +167,7 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 		return sys.numAt(sc, idx, s, fscale, gscale)
 	}
 	num := sys.evaluator("numerator", bound, numPoint, func(sc *sparse.Scratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
-		for i, s := range pts {
-			dst[i] = numPoint(sc, s, fscale, gscale)
-		}
+		sys.nums(sc, idx, dst, pts, fscale, gscale)
 	})
 	tf := &interp.TransferFunction{
 		Name: fmt.Sprintf("V(%s)/source", out),
@@ -176,24 +175,15 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 		Den:  sys.evaluator("denominator", bound, sys.detAt, sys.dets),
 	}
 	// Joint mode: eqs. (8)–(10) already obtain N from the same
-	// factorization that gives D = det Y_MNA, so EvalBoth is the numAt
-	// computation with the determinant reported alongside.
-	tf.EvalBoth = func(s complex128, fscale, gscale float64) (n, d xmath.XComplex) {
+	// factorization that gives D = det Y_MNA, so the joint form is nums
+	// with the determinants reported alongside.
+	tf.EvalBothChunk = func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64) {
 		sc := sparse.GetScratch()
-		defer sparse.PutScratch(sc)
-		lu, err := sys.factorAt(sc, s, fscale, gscale)
-		if err != nil {
-			return xmath.XComplex{}, xmath.XComplex{}
+		x := sys.solves(sc, den, pts, fscale, gscale)
+		for i := range pts {
+			num[i] = transferValue(den[i], x[i*sys.dim+idx])
 		}
-		det := lu.Det()
-		b, x := sys.transferRHS(sc)
-		if err := lu.SolveInto(x, b, &sc.WS); err != nil {
-			return xmath.XComplex{}, det
-		}
-		if cmplx.IsNaN(x[idx]) || cmplx.IsInf(x[idx]) {
-			return xmath.XComplex{}, det
-		}
-		return det.MulComplex(x[idx]), det
+		sparse.PutScratch(sc)
 	}
 	tf.BothReady = sys.detPlan.Primed
 	return tf, nil

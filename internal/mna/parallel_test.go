@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/circuits"
 	"repro/internal/dft"
 	"repro/internal/interp"
+	"repro/internal/sparse"
 	"repro/internal/xmath"
 )
 
@@ -104,7 +106,8 @@ func TestMNASharedPatternAcrossEvaluators(t *testing.T) {
 
 // TestMNAEvalBothBitIdentical: the MNA joint mode runs the very same
 // factorization the independent evaluators run (eqs. 8–10 already share
-// it within numAt), so its values must match them bit for bit.
+// it within nums), so its values — the points in one chunk — must match
+// theirs, one point at a time, bit for bit.
 func TestMNAEvalBothBitIdentical(t *testing.T) {
 	sys, err := Build(mnaBatchCircuit())
 	if err != nil {
@@ -114,19 +117,22 @@ func TestMNAEvalBothBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tf.EvalBoth == nil || tf.BothReady == nil {
-		t.Fatal("MNA transfer function lacks EvalBoth/BothReady")
+	if tf.EvalBothChunk == nil || tf.BothReady == nil {
+		t.Fatal("MNA transfer function lacks EvalBothChunk/BothReady")
 	}
 	if tf.BothReady() {
 		t.Error("BothReady true before any evaluation")
 	}
-	for _, s := range dft.UnitCirclePoints(11) {
-		n, d := tf.EvalBoth(s, 1e7, 1)
-		if want := tf.Num.Eval(s, 1e7, 1); n != want {
-			t.Errorf("numerator at s=%v: joint %v != independent %v", s, n, want)
+	pts := dft.UnitCirclePoints(11)
+	n, d := make([]xmath.XComplex, len(pts)), make([]xmath.XComplex, len(pts))
+	tf.EvalBothChunk(n[:1], d[:1], pts[:1], 1e7, 1) // primes the plan
+	tf.EvalBothChunk(n[1:], d[1:], pts[1:], 1e7, 1)
+	for i, s := range pts {
+		if want := tf.Num.Eval(s, 1e7, 1); n[i] != want {
+			t.Errorf("numerator at s=%v: joint %v != independent %v", s, n[i], want)
 		}
-		if want := tf.Den.Eval(s, 1e7, 1); d != want {
-			t.Errorf("denominator at s=%v: joint %v != independent %v", s, d, want)
+		if want := tf.Den.Eval(s, 1e7, 1); d[i] != want {
+			t.Errorf("denominator at s=%v: joint %v != independent %v", s, d[i], want)
 		}
 	}
 	if !tf.BothReady() {
@@ -135,9 +141,10 @@ func TestMNAEvalBothBitIdentical(t *testing.T) {
 }
 
 // TestConcurrentPrimingBatchAndEvalBoth: a det EvalBatch and the joint
-// EvalBoth racing on a fresh system's one shared plan (run under -race
-// in CI) both return the values of serial evaluation — each primes, if
-// it gets there first, from the same first point.
+// chunk form, in chunks of three points, racing on a fresh system's one
+// shared plan (run under -race in CI) both return the values of serial
+// evaluation — each primes, if it gets there first, from the same first
+// point.
 func TestConcurrentPrimingBatchAndEvalBoth(t *testing.T) {
 	pts := dft.UnitCirclePoints(16)
 	fresh := func() (*System, *interp.TransferFunction) {
@@ -157,7 +164,7 @@ func TestConcurrentPrimingBatchAndEvalBoth(t *testing.T) {
 
 	sys, tf := fresh()
 	var batch []xmath.XComplex
-	both := make([][2]xmath.XComplex, len(pts))
+	num, den := make([]xmath.XComplex, len(pts)), make([]xmath.XComplex, len(pts))
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -166,8 +173,9 @@ func TestConcurrentPrimingBatchAndEvalBoth(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		for i, s := range pts {
-			both[i][0], both[i][1] = tf.EvalBoth(s, 1e7, 1)
+		for i := 0; i < len(pts); i += 3 {
+			j := min(i+3, len(pts))
+			tf.EvalBothChunk(num[i:j], den[i:j], pts[i:j], 1e7, 1)
 		}
 	}()
 	wg.Wait()
@@ -175,8 +183,8 @@ func TestConcurrentPrimingBatchAndEvalBoth(t *testing.T) {
 		if batch[i] != wantDen[i] {
 			t.Fatalf("point %d: batch det %v != serial %v", i, batch[i], wantDen[i])
 		}
-		if both[i][0] != wantNum[i] || both[i][1] != wantDen[i] {
-			t.Fatalf("point %d: EvalBoth (%v, %v) != serial (%v, %v)", i, both[i][0], both[i][1], wantNum[i], wantDen[i])
+		if num[i] != wantNum[i] || den[i] != wantDen[i] {
+			t.Fatalf("point %d: joint (%v, %v) != serial (%v, %v)", i, num[i], den[i], wantNum[i], wantDen[i])
 		}
 	}
 }
@@ -198,6 +206,71 @@ func TestMNAEvalAllocatesNothing(t *testing.T) {
 		ev.Eval(s, 1e7, 1)
 		if allocs := testing.AllocsPerRun(20, func() { ev.Eval(s, 1e7, 1) }); allocs != 0 {
 			t.Fatalf("%s: %v allocs per Eval, want 0", ev.Name, allocs)
+		}
+	}
+}
+
+// TestSolveLanesMatchRecordingReplay: the MNA numerator and the joint
+// form — the lane replay with the sources as right-hand side — give each
+// point of the fifth-order LC ladder the bits the recording replay and
+// its solve (FactorAssembly, LU.Det, LU.SolveInto) give it alone, at
+// Parallelism 1, 2 and 3 and at point counts that end a batch on every
+// tail of a pass.
+func TestSolveLanesMatchRecordingReplay(t *testing.T) {
+	c := circuits.LCLadder(5, 50, 1e6)
+	f, _, _, _ := c.SeedScales()
+	pts := dft.UnitCirclePoints(11)[:6]
+	build := func() (*System, *interp.TransferFunction) {
+		sys, err := Build(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tf, err := sys.TransferEvaluators("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, tf
+	}
+	sys, _ := build()
+	idx := c.NodeIndex("out")
+	var sc sparse.Scratch
+	wantNum, wantDen := make([]xmath.XComplex, len(pts)), make([]xmath.XComplex, len(pts))
+	for k, s := range pts {
+		lu, err := sc.WS.FactorAssembly(sys.detPlan, &sys.asm, s, f, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDen[k] = lu.Det()
+		rhs, x := sc.Vectors(sys.dim, 1)
+		for i, v := range sys.rhs {
+			rhs[i] = complex(v, 0)
+		}
+		if err := lu.SolveInto(x, rhs, &sc.WS); err != nil {
+			t.Fatal(err)
+		}
+		wantNum[k] = transferValue(wantDen[k], x[idx])
+	}
+	for _, n := range []int{1, 2, 3, 5, 6} {
+		for _, par := range []int{1, 2, 3} {
+			_, tf := build()
+			for k, got := range evalPoints(t, tf.Num, pts[:n], f, 1, par) {
+				if got != wantNum[k] {
+					t.Fatalf("numerator, %d points, parallelism %d: point %d = %v, recording replay %v", n, par, k, got, wantNum[k])
+				}
+			}
+			_, tf = build()
+			den := make([]xmath.XComplex, n)
+			num := interp.RunChunks(context.Background(), pts[:n], par, sparse.Lanes, tf.BothReady, func() func([]xmath.XComplex, []complex128) {
+				return func(dst []xmath.XComplex, p []complex128) {
+					i := cap(pts) - cap(p) // p is pts[i:j]
+					tf.EvalBothChunk(dst, den[i:i+len(p)], p, f, 1)
+				}
+			})
+			for k := range n {
+				if num[k] != wantNum[k] || den[k] != wantDen[k] {
+					t.Fatalf("joint, %d points, parallelism %d: point %d = (%v, %v), recording replay (%v, %v)", n, par, k, num[k], den[k], wantNum[k], wantDen[k])
+				}
+			}
 		}
 	}
 }

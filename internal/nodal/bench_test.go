@@ -31,6 +31,13 @@ func (sys *System) matrixAt(s complex128, fscale, gscale float64) *sparse.Matrix
 	return m
 }
 
+// factorAt factors b's matrix at one point through the recording
+// replay (sparse.Workspace.FactorAssembly) under the pattern's plan: the
+// bit oracle of the lane replays every evaluator runs.
+func (b *bound) factorAt(sc *sparse.Scratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
+	return sc.WS.FactorAssembly(&b.plan, b.assembly(), s, fscale, gscale)
+}
+
 // timeAlone reports allocations and times op b.N times on a single P.
 // Allocation counts are process-wide, so a gated count must not see
 // other goroutines allocate while the timer runs, as the runtime's own
@@ -61,11 +68,12 @@ func benchDet(b *testing.B, c *circuit.Circuit) (pat *bound, fscale, gscale floa
 	return sys.detPattern(), fscale, gscale
 }
 
-// benchDetPlanned times the recording replay a joint Cramer solve runs:
-// the typed stamps of det Y at s = j assembled into the compiled plan's
-// slots of a reused workspace, the replay that keeps the U rows and
-// multipliers, and LU.Det. The first factorization primes the plan and
-// the second grows the workspace, so an op allocates nothing.
+// benchDetPlanned times the recording replay — the bit oracle of the
+// lane replays, which no evaluator runs: the typed stamps of det Y at
+// s = j assembled into the compiled plan's slots of a reused workspace,
+// the replay that keeps the U rows and multipliers, and LU.Det. The
+// first factorization primes the plan and the second grows the
+// workspace, so an op allocates nothing.
 func benchDetPlanned(b *testing.B, c *circuit.Circuit) {
 	pat, f, g := benchDet(b, c)
 	var sc sparse.Scratch
@@ -111,6 +119,40 @@ func BenchmarkDetLanesUA741(b *testing.B) {
 	for _, d := range dst {
 		if d.Zero() {
 			b.Fatal("zero det")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")
+}
+
+// BenchmarkDetSolveLanesLadder40 times the joint Cramer path of every
+// ladder40 voltage-gain generation: one op is the half circle of a
+// K = 41 frame (21 points, sparse.Lanes per pass) through the voltage
+// gain's EvalBothChunk at the seed scales on a primed plan — det Y and
+// the solve against e_in, pooled scratch included. ns/point compares
+// with a BenchmarkDetPlannedLadder40 op, which factors one point through
+// the recording replay without solving.
+func BenchmarkDetSolveLanesLadder40(b *testing.B) {
+	c := circuits.RCLadder(40, 1e3, 1e-9)
+	sys, err := Build(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tf, err := sys.VoltageGain(c, "in", circuits.RCLadderOut(40))
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, g, _, _ := c.SeedScales()
+	const k = 41
+	pts := dft.UnitCirclePoints(k)[:dft.HermitianHalf(k)]
+	num, den := make([]xmath.XComplex, len(pts)), make([]xmath.XComplex, len(pts))
+	tf.EvalBothChunk(num, den, pts, f, g)
+	if !tf.BothReady() {
+		b.Fatal("first chunk did not prime the plan")
+	}
+	timeAlone(b, func() { tf.EvalBothChunk(num, den, pts, f, g) })
+	for i := range pts {
+		if num[i].Zero() || den[i].Zero() {
+			b.Fatal("zero joint value")
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/point")

@@ -8,14 +8,15 @@ import (
 	"repro/internal/xmath"
 )
 
-// assertJointMatches checks EvalBoth against the independent evaluators
-// at several points and scale pairs. The joint Cramer values come from a
-// different elimination (full matrix + solve vs. cofactor determinant),
-// so the comparison is relative, not bitwise.
+// assertJointMatches checks the joint chunk form against the
+// independent evaluators at several points, all in one chunk, and scale
+// pairs. The joint Cramer values come from a different elimination (full
+// matrix + solve vs. cofactor determinant), so the comparison is
+// relative, not bitwise.
 func assertJointMatches(t *testing.T, tf *interp.TransferFunction, relTol float64) {
 	t.Helper()
-	if tf.EvalBoth == nil {
-		t.Fatal("transfer function has no EvalBoth")
+	if tf.EvalBothChunk == nil {
+		t.Fatal("transfer function has no EvalBothChunk")
 	}
 	if tf.BothReady == nil {
 		t.Fatal("transfer function has no BothReady")
@@ -38,10 +39,12 @@ func assertJointMatches(t *testing.T, tf *interp.TransferFunction, relTol float6
 	}
 	for _, scale := range [][2]float64{{1, 1}, {4e11, 800}, {1e9, 1e3}} {
 		f, g := scale[0], scale[1]
-		for _, s := range dft.UnitCirclePoints(7) {
-			n, d := tf.EvalBoth(s, f, g)
-			close(n, tf.Num.Eval(s, f, g), "numerator", s)
-			close(d, tf.Den.Eval(s, f, g), "denominator", s)
+		pts := dft.UnitCirclePoints(7)
+		n, d := make([]xmath.XComplex, len(pts)), make([]xmath.XComplex, len(pts))
+		tf.EvalBothChunk(n, d, pts, f, g)
+		for i, s := range pts {
+			close(n[i], tf.Num.Eval(s, f, g), "numerator", s)
+			close(d[i], tf.Den.Eval(s, f, g), "denominator", s)
 		}
 	}
 	if !tf.BothReady() {
@@ -85,8 +88,8 @@ func TestDifferentialGainHasNoEvalBoth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tf.EvalBoth != nil {
-		t.Error("differential gain unexpectedly offers EvalBoth (cancellation risk)")
+	if tf.EvalBothChunk != nil {
+		t.Error("differential gain unexpectedly offers a joint form (cancellation risk)")
 	}
 }
 

@@ -181,14 +181,6 @@ func (b *bound) gather() {
 	b.asm = sparse.Assembly{N: b.proj.dim, Pos: b.pos, G: vals[:b.ng], C: vals[b.ng:]}
 }
 
-// factorAt factors b's matrix at one point under the pattern's shared
-// plan — once the plan is primed, a compiled replay that allocates
-// nothing, with a private full factorization on a plan miss (see
-// sparse.Workspace.FactorAssembly).
-func (b *bound) factorAt(sc *sparse.Scratch, s complex128, fscale, gscale float64) (*sparse.LU, error) {
-	return sc.WS.FactorAssembly(&b.plan, b.assembly(), s, fscale, gscale)
-}
-
 // dets writes the signed determinants of b's matrix at the points pts,
 // zero where singular, through the determinant-only lane replay (see
 // sparse.Workspace.Dets).
@@ -343,39 +335,40 @@ func (sys *System) evaluator(name string, m int, b *bound) interp.Evaluator {
 	}
 }
 
-// jointCramer builds a TransferFunction.EvalBoth implementation (plus
-// its BothReady gate) from the adjugate identity adj(Y) = det Y·Y⁻¹,
-// whose entries are the signed cofactors adj(Y)_{j,i} = C_ij: one LU of
-// the full matrix plus one solve of Y·x = e_in yields every C_in,j as
-// det·x[j], so both polynomials of a cofactor-ratio network function
-// come out of a single factorization. pick maps (det, x) to the
-// (numerator, denominator) pair of the particular function.
+// jointCramer builds a TransferFunction.EvalBothChunk implementation
+// (plus its BothReady gate) from the adjugate identity adj(Y) = det
+// Y·Y⁻¹, whose entries are the signed cofactors adj(Y)_{j,i} = C_ij: one
+// LU of the full matrix plus one solve of Y·x = e_in yields every C_in,j
+// as det·x[j], so both polynomials of a cofactor-ratio network function
+// come out of a single factorization. The points of a chunk go through
+// the lane replay with a right-hand side (sparse.Workspace.Solves),
+// which gives each point the bits its own factorization and solve give
+// it. pick maps (det, x) to the (numerator, denominator) pair of the
+// particular function.
 //
 // The joint values equal the independent cofactor determinants
 // mathematically but not bitwise (different elimination orderings), so
 // callers that need bit-reproducibility must stick to one mode — which
 // core.GenerateTransferFunction's cache does.
-func (sys *System) jointCramer(in int, pick func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex)) (func(s complex128, fscale, gscale float64) (num, den xmath.XComplex), func() bool) {
-	pat := sys.detPattern()
-	evalBoth := func(s complex128, fscale, gscale float64) (num, den xmath.XComplex) {
+func (sys *System) jointCramer(in int, pick func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex)) (func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64), func() bool) {
+	b := sys.detPattern()
+	n := b.proj.dim
+	both := func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64) {
 		sc := sparse.GetScratch()
-		defer sparse.PutScratch(sc)
-		lu, err := pat.factorAt(sc, s, fscale, gscale)
-		if err != nil {
-			return xmath.XComplex{}, xmath.XComplex{}
+		rhs, x := sc.Vectors(n, len(pts))
+		rhs[in] = 1
+		// den holds the determinants until pick replaces them.
+		sc.WS.Solves(&b.plan, b.assembly(), pts, fscale, gscale, rhs, den, x)
+		for i := range pts {
+			num[i], den[i] = pick(den[i], x[i*n:(i+1)*n])
 		}
-		b, x := sc.Vectors(pat.proj.dim)
-		b[in] = 1
-		if err := lu.SolveInto(x, b, &sc.WS); err != nil {
-			return xmath.XComplex{}, xmath.XComplex{}
-		}
-		return pick(lu.Det(), x)
+		sparse.PutScratch(sc)
 	}
-	return evalBoth, pat.plan.Primed
+	return both, b.plan.Primed
 }
 
 // cramerValue returns det·x[j] = C_in,j, zero when the solve produced a
-// non-finite entry (structurally singular point).
+// non-finite entry (a singular point's solution is NaN).
 func cramerValue(det xmath.XComplex, x []complex128, j int) xmath.XComplex {
 	if cmplx.IsNaN(x[j]) || cmplx.IsInf(x[j]) {
 		return xmath.XComplex{}
@@ -536,7 +529,7 @@ func (sys *System) VoltageGain(c *circuit.Circuit, in, out string) (*interp.Tran
 		Num:  sys.evaluator("numerator", m, sys.cofactorPattern(i, o)),
 		Den:  sys.evaluator("denominator", m, sys.cofactorPattern(i, i)),
 	}
-	tf.EvalBoth, tf.BothReady = sys.jointCramer(i, func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex) {
+	tf.EvalBothChunk, tf.BothReady = sys.jointCramer(i, func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex) {
 		return cramerValue(det, x, o), cramerValue(det, x, i)
 	})
 	return tf, nil
@@ -567,7 +560,7 @@ func (sys *System) DifferentialVoltageGain(c *circuit.Circuit, inp, inn, out str
 		return nil, fmt.Errorf("nodal: output node must differ from the input pair")
 	}
 	m := sys.n - 1
-	// No EvalBoth here: the joint Cramer form would reconstruct the
+	// No joint form here: the joint Cramer form would reconstruct the
 	// numerator as det·(x_out from e_ip) − det·(x_out from e_in) — the
 	// explicit cofactor difference whose ~6-digit cancellation on
 	// weakly-coupled input pairs is exactly what the merged-row and
@@ -595,7 +588,7 @@ func (sys *System) Transimpedance(c *circuit.Circuit, in, out string) (*interp.T
 		Num:  sys.evaluator("numerator", sys.n-1, sys.cofactorPattern(i, o)),
 		Den:  sys.evaluator("denominator", sys.n, sys.detPattern()),
 	}
-	tf.EvalBoth, tf.BothReady = sys.jointCramer(i, func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex) {
+	tf.EvalBothChunk, tf.BothReady = sys.jointCramer(i, func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex) {
 		return cramerValue(det, x, o), det
 	})
 	return tf, nil

@@ -333,3 +333,91 @@ func TestLanesMatchRecordingReplay(t *testing.T) {
 		}
 	}
 }
+
+// jointPoints evaluates tf's joint chunk form at pts the way the
+// generator's joint cache does: through interp.RunChunks in chunks of
+// sparse.Lanes on par workers, point by point until BothReady.
+func jointPoints(tf *interp.TransferFunction, pts []complex128, f, g float64, par int) (num, den []xmath.XComplex) {
+	den = make([]xmath.XComplex, len(pts))
+	num = interp.RunChunks(context.Background(), pts, par, sparse.Lanes, tf.BothReady, func() func([]xmath.XComplex, []complex128) {
+		return func(dst []xmath.XComplex, p []complex128) {
+			i := cap(pts) - cap(p) // p is pts[i:j]
+			tf.EvalBothChunk(dst, den[i:i+len(p)], p, f, g)
+		}
+	})
+	return num, den
+}
+
+// TestSolveLanesMatchRecordingReplay: the joint Cramer path — the lane
+// replay with a right-hand side — gives each point the bits the
+// recording replay and its solve (FactorAssembly, LU.Det, LU.SolveInto)
+// give it alone, on the biquad and RC ladder40/60 voltage gains and the
+// µA741 transimpedance at the seed scales, at Parallelism 1, 2 and 3, and
+// at point counts that end a batch on every tail of a pass.
+func TestSolveLanesMatchRecordingReplay(t *testing.T) {
+	bin, bout := circuits.BiquadNodes()
+	uin, _, uout := circuits.UA741Inputs()
+	for _, c := range []struct {
+		name    string
+		ckt     *circuit.Circuit
+		in, out string
+		transz  bool
+	}{
+		{"biquad", circuits.Biquad(), bin, bout, false},
+		{"ladder40", circuits.RCLadder(40, 1e3, 1e-9), "in", circuits.RCLadderOut(40), false},
+		{"ladder60", circuits.RCLadder(60, 1e3, 1e-9), "in", circuits.RCLadderOut(60), false},
+		{"ua741-transz", circuits.UA741(), uin, uout, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			i, o := c.ckt.NodeIndex(c.in), c.ckt.NodeIndex(c.out)
+			f, g, _, _ := c.ckt.SeedScales()
+			pts := dft.UnitCirclePoints(49)[:25]
+			build := func() (*System, *interp.TransferFunction) {
+				sys, err := Build(c.ckt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mk := sys.VoltageGain
+				if c.transz {
+					mk = sys.Transimpedance
+				}
+				tf, err := mk(c.ckt, c.in, c.out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys, tf
+			}
+			sys, _ := build()
+			b := sys.detPattern()
+			var sc sparse.Scratch
+			wantNum, wantDen := make([]xmath.XComplex, len(pts)), make([]xmath.XComplex, len(pts))
+			for k, s := range pts {
+				lu, err := b.factorAt(&sc, s, f, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				det := lu.Det()
+				rhs, x := sc.Vectors(sys.n, 1)
+				rhs[i] = 1
+				if err := lu.SolveInto(x, rhs, &sc.WS); err != nil {
+					t.Fatal(err)
+				}
+				wantNum[k], wantDen[k] = cramerValue(det, x, o), cramerValue(det, x, i)
+				if c.transz {
+					wantDen[k] = det
+				}
+			}
+			for _, n := range []int{1, 2, 3, 5, 25} {
+				for _, par := range []int{1, 2, 3} {
+					_, tf := build()
+					num, den := jointPoints(tf, pts[:n], f, g, par)
+					for k := range n {
+						if num[k] != wantNum[k] || den[k] != wantDen[k] {
+							t.Fatalf("%d points, parallelism %d: point %d = (%v, %v), recording replay (%v, %v)", n, par, k, num[k], den[k], wantNum[k], wantDen[k])
+						}
+					}
+				}
+			}
+		})
+	}
+}

@@ -505,9 +505,10 @@ func bandScales(rng *rand.Rand, st []fuzzStamp, n int, s complex128, first [2]in
 // unit-circle points, a point that shrinks the first planned pivot to
 // force a guard trip, and points that put it in the stability guard's
 // band — and requires the same miss decision and bit-identical
-// factorizations. Its lane mode runs the same matrices through Dets,
-// several points per pass, and requires each point's determinant to be
-// the recording replay's bit for bit.
+// factorizations. Its lane mode runs the same matrices through Dets and
+// Solves, several points per pass, with two right-hand sides (one
+// nonzero everywhere, one with exact zeros), and requires each point's
+// determinant and solution to be the recording replay's bit for bit.
 func FuzzCompiledReplay(f *testing.F) {
 	f.Add(uint8(5), uint8(4), int64(1), uint8(0))
 	f.Add(uint8(9), uint8(12), int64(2), uint8(1))
@@ -589,8 +590,11 @@ func FuzzCompiledReplay(f *testing.F) {
 				scales = append(scales, p.sc)
 			}
 		}
+		rhs := [][]complex128{onesVector(n), sparseRHS(rng, n)}
 		for _, sc := range scales {
-			requireSameDets(t, &sp, typedStamps(st, n, sc), bases)
+			for _, b := range rhs {
+				requireSameLanes(t, &sp, typedStamps(st, n, sc), bases, b)
+			}
 		}
 	})
 }
@@ -626,44 +630,91 @@ func detOrPanic(det func() xmath.XComplex) (d xmath.XComplex, panicked bool) {
 // sameX reports bitwise equality of two extended complex numbers.
 func sameX(a, b xmath.XComplex) bool { return sameBits(a.Mant(), b.Mant()) && a.Exp() == b.Exp() }
 
-// requireSameDets runs Dets over a at the points pts (every tail of a
-// pass, through a reused workspace) and requires each point's
-// determinant to be the one the recording replay's LU.Det gives it alone
-// — bit for bit — with a panic where that product panics.
-func requireSameDets(t *testing.T, sp *SharedPlan, a *Assembly, pts []complex128) {
+// aloneSolve is what a point gets alone from the recording replay:
+// FactorAssembly, LU.Det and LU.SolveInto of b into x — NaN entries and
+// a zero determinant where the matrix is singular — and whether LU.Det
+// panicked.
+func aloneSolve(ws *Workspace, sp *SharedPlan, a *Assembly, s complex128, b, x []complex128) (xmath.XComplex, bool) {
+	return detOrPanic(func() xmath.XComplex {
+		f, err := ws.FactorAssembly(sp, a, s, 1, 1)
+		if err != nil {
+			for i := range x {
+				x[i] = cmplx.NaN()
+			}
+			return xmath.XComplex{}
+		}
+		d := f.Det()
+		if err := f.SolveInto(x, b, ws); err != nil {
+			panic(err)
+		}
+		return d
+	})
+}
+
+// requireSameLanes runs Dets, and Solves with the right-hand side b,
+// over a at every prefix of the points pts through one reused workspace,
+// and requires each point's determinant and every entry of its solution
+// to be, bit for bit, what the recording replay gives the point alone
+// (aloneSolve), and a panic exactly where one of the prefix's points
+// panics in LU.Det.
+func requireSameLanes(t *testing.T, sp *SharedPlan, a *Assembly, pts, b []complex128) {
 	t.Helper()
+	n := a.N
 	var ref, lw Workspace
 	want := make([]xmath.XComplex, len(pts))
-	panics := false
+	wantX := make([]complex128, len(pts)*n)
+	firstPanic := len(pts)
 	for i, s := range pts {
 		var p bool
-		want[i], p = detOrPanic(func() xmath.XComplex {
-			f, err := ref.FactorAssembly(sp, a, s, 1, 1)
-			if err != nil {
-				return xmath.XComplex{}
-			}
-			return f.Det()
-		})
-		panics = panics || p
+		if want[i], p = aloneSolve(&ref, sp, a, s, b, wantX[i*n:(i+1)*n]); p {
+			firstPanic = min(firstPanic, i)
+		}
 	}
-	for n := 1; n <= len(pts); n++ {
-		got := make([]xmath.XComplex, n)
-		_, p := detOrPanic(func() xmath.XComplex {
-			lw.Dets(sp, a, pts[:n], 1, 1, got)
+	for k := 1; k <= len(pts); k++ {
+		dets, sdets, x := make([]xmath.XComplex, k), make([]xmath.XComplex, k), make([]complex128, k*n)
+		_, pd := detOrPanic(func() xmath.XComplex {
+			lw.Dets(sp, a, pts[:k], 1, 1, dets)
 			return xmath.XComplex{}
 		})
-		if p {
-			if !panics {
-				t.Fatalf("Dets over %d points panicked; no point's LU.Det does", n)
-			}
+		_, ps := detOrPanic(func() xmath.XComplex {
+			lw.Solves(sp, a, pts[:k], 1, 1, b, sdets, x)
+			return xmath.XComplex{}
+		})
+		if wantPanic := firstPanic < k; pd != wantPanic || ps != wantPanic {
+			t.Fatalf("%d points: Dets panicked %v, Solves %v; the first point whose LU.Det panics is %d", k, pd, ps, firstPanic)
+		}
+		if firstPanic < k {
 			continue
 		}
-		for i := range got {
-			if !sameX(got[i], want[i]) {
-				t.Fatalf("%d points: Dets[%d] at s=%v = %v, recording replay %v", n, i, pts[i], got[i], want[i])
+		for i := range k {
+			if !sameX(dets[i], want[i]) || !sameX(sdets[i], want[i]) {
+				t.Fatalf("%d points: det %d at s=%v: Dets %v, Solves %v, recording replay %v", k, i, pts[i], dets[i], sdets[i], want[i])
+			}
+		}
+		for j := range x {
+			if !sameBits(x[j], wantX[j]) {
+				t.Fatalf("%d points: point %d x[%d] at s=%v = %v, recording replay %v", k, j/n, j%n, pts[j/n], x[j], wantX[j])
 			}
 		}
 	}
+}
+
+// sparseRHS draws a right-hand side whose entries are zero or not with
+// equal odds, so that forward substitution meets exact zeros at pivot
+// rows. A zero's parts carry random signs: subtracting a zero product
+// from −0 gives +0, so an update the solve skips shows in the bits when
+// it is made anyway.
+func sparseRHS(rng *rand.Rand, n int) []complex128 {
+	b := make([]complex128, n)
+	signedZero := func() float64 { return math.Copysign(0, float64(rng.Intn(2))-0.5) }
+	for i := range b {
+		if rng.Intn(2) == 0 {
+			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		} else {
+			b[i] = complex(signedZero(), signedZero())
+		}
+	}
+	return b
 }
 
 // TestDetsLaneMissFallsBackAlone: in a pass whose second lane trips the
@@ -683,7 +734,7 @@ func TestDetsLaneMissFallsBackAlone(t *testing.T) {
 		t.Fatal("plan does not pivot on (0, 0) first")
 	}
 	lanes := make([]xmath.XComplex, len(pts))
-	if missed := ws.detLanes(sp.c.Load(), a, pts, 1, 1, lanes); missed != 1<<1 {
+	if missed := ws.pass(sp.c.Load(), a, pts, 1, 1, nil, lanes, nil); missed != 1<<1 {
 		t.Fatalf("missed lanes %04b, want 0010", missed)
 	}
 	got := make([]xmath.XComplex, len(pts))
@@ -701,6 +752,39 @@ func TestDetsLaneMissFallsBackAlone(t *testing.T) {
 	ref.Assemble(&sp, a, -1, 1, 1)
 	if _, err := ref.Factor(); err != ErrPlanMiss {
 		t.Fatalf("the replay at s=−1: err = %v, want ErrPlanMiss", err)
+	}
+}
+
+// TestSolvesLaneMissFallsBackAlone is TestDetsLaneMissFallsBackAlone
+// with a right-hand side: only the point whose lane misses is factored
+// again, and every lane gets the determinant and solution the recording
+// replay gives its point alone.
+func TestSolvesLaneMissFallsBackAlone(t *testing.T) {
+	a := &Assembly{N: 2, Pos: [][2]int32{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {0, 0}},
+		G: []float64{1, 1, 1, 0.5}, C: []float64{1 - 1e-14}}
+	pts := []complex128{complex(0.6, 0.8), -1, 1, complex(0, -1)}
+	b := []complex128{complex(1, -2), 3}
+	var sp SharedPlan
+	var ws Workspace
+	ws.Solves(&sp, a, []complex128{complex(0, 1)}, 1, 1, b, make([]xmath.XComplex, 1), make([]complex128, 2))
+	if c := sp.c.Load(); c == nil || c.pivRow[0] != 0 || c.pivCol[0] != 0 {
+		t.Fatal("plan does not pivot on (0, 0) first")
+	}
+	dets, x := make([]xmath.XComplex, len(pts)), make([]complex128, 2*len(pts))
+	if missed := ws.pass(sp.c.Load(), a, pts, 1, 1, b, dets, x); missed != 1<<1 {
+		t.Fatalf("missed lanes %04b, want 0010", missed)
+	}
+	ws.Solves(&sp, a, pts, 1, 1, b, dets, x)
+	var ref Workspace
+	for i, s := range pts {
+		want := make([]complex128, 2)
+		det, panicked := aloneSolve(&ref, &sp, a, s, b, want)
+		if panicked || det.Zero() {
+			t.Fatalf("point %d (s=%v) alone: det %v, panicked %v", i, s, det, panicked)
+		}
+		if !sameX(dets[i], det) || !sameBits(x[2*i], want[0]) || !sameBits(x[2*i+1], want[1]) {
+			t.Fatalf("lane %d (s=%v): det %v x %v, alone %v %v", i, s, dets[i], x[2*i:2*i+2], det, want)
+		}
 	}
 }
 

@@ -270,8 +270,8 @@ func (a *Assembly) accumulate(v []complex128, slot []int32, sc []complex128, gsc
 
 // Workspace holds one evaluator's reusable factorization storage. A
 // point is loaded by Assemble and factored by Factor; FactorAssembly
-// does both and answers a plan miss, and Dets evaluates determinants
-// alone, several points per pass.
+// does both and answers a plan miss. Dets evaluates determinants alone,
+// and Solves determinants and solutions, several points per pass.
 //
 // Once the shared plan is primed, the values go straight into a slot
 // array laid out by the compiled plan and Factor runs the compiled
@@ -287,7 +287,7 @@ type Workspace struct {
 	plan *SharedPlan // plan to replay or prime; nil for a plain factorization
 
 	// Compiled replay (c non-nil): one value per slot, or per slot and
-	// lane under Dets.
+	// lane under Dets and Solves.
 	c    *compiled
 	vals []complex128
 
@@ -299,7 +299,7 @@ type Workspace struct {
 	piv  []int        // pivot rows then columns of a full factorization; a replay's are the plan's
 	ubuf []urowEntry  // backing of lu.urows
 	mbuf []multEntry  // backing of lu.mults
-	fwd  []complex128 // forward-substitution scratch for SolveInto
+	fwd  []complex128 // forward-substitution scratch for SolveInto, per lane under Solves
 }
 
 // ensure sizes the per-step LU slices for an n×n factorization.

@@ -6,7 +6,7 @@ import (
 )
 
 // Scratch is one evaluator's reusable buffers: a factorization
-// workspace and the right-hand side and solution vectors of a solve.
+// workspace and the right-hand side and solution vectors of solves.
 // Evaluators take scratches from one process-wide stack (GetScratch) and
 // return them when done (PutScratch), so a new system's evaluations —
 // its priming factorizations, its lane workers, its solves — start from
@@ -22,10 +22,10 @@ type Scratch struct {
 	size     int // retained bytes while on the stack
 }
 
-// Vectors returns the scratch's right-hand side, cleared, and its
-// solution vector, both of length n.
-func (sc *Scratch) Vectors(n int) (rhs, sol []complex128) {
-	sc.rhs, sc.sol = resize(sc.rhs, n), resize(sc.sol, n)
+// Vectors returns the scratch's right-hand side of length n, cleared,
+// and room for the solutions at k points, k·n entries (see Solves).
+func (sc *Scratch) Vectors(n, k int) (rhs, sol []complex128) {
+	sc.rhs, sc.sol = resize(sc.rhs, n), resize(sc.sol, k*n)
 	clear(sc.rhs)
 	return sc.rhs, sc.sol
 }

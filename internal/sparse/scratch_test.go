@@ -145,7 +145,7 @@ func TestScratchStackDropsPastBounds(t *testing.T) {
 	const count = sparse.MaxScratchBytes/(2*16*vecLen) + 2
 	for range count {
 		sc := new(sparse.Scratch)
-		sc.Vectors(vecLen)
+		sc.Vectors(vecLen, 1)
 		sparse.PutScratch(sc)
 	}
 	if n, size := sparse.ScratchStack(); n >= count || size > sparse.MaxScratchBytes {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/circuit"
 	"repro/internal/core"
 )
 
@@ -217,8 +216,10 @@ func (e *Engine) GenerateBatch(ctx context.Context, req BatchRequest) (*BatchRes
 	return resp, nil
 }
 
-// applyPoint clones the base circuit with the point's value factors
-// applied. Unknown element names and non-finite factors are errors.
+// applyPoint copies the base circuit (circuit.Clone: values only, no
+// element re-added) and applies the point's value factors in place.
+// Non-finite factors, products that overflow to a non-finite value and
+// unknown element names are errors.
 func applyPoint(base *Circuit, p BatchPoint) (*Circuit, error) {
 	if len(p.Scale) == 0 {
 		return base, nil
@@ -228,25 +229,22 @@ func applyPoint(base *Circuit, p BatchPoint) (*Circuit, error) {
 			return nil, fmt.Errorf("engine: batch point scales %q by non-finite factor %v", name, f)
 		}
 	}
-	out := circuit.New(base.Name)
+	out := base.Clone("")
 	applied := 0
-	for _, el := range base.Elements() {
-		if f, ok := p.Scale[el.Name]; ok {
-			el.Value *= f
-			applied++
+	for i, el := range out.Elements() {
+		f, ok := p.Scale[el.Name]
+		if !ok {
+			continue
 		}
-		if err := out.AddElement(el); err != nil {
+		if err := out.SetValue(i, el.Value*f); err != nil {
 			return nil, fmt.Errorf("engine: batch point: %w", err)
 		}
+		applied++
 	}
 	if applied != len(p.Scale) {
-		known := make(map[string]bool, applied)
-		for _, el := range base.Elements() {
-			known[el.Name] = true
-		}
 		var missing []string
 		for name := range p.Scale {
-			if !known[name] {
+			if !out.HasElement(name) {
 				missing = append(missing, name)
 			}
 		}

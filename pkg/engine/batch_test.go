@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -267,5 +268,61 @@ func TestWarmStateNil(t *testing.T) {
 	}
 	if (&Response{}).WarmState() != nil {
 		t.Error("empty response yields warm state")
+	}
+}
+
+// TestApplyPoint pins how a sweep point is built from its base: the
+// factors multiply the named values of a copy, the base is left as it
+// was, an empty point is the base itself, and each refusal keeps its
+// message — a non-finite factor, a finite factor whose product with the
+// value overflows, and unknown element names (an overflow is reported
+// before them).
+func TestApplyPoint(t *testing.T) {
+	base, _ := ladderSpec(4)
+	before := slices.Clone(base.Elements())
+	if got, err := applyPoint(base, BatchPoint{}); got != base || err != nil {
+		t.Errorf("empty point: (%p, %v), want the base (%p) itself", got, err, base)
+	}
+	got, err := applyPoint(base, BatchPoint{Scale: map[string]float64{"r2": 1.5, "c4": 0.25}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range got.Elements() {
+		want := before[i]
+		switch e.Name {
+		case "r2":
+			want.Value *= 1.5
+		case "c4":
+			want.Value *= 0.25
+		}
+		if e != want {
+			t.Errorf("element %d = %v, want %v", i, e, want)
+		}
+	}
+	if !slices.Equal(base.Elements(), before) {
+		t.Error("applying a point changed the base circuit")
+	}
+	if !slices.Equal(got.Nodes(), base.Nodes()) || got.Name != base.Name {
+		t.Errorf("point circuit %q nodes %v, base %q %v", got.Name, got.Nodes(), base.Name, base.Nodes())
+	}
+
+	for _, c := range []struct {
+		scale map[string]float64
+		want  string
+	}{
+		{map[string]float64{"r1": math.NaN()}, `engine: batch point scales "r1" by non-finite factor NaN`},
+		{map[string]float64{"c2": math.Inf(-1)}, `engine: batch point scales "c2" by non-finite factor -Inf`},
+		{map[string]float64{"r3": 1e306}, `engine: batch point: circuit: element "r3" has non-finite value +Inf`},
+		{map[string]float64{"r3": -1e306}, `engine: batch point: circuit: element "r3" has non-finite value -Inf`},
+		{map[string]float64{"nope2": 1.1, "r1": 0.9, "nope1": 1}, "engine: batch point scales unknown elements [nope1 nope2]"},
+		{map[string]float64{"nope": 1, "r3": 1e306}, `engine: batch point: circuit: element "r3" has non-finite value +Inf`},
+	} {
+		got, err := applyPoint(base, BatchPoint{Scale: c.scale})
+		if got != nil || err == nil || err.Error() != c.want {
+			t.Errorf("scale %v: (%v, %v), want error %q", c.scale, got, err, c.want)
+		}
+	}
+	if !slices.Equal(base.Elements(), before) {
+		t.Error("a refused point changed the base circuit")
 	}
 }

@@ -409,7 +409,7 @@ func TestDiskCacheQuarantinesCorruption(t *testing.T) {
 	}
 	var torn int
 	for _, e := range ents {
-		if !strings.HasSuffix(e.Name(), ".result.json") {
+		if !strings.HasSuffix(e.Name(), blobstore.Ext) {
 			continue
 		}
 		p := filepath.Join(dir, e.Name())
@@ -442,7 +442,7 @@ func TestDiskCacheQuarantinesCorruption(t *testing.T) {
 	// The quarantined bytes survive on disk; the offline verifier sees a
 	// clean store (the rewritten entry) with no corruption in the
 	// serving path.
-	ok, corrupt, err := blobstore.Verify(nil, dir, ".result.json")
+	ok, corrupt, err := blobstore.Verify(nil, dir)
 	if err != nil || ok != 1 || corrupt != 0 {
 		t.Errorf("blobstore.Verify = (%d ok, %d corrupt, %v), want (1, 0, nil)", ok, corrupt, err)
 	}
@@ -513,15 +513,15 @@ func TestScrubDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "bb.result.json"), good[:len(good)/2], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "bb"+blobstore.Ext), good[:len(good)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	ok, quarantined, err := blobstore.Scrub(nil, dir, ".result.json")
+	ok, quarantined, err := blobstore.Scrub(nil, dir)
 	if err != nil || ok != 1 || quarantined != 1 {
 		t.Fatalf("blobstore.Scrub = (%d ok, %d quarantined, %v), want (1, 1, nil)", ok, quarantined, err)
 	}
-	ok, corrupt, err := blobstore.Verify(nil, dir, ".result.json")
+	ok, corrupt, err := blobstore.Verify(nil, dir)
 	if err != nil || ok != 1 || corrupt != 0 {
 		t.Fatalf("post-scrub blobstore.Verify = (%d, %d, %v), want (1, 0, nil)", ok, corrupt, err)
 	}

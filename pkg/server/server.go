@@ -274,7 +274,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	var disk *blobstore.Store
 	if cfg.CacheDir != "" {
-		disk, err = blobstore.Open(cfg.CacheDir, ".result.json", cfg.StoreFS)
+		disk, err = blobstore.Open(cfg.CacheDir, cfg.StoreFS)
 		if err != nil {
 			return nil, fmt.Errorf("server: disk cache: %w", err)
 		}
