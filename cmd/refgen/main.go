@@ -1,22 +1,30 @@
 // Command refgen generates numerical references (network-function
-// coefficients) for a circuit read from a SPICE-like netlist.
+// coefficients) for a circuit read from a SPICE-like netlist, and runs
+// the analyses built on them as subcommands.
 //
 // Usage:
 //
 //	refgen -netlist amp.sp -tf diffgain -in inp -inn inn -out out
 //	refgen -netlist rc.sp -tf vgain -in in -out out -method fixed -fscale 1e9
+//	refgen <subcommand> [flags]
 //
 // Methods:
 //
 //	adaptive  the paper's adaptive scaling algorithm (default)
 //	fixed     single scale pair (-fscale/-gscale; Table 1b style)
 //	unit      unscaled unit-circle interpolation (Table 1a style)
+//
+// Subcommands (each takes -h):
+//
+//	bodecmp    Bode response from the references vs direct AC analysis (Fig. 2)
+//	sens       element sensitivity ranking
+//	simplify   reference-controlled simplification before generation
+//	tables     the data behind every table and figure of the paper
+//	tolerance  Monte Carlo tolerance analysis
 package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -24,7 +32,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
+	"strings"
 
 	"repro/internal/roots"
 	"repro/internal/tablefmt"
@@ -39,50 +47,80 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the testable entry point: it parses args, executes the
-// requested generation and writes the report to stdout. The return
-// value is the process exit code (2 for usage errors, 1 for runtime
-// failures).
+// subcommands are the analyses refgen runs when its first argument
+// names one, in the order the usage text lists them.
+var subcommands = []struct {
+	name string
+	run  func(args []string, stdout, stderr io.Writer) int
+}{
+	{"bodecmp", runBodecmp},
+	{"sens", runSens},
+	{"simplify", runSimplify},
+	{"tables", runTables},
+	{"tolerance", runTolerance},
+}
+
+// run is the testable entry point: a first argument that is not a flag
+// selects a subcommand, anything else is a generation. The return value
+// is the process exit code (2 for usage errors, 1 for runtime failures).
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("refgen", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		netFile    = fs.String("netlist", "", "netlist file (required)")
-		tfKind     = fs.String("tf", "vgain", "transfer function: vgain, diffgain, transz or mna")
-		inNode     = fs.String("in", "in", "input node (positive input for diffgain)")
-		innNode    = fs.String("inn", "", "negative input node (diffgain)")
-		outNode    = fs.String("out", "out", "output node")
-		backend    = fs.String("backend", "", "formulation backend (default: auto from -tf); registered: nodal, mna, exact")
-		method     = fs.String("method", "adaptive", "interpolation method: adaptive, fixed or unit")
-		fscale     = fs.Float64("fscale", 0, "frequency scale factor (fixed method; 0 = 1/mean C)")
-		gscale     = fs.Float64("gscale", 0, "conductance scale factor (fixed method; 0 = 1/mean G)")
-		sigDigits  = fs.Int("sigdigits", 6, "required significant digits σ")
-		maxIter    = fs.Int("maxiter", 0, "iteration budget per polynomial (0 = engine default of 64; large circuits need more)")
-		verbose    = fs.Bool("v", false, "print the iteration trace")
-		progress   = fs.Bool("progress", false, "stream one line per iteration to stderr as it completes")
-		showPoles  = fs.Bool("poles", false, "extract poles and zeros from the generated references (adaptive method only)")
-		parallel   = fs.Int("parallel", 0, "evaluation worker count: 0 = all CPUs, 1 = serial (results are identical either way)")
-		allowDeg   = fs.Bool("allow-degraded", false, "return a degraded partial result instead of failing when frames or watchdogs give up")
-		exactRec   = fs.Bool("exact-recovery", false, "snap certified coefficients to rationals and verify them against the exact-arithmetic oracle, upgrading matches to the exact tier (adaptive method)")
-		minTier    = fs.String("min-tier", "", "fail (exit 1) unless the result reaches this quality tier: numeric, certified or exact (adaptive method)")
-		timeout    = fs.Duration("timeout", 0, "abort generation after this long (0 = no limit); partial results are printed")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the generation to this file")
-		memProfile = fs.String("memprofile", "", "write a heap profile (after generation) to this file")
-	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return generate(args, stdout, stderr)
+	}
+	for _, sub := range subcommands {
+		if sub.name == args[0] {
+			return sub.run(args[1:], stdout, stderr)
 		}
-		return 2
 	}
-	if *netFile == "" {
+	fmt.Fprintf(stderr, "refgen: unknown subcommand %q\n", args[0])
+	printSubcommands(stderr)
+	return 2
+}
+
+func printSubcommands(w io.Writer) {
+	names := make([]string, len(subcommands))
+	for i, sub := range subcommands {
+		names[i] = sub.name
+	}
+	fmt.Fprintf(w, "subcommands: %s (refgen <subcommand> -h for their flags)\n", strings.Join(names, ", "))
+}
+
+// generate executes the requested generation and writes the report to
+// stdout.
+func generate(args []string, stdout, stderr io.Writer) int {
+	c := newCommand("refgen", stdout, stderr)
+	c.Usage = func() {
+		fmt.Fprintln(stderr, "Usage: refgen -netlist FILE [flags]  |  refgen <subcommand> [flags]")
+		printSubcommands(stderr)
+		c.PrintDefaults()
+	}
+	sf := specFlags{tf: "vgain", in: "in", out: "out"}
+	sf.declare(c.FlagSet, "netlist", "tf", "in", "inn", "out")
+	var (
+		backend    = c.String("backend", "", "formulation backend (default: auto from -tf); registered: nodal, mna, exact")
+		method     = c.String("method", "adaptive", "interpolation method: adaptive, fixed or unit")
+		fscale     = c.Float64("fscale", 0, "frequency scale factor (fixed method; 0 = 1/mean C)")
+		gscale     = c.Float64("gscale", 0, "conductance scale factor (fixed method; 0 = 1/mean G)")
+		sigDigits  = c.Int("sigdigits", 6, "required significant digits σ")
+		maxIter    = c.Int("maxiter", 0, "iteration budget per polynomial (0 = engine default of 64; large circuits need more)")
+		verbose    = c.Bool("v", false, "print the iteration trace")
+		progress   = c.Bool("progress", false, "stream one line per iteration to stderr as it completes")
+		showPoles  = c.Bool("poles", false, "extract poles and zeros from the generated references (adaptive method only)")
+		parallel   = c.Int("parallel", 0, "evaluation worker count: 0 = all CPUs, 1 = serial (results are identical either way)")
+		allowDeg   = c.Bool("allow-degraded", false, "return a degraded partial result instead of failing when frames or watchdogs give up")
+		exactRec   = c.Bool("exact-recovery", false, "snap certified coefficients to rationals and verify them against the exact-arithmetic oracle, upgrading matches to the exact tier (adaptive method)")
+		minTier    = c.String("min-tier", "", "fail (exit 1) unless the result reaches this quality tier: numeric, certified or exact (adaptive method)")
+		timeout    = c.Duration("timeout", 0, "abort generation after this long (0 = no limit); partial results are printed")
+		cpuProfile = c.String("cpuprofile", "", "write a CPU profile of the generation to this file")
+		memProfile = c.String("memprofile", "", "write a heap profile (after generation) to this file")
+	)
+	if code, ok := c.parse(args); !ok {
+		return code
+	}
+	if sf.netlist == "" {
 		fmt.Fprintln(stderr, "refgen: -netlist is required")
-		fs.Usage()
+		c.Usage()
 		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "refgen:", err)
-		return 1
 	}
 	var tierGate engine.Tier
 	gateTier := *minTier != ""
@@ -98,18 +136,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		// Written on the way out so the profile covers the generation.
 		defer func() {
@@ -134,19 +172,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	eng, err := engine.New(cfg)
 	if err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 
-	ckt, err := engine.LoadNetlist(*netFile)
+	ckt, err := engine.LoadNetlist(sf.netlist)
 	if err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	fmt.Fprintln(stdout, ckt.Stats())
 
-	spec := engine.Spec{Kind: *tfKind, In: *inNode, Inn: *innNode, Out: *outNode}
+	spec := sf.spec()
 	form, err := eng.Formulate(ckt, spec)
 	if err != nil {
-		return fail(err)
+		return c.fail(err)
 	}
 	tf := form.TF
 	fmt.Fprintf(stdout, "transfer function: %s (order bound %d)\n\n", tf.Name, tf.Den.OrderBound)
@@ -170,11 +208,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		if gateTier {
 			if got := resp.Tier(); got < tierGate {
-				return fail(fmt.Errorf("quality tier %s below required minimum %s", got, tierGate))
+				return c.fail(fmt.Errorf("quality tier %s below required minimum %s", got, tierGate))
 			}
 		}
 		if *showPoles {
@@ -191,19 +229,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		num, den, err := eng.Interpolate(ctx, form, fsc, gsc)
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		printInterp(stdout, "numerator", num, *sigDigits)
 		printInterp(stdout, "denominator", den, *sigDigits)
 	case "unit":
 		num, den, err := eng.Interpolate(ctx, form, 1, 1)
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 		printInterp(stdout, "numerator", num, *sigDigits)
 		printInterp(stdout, "denominator", den, *sigDigits)
 	default:
-		return fail(fmt.Errorf("unknown method %q", *method))
+		return c.fail(fmt.Errorf("unknown method %q", *method))
 	}
 	return 0
 }
@@ -269,6 +307,8 @@ func printResult(w io.Writer, r *engine.Result, verbose bool) {
 	}
 	fmt.Fprintln(w, tb)
 	if verbose {
+		// eval is rendered at a fixed width (seconds, 1.33e-04s) so that
+		// the table's layout does not depend on the timings.
 		it := tablefmt.New("iterations", "#", "purpose", "fscale", "gscale", "K", "region", "new", "solves", "eval")
 		for k, rec := range r.Iterations {
 			region := "-"
@@ -276,7 +316,7 @@ func printResult(w io.Writer, r *engine.Result, verbose bool) {
 				region = fmt.Sprintf("s^%d..s^%d", rec.Lo, rec.Hi)
 			}
 			it.Rowf(k, rec.Purpose, fmt.Sprintf("%.4g", rec.FScale), fmt.Sprintf("%.4g", rec.GScale), rec.K, region, rec.NewValid,
-				rec.Solves, rec.EvalElapsed.Round(time.Microsecond))
+				rec.Solves, fmt.Sprintf("%.2es", rec.EvalElapsed.Seconds()))
 		}
 		fmt.Fprintln(w, it)
 		fmt.Fprintln(w, r.CoverageMap())

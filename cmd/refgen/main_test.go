@@ -2,10 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/pkg/engine"
 )
 
 // writeNetlist drops a small admittance-only RC divider into a temp dir
@@ -249,5 +254,43 @@ func TestRunAllowDegradedFlagAccepted(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "DEGRADED") {
 		t.Errorf("clean run reported as degraded:\n%s", out.String())
+	}
+}
+
+// TestVerboseLayoutIgnoresTimings: two results that differ only in
+// their iterations' EvalElapsed print the -v tables with the same
+// rules, so serial and parallel runs diff clean once times are masked.
+func TestVerboseLayoutIgnoresTimings(t *testing.T) {
+	ckt, err := engine.LoadNetlist(writeNetlist(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.Config{Options: engine.Options{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := eng.Generate(context.Background(), engine.Request{Circuit: ckt, Spec: engine.Spec{Kind: "vgain", In: "in", Out: "out"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := func(eval time.Duration) []string {
+		r := *resp.Den
+		r.Iterations = slices.Clone(r.Iterations)
+		for i := range r.Iterations {
+			r.Iterations[i].EvalElapsed = eval
+		}
+		var b bytes.Buffer
+		printResult(&b, &r, true)
+		var rules []string
+		for _, line := range strings.Split(b.String(), "\n") {
+			if line != "" && strings.Trim(line, "- ") == "" {
+				rules = append(rules, line)
+			}
+		}
+		return rules
+	}
+	fast, slow := rules(time.Nanosecond), rules(1234*time.Second)
+	if len(fast) < 2 || !slices.Equal(fast, slow) {
+		t.Errorf("rules depend on the timings:\n%q\n%q", fast, slow)
 	}
 }

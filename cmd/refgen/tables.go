@@ -1,5 +1,18 @@
-// Command tables regenerates the data behind every table and figure in
-// the paper's evaluation:
+package main
+
+import (
+	"fmt"
+	"io"
+	"time"
+
+	"repro/internal/bode"
+	"repro/internal/paper"
+	"repro/internal/tablefmt"
+	"repro/pkg/engine"
+)
+
+// runTables regenerates the data behind every table and figure in the
+// paper's evaluation:
 //
 //	-table 1a    OTA coefficients, unit-circle interpolation (round-off failure)
 //	-table 1b    OTA normalized coefficients, single scale pair (valid window)
@@ -12,41 +25,14 @@
 //
 // The data itself is produced by internal/paper (where the shape claims
 // are asserted by tests); this command only renders it.
-package main
-
-import (
-	"errors"
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"time"
-
-	"repro/internal/paper"
-	"repro/internal/tablefmt"
-	"repro/pkg/engine"
-)
-
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is the testable entry point; it returns the process exit code
-// (2 for usage errors, 1 for runtime failures).
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		table  = fs.String("table", "", "table id: 1a, 1b, 2a, 2b or 3")
-		fig    = fs.String("fig", "", "figure id: 2")
-		timing = fs.Bool("timing", false, "per-iteration timing (§3.3)")
-		all    = fs.Bool("all", false, "regenerate everything")
-	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+func runTables(args []string, stdout, stderr io.Writer) int {
+	c := newCommand("tables", stdout, stderr)
+	table := c.String("table", "", "table id: 1a, 1b, 2a, 2b or 3")
+	fig := c.String("fig", "", "figure id: 2")
+	timing := c.Bool("timing", false, "per-iteration timing (§3.3)")
+	all := c.Bool("all", false, "regenerate everything")
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	switch *table {
 	case "", "1a", "1b", "2a", "2b", "3":
@@ -64,17 +50,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*all = true
 	}
 	want := func(id string) bool { return *all || *table == id }
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "tables:", err)
-		return 1
-	}
 
 	var t1 *paper.Table1
 	if want("1a") || want("1b") {
 		var err error
 		t1, err = paper.OTATable1()
 		if err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 	}
 	if want("1a") {
@@ -85,17 +67,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if want("2a") || want("2b") || want("3") {
 		if err := tables23(stdout, want("2a"), want("2b"), want("3")); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 	}
 	if *all || *fig == "2" {
 		if err := fig2(stdout); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 	}
 	if *all || *timing {
 		if err := timingTable(stdout); err != nil {
-			return fail(err)
+			return c.fail(err)
 		}
 	}
 	return 0
@@ -173,7 +155,8 @@ func tables23(w io.Writer, want2a, want2b, want3 bool) error {
 }
 
 func fig2(w io.Writer) error {
-	d, err := paper.Fig2(33)
+	c, spec := paper.UA741()
+	d, err := paper.Fig2(c, spec, bode.LogSpace(1, 1e8, 33))
 	if err != nil {
 		return err
 	}

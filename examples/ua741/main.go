@@ -8,30 +8,24 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/bode"
-	"repro/internal/circuits"
-	"repro/pkg/engine"
+	"repro/internal/paper"
 )
 
 func main() {
-	ckt := circuits.UA741()
-	inp, inn, out := circuits.UA741Inputs()
+	ckt, spec := paper.UA741()
 	fmt.Println(ckt.Stats())
 
-	eng, err := engine.New(engine.Config{})
+	// Fig. 2: generate, then Bode from the coefficients vs direct AC
+	// analysis; the tiling and coefficients below come from the same run.
+	fig2, err := paper.Fig2(ckt, spec, bode.LogSpace(1, 1e8, 41))
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx := context.Background()
-	spec := engine.Spec{Kind: "diffgain", In: inp, Inn: inn, Out: out}
-	resp, err := eng.Generate(ctx, engine.Request{Circuit: ckt, Spec: spec})
-	if err != nil {
-		log.Fatal(err)
-	}
+	resp := fig2.Resp
 	num, den := resp.Num, resp.Den
 	fmt.Printf("matrix order %d, order bound %d\n\n", ckt.NumNodes(), resp.Formulation.TF.Den.OrderBound)
 
@@ -57,24 +51,9 @@ func main() {
 		fmt.Printf("  s^%-2d  %v\n", i, coeffs[i])
 	}
 
-	// Fig. 2: Bode from coefficients vs direct AC analysis.
-	freqs := bode.LogSpace(1, 1e8, 41)
-	fromCoeffs, err := bode.FromPolys(num.Poly(), den.Poly(), freqs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	h, err := eng.ACResponse(ctx, ckt, spec, freqs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fromAC := bode.FromComplexResponse(freqs, h)
-	magErr, phErr, err := bode.Compare(fromCoeffs, fromAC)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("\nFig. 2 check — interpolated vs electrical-simulator response,\n")
-	fmt.Printf("1 Hz..100 MHz: max deviation %.3g dB, %.3g°\n", magErr, phErr)
-	m := bode.GainPhaseMargins(fromCoeffs)
+	fmt.Printf("1 Hz..100 MHz: max deviation %.3g dB, %.3g°\n", fig2.MagErrDB, fig2.PhsErr)
+	m := bode.GainPhaseMargins(fig2.Interp)
 	fmt.Printf("DC gain %.1f dB, unity-gain frequency ≈ %.3g Hz, phase margin %.1f°\n",
-		fromCoeffs[0].MagDB, m.UnityGainHz, m.PhaseMarginDeg)
+		fig2.Interp[0].MagDB, m.UnityGainHz, m.PhaseMarginDeg)
 }

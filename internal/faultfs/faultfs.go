@@ -59,9 +59,6 @@ func (p *Plan) Stats() (torn, flipped, renames, readFails uint64) {
 	return p.torn.Load(), p.flipped.Load(), p.renames.Load(), p.readFails.Load()
 }
 
-// Ops reports the operation count consumed so far.
-func (p *Plan) Ops() uint64 { return p.ops.Load() }
-
 // splitmix64 is the 64-bit finalizer of the SplitMix64 generator — the
 // same cheap, well-mixed hash internal/fault uses for point decisions.
 func splitmix64(x uint64) uint64 {

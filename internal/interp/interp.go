@@ -70,7 +70,7 @@ type Evaluator struct {
 	// stop dispatching further points and return promptly (slots never
 	// evaluated stay zero), leaving no goroutines behind. Callers detect
 	// the truncation through ctx.Err(); implementations built on
-	// RunBatch, RunChunks or ParallelFor inherit this behavior.
+	// RunChunks or ParallelFor inherit this behavior.
 	EvalBatch func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex
 }
 
@@ -175,20 +175,12 @@ func ParallelFor(ctx context.Context, n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// RunBatch is the shared skeleton for EvalBatch implementations whose
+// RunChunks is the shared skeleton for EvalBatch implementations whose
 // per-point work is independent given some shared read-only state that
 // the first evaluation establishes (in practice: a sparse pivot-order
-// plan primed by the first successful factorization). It is RunChunks
-// with one point per chunk.
-func RunBatch(ctx context.Context, points []complex128, workers int, ready func() bool, newWorker func() func(s complex128) xmath.XComplex) []xmath.XComplex {
-	return RunChunks(ctx, points, workers, 1, ready, func() func([]xmath.XComplex, []complex128) {
-		eval := newWorker()
-		return func(dst []xmath.XComplex, pts []complex128) { dst[0] = eval(pts[0]) }
-	})
-}
-
-// RunChunks is RunBatch for workers that evaluate up to chunk points per
-// call, writing the value of pts[i] to dst[i].
+// plan primed by the first successful factorization). Its workers
+// evaluate up to chunk points per call, writing the value of pts[i] to
+// dst[i].
 //
 // Points are evaluated one at a time until ready() reports the shared
 // state is established, so the priming point is always the same one the

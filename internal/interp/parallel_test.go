@@ -41,26 +41,32 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	ParallelFor(context.Background(), 0, 4, func(int) { t.Fatal("fn called for n=0") })
 }
 
-func TestRunBatchSerialUntilReady(t *testing.T) {
-	// The first three points fail to establish the shared state; RunBatch
-	// must evaluate them on the priming worker, strictly in order, before
-	// any fan-out.
+// onePoint adapts a single-point evaluator to RunChunks with a chunk
+// of 1.
+func onePoint(eval func(complex128) xmath.XComplex) func([]xmath.XComplex, []complex128) {
+	return func(dst []xmath.XComplex, pts []complex128) { dst[0] = eval(pts[0]) }
+}
+
+func TestRunChunksSerialUntilReady(t *testing.T) {
+	// The first three points fail to establish the shared state;
+	// RunChunks must evaluate them on the priming worker, strictly in
+	// order, before any fan-out.
 	pts := dft.UnitCirclePoints(16)
 	var mu sync.Mutex
 	var order []int
 	var readyAfter atomic.Int32
 	seen := 0
-	values := RunBatch(context.Background(), pts, 4,
+	values := RunChunks(context.Background(), pts, 4, 1,
 		func() bool { return readyAfter.Load() >= 3 },
-		func() func(complex128) xmath.XComplex {
-			return func(s complex128) xmath.XComplex {
+		func() func([]xmath.XComplex, []complex128) {
+			return onePoint(func(s complex128) xmath.XComplex {
 				mu.Lock()
 				order = append(order, seen)
 				seen++
 				mu.Unlock()
 				readyAfter.Add(1)
 				return xmath.FromComplex(s)
-			}
+			})
 		})
 	if len(values) != 16 {
 		t.Fatalf("got %d values", len(values))
@@ -77,10 +83,10 @@ func TestRunBatchSerialUntilReady(t *testing.T) {
 	}
 }
 
-func TestRunBatchNilReady(t *testing.T) {
+func TestRunChunksNilReady(t *testing.T) {
 	pts := dft.UnitCirclePoints(9)
-	values := RunBatch(context.Background(), pts, 3, nil, func() func(complex128) xmath.XComplex {
-		return func(s complex128) xmath.XComplex { return xmath.FromComplex(s * 2) }
+	values := RunChunks(context.Background(), pts, 3, 1, nil, func() func([]xmath.XComplex, []complex128) {
+		return onePoint(func(s complex128) xmath.XComplex { return xmath.FromComplex(s * 2) })
 	})
 	for i, v := range values {
 		if v != xmath.FromComplex(pts[i]*2) {

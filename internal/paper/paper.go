@@ -1,11 +1,11 @@
 // Package paper produces the data behind every table and figure of the
 // paper's evaluation as structured values, so the reproduction itself is
-// library code under test; cmd/tables renders it.
+// library code under test; `refgen tables` renders it, and Fig2 is the
+// one Fig. 2 check that `refgen bodecmp` and examples/ua741 run too.
 package paper
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/bode"
 	"repro/internal/circuit"
@@ -60,8 +60,9 @@ func OTATable1() (*Table1, error) {
 	return t, nil
 }
 
-// ua741 is the µA741 circuit with its differential-gain spec.
-func ua741() (*circuit.Circuit, engine.Spec) {
+// UA741 is the µA741 circuit with its differential-gain spec, the
+// circuit of Tables 2–3 and Fig. 2.
+func UA741() (*circuit.Circuit, engine.Spec) {
 	inp, inn, out := circuits.UA741Inputs()
 	return circuits.UA741(), engine.Spec{Kind: "diffgain", In: inp, Inn: inn, Out: out}
 }
@@ -70,7 +71,7 @@ func ua741() (*circuit.Circuit, engine.Spec) {
 // with the paper's mean-value seeds. The returned M is the homogeneity
 // degree needed to denormalize iteration records for display.
 func UA741Denominator(noReduce bool) (*core.Result, int, error) {
-	c, spec := ua741()
+	c, spec := UA741()
 	eng, err := engine.New(engine.Config{Options: engine.Options{NoReduce: noReduce}})
 	if err != nil {
 		return nil, 0, err
@@ -82,40 +83,40 @@ func UA741Denominator(noReduce bool) (*core.Result, int, error) {
 	return resp.Den, resp.Den.M, nil
 }
 
-// Fig2Data holds the Fig. 2 comparison.
+// Fig2Data holds a Fig. 2 comparison.
 type Fig2Data struct {
+	// Resp holds the generated references.
+	Resp             *engine.Response
 	Freqs            []float64
 	Interp, Direct   []bode.Point
 	MagErrDB, PhsErr float64
 }
 
-// Fig2 generates references for the µA741 voltage gain, computes the
-// Bode response from the coefficients and from a direct MNA AC sweep,
-// and reports the worst deviations.
-func Fig2(points int) (*Fig2Data, error) {
-	if points < 2 {
-		return nil, fmt.Errorf("paper: need at least 2 points")
-	}
-	c, spec := ua741()
+// Fig2 is the paper's Fig. 2 check for any circuit and spec: it
+// generates references with the adaptive algorithm, computes the Bode
+// response at freqs from the coefficients and from a direct MNA AC
+// sweep (the "electrical simulator" path), and reports the worst
+// deviations. The paper's own setup is UA741 over bode.LogSpace(1, 1e8, n).
+func Fig2(c *circuit.Circuit, spec engine.Spec, freqs []float64) (*Fig2Data, error) {
 	eng, err := engine.New(engine.Config{})
 	if err != nil {
 		return nil, err
 	}
 	ctx := context.Background()
-	resp, err := eng.Generate(ctx, engine.Request{Circuit: c, Spec: spec})
+	d := &Fig2Data{Freqs: freqs}
+	d.Resp, err = eng.Generate(ctx, engine.Request{Circuit: c, Spec: spec})
 	if err != nil {
 		return nil, err
 	}
-	d := &Fig2Data{Freqs: bode.LogSpace(1, 1e8, points)}
-	d.Interp, err = bode.FromPolys(resp.Num.Poly(), resp.Den.Poly(), d.Freqs)
+	d.Interp, err = bode.FromPolys(d.Resp.Num.Poly(), d.Resp.Den.Poly(), freqs)
 	if err != nil {
 		return nil, err
 	}
-	h, err := eng.ACResponse(ctx, c, spec, d.Freqs)
+	h, err := eng.ACResponse(ctx, c, spec, freqs)
 	if err != nil {
 		return nil, err
 	}
-	d.Direct = bode.FromComplexResponse(d.Freqs, h)
+	d.Direct = bode.FromComplexResponse(freqs, h)
 	d.MagErrDB, d.PhsErr, err = bode.Compare(d.Interp, d.Direct)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bode"
 	"repro/internal/core"
 )
 
@@ -145,7 +146,8 @@ func TestSection33ReductionShape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	d, err := Fig2(41)
+	c, spec := UA741()
+	d, err := Fig2(c, spec, bode.LogSpace(1, 1e8, 41))
 	if err != nil {
 		t.Fatal(err)
 	}

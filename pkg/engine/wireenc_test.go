@@ -146,7 +146,9 @@ func FuzzWireEncode(f *testing.F) {
 // TestWireEncodeOracle runs the oracle over a fixed spread of seeds, so
 // plain go test covers more than the fuzz corpus, and checks that the
 // sizing pass bounds every body: an encoding costs exactly one
-// allocation.
+// allocation. The count is averaged over 10 runs, and AllocsPerRun
+// divides in integers, so one stray runtime allocation (under -race)
+// still reads 1 while an encoder that allocates twice reads 2.
 func TestWireEncodeOracle(t *testing.T) {
 	for seed := range int64(300) {
 		w := randomWire(rand.New(rand.NewSource(seed)), wireStrings[seed%int64(len(wireStrings))], wireFloats[seed%int64(len(wireFloats))], seed%3 != 0)
@@ -154,7 +156,7 @@ func TestWireEncodeOracle(t *testing.T) {
 		if _, err := engine.EncodeWireJSON(w); err != nil {
 			continue
 		}
-		if n := testing.AllocsPerRun(1, func() { _, _ = engine.EncodeWireJSON(w) }); n != 1 {
+		if n := testing.AllocsPerRun(10, func() { _, _ = engine.EncodeWireJSON(w) }); n != 1 {
 			t.Fatalf("seed %d: %v allocations per encoding, want 1", seed, n)
 		}
 	}
