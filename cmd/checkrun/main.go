@@ -1,9 +1,9 @@
 // Command checkrun is the differential fuzzing harness: it generates
 // randomized G/C/gm circuits, runs the full reference-generation
 // pipeline on each, and validates every result against the invariant
-// checker (internal/check), the exact Bareiss oracle (tractable sizes)
-// and an independent MNA AC solve (all sizes). It exits nonzero when any
-// invariant is violated, which makes it directly usable as a CI gate:
+// checker (internal/check), the exact multi-modular oracle and an
+// independent MNA AC solve. It exits nonzero when any invariant is
+// violated, which makes it directly usable as a CI gate:
 //
 //	checkrun -n 50 -seed 1
 //
@@ -36,7 +36,6 @@ type options struct {
 	seed     int64
 	minNodes int
 	maxNodes int
-	exactMax int
 	timeout  time.Duration
 	verbose  bool
 }
@@ -49,7 +48,6 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "RNG seed (the sweep is deterministic per seed)")
 	fs.IntVar(&o.minNodes, "nodes-min", 3, "smallest circuit size in nodes")
 	fs.IntVar(&o.maxNodes, "nodes-max", 10, "largest circuit size in nodes")
-	fs.IntVar(&o.exactMax, "exact-max", 9, "largest size cross-checked against the exact Bareiss oracle")
 	fs.DurationVar(&o.timeout, "timeout", 0, "abort the whole sweep after this long (0 = no limit)")
 	fs.BoolVar(&o.verbose, "v", false, "report every trial, not only failures")
 	if err := fs.Parse(args); err != nil {
@@ -120,7 +118,7 @@ func (h *harness) trial(ctx context.Context, rng *rand.Rand, o options, rep *che
 
 	// The joint path (shared joint-form cache, the default above) must
 	// reproduce a fully independent two-pass generation within the same
-	// tolerance the Bareiss oracle is held to.
+	// tolerance the exact oracle is held to.
 	indep, ierr := h.eng.Generate(ctx, engine.Request{
 		Circuit: c, Spec: spec, Formulation: form,
 		Options: &engine.Options{Parallelism: 1, NoJoint: true},
@@ -136,39 +134,38 @@ func (h *harness) trial(ctx context.Context, rng *rand.Rand, o options, rep *che
 	check.Window(num, tf.Num, rep)
 	check.Window(den, tf.Den, rep)
 
-	// Oracle cross-check where tractable, Bode-vs-AC everywhere.
-	if nodes <= o.exactMax {
-		oracle, err := h.exact.Formulate(c, spec)
-		if err != nil {
-			return nodes, fmt.Errorf("exact oracle: %w", err)
-		}
-		check.VsPoly(num, oracle.ExactNum, 1e-4, 4, rep)
-		check.VsPoly(den, oracle.ExactDen, 1e-4, 4, rep)
-		check.VsRatio(num, den, oracle.ExactNum, oracle.ExactDen, 1e-4, rep)
-
-		// The accuracy certificates must be honest: every certified
-		// error bar has to bound the measured deviation from the oracle.
-		check.ErrorBars(num, oracle.ExactNum, rep)
-		check.ErrorBars(den, oracle.ExactDen, rep)
-
-		// Exact-recovery pass: rerun with the rational-snapping pass on;
-		// upgraded coefficients must reproduce the oracle's renderings
-		// bit for bit (check.ErrorBars enforces that for the exact tier),
-		// and the rest of the quality contract must survive the rewrite.
-		rec, rerr := h.eng.Generate(ctx, engine.Request{
-			Circuit: c, Spec: spec, Formulation: form,
-			Options: &engine.Options{Parallelism: 1, ExactRecovery: true},
-		})
-		if rerr != nil {
-			return nodes, fmt.Errorf("generate (exact recovery): %w", rerr)
-		}
-		check.ErrorBars(rec.Num, oracle.ExactNum, rep)
-		check.ErrorBars(rec.Den, oracle.ExactDen, rep)
-		rep.Merge(check.Result(rec.Num, tf.Num.M, check.Options{}))
-		rep.Merge(check.Result(rec.Den, tf.Den.M, check.Options{}))
-		check.Window(rec.Num, tf.Num, rep)
-		check.Window(rec.Den, tf.Den, rep)
+	// Exact oracle and Bode-vs-AC cross-checks.
+	oracle, err := h.exact.Formulate(c, spec)
+	if err != nil {
+		return nodes, fmt.Errorf("exact oracle: %w", err)
 	}
+	check.VsPoly(num, oracle.ExactNum, 1e-4, 4, rep)
+	check.VsPoly(den, oracle.ExactDen, 1e-4, 4, rep)
+	check.VsRatio(num, den, oracle.ExactNum, oracle.ExactDen, 1e-4, rep)
+
+	// The accuracy certificates must be honest: every certified error
+	// bar has to bound the measured deviation from the oracle.
+	check.ErrorBars(num, oracle.ExactNum, rep)
+	check.ErrorBars(den, oracle.ExactDen, rep)
+
+	// Exact-recovery pass: rerun with the rational-snapping pass on;
+	// upgraded coefficients must reproduce the oracle's renderings bit
+	// for bit (check.ErrorBars enforces that for the exact tier), and
+	// the rest of the quality contract must survive the rewrite.
+	rec, rerr := h.eng.Generate(ctx, engine.Request{
+		Circuit: c, Spec: spec, Formulation: form,
+		Options: &engine.Options{Parallelism: 1, ExactRecovery: true},
+	})
+	if rerr != nil {
+		return nodes, fmt.Errorf("generate (exact recovery): %w", rerr)
+	}
+	check.ErrorBars(rec.Num, oracle.ExactNum, rep)
+	check.ErrorBars(rec.Den, oracle.ExactDen, rep)
+	rep.Merge(check.Result(rec.Num, tf.Num.M, check.Options{}))
+	rep.Merge(check.Result(rec.Den, tf.Den.M, check.Options{}))
+	check.Window(rec.Num, tf.Num, rep)
+	check.Window(rec.Den, tf.Den, rep)
+
 	check.BodeVsAC(c, "vgain", in, "", out, num, den, 0, 0, rep)
 	return nodes, nil
 }

@@ -44,8 +44,8 @@ func main() {
 		fmt.Printf("  s^%-2d  %v\n", i, c.Value)
 	}
 
-	// Validate against the exact oracle (fraction-free Bareiss over
-	// big.Rat — every coefficient mathematically exact).
+	// Validate against the exact oracle (a multi-modular determinant
+	// over big.Rat — every coefficient mathematically exact).
 	wantNum, wantDen, err := exact.VoltageGain(ckt, "in", circuits.RCLadderOut(n))
 	if err != nil {
 		log.Fatal(err)

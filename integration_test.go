@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -57,9 +58,9 @@ func TestAdaptiveVsExactLaddersSmall(t *testing.T) {
 }
 
 func TestAdaptiveVsExactLaddersLarge(t *testing.T) {
-	// Beyond Bareiss reach, the analytic chain recursion provides the
-	// oracle; compare as rational functions (the two formulations differ
-	// by a common scalar).
+	// The analytic chain recursion is an oracle independent of the
+	// determinant; compare as rational functions (the two formulations
+	// differ by a common scalar).
 	for _, n := range []int{20, 40, 60} {
 		c := circuits.RCLadder(n, 1e3, 1e-12)
 		var rs, cs []float64
@@ -360,51 +361,54 @@ func TestReductionShrinksCost(t *testing.T) {
 }
 
 // TestAdaptiveVsHighPrecisionLargeRandom validates the full adaptive
-// pipeline on random 18-node G/C/gm circuits — beyond the Bareiss
-// oracle's reach — against the 256-bit interpolation oracle (the same
-// method with the noise floor pushed ~60 decades down).
+// pipeline on random 18-node G/C/gm circuits against the exact oracle:
+// every Valid coefficient within 1e-4, every Negligible bound above the
+// exact magnitude, and no Valid coefficient where the exact one is zero.
 func TestAdaptiveVsHighPrecisionLargeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(828282))
 	for trial := 0; trial < 2; trial++ {
 		c := circuits.RandomGCgm(rng, 18)
 		num, den := generateGain(t, c, "n0", "n9", core.Config{MaxIterations: 200})
-		wantNum, wantDen, err := exact.HPVoltageGain(c, "n0", "n9", 256)
+		wantNum, wantDen, err := exact.VoltageGain(c, "n0", "n9")
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkAgainstHP := func(got *core.Result, want poly.XPoly, label string) {
-			for i, cf := range got.Coeffs {
-				var w xmath.XFloat
-				if i < len(want) {
-					w = want[i]
-				}
-				switch cf.Status {
-				case core.Valid:
-					if w.Zero() {
-						if !cf.Value.Zero() {
-							// A valid value where HP says zero: only noise-level.
-							max, _ := want.MaxAbs()
-							if !max.Zero() && cf.Value.Abs().Div(max.Abs()).Float64() > 1e-10 {
-								t.Errorf("trial %d %s s^%d: got %v, HP says 0", trial, label, i, cf.Value)
-							}
-						}
-						continue
-					}
-					if !cf.Value.ApproxEqual(w, 1e-4) {
-						t.Errorf("trial %d %s s^%d: got %v, HP %v", trial, label, i, cf.Value, w)
-					}
-				case core.Negligible:
-					// Soundness: the bound must dominate the HP truth.
-					if !w.Zero() && w.Abs().Cmp(cf.Bound) > 0 {
-						t.Errorf("trial %d %s s^%d: bound %v violated by HP %v", trial, label, i, cf.Bound, w)
-					}
-				default:
-					t.Errorf("trial %d %s s^%d unresolved", trial, label, i)
-				}
-			}
+		checkAgainstExact(t, fmt.Sprintf("trial %d num", trial), num, wantNum.ToXPoly())
+		checkAgainstExact(t, fmt.Sprintf("trial %d den", trial), den, wantDen.ToXPoly())
+	}
+}
+
+// checkAgainstExact holds a generated polynomial to its exact
+// coefficients: every Valid coefficient within 1e-4 and nonzero in the
+// exact result, every Negligible bound at or above the exact magnitude,
+// and every structural zero exactly zero.
+func checkAgainstExact(t *testing.T, label string, got *core.Result, want poly.XPoly) {
+	t.Helper()
+	for i, cf := range got.Coeffs {
+		var w xmath.XFloat
+		if i < len(want) {
+			w = want[i]
 		}
-		checkAgainstHP(num, wantNum, "num")
-		checkAgainstHP(den, wantDen, "den")
+		switch {
+		case cf.Status == core.Valid && w.Zero():
+			t.Errorf("%s s^%d: Valid %v where the exact coefficient is zero", label, i, cf.Value)
+		case cf.Status == core.Valid:
+			if !cf.Value.ApproxEqual(w, 1e-4) {
+				t.Errorf("%s s^%d: got %v, exact %v", label, i, cf.Value, w)
+			}
+		case cf.Status == core.Negligible:
+			if cf.Structural() && !w.Zero() {
+				t.Errorf("%s s^%d: structural zero where the exact coefficient is %v", label, i, w)
+			}
+			if w.Abs().Cmp(cf.Bound) > 0 {
+				t.Errorf("%s s^%d: bound %v violated by exact %v", label, i, cf.Bound, w)
+			}
+		default:
+			t.Errorf("%s s^%d unresolved", label, i)
+		}
+	}
+	if d := want.Degree(); d >= len(got.Coeffs) {
+		t.Errorf("%s: exact degree %d beyond the order bound %d", label, d, len(got.Coeffs)-1)
 	}
 }
 
@@ -418,7 +422,7 @@ func TestGmCCascadeVsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !exact.RatioEqual(num.Poly(), den.Poly(), wantNum.ToXPoly(), wantDen.ToXPoly(), 1e-6) {
-		t.Error("cascade transfer function mismatch vs Bareiss oracle")
+		t.Error("cascade transfer function mismatch vs exact oracle")
 	}
 }
 

@@ -16,9 +16,9 @@
 //   - serial and parallel runs are bit-identical (the PR-1 guarantee);
 //   - no coefficient outside the evaluator's structural degree window is
 //     Valid, and every one there is an exact structural zero;
-//   - recovered polynomials agree with the exact Bareiss oracle where it
-//     is tractable, and the reconstructed Bode response matches an
-//     independent MNA AC solve everywhere (the paper's Fig. 2).
+//   - recovered polynomials agree with the exact oracle, and the
+//     reconstructed Bode response matches an independent MNA AC solve
+//     (the paper's Fig. 2).
 package check
 
 import (

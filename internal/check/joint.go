@@ -10,7 +10,7 @@ import (
 // independent two-pass generation (core.Config.NoJoint) of the same
 // transfer function. The joint values come from a different elimination
 // of the same matrices, so coefficients are compared at the given
-// relative tolerance — the same budget the Bareiss-oracle checks use —
+// relative tolerance — the same budget the exact-oracle checks use —
 // rather than bitwise, and the two transfer functions must agree as
 // ratios. Counter bookkeeping is asserted too: the independent run must
 // report no cache traffic, and a joint run that used the cache must

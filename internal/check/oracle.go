@@ -8,7 +8,7 @@ import (
 )
 
 // VsPoly compares a generated result against a reference polynomial
-// (normally the exact Bareiss oracle's, converted with ToXPoly): Valid
+// (normally the exact oracle's, converted with ToXPoly): Valid
 // coefficients must agree to rel relative tolerance, Negligible
 // coefficients' proven bounds must dominate the reference magnitude
 // (with boundSlack headroom for the float64 evaluation error the bound
@@ -46,7 +46,7 @@ func VsPoly(res *core.Result, want poly.XPoly, rel, boundSlack float64, rep *Rep
 }
 
 // ErrorBars verifies the per-coefficient accuracy certificates against
-// a reference polynomial (the exact Bareiss oracle's rendering): a
+// a reference polynomial (the exact oracle's rendering): a
 // certified coefficient's error bar must bound its measured deviation
 // from the oracle, and an exact-tier coefficient must reproduce the
 // oracle's correctly-rounded rendering bit for bit. This is the

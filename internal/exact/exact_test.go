@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/circuit"
+	"repro/internal/circuits"
 	"repro/internal/poly"
 )
 
@@ -34,20 +35,6 @@ func TestRatPolyArithmetic(t *testing.T) {
 	if !(RatPoly{}).Mul(p).IsZero() {
 		t.Error("0·p not zero")
 	}
-}
-
-func TestDivExact(t *testing.T) {
-	p := NewRatPoly(1, 2)
-	q := NewRatPoly(3, -1, 4)
-	prod := p.Mul(q)
-	ratsEqual(t, prod.DivExact(p), 3, -1, 4)
-	ratsEqual(t, prod.DivExact(q), 1, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("inexact division did not panic")
-		}
-	}()
-	NewRatPoly(1, 1).DivExact(NewRatPoly(0, 1)) // (1+s)/s has remainder
 }
 
 func TestEvalRat(t *testing.T) {
@@ -115,23 +102,42 @@ func TestPolyDetMatchesCofactorExpansion(t *testing.T) {
 		}
 		return det
 	}
-	for n := 2; n <= 5; n++ {
-		m := make([][]RatPoly, n)
-		for i := range m {
-			m[i] = make([]RatPoly, n)
-			for j := range m[i] {
-				m[i][j] = NewRatPoly(float64(rng.Intn(7)-3), float64(rng.Intn(5)-2))
+	// bigRat draws a signed rational with numerator and denominator of
+	// up to 200 bits: enough for the CRT to need several primes.
+	bigRat := func() *big.Rat {
+		num := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(1+rng.Intn(200))))
+		den := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(1+rng.Intn(200))))
+		if rng.Intn(2) == 0 {
+			num.Neg(num)
+		}
+		return new(big.Rat).SetFrac(num, den.Add(den, big.NewInt(1)))
+	}
+	for _, wide := range []bool{false, true} {
+		for n := 2; n <= 5; n++ {
+			m := make([][]RatPoly, n)
+			for i := range m {
+				m[i] = make([]RatPoly, n)
+				for j := range m[i] {
+					if !wide {
+						m[i][j] = NewRatPoly(float64(rng.Intn(7)-3), float64(rng.Intn(5)-2))
+						continue
+					}
+					m[i][j] = make(RatPoly, 1+rng.Intn(3))
+					for k := range m[i][j] {
+						m[i][j][k] = bigRat()
+					}
+				}
 			}
-		}
-		want := cof(m)
-		got := PolyDet(m)
-		d := want.Degree()
-		if got.Degree() != d {
-			t.Fatalf("n=%d: degree %d vs %d", n, got.Degree(), d)
-		}
-		for i := 0; i <= d; i++ {
-			if got.at(i).Cmp(want.at(i)) != 0 {
-				t.Errorf("n=%d coeff %d: %v vs %v", n, i, got.at(i), want.at(i))
+			want := cof(m)
+			got := PolyDet(m)
+			d := want.Degree()
+			if got.Degree() != d || len(got) != d+1 {
+				t.Fatalf("n=%d wide=%v: degree %d (len %d) vs %d", n, wide, got.Degree(), len(got), d)
+			}
+			for i := 0; i <= d; i++ {
+				if got.at(i).Cmp(want.at(i)) != 0 {
+					t.Errorf("n=%d wide=%v coeff %d: %v vs %v", n, wide, i, got.at(i), want.at(i))
+				}
 			}
 		}
 	}
@@ -161,7 +167,7 @@ func TestRCLadderGainFirstOrder(t *testing.T) {
 
 func TestRCLadderGainMatchesBareiss(t *testing.T) {
 	// The ladder recursion and the cofactor determinant must agree as
-	// rational functions for a mid-size ladder.
+	// rational functions, exactly, for a mid-size ladder.
 	n := 6
 	ckt := circuit.New("lad")
 	rs := make([]float64, n)
@@ -175,15 +181,42 @@ func TestRCLadderGainMatchesBareiss(t *testing.T) {
 		ckt.AddC("c"+node, node, "0", cs[i])
 		prev = node
 	}
+	ladderMatchesCofactors(t, ckt, rs, cs, prev)
+}
+
+func TestPolyDetWideSpreadLadder(t *testing.T) {
+	// An order-15 ladder spans ~50 decades, where float64 interpolation
+	// drowns without the adaptive scaling; the determinant is exact at
+	// any spread.
+	n := 15
+	c := circuits.RCLadder(n, 1e3, 1e-12)
+	var rs, cs []float64
+	for _, e := range c.Elements() {
+		switch e.Kind {
+		case circuit.Resistor:
+			rs = append(rs, e.Value)
+		case circuit.Capacitor:
+			cs = append(cs, e.Value)
+		}
+	}
+	ladderMatchesCofactors(t, c, rs, cs, circuits.RCLadderOut(n))
+}
+
+// ladderMatchesCofactors checks RCLadderGain against VoltageGain from
+// "in" to out by exact cross-multiplication (the two representations
+// differ by an overall scalar).
+func ladderMatchesCofactors(t *testing.T, ckt *circuit.Circuit, rs, cs []float64, out string) {
+	t.Helper()
 	numL, denL := RCLadderGain(rs, cs)
-	numB, denB, err := VoltageGain(ckt, "in", prev)
+	numB, denB, err := VoltageGain(ckt, "in", out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Compare as ratios (different overall scalars).
+	if d := denB.Degree(); d != len(rs) {
+		t.Fatalf("determinant degree %d, want %d", d, len(rs))
+	}
 	lhs := numL.Mul(denB)
 	rhs := numB.Mul(denL)
-	// Cross products are proportional; normalize by leading coefficients.
 	dl, dr := lhs.Degree(), rhs.Degree()
 	if dl != dr {
 		t.Fatalf("cross degrees %d vs %d", dl, dr)
@@ -194,6 +227,19 @@ func TestRCLadderGainMatchesBareiss(t *testing.T) {
 		if lhs.at(i).Cmp(want) != 0 {
 			t.Errorf("cross coeff %d mismatch", i)
 		}
+	}
+}
+
+func TestVoltageGainErrors(t *testing.T) {
+	c := circuit.New("bad")
+	c.AddV("v", "a", "0", 1).AddR("r", "a", "0", 1)
+	if _, _, err := VoltageGain(c, "a", "a"); err == nil {
+		t.Error("non-admittance circuit accepted")
+	}
+	c2 := circuit.New("ok")
+	c2.AddR("r", "a", "0", 1).AddC("c", "a", "0", 1e-12)
+	if _, _, err := VoltageGain(c2, "a", "zz"); err == nil {
+		t.Error("unknown node accepted")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 //
 // This is the oracle for the mna.TransferEvaluators interpolation path
 // and supports every element kind, including inductors and controlled
-// sources. Practical up to ~12 unknowns (Bareiss).
+// sources, at any size PolyDet reaches.
 func MNATransfer(c *circuit.Circuit, out string) (num, den RatPoly, err error) {
 	if err := c.Validate(); err != nil {
 		return nil, nil, err
@@ -27,6 +27,24 @@ func MNATransfer(c *circuit.Circuit, out string) (num, den RatPoly, err error) {
 	if outIdx < 0 {
 		return nil, nil, fmt.Errorf("exact: bad output node %q", out)
 	}
+	m, rhs := mnaMatrix(c)
+	den = PolyDet(m)
+	// Cramer: replace the out column with the RHS.
+	replaced := make([][]RatPoly, len(m))
+	for i := range m {
+		replaced[i] = make([]RatPoly, len(m))
+		copy(replaced[i], m[i])
+		replaced[i][outIdx] = rhs[i]
+	}
+	num = PolyDet(replaced)
+	return num, den, nil
+}
+
+// mnaMatrix assembles the symbolic-s MNA matrix of c with exact rational
+// entries — node rows first, then one branch row per voltage source,
+// VCVS, CCVS and inductor — and the source vector. For an
+// admittance-only circuit it is the grounded nodal admittance matrix.
+func mnaMatrix(c *circuit.Circuit) (m [][]RatPoly, rhs []RatPoly) {
 	n := c.NumNodes()
 	branch := map[string]int{}
 	dim := n
@@ -37,14 +55,14 @@ func MNATransfer(c *circuit.Circuit, out string) (num, den RatPoly, err error) {
 			dim++
 		}
 	}
-	m := make([][]RatPoly, dim)
+	m = make([][]RatPoly, dim)
 	for i := range m {
 		m[i] = make([]RatPoly, dim)
 		for j := range m[i] {
 			m[i][j] = RatPoly{}
 		}
 	}
-	rhs := make([]RatPoly, dim)
+	rhs = make([]RatPoly, dim)
 	for i := range rhs {
 		rhs[i] = RatPoly{}
 	}
@@ -114,14 +132,5 @@ func MNATransfer(c *circuit.Circuit, out string) (num, den RatPoly, err error) {
 			}
 		}
 	}
-	den = PolyDet(m)
-	// Cramer: replace the out column with the RHS.
-	replaced := make([][]RatPoly, dim)
-	for i := range m {
-		replaced[i] = make([]RatPoly, dim)
-		copy(replaced[i], m[i])
-		replaced[i][outIdx] = rhs[i]
-	}
-	num = PolyDet(replaced)
-	return num, den, nil
+	return m, rhs
 }

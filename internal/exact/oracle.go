@@ -3,69 +3,11 @@ package exact
 import (
 	"fmt"
 	"math"
-	"math/big"
 
 	"repro/internal/circuit"
 	"repro/internal/poly"
 	"repro/internal/xmath"
 )
-
-// PolyDet computes the determinant of a square matrix of polynomials by
-// fraction-free Bareiss elimination with row pivoting: entries remain
-// polynomials (every interior division is exact), which keeps growth
-// polynomial instead of the exponential blow-up of naive expansion.
-// Practical up to n ≈ 12–15 with circuit-sized coefficients.
-func PolyDet(m [][]RatPoly) RatPoly {
-	n := len(m)
-	if n == 0 {
-		return NewRatPoly(1)
-	}
-	// Working copy.
-	a := make([][]RatPoly, n)
-	for i := range m {
-		if len(m[i]) != n {
-			panic("exact: non-square matrix")
-		}
-		a[i] = make([]RatPoly, n)
-		copy(a[i], m[i])
-		for j := range a[i] {
-			if a[i][j] == nil {
-				a[i][j] = RatPoly{}
-			}
-		}
-	}
-	sign := 1
-	prev := NewRatPoly(1)
-	for k := 0; k < n-1; k++ {
-		if a[k][k].IsZero() {
-			swapped := false
-			for i := k + 1; i < n; i++ {
-				if !a[i][k].IsZero() {
-					a[k], a[i] = a[i], a[k]
-					sign = -sign
-					swapped = true
-					break
-				}
-			}
-			if !swapped {
-				return RatPoly{} // zero column: singular
-			}
-		}
-		for i := k + 1; i < n; i++ {
-			for j := k + 1; j < n; j++ {
-				num := a[k][k].Mul(a[i][j]).Sub(a[i][k].Mul(a[k][j]))
-				a[i][j] = num.DivExact(prev)
-			}
-			a[i][k] = RatPoly{}
-		}
-		prev = a[k][k]
-	}
-	det := a[n-1][n-1]
-	if sign < 0 {
-		det = det.Neg()
-	}
-	return det
-}
 
 // nodalMatrix assembles the symbolic-s grounded admittance matrix of an
 // admittance-only circuit with exact rational entries g + s·c.
@@ -73,43 +15,7 @@ func nodalMatrix(c *circuit.Circuit) ([][]RatPoly, error) {
 	if !c.AdmittanceOnly() {
 		return nil, fmt.Errorf("exact: circuit %q contains non-admittance elements", c.Name)
 	}
-	n := c.NumNodes()
-	m := make([][]RatPoly, n)
-	for i := range m {
-		m[i] = make([]RatPoly, n)
-		for j := range m[i] {
-			m[i][j] = RatPoly{}
-		}
-	}
-	add := func(i, j int, p RatPoly) {
-		if i >= 0 && j >= 0 {
-			m[i][j] = m[i][j].Add(p)
-		}
-	}
-	stamp2 := func(p, q int, y RatPoly) {
-		add(p, p, y)
-		add(q, q, y)
-		add(p, q, y.Neg())
-		add(q, p, y.Neg())
-	}
-	for _, e := range c.Elements() {
-		p, q := c.NodeIndex(e.P), c.NodeIndex(e.N)
-		switch e.Kind {
-		case circuit.Conductance:
-			stamp2(p, q, NewRatPoly(e.Value))
-		case circuit.Resistor:
-			stamp2(p, q, RatPoly{new(big.Rat).Inv(new(big.Rat).SetFloat64(e.Value))})
-		case circuit.Capacitor:
-			stamp2(p, q, NewRatPoly(0, e.Value))
-		case circuit.VCCS:
-			cp, cn := c.NodeIndex(e.CP), c.NodeIndex(e.CN)
-			gm := NewRatPoly(e.Value)
-			add(p, cp, gm)
-			add(p, cn, gm.Neg())
-			add(q, cp, gm.Neg())
-			add(q, cn, gm)
-		}
-	}
+	m, _ := mnaMatrix(c)
 	return m, nil
 }
 
@@ -190,7 +96,7 @@ func DifferentialVoltageGain(c *circuit.Circuit, inp, inn, out string) (num, den
 // RCLadderGain returns the exact transfer polynomials of an RC ladder
 // (resistors rs[k] in series, capacitors cs[k] to ground after each)
 // from the source to the final node, by the backward chain recursion —
-// O(n²) and exact at any order, where Bareiss would be impractical.
+// O(n²) and exact at any order, an oracle independent of PolyDet.
 // H(s) = num/den with num = 1.
 func RCLadderGain(rs, cs []float64) (num, den RatPoly) {
 	if len(rs) != len(cs) || len(rs) == 0 {

@@ -1,11 +1,14 @@
-// Package exact provides exact-arithmetic oracles for validating the
-// floating-point reference generator: polynomials over big.Rat, a
-// fraction-free (Bareiss) determinant of polynomial matrices, symbolic-s
-// circuit determinants, and an analytic RC-ladder recursion.
+// Package exact provides the exact-arithmetic oracle for validating the
+// floating-point reference generator: polynomials over big.Rat, one
+// multi-modular determinant of polynomial matrices (PolyDet), the
+// symbolic-s circuit determinants built on it, and an analytic RC-ladder
+// recursion that checks it independently.
 //
 // float64 element values convert to big.Rat exactly, so every result
 // here is the mathematically exact coefficient vector of the same
-// network function the floating-point pipeline approximates.
+// network function the floating-point pipeline approximates. PolyDet
+// reaches the paper's scale: the µA741's order-48 determinants take
+// well under a second each.
 package exact
 
 import (
@@ -107,50 +110,6 @@ func (p RatPoly) Neg() RatPoly {
 		r[i] = new(big.Rat).Neg(p.at(i))
 	}
 	return r
-}
-
-// DivExact returns p/q, panicking unless the division is exact. The
-// Bareiss recurrence guarantees exactness; a nonzero remainder here
-// indicates a bug upstream.
-func (p RatPoly) DivExact(q RatPoly) RatPoly {
-	dq := q.Degree()
-	if dq < 0 {
-		panic("exact: division by zero polynomial")
-	}
-	dp := p.Degree()
-	if dp < 0 {
-		return RatPoly{}
-	}
-	if dp < dq {
-		panic("exact: inexact polynomial division (degree)")
-	}
-	rem := make(RatPoly, dp+1)
-	for i := 0; i <= dp; i++ {
-		rem[i] = new(big.Rat).Set(p.at(i))
-	}
-	quo := make(RatPoly, dp-dq+1)
-	for i := range quo {
-		quo[i] = new(big.Rat)
-	}
-	lead := q[dq]
-	t := new(big.Rat)
-	for d := dp; d >= dq; d-- {
-		c := rem[d]
-		if c.Sign() == 0 {
-			continue
-		}
-		k := d - dq
-		quo[k].Quo(c, lead)
-		for j := 0; j <= dq; j++ {
-			rem[j+k].Sub(rem[j+k], t.Mul(quo[k], q.at(j)))
-		}
-	}
-	for _, c := range rem {
-		if c.Sign() != 0 {
-			panic("exact: inexact polynomial division (remainder)")
-		}
-	}
-	return quo
 }
 
 // EvalRat evaluates p at a rational point.

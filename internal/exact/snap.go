@@ -13,7 +13,7 @@ import (
 // continued-fraction best approximation inside the error interval. The
 // engine's exact-recovery pass renders the candidate back to the
 // extended-range representation and accepts it only when it matches the
-// Bareiss oracle bit for bit.
+// exact oracle bit for bit.
 
 // RatToX renders a rational as the correctly-rounded extended-range
 // scalar — the same rendering ToXPoly applies to oracle coefficients, so

@@ -70,7 +70,7 @@ type Evaluator struct {
 	// stop dispatching further points and return promptly (slots never
 	// evaluated stay zero), leaving no goroutines behind. Callers detect
 	// the truncation through ctx.Err(); implementations built on
-	// RunChunks or ParallelFor inherit this behavior.
+	// RunChunks inherit this behavior.
 	EvalBatch func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex
 }
 
@@ -132,47 +132,6 @@ func (ev Evaluator) EvalPointsInto(ctx context.Context, dst []xmath.XComplex, po
 		dst[i] = ev.Eval(s, fscale, gscale)
 	}
 	return dst, ctx.Err()
-}
-
-// ParallelFor runs fn(i) for i in [0, n) across up to workers
-// goroutines, pulling indices from a shared atomic counter. With
-// workers ≤ 1 (or n ≤ 1) it degenerates to a plain loop on the calling
-// goroutine. Once ctx is done, no further indices are claimed (indices
-// already started still finish); the call returns after every in-flight
-// fn has completed, so no goroutine outlives it. The caller learns about
-// the truncation from ctx.Err().
-func ParallelFor(ctx context.Context, n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // RunChunks is the shared skeleton for EvalBatch implementations whose
@@ -279,11 +238,11 @@ func FromPoly(name string, p poly.XPoly, m int) Evaluator {
 		},
 		EvalBatch: func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex {
 			norm := p.Normalize(fscale, gscale, m)
-			values := make([]xmath.XComplex, len(points))
-			ParallelFor(ctx, len(points), workers, func(i int) {
-				values[i] = norm.Eval(xmath.FromComplex(points[i]))
+			return RunChunks(ctx, points, workers, 1, nil, func() func([]xmath.XComplex, []complex128) {
+				return func(dst []xmath.XComplex, pts []complex128) {
+					dst[0] = norm.Eval(xmath.FromComplex(pts[0]))
+				}
 			})
-			return values
 		},
 	}
 }

@@ -27,20 +27,6 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 16} {
-		const n = 137
-		var hits [n]atomic.Int32
-		ParallelFor(context.Background(), n, workers, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", workers, i, got)
-			}
-		}
-	}
-	ParallelFor(context.Background(), 0, 4, func(int) { t.Fatal("fn called for n=0") })
-}
-
 // onePoint adapts a single-point evaluator to RunChunks with a chunk
 // of 1.
 func onePoint(eval func(complex128) xmath.XComplex) func([]xmath.XComplex, []complex128) {

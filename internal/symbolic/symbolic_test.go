@@ -58,7 +58,7 @@ func TestRCTermStructure(t *testing.T) {
 }
 
 // TestCoefficientsMatchExact cross-checks the symbolic term sums against
-// the exact Bareiss oracle on random circuits.
+// the exact oracle on random circuits.
 func TestCoefficientsMatchExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 5; trial++ {

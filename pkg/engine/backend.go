@@ -295,11 +295,11 @@ func mnaFormulate(c *Circuit, spec Spec, prev *mna.System) (*Formulation, error)
 	return &Formulation{Backend: "mna", TF: tf, FrequencyOnly: true, Share: msys}, nil
 }
 
-// exactBackend is the exact-arithmetic Bareiss oracle: it expands both
-// polynomials symbolically over rationals and exposes them as evaluators
-// plus the ExactNum/ExactDen reference coefficients. Cost grows
-// factorially with circuit size — it exists for differential testing,
-// not production use.
+// exactBackend is the exact-arithmetic oracle: it computes both
+// polynomials over the rationals with the multi-modular determinant
+// (exact.PolyDet) and exposes them as evaluators plus the
+// ExactNum/ExactDen reference coefficients. It reaches the µA741 in a
+// few seconds, and exists for differential testing, not production use.
 type exactBackend struct{}
 
 func (exactBackend) Name() string { return "exact" }

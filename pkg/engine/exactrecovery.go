@@ -10,7 +10,7 @@ import (
 
 // The Options.ExactRecovery pass: after generation, snap certified
 // coefficients to minimal-denominator rationals consistent with their
-// error bars and verify them against the exact-arithmetic Bareiss oracle
+// error bars and verify them against the exact-arithmetic oracle
 // (internal/exact). A coefficient whose snapped rational renders to the
 // oracle's value bit for bit — or whose certified bar already contains
 // the oracle value — is upgraded to TierExact and its value replaced by
@@ -20,10 +20,11 @@ import (
 // and the reason is recorded as an exact-recovery quality event.
 
 // exactRecoveryMaxNodes bounds the circuit size the pass will run the
-// Bareiss oracle on when the formulation did not already carry exact
-// reference polynomials. Fraction-free elimination on the symbolic
-// admittance matrix is exponential in fill; beyond this the pass skips
-// rather than stalls the request.
+// exact oracle on when the formulation did not already carry exact
+// reference polynomials. The oracle itself reaches the µA741 in under a
+// second per determinant; the cap stays because the skip reason it
+// produces is part of the wire body, so raising it would change bodies
+// under unchanged result keys. It moves with the next refkey bump.
 const exactRecoveryMaxNodes = 10
 
 // exactRecovery runs the opt-in recovery pass on resp in place. It never
@@ -141,6 +142,8 @@ func recoverResult(r *Result, oracle Poly) {
 		}
 	}
 	r.Quality.Retier()
+	// The text still names the former Bareiss oracle: it is part of wire
+	// bodies under refkey v4, so it changes with the next key bump.
 	recoveryEvent(r, fmt.Sprintf("%d of %d coefficients verified exact against the Bareiss oracle (%d beyond reach)",
 		upgraded, len(r.Coeffs), mismatched))
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"repro/internal/blobstore"
@@ -9,16 +10,22 @@ import (
 )
 
 // entry is one cached generation outcome: the deterministic encoded
-// wire body (what non-streaming responses send verbatim) plus its
-// decoded form, kept so streaming cache hits can replay the iteration
-// history without re-parsing the body.
+// wire body (what non-streaming responses send verbatim) plus the
+// X-Quality-Tier and X-Worst-Rel-Error header values, fixed when the
+// entry is made. A streaming hit replays its iterations by decoding the
+// body again, so size counts everything the entry holds.
 type entry struct {
-	key  string
-	body []byte
-	wire *engine.WireResponse
+	key         string
+	body        []byte
+	tier, worst string
 }
 
-func (e *entry) size() int64 { return int64(len(e.key) + len(e.body)) }
+// newEntry makes the entry of an encoded body from its decoded form.
+func newEntry(key string, body []byte, wire *engine.WireResponse) *entry {
+	return &entry{key: key, body: body, tier: wire.Tier, worst: fmt.Sprintf("%.6g", wire.WorstRelError())}
+}
+
+func (e *entry) size() int64 { return int64(len(e.key) + len(e.body) + len(e.tier) + len(e.worst)) }
 
 // CacheStats is a point-in-time snapshot of the result cache.
 type CacheStats struct {

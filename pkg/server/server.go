@@ -678,7 +678,7 @@ func (s *Server) diskGet(cacheKey string) *entry {
 	if err != nil {
 		return nil
 	}
-	e := &entry{key: cacheKey, body: raw, wire: wire}
+	e := newEntry(cacheKey, raw, wire)
 	s.cache.put(e)
 	return e
 }
@@ -726,7 +726,7 @@ func (s *Server) runFlight(fl *flight, ereq engine.Request, deadline time.Time, 
 		s.group.finish(fl, nil, err, http.StatusUnprocessableEntity)
 		return
 	}
-	e := &entry{key: fl.key, body: raw, wire: wire}
+	e := newEntry(fl.key, raw, wire)
 	if budgeted && budgetDegraded(resp) {
 		// A server budget degraded this result. The waiters get it —
 		// partial under the tier contract beats nothing — but it never
@@ -794,7 +794,12 @@ func budgetDegraded(resp *engine.Response) bool {
 func (s *Server) respondEntry(w http.ResponseWriter, mode, source string, e *entry) {
 	if mode != "" {
 		st := newStreamWriter(w, mode)
-		for _, ev := range wireEvents(e.wire) {
+		var wire engine.WireResponse
+		if err := json.Unmarshal(e.body, &wire); err != nil {
+			st.fail(http.StatusInternalServerError, "generation", err)
+			return
+		}
+		for _, ev := range wireEvents(&wire) {
 			st.event(ev)
 		}
 		st.result(source, e.body)
@@ -802,8 +807,8 @@ func (s *Server) respondEntry(w http.ResponseWriter, mode, source string, e *ent
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", source)
-	w.Header().Set("X-Quality-Tier", e.wire.Tier)
-	w.Header().Set("X-Worst-Rel-Error", fmt.Sprintf("%.6g", e.wire.WorstRelError()))
+	w.Header().Set("X-Quality-Tier", e.tier)
+	w.Header().Set("X-Worst-Rel-Error", e.worst)
 	_, _ = w.Write(e.body)
 }
 

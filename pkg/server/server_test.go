@@ -487,7 +487,7 @@ func TestHealthzAndStats(t *testing.T) {
 func TestCacheBounds(t *testing.T) {
 	c := newCache(2, 0)
 	mk := func(key string, n int) *entry {
-		return &entry{key: key, body: make([]byte, n), wire: &engine.WireResponse{}}
+		return &entry{key: key, body: make([]byte, n)}
 	}
 	c.put(mk("a", 10))
 	c.put(mk("b", 10))
