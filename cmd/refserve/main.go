@@ -63,9 +63,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- net.Addr, stop <-
 		maxTimeout    = fs.Duration("max-timeout", 0, "deadline and generation-time ceiling (0 = 5m)")
 		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline after SIGTERM before in-flight work is canceled")
 		cacheDir      = fs.String("cache-dir", "", "directory of the persistent result-cache tier (empty = disabled)")
-		iterBudget    = fs.Int("iteration-budget", 0, "server-enforced per-request frame budget; exhaustion degrades the result (0 = off)")
-		solveBudget   = fs.Int("solve-budget", 0, "server-enforced per-request point-solve budget (0 = off)")
-		memoryBudget  = fs.Int64("memory-budget", 0, "server-enforced per-request arena-size budget, bytes (0 = off)")
+		solveBudget   = fs.Int("solve-budget", 0, "per-polynomial point-solve budget; exhaustion degrades the result, never cached (0 = off)")
 		faultSeed     = fs.Int64("store-fault-seed", 0, "seed for the deterministic disk-fault injector under the disk cache tier")
 		faultOneIn    = fs.Int("store-fault-one-in", 0, "inject a disk fault (torn write / bit flip / rename / read failure) into roughly 1 in N disk-cache operations (0 = off); chaos testing only")
 		debugAddr     = fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled; never exposed on the serving port)")
@@ -91,19 +89,17 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- net.Addr, stop <-
 	}
 
 	srv, err := server.New(server.Config{
-		Engine:          engineConfig(*backend),
-		CacheEntries:    *cacheEntries,
-		CacheBytes:      *cacheBytes,
-		MaxConcurrent:   *maxConcurrent,
-		MaxQueue:        *maxQueue,
-		MaxBodyBytes:    *maxBodyBytes,
-		DefaultTimeout:  *timeout,
-		MaxTimeout:      *maxTimeout,
-		CacheDir:        *cacheDir,
-		StoreFS:         storeFS,
-		IterationBudget: *iterBudget,
-		SolveBudget:     *solveBudget,
-		MemoryBudget:    *memoryBudget,
+		Engine:         engineConfig(*backend),
+		CacheEntries:   *cacheEntries,
+		CacheBytes:     *cacheBytes,
+		MaxConcurrent:  *maxConcurrent,
+		MaxQueue:       *maxQueue,
+		MaxBodyBytes:   *maxBodyBytes,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		CacheDir:       *cacheDir,
+		StoreFS:        storeFS,
+		SolveBudget:    *solveBudget,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "refserve: %v\n", err)

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"repro/internal/poly"
-	"repro/internal/xmath"
 )
 
 // Point is one frequency-response sample.
@@ -101,37 +100,6 @@ func newUnwrapper() func(float64) float64 {
 		prev = p
 		return p
 	}
-}
-
-// GroupDelay computes τg(ω) = −dφ/dω analytically from the coefficient
-// polynomials: dφ/dω = Re(N'/N) − Re(D'/D) at s = jω, so
-// τg = Re(D'/D) − Re(N'/N). Returned in seconds per frequency.
-func GroupDelay(num, den poly.XPoly, freqsHz []float64) ([]float64, error) {
-	dNum := derivative(num)
-	dDen := derivative(den)
-	out := make([]float64, len(freqsHz))
-	for i, f := range freqsHz {
-		s := xmath.FromComplex(complex(0, 2*math.Pi*f))
-		dv := den.Eval(s)
-		nv := num.Eval(s)
-		if dv.Zero() || nv.Zero() {
-			return nil, fmt.Errorf("bode: response vanishes at %g Hz", f)
-		}
-		tg := dDen.Eval(s).Div(dv).Real().Float64() - dNum.Eval(s).Div(nv).Real().Float64()
-		out[i] = tg
-	}
-	return out, nil
-}
-
-func derivative(p poly.XPoly) poly.XPoly {
-	if len(p) <= 1 {
-		return poly.XPoly{}
-	}
-	d := make(poly.XPoly, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		d[i-1] = p[i].MulFloat(float64(i))
-	}
-	return d
 }
 
 // Margins summarizes the stability margins of an (open-loop) response.

@@ -166,62 +166,6 @@ func TestMarginsNoCrossing(t *testing.T) {
 	}
 }
 
-func TestGroupDelaySinglePole(t *testing.T) {
-	// H = 1/(1+sτ): τg(ω) = τ/(1+(ωτ)²). At DC τg = τ; at the pole τ/2.
-	tau := 1e-6
-	num, den := poly.NewX(1), poly.NewX(1, tau)
-	fp := 1 / (2 * math.Pi * tau)
-	tg, err := GroupDelay(num, den, []float64{1, fp, 100 * fp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tg[0]-tau)/tau > 1e-6 {
-		t.Errorf("τg(0) = %g, want %g", tg[0], tau)
-	}
-	if math.Abs(tg[1]-tau/2)/(tau/2) > 1e-9 {
-		t.Errorf("τg(fp) = %g, want %g", tg[1], tau/2)
-	}
-	if tg[2] > tau/1000 {
-		t.Errorf("τg far above the pole = %g", tg[2])
-	}
-}
-
-func TestGroupDelayAllPass(t *testing.T) {
-	// First-order all-pass H = (1−sτ)/(1+sτ): flat magnitude, τg(0) = 2τ.
-	tau := 1e-3
-	num := poly.NewX(1, -tau)
-	den := poly.NewX(1, tau)
-	tg, err := GroupDelay(num, den, []float64{0.01 / tau / (2 * math.Pi)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tg[0]-2*tau)/(2*tau) > 1e-3 {
-		t.Errorf("allpass τg = %g, want %g", tg[0], 2*tau)
-	}
-}
-
-func TestGroupDelayMatchesPhaseDerivative(t *testing.T) {
-	// Numerical cross-check: τg ≈ −Δφ/Δω from finely sampled phase.
-	w0 := 2 * math.Pi * 1e5
-	pole := poly.NewX(1, 1/w0)
-	den := pole.Mul(pole)
-	num := poly.NewX(1)
-	f := 7e4
-	df := f * 1e-4
-	pts, err := FromPolys(num, den, []float64{f - df, f + df})
-	if err != nil {
-		t.Fatal(err)
-	}
-	numDeriv := -(pts[1].PhaseDeg - pts[0].PhaseDeg) * math.Pi / 180 / (2 * math.Pi * 2 * df)
-	tg, err := GroupDelay(num, den, []float64{f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tg[0]-numDeriv)/numDeriv > 1e-4 {
-		t.Errorf("analytic %g vs numeric %g", tg[0], numDeriv)
-	}
-}
-
 func TestDenominatorZeroError(t *testing.T) {
 	// An identically-zero denominator must be reported, not divided by.
 	if _, err := FromPolys(poly.NewX(1), poly.NewX(0), []float64{100}); err == nil {

@@ -26,16 +26,3 @@ func ExampleFromPolys() {
 	//     1000 Hz    -3.01 dB   -45.00°
 	//   100000 Hz   -40.00 dB   -89.43°
 }
-
-// ExampleGroupDelay shows the analytic group delay of the same filter:
-// τg(0) = τ = 1/ω0.
-func ExampleGroupDelay() {
-	w0 := 2 * math.Pi * 1e3
-	tg, err := bode.GroupDelay(poly.NewX(1), poly.NewX(1, 1/w0), []float64{1})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("τg(0) = %.1f µs\n", tg[0]*1e6)
-	// Output:
-	// τg(0) = 159.2 µs
-}

@@ -149,7 +149,16 @@ func TestParityBiquad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := check.Parity(tf.Den, core.Config{}, 0)
+	serial, err := core.Generate(tf.Den, core.Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := core.Generate(tf.Den, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &check.Report{}
+	check.ParityResults(serial, parallel, rep)
 	if !rep.Ok() {
 		t.Error(rep)
 	}

@@ -2,7 +2,6 @@ package check
 
 import (
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/xmath"
 )
 
@@ -93,26 +92,4 @@ func ParityResults(a, b *core.Result, rep *Report) {
 		}
 		rep.assert(same, "parity", "%s it%d: normalized windows not bit-identical", a.Name, k)
 	}
-}
-
-// Parity runs the evaluator once serially and once with the given worker
-// count (0 = GOMAXPROCS) and cross-checks the two results bit-for-bit.
-// Generator errors must agree too: an error on one path only is itself a
-// parity violation.
-func Parity(ev interp.Evaluator, cfg core.Config, workers int) *Report {
-	rep := &Report{}
-	scfg := cfg
-	scfg.Parallelism = 1
-	pcfg := cfg
-	pcfg.Parallelism = workers
-	serial, serr := core.Generate(ev, scfg)
-	par, perr := core.Generate(ev, pcfg)
-	rep.assert((serr == nil) == (perr == nil), "parity",
-		"%s: serial err=%v, parallel err=%v", ev.Name, serr, perr)
-	if serr != nil && perr != nil {
-		rep.assert(serr.Error() == perr.Error(), "parity",
-			"%s: error texts differ: %q vs %q", ev.Name, serr, perr)
-	}
-	ParityResults(serial, par, rep)
-	return rep
 }

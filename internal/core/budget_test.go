@@ -10,35 +10,46 @@ import (
 	"repro/internal/xmath"
 )
 
-// The execution-side resource budgets (Config.MaxSolves and
-// Config.MemoryBudget) bound the work of one generation without changing
-// its identity: a run that stays under its grants is bit-identical to an
-// unbudgeted run, and a run that trips a grant either surfaces a typed
-// *BudgetError or — under DegradeOnBudget — degrades into a labeled
-// partial Result that never exceeded the grant.
+// The execution budget (Config.MaxSolves) bounds the work of one
+// generation without changing its identity: a run that stays under its
+// grant is bit-identical to an unbudgeted run, and a run that trips the
+// grant always degrades into a labeled partial Result that never
+// exceeded it. Every other failure keeps its typed error.
 
-func TestSolveBudgetTrips(t *testing.T) {
-	want := ua741Profile()
-	ev := interp.FromPoly("ua741-like", want, 49)
-	res, err := Generate(ev, Config{InitFScale: 1e8, MaxSolves: 40})
-	if err == nil {
-		t.Fatal("want solve-budget error, got nil")
+// solveBudgetFault returns the *BudgetError of res's solve-budget fault
+// event, failing the test when there is none.
+func solveBudgetFault(t *testing.T, res *Result) (*BudgetError, QualityEvent) {
+	t.Helper()
+	for _, ev := range res.Quality.Events {
+		var berr *BudgetError
+		if ev.Kind == EventFault && errors.As(ev.Err, &berr) {
+			if !errors.Is(ev.Err, ErrIterationBudget) {
+				t.Errorf("fault %v does not match ErrIterationBudget", ev.Err)
+			}
+			return berr, ev
+		}
 	}
-	if !errors.Is(err, ErrIterationBudget) {
-		t.Fatalf("error %v does not match ErrIterationBudget", err)
+	t.Fatalf("no budget fault event in %v", res.Quality.Events)
+	return nil, QualityEvent{}
+}
+
+// checkSolveBudgetDegraded pins the degrade contract of a run granted 40
+// solves: a degraded tier, a "solves" fault that names the solve budget
+// and the bound it crossed, and a solve count inside the grant.
+func checkSolveBudgetDegraded(t *testing.T, res *Result) {
+	t.Helper()
+	if res.Quality.Tier != TierDegraded {
+		t.Fatalf("tier = %v, want degraded", res.Quality.Tier)
 	}
-	var berr *BudgetError
-	if !errors.As(err, &berr) {
-		t.Fatalf("error %v carries no *BudgetError", err)
-	}
+	berr, ev := solveBudgetFault(t, res)
 	if berr.Kind != "solves" {
 		t.Fatalf("Kind = %q, want solves", berr.Kind)
 	}
 	if berr.Limit != 40 || berr.Used <= berr.Limit {
 		t.Errorf("Used/Limit = %d/%d, want Used > Limit = 40", berr.Used, berr.Limit)
 	}
-	if !strings.Contains(err.Error(), "solve budget") {
-		t.Errorf("message %q does not name the solve budget", err)
+	if !strings.Contains(ev.Detail, "solve budget") || !strings.Contains(berr.Error(), "solve budget") {
+		t.Errorf("fault %q does not name the solve budget", ev.Detail)
 	}
 	// The refused frame performed none of its solves: the partial result
 	// never exceeds its grant.
@@ -50,46 +61,26 @@ func TestSolveBudgetTrips(t *testing.T) {
 	}
 }
 
-func TestMemoryBudgetTrips(t *testing.T) {
+func TestSolveBudgetTrips(t *testing.T) {
 	want := ua741Profile()
 	ev := interp.FromPoly("ua741-like", want, 49)
-	res, err := Generate(ev, Config{InitFScale: 1e8, MemoryBudget: 100_000})
-	var berr *BudgetError
-	if !errors.As(err, &berr) {
-		t.Fatalf("want *BudgetError, got %v", err)
+	res, err := Generate(ev, Config{InitFScale: 1e8, MaxSolves: 40})
+	if err != nil {
+		t.Fatalf("solve-budget exhaustion must degrade, got %v", err)
 	}
-	if berr.Kind != "bytes" {
-		t.Fatalf("Kind = %q, want bytes", berr.Kind)
-	}
-	if !strings.Contains(err.Error(), "memory budget") {
-		t.Errorf("message %q does not name the memory budget", err)
-	}
-	if res.EstimatedBytes > 100_000 {
-		t.Errorf("EstimatedBytes = %d exceeds the 100000-byte grant", res.EstimatedBytes)
-	}
-	if res.EstimatedBytes == 0 {
-		t.Error("EstimatedBytes = 0; the ceiling should admit the first frame")
-	}
+	checkSolveBudgetDegraded(t, res)
 }
 
 func TestDegradeOnBudgetYieldsLabeledPartial(t *testing.T) {
 	want := ua741Profile()
 	ev := interp.FromPoly("ua741-like", want, 49)
-	res, err := Generate(ev, Config{InitFScale: 1e8, MaxSolves: 40, DegradeOnBudget: true})
+	res, err := Generate(ev, Config{InitFScale: 1e8, MaxSolves: 40})
 	if err != nil {
-		t.Fatalf("DegradeOnBudget should absorb the budget trip, got %v", err)
+		t.Fatalf("solve-budget exhaustion must degrade, got %v", err)
 	}
-	if res.Quality.Tier != TierDegraded {
-		t.Fatalf("tier = %v, want degraded", res.Quality.Tier)
-	}
-	found := false
-	for _, ev := range res.Quality.Events {
-		if ev.Kind == EventFault && strings.Contains(ev.Detail, "solve budget") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no fault event naming the solve budget in %v", res.Quality.Events)
+	checkSolveBudgetDegraded(t, res)
+	if n := len(res.Faults()); n != 1 {
+		t.Errorf("%d fault events, want only the budget trip", n)
 	}
 	unknown := 0
 	for _, c := range res.Coeffs {
@@ -100,27 +91,36 @@ func TestDegradeOnBudgetYieldsLabeledPartial(t *testing.T) {
 	if unknown == 0 {
 		t.Error("budget-degraded run resolved everything; the trip should leave coefficients Unknown")
 	}
-	if res.TotalSolves > 40 {
-		t.Errorf("TotalSolves = %d exceeds the grant of 40", res.TotalSolves)
-	}
 }
 
+// TestDegradeOnBudgetDoesNotMaskOtherFailures: a solve budget degrades
+// only its own exhaustion. A frame failure, a stall or a divergence
+// under a generous MaxSolves still surfaces as its typed error.
 func TestDegradeOnBudgetDoesNotMaskOtherFailures(t *testing.T) {
-	// An evaluator that always produces NaN exhausts its frame retries;
-	// under DegradeOnBudget alone that must still surface as the typed
-	// frame failure, not silently degrade.
-	ev := interp.Evaluator{
+	nan := interp.Evaluator{
 		Name: "nan", M: 2, OrderBound: 3,
 		Eval: func(s complex128, f, g float64) xmath.XComplex {
 			return xmath.CNaN()
 		},
 	}
-	_, err := Generate(ev, Config{DegradeOnBudget: true})
-	if err == nil {
-		t.Fatal("want frame failure, got nil")
-	}
-	if !errors.Is(err, ErrFrameFailed) {
-		t.Fatalf("error %v does not match ErrFrameFailed", err)
+	want := ua741Profile()
+	for _, tc := range []struct {
+		name   string
+		ev     interp.Evaluator
+		cfg    Config
+		target error
+	}{
+		{"frame failure", nan, Config{}, ErrFrameFailed},
+		{"stall", stuckEvaluator(want, 49), Config{InitFScale: 1e8, InitGScale: 1, StallLimit: 50, WatchdogStall: 3}, ErrStall},
+		{"divergence", interp.FromPoly("drift", want, 49), Config{InitFScale: 1e8, InitGScale: 1, MaxScaleDriftLog10: 0.001}, ErrScaleDivergence},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.MaxSolves = 1 << 30
+			_, err := Generate(tc.ev, tc.cfg)
+			if !errors.Is(err, tc.target) {
+				t.Fatalf("error %v does not match %v", err, tc.target)
+			}
+		})
 	}
 }
 
@@ -131,20 +131,18 @@ func TestBudgetsDoNotPerturbGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	granted, err := Generate(ev, Config{
-		InitFScale: 1e8, MaxSolves: 1 << 30, MemoryBudget: 1 << 40, DegradeOnBudget: true,
-	})
+	granted, err := Generate(ev, Config{InitFScale: 1e8, MaxSolves: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !CoefficientsEqual(free.Coeffs, granted.Coeffs) {
-		t.Error("generous budgets perturbed the generated coefficients")
+		t.Error("a generous budget perturbed the generated coefficients")
 	}
 	if free.TotalSolves != granted.TotalSolves {
 		t.Errorf("solve counts differ: %d vs %d", free.TotalSolves, granted.TotalSolves)
 	}
-	if granted.EstimatedBytes == 0 || free.EstimatedBytes != granted.EstimatedBytes {
-		t.Errorf("EstimatedBytes tracking differs: %d vs %d", free.EstimatedBytes, granted.EstimatedBytes)
+	if granted.Degraded() {
+		t.Error("a generous budget degraded the result")
 	}
 }
 
@@ -155,26 +153,15 @@ func TestWarmReplayHonorsSolveBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmCfg := Config{
-		InitFScale: 1e8, MaxSolves: 40, DegradeOnBudget: true,
+	warm, err := Generate(ev, Config{
+		InitFScale: 1e8, MaxSolves: 40,
 		WarmStart: &WarmStart{Num: cold.Schedule()},
-	}
-	warm, err := Generate(ev, warmCfg)
+	})
 	if err != nil {
 		t.Fatalf("budget trip mid-replay should degrade, got %v", err)
 	}
-	if warm.Quality.Tier != TierDegraded {
-		t.Fatalf("tier = %v, want degraded", warm.Quality.Tier)
-	}
-	if warm.TotalSolves > 40 {
-		t.Errorf("TotalSolves = %d exceeds the grant of 40", warm.TotalSolves)
-	}
-
-	// Without the degrade knob the same replay surfaces the typed error.
-	warmCfg.DegradeOnBudget = false
-	_, err = Generate(ev, warmCfg)
-	var berr *BudgetError
-	if !errors.As(err, &berr) || berr.Kind != "solves" {
-		t.Fatalf("want solves *BudgetError from replay, got %v", err)
+	checkSolveBudgetDegraded(t, warm)
+	if !warm.WarmStarted {
+		t.Errorf("budget trip mid-replay fell back to a cold start (%q)", warm.ColdFallback())
 	}
 }

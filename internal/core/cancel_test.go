@@ -296,12 +296,12 @@ func TestOverlappedPassesCancel(t *testing.T) {
 		waitNoLeaks(t, baseline)
 	})
 
-	t.Run("numerator over its solve budget", func(t *testing.T) {
+	t.Run("numerator over its iteration budget", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		seen, denIterations := 0, 0
 		num, den, err := GenerateTransferFunctionContext(context.Background(), c, tf, Config{
-			Parallelism: 2,
-			MaxSolves:   full.TotalSolves - 1,
+			Parallelism:   2,
+			MaxIterations: len(full.Iterations) - 1,
 			Observer: func(Iteration) {
 				seen++
 				if seen > len(full.Iterations) {

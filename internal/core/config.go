@@ -82,7 +82,7 @@ type Config struct {
 	// retries.
 	FrameRetries int `json:"frame_retries,omitempty"`
 	// AllowDegraded converts generation-ending failures (frames that
-	// exhaust their retries, watchdog trips, iteration-budget exhaustion)
+	// exhaust their retries, watchdog trips, MaxIterations exhaustion)
 	// into a degraded partial Result: Generate returns a nil error, the
 	// Result's quality tier is TierDegraded with the fault events in
 	// Result.Quality.Events, and the affected coefficients stay Unknown.
@@ -118,27 +118,13 @@ type Config struct {
 	// MaxSolves bounds the total number of evaluation-point solves across
 	// all frames of one polynomial (Result.TotalSolves). The bound is
 	// checked before each frame dispatches its batch: a frame that would
-	// cross it trips ErrIterationBudget (a *BudgetError with Kind
-	// "solves") without performing any of its solves. 0 disables the
-	// bound. Unlike MaxIterations this is an execution-side budget —
-	// excluded from Key, so a server can clamp it per request without
-	// changing request identity.
+	// cross it performs none of its solves, and the run ends in a
+	// degraded partial Result whose fault event carries a *BudgetError
+	// with Kind "solves" — always, whatever AllowDegraded says, because
+	// the limit is the executor's, not the request's. 0 disables the
+	// bound. Unlike MaxIterations it is excluded from Key, so a server
+	// can clamp it per request without changing request identity.
 	MaxSolves int `json:"-"`
-	// MemoryBudget is a soft ceiling, in bytes, on the generator's
-	// cumulative arena estimate (Result.EstimatedBytes): evaluation
-	// points, solved extended-range values and one factorization plan
-	// per frame. A frame whose estimate would cross the ceiling trips
-	// ErrIterationBudget (a *BudgetError with Kind "bytes") before
-	// dispatching any solves. 0 disables the ceiling. Execution-only
-	// like MaxSolves.
-	MemoryBudget int64 `json:"-"`
-	// DegradeOnBudget converts budget exhaustion — and only budget
-	// exhaustion (failures matching ErrIterationBudget) — into a
-	// degraded partial Result, exactly as AllowDegraded does for the
-	// whole taxonomy. Servers use it to turn an enforced resource
-	// budget into a labeled partial answer under the tier contract
-	// without masking genuine generation failures.
-	DegradeOnBudget bool `json:"-"`
 	// ExactRecovery requests the engine-level opt-in recovery pass that
 	// snaps certified coefficients to rationals and verifies them against
 	// the exact-arithmetic oracle, upgrading them to TierExact. The core

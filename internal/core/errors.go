@@ -133,22 +133,22 @@ func (e *ScaleDivergenceError) Error() string {
 
 func (e *ScaleDivergenceError) Unwrap() error { return ErrScaleDivergence }
 
-// BudgetError reports resource-budget exhaustion: the iteration budget
-// (Config.MaxIterations), the solve budget (Config.MaxSolves) or the
-// memory ceiling (Config.MemoryBudget). All three unwrap to
+// BudgetError reports budget exhaustion: the iteration budget
+// (Config.MaxIterations, a result setting) or the solve budget
+// (Config.MaxSolves, an execution limit). Both unwrap to
 // ErrIterationBudget; Kind tells them apart.
 type BudgetError struct {
 	// Name labels the polynomial.
 	Name string
 	// Budget is the configured Config.MaxIterations (meaningful for the
-	// "iterations" kind; Limit carries the tripped bound for all kinds).
+	// "iterations" kind; Limit carries the tripped bound for both kinds).
 	Budget int
 	// Target is the smallest coefficient index still Unknown, or -1 when
 	// the budget tripped outside target pursuit (inside a frame dispatch
 	// or a warm replay).
 	Target int
-	// Kind names the exhausted budget: "iterations", "solves" or
-	// "bytes". Empty means "iterations" (the historical constructor).
+	// Kind names the exhausted budget: "iterations" or "solves". Empty
+	// means "iterations" (the historical constructor).
 	Kind string
 	// Used and Limit are the resource total that tripped the bound and
 	// the configured bound itself, in the Kind's unit.
@@ -156,12 +156,8 @@ type BudgetError struct {
 }
 
 func (e *BudgetError) Error() string {
-	switch e.Kind {
-	case "solves":
+	if e.Kind == "solves" {
 		return fmt.Sprintf("core: %s: solve budget (%d) exhausted: next frame would reach %d point solves",
-			e.Name, e.Limit, e.Used)
-	case "bytes":
-		return fmt.Sprintf("core: %s: memory budget (%d bytes) exhausted: next frame would reach ~%d bytes",
 			e.Name, e.Limit, e.Used)
 	}
 	return fmt.Sprintf("core: %s: iteration budget (%d) exhausted with coefficient s^%d unresolved",

@@ -192,16 +192,18 @@ func (g *generator) startFrames() (frames []frame, done bool, err error) {
 	return []frame{initial}, false, nil
 }
 
-// failure resolves a generation-ending event per AllowDegraded: taxonomy
-// errors are recorded and degrade to a partial Result (nil error) when
-// allowed; everything else — context cancellation above all — always
-// propagates unchanged.
+// failure resolves a generation-ending event. Taxonomy errors are
+// recorded as fault events; an exhausted solve budget (Config.MaxSolves)
+// always degrades to a partial Result (nil error), every other taxonomy
+// error only under AllowDegraded. Everything else — context cancellation
+// above all — always propagates unchanged.
 func (g *generator) failure(err error, target int) error {
 	if !taxonomyError(err) {
 		return err
 	}
 	g.logFailure(err, target)
-	if g.cfg.AllowDegraded || (g.cfg.DegradeOnBudget && errors.Is(err, ErrIterationBudget)) {
+	var berr *BudgetError
+	if g.cfg.AllowDegraded || (errors.As(err, &berr) && berr.Kind == "solves") {
 		g.degraded = true
 		return nil
 	}
@@ -213,39 +215,17 @@ func (g *generator) logFailure(err error, target int) {
 	g.res.AddEvent(QualityEvent{Kind: EventFault, Frame: g.frames, Target: target, Err: err, Detail: err.Error()})
 }
 
-// checkWorkBudget enforces the execution-side resource budgets before a
-// frame dispatches its point solves: the solve budget (Config.MaxSolves)
-// over Result.TotalSolves and the soft memory ceiling
-// (Config.MemoryBudget) over the cumulative arena estimate. A passing
-// frame charges its estimate to Result.EstimatedBytes; a failing one
-// charges nothing and performs no solves, so a budget-degraded partial
-// Result never exceeds its grant.
-func (g *generator) checkWorkBudget(kUse, half int) *BudgetError {
+// checkSolveBudget enforces Config.MaxSolves before a frame dispatches
+// its half point solves. A refused frame performs no solves, so a
+// budget-degraded partial Result never exceeds its grant.
+func (g *generator) checkSolveBudget(half int) *BudgetError {
 	if g.cfg.MaxSolves > 0 && g.res.TotalSolves+half > g.cfg.MaxSolves {
 		return &BudgetError{
 			Name: g.res.Name, Budget: g.cfg.MaxIterations, Target: -1,
 			Kind: "solves", Used: int64(g.res.TotalSolves + half), Limit: int64(g.cfg.MaxSolves),
 		}
 	}
-	est := g.res.EstimatedBytes + frameArenaBytes(g.ev.M, kUse, half)
-	if g.cfg.MemoryBudget > 0 && est > g.cfg.MemoryBudget {
-		return &BudgetError{
-			Name: g.res.Name, Budget: g.cfg.MaxIterations, Target: -1,
-			Kind: "bytes", Used: est, Limit: g.cfg.MemoryBudget,
-		}
-	}
-	g.res.EstimatedBytes = est
 	return nil
-}
-
-// frameArenaBytes is the coarse per-frame arena estimate: kUse complex
-// evaluation points (16 bytes each), half solved extended-range values
-// (32 bytes each: mantissa pair plus exponent pair) and one dense
-// factorization plan over the evaluator's matrix order M (M² complex
-// entries). Coarse, but deterministic and monotone in the work actually
-// performed — which is all a shed-or-degrade decision needs.
-func frameArenaBytes(m, kUse, half int) int64 {
-	return int64(kUse)*16 + int64(half)*32 + int64(m)*int64(m)*16
 }
 
 // abandon marks a target as given up under AllowDegraded; it stays
@@ -559,7 +539,7 @@ func (g *generator) interpolate(f, gsc float64, purpose string, attempt int) (fr
 	if !g.cfg.NoMirror {
 		half = dft.HermitianHalf(kUse)
 	}
-	if berr := g.checkWorkBudget(kUse, half); berr != nil {
+	if berr := g.checkSolveBudget(half); berr != nil {
 		return frame{}, berr
 	}
 	evalStart := time.Now()

@@ -136,11 +136,6 @@ type Result struct {
 	// when the cache is off). A hit reuses a factorization already paid
 	// for; a miss is a distinct (s, fscale, gscale) evaluation.
 	CacheHits, CacheMisses int
-	// EstimatedBytes is the cumulative arena-size estimate charged by
-	// every dispatched frame (points, solved values, factorization plan)
-	// — the quantity Config.MemoryBudget bounds. An estimate, not a
-	// measurement: deterministic and monotone in the work performed.
-	EstimatedBytes int64
 	// EvalElapsed is the total wall-clock time spent in point
 	// evaluations across all iterations.
 	EvalElapsed time.Duration

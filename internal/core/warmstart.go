@@ -206,9 +206,9 @@ func (g *generator) replay(sched *Schedule) (frames []frame, done bool, err erro
 				return nil, false, errColdRestart
 			}
 			if errors.Is(err, ErrIterationBudget) {
-				// A solve or memory budget tripped mid-replay: resolve it
-				// exactly as a cold run would (degrade or surface) rather
-				// than bypassing the AllowDegraded/DegradeOnBudget path.
+				// The solve budget tripped mid-replay: resolve it exactly
+				// as a cold run would (a degraded partial Result) rather
+				// than falling back to a cold start.
 				return nil, true, g.failure(err, -1)
 			}
 			return nil, false, err

@@ -108,16 +108,6 @@ func HermitianInverseInto(dst []xmath.XComplex, half []xmath.XComplex, k int, s 
 	return InverseInto(dst, full, s)
 }
 
-// ScaledPoints returns f·e^(2πjk/K): the unit-circle set dilated by the
-// frequency scale factor f.
-func ScaledPoints(k int, f float64) []complex128 {
-	pts := UnitCirclePoints(k)
-	for i := range pts {
-		pts[i] *= complex(f, 0)
-	}
-	return pts
-}
-
 // Inverse computes the inverse DFT of extended-range values, returning K
 // extended-range outputs. The inputs are magnitude-normalized before the
 // complex128 transform runs; a radix-2 FFT is used when K is a power of

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/poly"
 	"repro/internal/xmath"
 )
 
@@ -43,30 +42,34 @@ func TestUnitCirclePanicsOnNonPositive(t *testing.T) {
 	UnitCirclePoints(0)
 }
 
-func TestScaledPoints(t *testing.T) {
-	pts := ScaledPoints(4, 1e9)
-	for i, p := range pts {
-		if math.Abs(cmplx.Abs(p)-1e9)/1e9 > 1e-15 {
-			t.Errorf("|s_%d| = %v, want 1e9", i, cmplx.Abs(p))
-		}
+// realPoly is a real-coefficient polynomial, c[i] the coefficient of
+// s^i: the sample values the transforms are checked on.
+type realPoly []float64
+
+// eval evaluates p at s by Horner's rule.
+func (p realPoly) eval(s complex128) complex128 {
+	var acc complex128
+	for i := len(p) - 1; i >= 0; i-- {
+		acc = acc*s + complex(p[i], 0)
 	}
+	return acc
 }
 
 // interpolate evaluates p on the unit circle and runs the inverse DFT,
 // recovering the coefficients.
-func interpolate(t *testing.T, p poly.Poly, k int) []complex128 {
+func interpolate(t *testing.T, p realPoly, k int) []complex128 {
 	t.Helper()
 	pts := UnitCirclePoints(k)
 	vals := make([]complex128, k)
 	for i, s := range pts {
-		vals[i] = p.Eval(s)
+		vals[i] = p.eval(s)
 	}
 	return InverseComplex(vals)
 }
 
 func TestInterpolationRecoversCoefficients(t *testing.T) {
 	for _, k := range []int{4, 5, 7, 8, 16, 33} { // powers of two and not
-		p := poly.New(1, -2, 3, 0.5)
+		p := realPoly{1, -2, 3, 0.5}
 		got := interpolate(t, p, k)
 		for i := 0; i < k; i++ {
 			want := 0.0
@@ -174,12 +177,12 @@ func TestQuickInterpolationExact(t *testing.T) {
 				return true
 			}
 		}
-		p := poly.New(c0, c1, c2)
+		p := realPoly{c0, c1, c2}
 		k := 5
 		pts := UnitCirclePoints(k)
 		vals := make([]xmath.XComplex, k)
 		for i, s := range pts {
-			vals[i] = xmath.FromComplex(p.Eval(s))
+			vals[i] = xmath.FromComplex(p.eval(s))
 		}
 		out := Inverse(vals)
 		scale := math.Max(math.Max(math.Abs(c0), math.Abs(c1)), math.Abs(c2)) + 1e-300
@@ -240,11 +243,11 @@ func TestMirrorHermitianLengthMismatchPanics(t *testing.T) {
 // full evaluation sweep does.
 func TestHermitianInverseRecoversRealPolynomial(t *testing.T) {
 	for _, k := range []int{4, 5, 8, 9, 49} {
-		p := poly.New(1, -2, 3, 0.5)
+		p := realPoly{1, -2, 3, 0.5}
 		pts := UnitCirclePoints(k)
 		half := make([]xmath.XComplex, HermitianHalf(k))
 		for i := range half {
-			half[i] = xmath.FromComplex(p.Eval(pts[i]))
+			half[i] = xmath.FromComplex(p.eval(pts[i]))
 		}
 		out := HermitianInverse(half, k)
 		if len(out) != k {

@@ -49,13 +49,14 @@ func (sys *System) detAt(sc *sparse.Scratch, s complex128, fscale, gscale float6
 // through the lane replay with a right-hand side (see
 // sparse.Workspace.Solves): one factorization serves both. The solution
 // at pts[i] is x[i·dim : (i+1)·dim], in sc until its next use; it is NaN
-// where the matrix is singular.
-func (sys *System) solves(sc *sparse.Scratch, dets []xmath.XComplex, pts []complex128, fscale, gscale float64) (x []complex128) {
+// where the matrix is singular. plan is the pivot-order plan to replay or
+// prime, nil for a full factorization at every point.
+func (sys *System) solves(sc *sparse.Scratch, plan *sparse.SharedPlan, dets []xmath.XComplex, pts []complex128, fscale, gscale float64) (x []complex128) {
 	rhs, x := sc.Vectors(sys.dim, len(pts))
 	for i, v := range sys.rhs {
 		rhs[i] = complex(v, 0)
 	}
-	sc.WS.Solves(sys.detPlan, &sys.asm, pts, fscale, gscale, rhs, dets, x)
+	sc.WS.Solves(plan, &sys.asm, pts, fscale, gscale, rhs, dets, x)
 	return x
 }
 
@@ -71,7 +72,7 @@ func transferValue(det xmath.XComplex, xout complex128) xmath.XComplex {
 // nums evaluates N(s) at every point of pts, the solution's entry idx
 // times the determinant.
 func (sys *System) nums(sc *sparse.Scratch, idx int, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
-	x := sys.solves(sc, dst, pts, fscale, gscale)
+	x := sys.solves(sc, sys.detPlan, dst, pts, fscale, gscale)
 	for i := range pts {
 		dst[i] = transferValue(dst[i], x[i*sys.dim+idx])
 	}
@@ -179,7 +180,7 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 	// with the determinants reported alongside.
 	tf.EvalBothChunk = func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64) {
 		sc := sparse.GetScratch()
-		x := sys.solves(sc, den, pts, fscale, gscale)
+		x := sys.solves(sc, sys.detPlan, den, pts, fscale, gscale)
 		for i := range pts {
 			num[i] = transferValue(den[i], x[i*sys.dim+idx])
 		}

@@ -13,9 +13,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/sparse"
+	"repro/internal/xmath"
 )
 
 // stamp is one (row, col, value) contribution; sProp entries are
@@ -45,7 +47,6 @@ type System struct {
 	asm        sparse.Assembly // gDim, structural and sProp as typed stamps, in that order: the assembly order
 	rhs        []float64
 	branch     map[string]int // element name -> branch unknown index
-	names      []string       // unknown labels for diagnostics
 	// detPlan is the shared pivot-order plan for the one MNA sparsity
 	// pattern, primed by the first successful factorization of a
 	// generation run and replayed read-only at every later point (see
@@ -103,13 +104,6 @@ func Build(c *circuit.Circuit) (*System, error) {
 	}
 	sys.dim = dim
 	sys.rhs = make([]float64, dim)
-	sys.names = make([]string, dim)
-	for i, name := range c.Nodes() {
-		sys.names[i] = "V(" + name + ")"
-	}
-	for name, idx := range sys.branch {
-		sys.names[idx] = "I(" + name + ")"
-	}
 	// Second pass: stamps.
 	for _, e := range c.Elements() {
 		p, q := c.NodeIndex(e.P), c.NodeIndex(e.N)
@@ -226,39 +220,20 @@ func (sys *System) stampBranchVoltage(br, p, n int) {
 	}
 }
 
-// Dim returns the number of unknowns.
-func (sys *System) Dim() int { return sys.dim }
-
-// UnknownNames returns the labels of the solution vector entries.
-func (sys *System) UnknownNames() []string { return sys.names }
-
-// MatrixAt assembles the complex MNA matrix at frequency s.
-func (sys *System) MatrixAt(s complex128) *sparse.Matrix {
-	m := sparse.New(sys.dim)
-	for _, st := range sys.gDim {
-		m.Add(st.i, st.j, complex(st.v, 0))
-	}
-	for _, st := range sys.structural {
-		m.Add(st.i, st.j, complex(st.v, 0))
-	}
-	for _, st := range sys.sProp {
-		m.Add(st.i, st.j, s*complex(st.v, 0))
-	}
-	return m
-}
-
 // Solve computes the full unknown vector at frequency s with the
-// independent sources at their AC values.
+// independent sources at their AC values. It factors the typed stamps in
+// full (sparse.Workspace.Solves with a nil plan) rather than replaying
+// the generation's shared plan, so the AC reference stays independent
+// of the pivot order the interpolation runs on.
 func (sys *System) Solve(s complex128) ([]complex128, error) {
-	b := make([]complex128, sys.dim)
-	for i, v := range sys.rhs {
-		b[i] = complex(v, 0)
+	sc := sparse.GetScratch()
+	defer sparse.PutScratch(sc)
+	var det [1]xmath.XComplex
+	x := sys.solves(sc, nil, det[:], []complex128{s}, 1, 1)
+	if det[0].Zero() {
+		return nil, fmt.Errorf("mna: solve at s=%v: %w", s, sparse.ErrSingular)
 	}
-	x, err := sys.MatrixAt(s).Solve(b)
-	if err != nil {
-		return nil, fmt.Errorf("mna: solve at s=%v: %w", s, err)
-	}
-	return x, nil
+	return slices.Clone(x), nil
 }
 
 // VoltageAt extracts a node voltage from a solution vector; ground
@@ -272,15 +247,6 @@ func (sys *System) VoltageAt(x []complex128, node string) (complex128, error) {
 		return 0, fmt.Errorf("mna: unknown node %q", node)
 	}
 	return x[idx], nil
-}
-
-// BranchCurrent extracts the current through a voltage-defined element.
-func (sys *System) BranchCurrent(x []complex128, elemName string) (complex128, error) {
-	br, ok := sys.branch[elemName]
-	if !ok {
-		return 0, fmt.Errorf("mna: element %q has no branch current (not voltage-defined)", elemName)
-	}
-	return x[br], nil
 }
 
 // Response is the direct AC analysis of a network function — the

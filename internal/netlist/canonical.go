@@ -1,8 +1,6 @@
 package netlist
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"sort"
@@ -168,17 +166,6 @@ func CanonicalString(c *circuit.Circuit) (string, error) {
 	}
 	b.WriteString(".end\n")
 	return b.String(), nil
-}
-
-// CanonicalHash returns the hex SHA-256 of the canonical netlist form —
-// the circuit component of a content-addressed cache key.
-func CanonicalHash(c *circuit.Circuit) (string, error) {
-	s, err := CanonicalString(c)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // canonNode normalizes one node name: every ground alias spells "0".

@@ -10,7 +10,7 @@ import (
 
 // TestCanonicalInvariance is the cache-key contract: netlists that
 // differ only in element order, whitespace, comments, title, element
-// names, ground aliasing or value spelling hash identically.
+// names, ground aliasing or value spelling canonicalize identically.
 func TestCanonicalInvariance(t *testing.T) {
 	base := `test circuit
 R1 in n1 1k
@@ -43,36 +43,36 @@ Rw out 0 50
 .end
 `,
 	}
-	want := mustHash(t, base)
+	want := mustCanonical(t, base)
 	for label, src := range variants {
-		if got := mustHash(t, src); got != want {
-			t.Errorf("%s: hash %s != base %s", label, got, want)
+		if got := mustCanonical(t, src); got != want {
+			t.Errorf("%s: canonical form\n%s!= base\n%s", label, got, want)
 		}
 	}
 
 	// A value change is a different key.
 	changed := strings.Replace(base, "1k", "1.001k", 1)
-	if got := mustHash(t, changed); got == want {
-		t.Error("value change did not change the hash")
+	if got := mustCanonical(t, changed); got == want {
+		t.Error("value change did not change the canonical form")
 	}
 	// A topology change is a different key.
 	rewired := strings.Replace(base, "R1 in n1", "R1 in out", 1)
-	if got := mustHash(t, rewired); got == want {
-		t.Error("topology change did not change the hash")
+	if got := mustCanonical(t, rewired); got == want {
+		t.Error("topology change did not change the canonical form")
 	}
 }
 
-func mustHash(t *testing.T, src string) string {
+func mustCanonical(t *testing.T, src string) string {
 	t.Helper()
 	c, err := ParseString(src, "canon-test")
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	h, err := CanonicalHash(c)
+	s, err := CanonicalString(c)
 	if err != nil {
-		t.Fatalf("hash: %v", err)
+		t.Fatalf("canonical: %v", err)
 	}
-	return h
+	return s
 }
 
 // TestCanonicalIdempotent pins the fixed-point property on real
@@ -119,7 +119,7 @@ func TestCanonicalFormatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := CanonicalHash(parsed)
+	h1, err := CanonicalString(parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +128,12 @@ func TestCanonicalFormatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := CanonicalHash(parsed2)
+	h2, err := CanonicalString(parsed2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h1 != h2 {
-		t.Errorf("retitled wire text changed the hash: %s vs %s", h1, h2)
+		t.Errorf("retitled wire text changed the canonical form:\n%s--- vs\n%s", h1, h2)
 	}
 }
 

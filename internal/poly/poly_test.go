@@ -11,15 +11,15 @@ import (
 
 func TestDegreeAndTrim(t *testing.T) {
 	cases := []struct {
-		p    Poly
+		p    XPoly
 		want int
 	}{
-		{New(), -1},
-		{New(0), -1},
-		{New(0, 0, 0), -1},
-		{New(5), 0},
-		{New(1, 2, 3), 2},
-		{New(1, 2, 0, 0), 1},
+		{NewX(), -1},
+		{NewX(0), -1},
+		{NewX(0, 0, 0), -1},
+		{NewX(5), 0},
+		{NewX(1, 2, 3), 2},
+		{NewX(1, 2, 0, 0), 1},
 	}
 	for _, c := range cases {
 		if got := c.p.Degree(); got != c.want {
@@ -31,69 +31,64 @@ func TestDegreeAndTrim(t *testing.T) {
 	}
 }
 
+// evalC evaluates p at a complex128 point.
+func evalC(p XPoly, s complex128) complex128 { return p.Eval(fromC(s)).Complex128() }
+
+// horner evaluates the float64 coefficients c at s in complex128.
+func horner(c []float64, s complex128) complex128 {
+	var acc complex128
+	for i := len(c) - 1; i >= 0; i-- {
+		acc = acc*s + complex(c[i], 0)
+	}
+	return acc
+}
+
 func TestEval(t *testing.T) {
-	p := New(1, -2, 3) // 1 - 2s + 3s²
-	if got := p.Eval(2); got != complex(9, 0) {
+	p := NewX(1, -2, 3) // 1 - 2s + 3s²
+	if got := evalC(p, 2); got != complex(9, 0) {
 		t.Errorf("p(2) = %v", got)
 	}
-	if got := p.Eval(1i); got != complex(-2, -2) { // 1 - 2i + 3(-1)
+	if got := evalC(p, 1i); got != complex(-2, -2) { // 1 - 2i + 3(-1)
 		t.Errorf("p(i) = %v", got)
 	}
-	if got := p.EvalReal(-1); got != 6 {
-		t.Errorf("p(-1) = %v", got)
-	}
-	if got := New().Eval(5); got != 0 {
+	if got := evalC(NewX(), 5); got != 0 {
 		t.Errorf("zero poly eval = %v", got)
 	}
 }
 
 func TestAddSubMul(t *testing.T) {
-	p := New(1, 2)
-	q := New(3, 0, 4)
-	if got := p.Add(q); got.Degree() != 2 || got[0] != 4 || got[1] != 2 || got[2] != 4 {
+	p := NewX(1, 2)
+	q := NewX(3, 0, 4)
+	if got := p.Add(q); !got.ApproxEqual(NewX(4, 2, 4), 0) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := q.Sub(p); got[0] != 2 || got[1] != -2 || got[2] != 4 {
+	if got := q.Sub(p); !got.ApproxEqual(NewX(2, -2, 4), 0) {
 		t.Errorf("Sub = %v", got)
 	}
 	// (1+2s)(3+4s²) = 3 + 6s + 4s² + 8s³
-	if got := p.Mul(q); got[0] != 3 || got[1] != 6 || got[2] != 4 || got[3] != 8 {
+	if got := p.Mul(q); !got.ApproxEqual(NewX(3, 6, 4, 8), 0) {
 		t.Errorf("Mul = %v", got)
 	}
-	if got := New().Mul(p); got.Degree() != -1 {
+	if got := NewX().Mul(p); got.Degree() != -1 {
 		t.Errorf("0·p = %v", got)
 	}
 }
 
-func TestShiftUpDerivative(t *testing.T) {
-	p := New(1, 2)
-	if got := p.ShiftUp(2); got.Degree() != 3 || got[2] != 1 || got[3] != 2 {
-		t.Errorf("ShiftUp = %v", got)
-	}
-	d := New(1, 2, 3).Derivative() // 2 + 6s
-	if d.Degree() != 1 || d[0] != 2 || d[1] != 6 {
-		t.Errorf("Derivative = %v", d)
-	}
-	if got := New(7).Derivative(); got.Degree() != -1 {
-		t.Errorf("d/ds const = %v", got)
-	}
-}
-
 func TestString(t *testing.T) {
-	if got := New(1, -2, 0, 3).String(); got != "1 + -2·s + 3·s^3" {
-		t.Errorf("String = %q", got)
-	}
-	if got := New().String(); got != "0" {
+	if got := NewX().String(); got != "0" {
 		t.Errorf("zero String = %q", got)
+	}
+	if got := NewX(0, 0).String(); got != "0" {
+		t.Errorf("all-zero String = %q", got)
 	}
 }
 
 func TestXPolyEvalMatchesPoly(t *testing.T) {
-	p := New(1e-3, 2, -4e5, 0.5)
-	x := p.ToX()
+	c := []float64{1e-3, 2, -4e5, 0.5}
+	x := NewX(c...)
 	for _, s := range []complex128{0, 1, -2 + 3i, 1e4i, 1e-6} {
-		want := p.Eval(s)
-		got := x.Eval(fromC(s)).Complex128()
+		want := horner(c, s)
+		got := evalC(x, s)
 		if cmplx.Abs(got-want) > 1e-12*cmplx.Abs(want)+1e-300 {
 			t.Errorf("XPoly eval at %v = %v, want %v", s, got, want)
 		}
@@ -178,9 +173,9 @@ func TestQuickEvalLinearity(t *testing.T) {
 				return true
 			}
 		}
-		p, q := New(a, b), New(c, d)
-		lhs := p.Add(q).Eval(complex(s, 0))
-		rhs := p.Eval(complex(s, 0)) + q.Eval(complex(s, 0))
+		p, q := NewX(a, b), NewX(c, d)
+		lhs := evalC(p.Add(q), complex(s, 0))
+		rhs := evalC(p, complex(s, 0)) + evalC(q, complex(s, 0))
 		return cmplx.Abs(lhs-rhs) <= 1e-9*(1+cmplx.Abs(rhs))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -195,10 +190,10 @@ func TestQuickMulEvalHomomorphism(t *testing.T) {
 				return true
 			}
 		}
-		p, q := New(a, b), New(c, d)
+		p, q := NewX(a, b), NewX(c, d)
 		s := complex(0.7, -1.3)
-		lhs := p.Mul(q).Eval(s)
-		rhs := p.Eval(s) * q.Eval(s)
+		lhs := evalC(p.Mul(q), s)
+		rhs := evalC(p, s) * evalC(q, s)
 		return cmplx.Abs(lhs-rhs) <= 1e-9*(1+cmplx.Abs(rhs))
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -1,3 +1,9 @@
+// Package poly implements dense univariate polynomials in the complex
+// frequency s with extended-range (xmath.XFloat) coefficients.
+//
+// Coefficients are stored in ascending order of powers: c[i] is the
+// coefficient of s^i. This matches the paper's notation
+// P(s) = p0 + p1·s + ... + pn·s^n (eq. 4).
 package poly
 
 import (
@@ -11,7 +17,7 @@ import (
 // output representation of the reference generator: denormalized network
 // function coefficients routinely lie outside float64 range (down to
 // ~1e-522 for the µA741 denominator), so they cannot round-trip through
-// Poly.
+// float64.
 type XPoly []xmath.XFloat
 
 // NewX builds an XPoly from float64 coefficients.
@@ -172,16 +178,6 @@ func (p XPoly) ApproxEqual(q XPoly, rel float64) bool {
 		}
 	}
 	return true
-}
-
-// Float64 converts to a plain Poly; out-of-range coefficients saturate or
-// flush per IEEE-754 semantics (see xmath.XFloat.Float64).
-func (p XPoly) Float64() Poly {
-	r := make(Poly, len(p))
-	for i, c := range p {
-		r[i] = c.Float64()
-	}
-	return r
 }
 
 // String renders the polynomial with scientific-notation coefficients.

@@ -159,38 +159,6 @@ func StreamVoltageGainDen(c *circuit.Circuit, in string) (*TermStream, error) {
 	return newTermStream(minorOf(m, i, i))
 }
 
-// StreamDet returns a term stream for det Y (the denominator of
-// transimpedance functions).
-func StreamDet(c *circuit.Circuit) (*TermStream, error) {
-	m, err := buildMatrix(c)
-	if err != nil {
-		return nil, err
-	}
-	return newTermStream(m)
-}
-
-// StreamCofactor returns a term stream for the signed cofactor C_rc —
-// the numerator of voltage-gain (r=in, c=out) and transimpedance
-// functions. Terms carry the (−1)^(r+c) sign.
-func StreamCofactor(ckt *circuit.Circuit, rowNode, colNode string) (*TermStream, error) {
-	m, err := buildMatrix(ckt)
-	if err != nil {
-		return nil, err
-	}
-	r, c := ckt.NodeIndex(rowNode), ckt.NodeIndex(colNode)
-	if r < 0 || c < 0 {
-		return nil, fmt.Errorf("symbolic: bad nodes %q/%q", rowNode, colNode)
-	}
-	ts, err := newTermStream(minorOf(m, r, c))
-	if err != nil {
-		return nil, err
-	}
-	if (r+c)%2 != 0 && len(ts.frontier) > 0 {
-		ts.frontier[0].sign = -1
-	}
-	return ts, nil
-}
-
 // SDGResult reports the outcome of reference-controlled generation for
 // one coefficient.
 type SDGResult struct {

@@ -29,7 +29,7 @@ func collectStream(t *testing.T, ts *TermStream, max int) []Term {
 func TestStreamOrderIsNonIncreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	c := circuits.RandomGCgm(rng, 6)
-	ts, err := StreamDet(c)
+	ts, err := streamDet(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestStreamEmptyRowMeansZero(t *testing.T) {
 	// exhausted path with an exhausted stream instead.
 	c := circuit.New("t")
 	c.AddG("g1", "a", "0", 1)
-	ts, err := StreamDet(c)
+	ts, err := streamDet(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,59 +220,15 @@ func TestRunSDGKeptSumsMatchReference(t *testing.T) {
 func TestRunSDGArgValidation(t *testing.T) {
 	c := circuit.New("t")
 	c.AddG("g1", "a", "0", 1)
-	ts, _ := StreamDet(c)
+	ts, _ := streamDet(c)
 	if _, err := RunSDG(ts, poly.NewX(1), 0, 0); err == nil {
 		t.Error("ε = 0 accepted")
 	}
 	// All-zero references: nothing to do.
-	ts2, _ := StreamDet(c)
+	ts2, _ := streamDet(c)
 	res, err := RunSDG(ts2, poly.NewX(0), 0.1, 0)
 	if err != nil || len(res) != 0 {
 		t.Errorf("zero refs: %v %v", res, err)
-	}
-}
-
-func TestStreamCofactorMatchesAnalyze(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	c := circuits.RandomGCgm(rng, 5)
-	ts, err := StreamCofactor(c, "n0", "n2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum xmath.XFloat
-	byPower := map[int]xmath.XFloat{}
-	for {
-		tm, ok := ts.Next()
-		if !ok {
-			break
-		}
-		sum = sum.Add(tm.Value)
-		byPower[tm.SPower] = byPower[tm.SPower].Add(tm.Value)
-	}
-	num, _, err := VoltageGain(c, "n0", "n2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k <= num.MaxPower(); k++ {
-		want := num.Coefficient(k)
-		got := byPower[k]
-		if want.Zero() {
-			continue
-		}
-		if !got.ApproxEqual(want, 1e-10) {
-			t.Errorf("s^%d: stream sum %v vs analyze %v", k, got, want)
-		}
-	}
-	if sum.Zero() && !num.Coefficient(0).Zero() {
-		t.Error("stream total zero")
-	}
-}
-
-func TestStreamCofactorBadNodes(t *testing.T) {
-	c := circuit.New("t")
-	c.AddG("g", "a", "0", 1)
-	if _, err := StreamCofactor(c, "a", "zz"); err == nil {
-		t.Error("bad node accepted")
 	}
 }
 
@@ -284,4 +240,14 @@ func TestStreamRejectsHugeMatrix(t *testing.T) {
 	if _, err := newTermStream(m); err == nil {
 		t.Error("65-row matrix accepted")
 	}
+}
+
+// streamDet is a term stream for det Y, the largest matrix a stream
+// expands.
+func streamDet(c *circuit.Circuit) (*TermStream, error) {
+	m, err := buildMatrix(c)
+	if err != nil {
+		return nil, err
+	}
+	return newTermStream(m)
 }

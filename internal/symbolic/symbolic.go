@@ -294,23 +294,6 @@ func VoltageGain(c *circuit.Circuit, in, out string) (num, den *Analysis, err er
 	return cofactorTerms(m, i, o, "numerator"), cofactorTerms(m, i, i, "denominator"), nil
 }
 
-// Transimpedance returns the symbolic polynomials of V(out)/I(in).
-func Transimpedance(c *circuit.Circuit, in, out string) (num, den *Analysis, err error) {
-	m, err := buildMatrix(c)
-	if err != nil {
-		return nil, nil, err
-	}
-	i, o := c.NodeIndex(in), c.NodeIndex(out)
-	if i < 0 || o < 0 {
-		return nil, nil, fmt.Errorf("symbolic: bad nodes %q/%q", in, out)
-	}
-	num = cofactorTerms(m, i, o, "numerator")
-	var raw []rawTerm
-	expandDet(m, rawTerm{sign: 1, value: 1}, &raw)
-	den = &Analysis{Name: "denominator", ByPower: collect(raw)}
-	return num, den, nil
-}
-
 // Truncation is the result of reference-controlled SDG truncation of one
 // coefficient.
 type Truncation struct {

@@ -169,7 +169,7 @@ func FuzzNormalize(f *testing.F) {
 		z1, z2 := complex(re1, im1), complex(re2, im2)
 		requireSame(t, "FromFloat", func() XFloat { return FromFloat(re1) }, func() XFloat { return refFromFloat(re1) }, sameX)
 		requireSame(t, "FromParts", func() XFloat { return FromParts(im1, e1) }, func() XFloat { return refFromParts(im1, e1) }, sameX)
-		requireSame(t, "CFromParts", func() XComplex { return CFromParts(z1, e1) }, func() XComplex { return refNormComplex(z1, e1) }, sameC)
+		requireSame(t, "normComplex", func() XComplex { return normComplex(z1, e1) }, func() XComplex { return refNormComplex(z1, e1) }, sameC)
 		requireSame(t, "FromComplex", func() XComplex { return FromComplex(z2) }, func() XComplex { return refNormComplex(z2, 0) }, sameC)
 
 		if x, bad := outcome(func() XFloat { return refFromParts(re1, e1) }); !bad {
@@ -204,8 +204,8 @@ func TestNormalizeNonFinitePanics(t *testing.T) {
 			t.Errorf("FromFloat(%v) did not panic", v)
 		}
 		for _, m := range []complex128{complex(v, 1), complex(1, v), complex(v, 0), complex(0, v), complex(v, v)} {
-			if _, p := outcome(func() XComplex { return CFromParts(m, 3) }); !p {
-				t.Errorf("CFromParts(%v) did not panic", m)
+			if _, p := outcome(func() XComplex { return normComplex(m, 3) }); !p {
+				t.Errorf("normComplex(%v) did not panic", m)
 			}
 		}
 	}
@@ -245,8 +245,8 @@ func TestNormalizeMatchesReference(t *testing.T) {
 			t.Fatalf("FromParts(%v, %d) = %+v, reference %+v", re1, e1, got, want)
 		}
 		z, w := complex(re1, im1), complex(re2, im2)
-		if got, want := CFromParts(z, e1), refNormComplex(z, e1); !sameC(got, want) {
-			t.Fatalf("CFromParts(%v, %d) = %+v, reference %+v", z, e1, got, want)
+		if got, want := normComplex(z, e1), refNormComplex(z, e1); !sameC(got, want) {
+			t.Fatalf("normComplex(%v, %d) = %+v, reference %+v", z, e1, got, want)
 		}
 		x, y := refFromParts(re1, e1), refFromParts(re2, e2)
 		if got, want := x.Add(y), refAdd(x, y); !sameX(got, want) {

@@ -69,9 +69,6 @@ func FromXFloat(x XFloat) XComplex {
 	return XComplex{mant: complex(x.mant, 0), exp: x.exp}
 }
 
-// CFromParts builds mant × 2^exp and normalizes it.
-func CFromParts(mant complex128, exp int64) XComplex { return normComplex(mant, exp) }
-
 // CNaN returns an XComplex whose components are both NaN — the fault
 // layer's representation of a failed (singular) point solve. Arithmetic
 // never produces it (normComplex panics on non-finite mantissas), so

@@ -278,14 +278,6 @@ func (x XFloat) Log10() float64 {
 	return math.Log10(math.Abs(x.mant)) + float64(x.exp)*math.Ln2/math.Ln10
 }
 
-// Log2 returns log2(|x|). Panics on zero.
-func (x XFloat) Log2() float64 {
-	if x.mant == 0 {
-		panic("xmath: Log2 of zero")
-	}
-	return math.Log2(math.Abs(x.mant)) + float64(x.exp)
-}
-
 // Pow10 returns 10^k as an XFloat for any integer k (|k| may far exceed
 // the float64 exponent range).
 func Pow10(k int) XFloat {

@@ -124,8 +124,8 @@ func TestPowInt(t *testing.T) {
 	if got := FromFloat(0).PowInt(3); !got.Zero() {
 		t.Errorf("0^3 = %v", got)
 	}
-	if got := FromFloat(2).PowInt(2000).Log2(); math.Abs(got-2000) > 1e-9 {
-		t.Errorf("log2(2^2000) = %g", got)
+	if got := FromFloat(2).PowInt(2000); got.Mant() != 1 || got.Exp() != 2000 {
+		t.Errorf("2^2000 = %v·2^%d, want 1·2^2000", got.Mant(), got.Exp())
 	}
 }
 

@@ -91,11 +91,11 @@ type Response struct {
 }
 
 // Degraded reports whether either polynomial's generation was degraded:
-// under Options.AllowDegraded a failure (singular frames past their
-// retries, a watchdog trip, budget exhaustion) yields a partial Result
-// at the degraded quality tier with the fault events in its
-// Result.Quality.Events instead of an error. Check it whenever
-// AllowDegraded is on and you need to know the response is complete.
+// an exhausted Options.MaxSolves, and under Options.AllowDegraded any
+// failure (singular frames past their retries, a watchdog trip, an
+// exhausted MaxIterations), yields a partial Result at the degraded
+// tier with the fault events in its Result.Quality.Events instead of
+// an error. Check it whenever either is set and completeness matters.
 func (r *Response) Degraded() bool {
 	return (r.Num != nil && r.Num.Degraded()) || (r.Den != nil && r.Den.Degraded())
 }

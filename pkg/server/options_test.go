@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"repro/pkg/engine"
 )
 
 // postRaw posts a literal request body and returns the answer.
@@ -117,34 +115,6 @@ func TestRespelledOptionsHit(t *testing.T) {
 	}
 	if o := req.Options; o.NoMirror || o.NoJoint || o.NoReduce || o.SingleFactor {
 		t.Errorf("ablation switches decoded from the wire: %+v", *o)
-	}
-}
-
-// TestIterationBudgetClampsNormalizedLimit: a server iteration budget
-// only lowers the frame limit the request runs with. An omitted
-// max_iterations means 64 (what the key names), so a budget above 64
-// must leave it at 64 instead of raising it to the budget.
-func TestIterationBudgetClampsNormalizedLimit(t *testing.T) {
-	for _, tc := range []struct {
-		budget, asked, want int
-	}{
-		{100, 0, 64},
-		{10, 0, 10},
-		{100, 300, 100},
-		{100, 50, 50},
-	} {
-		s, err := New(Config{IterationBudget: tc.budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := engine.Options{MaxIterations: tc.asked}
-		if !s.applyBudgets(&opts) {
-			t.Errorf("budget %d not in force", tc.budget)
-		}
-		if got := opts.MaxIterations; got != tc.want {
-			t.Errorf("budget %d, asked %d: runs with %d iterations, want %d", tc.budget, tc.asked, got, tc.want)
-		}
-		s.Close()
 	}
 }
 

@@ -263,13 +263,38 @@ func TestBudgetDegradedServedNotCached(t *testing.T) {
 	}
 }
 
-// TestBudgetsDoNotPerturbUnconstrainedResults: generous budgets leave
-// the generated coefficients byte-identical to an unbudgeted server's.
+// TestBudgetRequestLimitRefuses: a request that exhausts its own
+// max_iterations (a result setting) is refused with 422 iteration-budget
+// whether or not the server runs a solve budget, even a non-binding one;
+// only the server's solve budget degrades.
+func TestBudgetRequestLimitRefuses(t *testing.T) {
+	for _, cfg := range []Config{{}, {SolveBudget: 1 << 30}} {
+		s, ts := newTestServer(t, cfg)
+		req := vgainLadder()
+		req.Options.MaxIterations = 1
+		resp, raw := post(t, ts.URL, req)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("SolveBudget %d: status = %d, want 422 (%s)", cfg.SolveBudget, resp.StatusCode, raw)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(raw, &eb); err != nil {
+			t.Fatal(err)
+		}
+		if eb.Kind != "iteration-budget" {
+			t.Errorf("SolveBudget %d: kind = %q, want iteration-budget", cfg.SolveBudget, eb.Kind)
+		}
+		if st := s.Stats(); st.BudgetDegraded != 0 {
+			t.Errorf("SolveBudget %d: BudgetDegraded = %d, want 0", cfg.SolveBudget, st.BudgetDegraded)
+		}
+	}
+}
+
+// TestBudgetsDoNotPerturbUnconstrainedResults: a generous solve budget
+// leaves the generated coefficients byte-identical to an unbudgeted
+// server's.
 func TestBudgetsDoNotPerturbUnconstrainedResults(t *testing.T) {
 	_, plain := newTestServer(t, Config{})
-	_, budgeted := newTestServer(t, Config{
-		IterationBudget: 1 << 20, SolveBudget: 1 << 30, MemoryBudget: 1 << 40,
-	})
+	_, budgeted := newTestServer(t, Config{SolveBudget: 1 << 30})
 	_, rawPlain := post(t, plain.URL, vgain(rcNetlist, "in", "n1"))
 	_, rawBudgeted := post(t, budgeted.URL, vgain(rcNetlist, "in", "n1"))
 	var a, b engine.WireResponse
@@ -281,7 +306,7 @@ func TestBudgetsDoNotPerturbUnconstrainedResults(t *testing.T) {
 	}
 	if a.Tier != b.Tier || !bytes.Equal(mustJSON(t, a.Num), mustJSON(t, b.Num)) ||
 		!bytes.Equal(mustJSON(t, a.Den), mustJSON(t, b.Den)) {
-		t.Error("generous budgets changed the generated result")
+		t.Error("a generous budget changed the generated result")
 	}
 }
 

@@ -91,20 +91,16 @@ type Config struct {
 	// writes, bit flips and rename or read failures (internal/faultfs).
 	// Nil selects the real filesystem.
 	StoreFS FS
-	// IterationBudget, SolveBudget and MemoryBudget are server-enforced
-	// per-request resource budgets, applied to every generation
-	// regardless of what the request's options ask for: the frame
-	// budget is clamped to IterationBudget, and SolveBudget /
-	// MemoryBudget bound each polynomial's point solves and arena-size
-	// estimate (engine.Options.MaxSolves / MemoryBudget). Budget
-	// exhaustion yields a degraded partial result under the tier
-	// contract — served to the flight's waiters with its tier labeled,
-	// but never cached, so the next request regenerates. All three are
-	// execution-only: they never change a request's content address. 0
-	// disables each.
-	IterationBudget int
-	SolveBudget     int
-	MemoryBudget    int64
+	// SolveBudget is the server-enforced per-request execution budget:
+	// each polynomial of every generation may spend at most this many
+	// point solves (engine.Options.MaxSolves), whatever the request
+	// asks for. Exhaustion yields a degraded partial result under the
+	// tier contract — served to the flight's waiters with its tier
+	// labeled, but never cached, so the next request regenerates. A
+	// request's own limits (max_iterations) are result settings and
+	// still refuse with 422. Execution-only: it never changes a
+	// request's content address. 0 disables it.
+	SolveBudget int
 }
 
 // Stats is the server's counter snapshot (GET /v1/stats). Field order
@@ -139,7 +135,7 @@ type Stats struct {
 	// reason, queue-wait percentiles and the latency EWMA behind
 	// Retry-After.
 	Admission AdmissionStats `json:"admission"`
-	// BudgetDegraded counts generations the server's resource budgets
+	// BudgetDegraded counts generations the server's solve budget
 	// degraded into labeled partial results (never cached).
 	BudgetDegraded uint64 `json:"budget_degraded"`
 	// Tiers counts completed generations by result quality tier.
@@ -702,7 +698,7 @@ func (s *Server) runFlight(fl *flight, ereq engine.Request, deadline time.Time, 
 
 	s.generations.Add(1)
 	ereq.Observer = func(it engine.Iteration) { fl.hub.publish(engine.IterationWire(it)) }
-	budgeted := s.applyBudgets(ereq.Options)
+	s.applyBudget(ereq.Options)
 	genStart := time.Now()
 	resp, err := s.eng.Generate(ctx, ereq)
 	s.adm.observeGen(time.Since(genStart))
@@ -727,8 +723,8 @@ func (s *Server) runFlight(fl *flight, ereq engine.Request, deadline time.Time, 
 		return
 	}
 	e := newEntry(fl.key, raw, wire)
-	if budgeted && budgetDegraded(resp) {
-		// A server budget degraded this result. The waiters get it —
+	if budgetDegraded(resp) {
+		// The server budget degraded this result. The waiters get it —
 		// partial under the tier contract beats nothing — but it never
 		// enters either cache tier: the next request regenerates and may
 		// finish under a lighter load.
@@ -743,35 +739,19 @@ func (s *Server) runFlight(fl *flight, ereq engine.Request, deadline time.Time, 
 	s.group.finish(fl, e, nil, 0)
 }
 
-// applyBudgets overlays the server's resource budgets on a request's
-// resolved options and reports whether any budget is in force. Budgets
-// only lower limits (the normalized frame limit included, so an omitted
-// max_iterations never rises above its default), so the overlay never
-// changes what a converged run generates — only how much work may be
-// spent generating it before the result degrades.
-func (s *Server) applyBudgets(opts *engine.Options) bool {
-	if s.cfg.IterationBudget <= 0 && s.cfg.SolveBudget <= 0 && s.cfg.MemoryBudget <= 0 {
-		return false
-	}
-	if b := s.cfg.IterationBudget; b > 0 {
-		// The request was keyed, so its options normalize.
-		if norm, err := opts.Normalize(); err == nil {
-			opts.MaxIterations = min(norm.MaxIterations, b)
-		}
-	}
+// applyBudget clamps a request's solve budget to the server's. It only
+// lowers the limit, so it never changes what a converged run generates
+// — only how much work may be spent generating it before the result
+// degrades.
+func (s *Server) applyBudget(opts *engine.Options) {
 	if b := s.cfg.SolveBudget; b > 0 && (opts.MaxSolves == 0 || opts.MaxSolves > b) {
 		opts.MaxSolves = b
 	}
-	if b := s.cfg.MemoryBudget; b > 0 && (opts.MemoryBudget == 0 || opts.MemoryBudget > b) {
-		opts.MemoryBudget = b
-	}
-	opts.DegradeOnBudget = true
-	return true
 }
 
-// budgetDegraded reports whether a degraded response carries a budget
-// fault — the signature of a server budget (rather than a client's
-// allow_degraded request) having cut the generation short.
+// budgetDegraded reports whether a degraded response carries a solve-
+// budget fault — the signature of the server budget (rather than a
+// client's allow_degraded request) having cut the generation short.
 func budgetDegraded(resp *engine.Response) bool {
 	if !resp.Degraded() {
 		return false
@@ -781,7 +761,8 @@ func budgetDegraded(resp *engine.Response) bool {
 			continue
 		}
 		for _, ev := range res.Quality.Events {
-			if ev.Kind == engine.EventFault && errors.Is(ev.Err, engine.ErrIterationBudget) {
+			var berr *engine.BudgetError
+			if ev.Kind == engine.EventFault && errors.As(ev.Err, &berr) && berr.Kind == "solves" {
 				return true
 			}
 		}
