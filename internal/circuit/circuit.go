@@ -19,6 +19,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Kind enumerates element types.
@@ -77,19 +78,42 @@ func (e Element) String() string {
 
 // Circuit is a flat netlist. The zero value is unusable; use New.
 type Circuit struct {
-	Name     string
-	elems    []Element
+	Name  string
+	elems []Element
+	*tables
+}
+
+// tables is a circuit's element-name set and node numbering. Clone
+// shares them between the source and the copy; shared tables are never
+// written again, and a circuit that adds an element to them first takes
+// a copy of its own (own).
+type tables struct {
 	names    map[string]bool
 	nodeIdx  map[string]int
 	nodeList []string
+	shared   atomic.Bool
 }
 
 // New returns an empty circuit.
 func New(name string) *Circuit {
 	return &Circuit{
-		Name:    name,
-		names:   make(map[string]bool),
-		nodeIdx: make(map[string]int),
+		Name: name,
+		tables: &tables{
+			names:   make(map[string]bool),
+			nodeIdx: make(map[string]int),
+		},
+	}
+}
+
+// own gives c tables of its own before it writes to them, when Clone
+// shares them.
+func (c *Circuit) own() {
+	if t := c.tables; t.shared.Load() {
+		c.tables = &tables{
+			names:    maps.Clone(t.names),
+			nodeIdx:  maps.Clone(t.nodeIdx),
+			nodeList: slices.Clone(t.nodeList),
+		}
 	}
 }
 
@@ -125,6 +149,7 @@ func (c *Circuit) add(e Element) error {
 	if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
 		return fmt.Errorf("circuit: element %q has non-finite value %g", e.Name, e.Value)
 	}
+	c.own()
 	c.touchNode(e.P)
 	c.touchNode(e.N)
 	if e.Kind == VCCS || e.Kind == VCVS {
@@ -220,17 +245,19 @@ func (c *Circuit) AddI(name, p, n string, amps float64) *Circuit {
 func (c *Circuit) Elements() []Element { return c.elems }
 
 // Clone returns an independent copy of the circuit (same name unless
-// suffix is non-empty, in which case it is appended): its element list,
-// names and node indices are copied as they are, without re-adding the
-// elements, which the source circuit has already validated.
+// suffix is non-empty, in which case it is appended), without re-adding
+// the elements, which the source circuit has already validated. The copy
+// owns its element list, so SetValue on either circuit leaves the other
+// alone. The element names and node numbering are shared read-only
+// rather than copied: whichever of the two circuits adds an element
+// afterwards first takes its own copy of them, so neither sees the
+// other's additions. Clone changes nothing of the source but an atomic
+// flag, so concurrent Clones of one circuit are safe.
 func (c *Circuit) Clone(suffix string) *Circuit {
-	return &Circuit{
-		Name:     c.Name + suffix,
-		elems:    slices.Clone(c.elems),
-		names:    maps.Clone(c.names),
-		nodeIdx:  maps.Clone(c.nodeIdx),
-		nodeList: slices.Clone(c.nodeList),
+	if !c.shared.Load() {
+		c.shared.Store(true)
 	}
+	return &Circuit{Name: c.Name + suffix, elems: slices.Clone(c.elems), tables: c.tables}
 }
 
 // SetValue sets the value of the i-th element (in Elements order),

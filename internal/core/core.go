@@ -73,7 +73,8 @@ func GenerateContext(ctx context.Context, ev interp.Evaluator, cfg Config) (*Res
 	// are zeros and come out Negligible — proven structural zeros when
 	// the evaluator carries a degree window, bounded by frame evidence
 	// otherwise.
-	g := newGenerator(ctx, ev, cfg)
+	sc := getRunScratch()
+	g := newGenerator(ctx, ev, cfg, sc)
 	err = g.run()
 	if g.restart != "" {
 		// A warm replay aborted mid-flight: rerun the whole generation
@@ -83,25 +84,27 @@ func GenerateContext(ctx context.Context, ev interp.Evaluator, cfg Config) (*Res
 		reason := g.restart
 		cold := cfg
 		cold.WarmStart = nil
-		g = newGenerator(ctx, ev, cold)
+		g = newGenerator(ctx, ev, cold, sc)
 		g.res.AddEvent(QualityEvent{Kind: EventColdFallback, Frame: -1, Target: -1, Detail: reason})
 		err = g.run()
 	}
+	putRunScratch(sc)
 	g.markStructuralZeros()
 	g.res.finalizeQuality(g.degraded)
 	return g.res, err
 }
 
 // newGenerator constructs a generator for one run of a normalized,
-// seeded configuration, recording the run's seed provenance on the Result.
-func newGenerator(ctx context.Context, ev interp.Evaluator, cfg Config) *generator {
+// seeded configuration, framing in sc's buffers, and records the run's
+// seed provenance on the Result.
+func newGenerator(ctx context.Context, ev interp.Evaluator, cfg Config, sc *runScratch) *generator {
 	g := &generator{
 		ctx:      ctx,
 		ev:       ev,
 		cfg:      cfg,
 		n:        ev.OrderBound,
 		res:      &Result{Name: ev.Name, Coeffs: make([]Coefficient, ev.OrderBound+1)},
-		points:   make(map[int][]complex128),
+		sc:       sc,
 		policy:   paperScalePolicy{singleFactor: cfg.SingleFactor},
 		classify: sigmaClassifier{sigDigits: cfg.SigDigits},
 	}
@@ -165,7 +168,9 @@ func GenerateTransferFunctionContext(ctx context.Context, c *circuit.Circuit, tf
 	numEv, denEv := tf.Num, tf.Den
 	var jc *jointCache
 	if eval := tf.EvalBothChunk; !cfg.NoJoint && eval != nil {
-		jc = newJointCache(eval, tf.BothReady)
+		sc := getRunScratch()
+		defer putRunScratch(sc)
+		jc = newJointCache(eval, tf.BothReady, &sc.joint)
 		numEv = jc.evaluator(tf.Num, func(n, _ xmath.XComplex) xmath.XComplex { return n })
 		denEv = jc.evaluator(tf.Den, func(_, d xmath.XComplex) xmath.XComplex { return d })
 	}

@@ -32,7 +32,6 @@ type generator struct {
 	cfg      Config
 	n        int // order bound
 	res      *Result
-	points   map[int][]complex128 // unit-circle point sets by K
 	policy   scalePolicy
 	classify windowClassifier
 	// [wlo, whi] is the evaluator's structural degree window
@@ -62,15 +61,12 @@ type generator struct {
 	// far-side unknowns through them (boundFar). Nil until the first
 	// record.
 	bounds []xmath.XFloat
-	// Reusable per-run frame scratch: the point-value and raw-coefficient
+	// sc is the run's frame scratch: the point-value and raw-coefficient
 	// buffers live only inside one interpolate call (normalized is the
-	// value that escapes into the Result), so they and the transform
-	// scratch are reused across every frame of the run.
-	vals []xmath.XComplex
-	raw  []xmath.XComplex
-	neg  []complex128
-	dfts dft.Scratch
-	defl deflation
+	// value that escapes into the Result), so they, the transform and
+	// deflation scratch and the point sets are reused across every frame
+	// of the run and, through the stack, by later runs.
+	sc *runScratch
 }
 
 // frameBuf re-slices buf to n, growing it only when capacity is short.
@@ -314,11 +310,11 @@ func (g *generator) markNegligible(t int, fr frame) {
 
 // unitPoints returns (and caches) the K-point unit-circle set.
 func (g *generator) unitPoints(k int) []complex128 {
-	if pts, ok := g.points[k]; ok {
+	if pts, ok := g.sc.points[k]; ok {
 		return pts
 	}
 	pts := dft.UnitCirclePoints(k)
-	g.points[k] = pts
+	g.sc.points[k] = pts
 	return pts
 }
 
@@ -355,7 +351,7 @@ func (g *generator) frameSpan(purpose string, f, gsc float64, attempt int) (span
 	if whole && !narrow {
 		return full, nil
 	}
-	d := &g.defl
+	d := &g.sc.defl
 	d.reset(g.res.Coeffs, f, gsc, g.ev.M, g.n, g.cfg.SigDigits)
 	if narrow {
 		w := span{k0: lo, l0: hi, kUse: pointCount(hi-lo+1, attempt), oneSided: true}
@@ -514,10 +510,7 @@ func (g *generator) interpolate(f, gsc float64, purpose string, attempt int) (fr
 	flip := attempt%2 == 1
 	pts := g.unitPoints(kUse)
 	if flip {
-		if cap(g.neg) < len(pts) {
-			g.neg = make([]complex128, len(pts))
-		}
-		neg := g.neg[:len(pts)]
+		neg := frameBuf(&g.sc.neg, len(pts))
 		for i, u := range pts {
 			neg[i] = -u
 		}
@@ -543,7 +536,7 @@ func (g *generator) interpolate(f, gsc float64, purpose string, attempt int) (fr
 		return frame{}, berr
 	}
 	evalStart := time.Now()
-	values, err := g.ev.EvalPointsInto(g.ctx, frameBuf(&g.vals, half), pts[:half], f, gsc, g.cfg.Parallelism)
+	values, err := g.ev.EvalPointsInto(g.ctx, frameBuf(&g.sc.vals, half), pts[:half], f, gsc, g.cfg.Parallelism)
 	if err != nil {
 		return frame{}, err
 	}
@@ -580,9 +573,9 @@ func (g *generator) interpolate(f, gsc float64, purpose string, attempt int) (fr
 	}
 	var raw []xmath.XComplex
 	if half < kUse {
-		raw = dft.HermitianInverseInto(frameBuf(&g.raw, kUse), values, kUse, &g.dfts)
+		raw = dft.HermitianInverseInto(frameBuf(&g.sc.raw, kUse), values, kUse, &g.sc.dfts)
 	} else {
-		raw = dft.InverseInto(frameBuf(&g.raw, kUse), values, &g.dfts)
+		raw = dft.InverseInto(frameBuf(&g.sc.raw, kUse), values, &g.sc.dfts)
 	}
 	if flip {
 		// Undo the half-step rotation: the transform of Q(u) = P'(−u)

@@ -35,33 +35,37 @@ type jointEntry struct {
 // the one factorization already paid for. Points are evaluated in chunks
 // of up to sparse.Lanes, so that the keys a chunk sees first share one
 // call of the chunk form.
+//
+// Its entries and chunk workers come from a run scratch (js), reused
+// from earlier caches.
 type jointCache struct {
-	eval    func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64)
-	ready   func() bool
-	mu      sync.Mutex
-	entries map[jointKey]*jointEntry
-	total   atomic.Int64 // lookups
-	misses  atomic.Int64 // distinct keys actually computed
+	eval   func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64)
+	ready  func() bool
+	mu     sync.Mutex
+	js     *jointScratch // entries and workers; guarded by mu
+	total  atomic.Int64  // lookups
+	misses atomic.Int64  // distinct keys actually computed
 }
 
 // jointWorker is one chunk's buffers: the entries of its points, and
-// the points it claimed with the joint values computed for them.
+// the points it claimed with the joint values computed for them. next
+// links it into its scratch's idle list or a batch's taken list.
 type jointWorker struct {
 	entries  [sparse.Lanes]*jointEntry
 	claimed  [sparse.Lanes]int
 	pts      [sparse.Lanes]complex128
 	num, den [sparse.Lanes]xmath.XComplex
+	next     *jointWorker
 }
 
-// jointWorkers serves the single-point Eval path, which would otherwise
-// allocate a worker on every lookup (the worker escapes through the
-// chunk form's indirect call). Batches allocate one per RunChunks worker.
-var jointWorkers = sync.Pool{New: func() any { return new(jointWorker) }}
-
 // newJointCache returns a cache over the joint evaluation eval (see
-// interp.TransferFunction.EvalBothChunk), primed once ready reports true.
-func newJointCache(eval func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64), ready func() bool) *jointCache {
-	return &jointCache{eval: eval, ready: ready, entries: make(map[jointKey]*jointEntry)}
+// interp.TransferFunction.EvalBothChunk), primed once ready reports true,
+// keeping its entries and workers in js, which must be reset.
+func newJointCache(eval func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64), ready func() bool, js *jointScratch) *jointCache {
+	if js.entries == nil {
+		js.entries = make(map[jointKey]*jointEntry)
+	}
+	return &jointCache{eval: eval, ready: ready, js: js}
 }
 
 // chunk writes pick(N(s), D(s)) for each point s of pts (at most
@@ -77,10 +81,10 @@ func (jc *jointCache) chunk(w *jointWorker, dst []xmath.XComplex, pts []complex1
 	jc.mu.Lock()
 	for i, s := range pts {
 		key := jointKey{s: s, f: fscale, g: gscale}
-		e := jc.entries[key]
+		e := jc.js.entries[key]
 		if e == nil {
-			e = &jointEntry{}
-			jc.entries[key] = e
+			e = jc.js.entry()
+			jc.js.entries[key] = e
 			w.claimed[nc], w.pts[nc] = i, s
 			nc++
 		}
@@ -127,19 +131,33 @@ func (jc *jointCache) evaluator(base interp.Evaluator, pick func(num, den xmath.
 	ev := base
 	ev.Eval = func(s complex128, fscale, gscale float64) xmath.XComplex {
 		var v [1]xmath.XComplex
-		w := jointWorkers.Get().(*jointWorker)
+		var taken *jointWorker
+		jc.mu.Lock()
+		w := jc.js.worker(&taken)
+		jc.mu.Unlock()
 		jc.chunk(w, v[:], []complex128{s}, fscale, gscale, pick)
-		w.entries[0] = nil // hold no entry of this cache in the pool
-		jointWorkers.Put(w)
+		jc.release(taken)
 		return v[0]
 	}
 	ev.EvalBatch = func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex {
-		return interp.RunChunks(ctx, points, workers, sparse.Lanes, jc.ready, func() func([]xmath.XComplex, []complex128) {
-			w := new(jointWorker)
+		var taken *jointWorker // this batch's workers
+		values := interp.RunChunks(ctx, make([]xmath.XComplex, len(points)), points, workers, sparse.Lanes, jc.ready, func() func([]xmath.XComplex, []complex128) {
+			jc.mu.Lock()
+			w := jc.js.worker(&taken)
+			jc.mu.Unlock()
 			return func(dst []xmath.XComplex, pts []complex128) {
 				jc.chunk(w, dst, pts, fscale, gscale, pick)
 			}
 		})
+		jc.release(taken)
+		return values
 	}
 	return ev
+}
+
+// release makes the workers of the list taken idle again.
+func (jc *jointCache) release(taken *jointWorker) {
+	jc.mu.Lock()
+	jc.js.release(taken)
+	jc.mu.Unlock()
 }

@@ -191,7 +191,7 @@ func TestJointCacheRacingChunks(t *testing.T) {
 		for i, s := range pts {
 			n[i], d[i] = num.Eval(s, f, g), den.Eval(s, f, g)
 		}
-	}, nil)
+	}, nil, new(jointScratch))
 	evs := []interp.Evaluator{
 		jc.evaluator(num, func(n, _ xmath.XComplex) xmath.XComplex { return n }),
 		jc.evaluator(den, func(_, d xmath.XComplex) xmath.XComplex { return d }),
@@ -235,7 +235,7 @@ func TestJointSerialEvalAllocatesNothing(t *testing.T) {
 		for i, s := range pts {
 			n[i], d[i] = xmath.FromComplex(s), xmath.FromComplex(complex(f, g))
 		}
-	}, nil)
+	}, nil, new(jointScratch))
 	ev := jc.evaluator(interp.Evaluator{Name: "numerator"}, func(n, _ xmath.XComplex) xmath.XComplex { return n })
 	s := complex(0.6, 0.8)
 	ev.Eval(s, 1, 1)

@@ -94,7 +94,7 @@ func TestOneSidedFallbackKeepsFullWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.InitFScale, cfg.InitGScale = 1, 1
-		g := newGenerator(context.Background(), interp.FromPoly("concave", want, n), cfg)
+		g := newGenerator(context.Background(), interp.FromPoly("concave", want, n), cfg, getRunScratch())
 		frames, done, err := g.startFrames()
 		if err != nil || done {
 			t.Fatalf("initial frame: done=%v err=%v", done, err)
@@ -116,9 +116,9 @@ func TestOneSidedFallbackKeepsFullWindow(t *testing.T) {
 		t.Errorf("flat down frame: span %+v, want the full window [0, %d]", w, n)
 	}
 	// boundFar itself refuses those bounds at the flat scales.
-	g.defl.reset(g.res.Coeffs, 1, 1, g.ev.M, g.n, g.cfg.SigDigits)
-	g.defl.aim(span{k0: 0, l0: initial.lo - 1, kUse: pointCount(initial.lo, 0), oneSided: true})
-	if g.boundFar(&g.defl, 1, 1) {
+	g.sc.defl.reset(g.res.Coeffs, 1, 1, g.ev.M, g.n, g.cfg.SigDigits)
+	g.sc.defl.aim(span{k0: 0, l0: initial.lo - 1, kUse: pointCount(initial.lo, 0), oneSided: true})
+	if g.boundFar(&g.sc.defl, 1, 1) {
 		t.Error("boundFar admitted far-side bounds above 10^NoiseExp·maxKnown")
 	}
 
@@ -174,7 +174,7 @@ func TestSettleRecordsKeptFramesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.InitFScale, cfg.InitGScale = 1, 1
-	g := newGenerator(context.Background(), interp.FromPoly("concave", concaveProfile(n, 12, 0.5), n), cfg)
+	g := newGenerator(context.Background(), interp.FromPoly("concave", concaveProfile(n, 12, 0.5), n), cfg, getRunScratch())
 	if _, done, err := g.startFrames(); err != nil || done {
 		t.Fatalf("initial frame: done=%v err=%v", done, err)
 	}

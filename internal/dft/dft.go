@@ -19,6 +19,7 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"sync"
+	"unsafe"
 
 	"repro/internal/xmath"
 )
@@ -230,6 +231,13 @@ type Scratch struct {
 	twLen   int          // length the twiddle table is built for (0 = none)
 	twSign  float64      // sign the twiddle table is built for
 	fullBuf []xmath.XComplex
+}
+
+// Bytes returns the size of the scratch's buffers, for callers that
+// bound how much idle scratch they keep.
+func (s *Scratch) Bytes() int {
+	c, x := int(unsafe.Sizeof(complex128(0))), int(unsafe.Sizeof(xmath.XComplex{}))
+	return c*(cap(s.normBuf)+cap(s.specBuf)+cap(s.convBuf)+cap(s.freqBuf)+cap(s.twBuf)) + x*cap(s.fullBuf)
 }
 
 func growC(buf *[]complex128, n int) []complex128 {

@@ -138,16 +138,19 @@ func (ev Evaluator) EvalPointsInto(ctx context.Context, dst []xmath.XComplex, po
 // per-point work is independent given some shared read-only state that
 // the first evaluation establishes (in practice: a sparse pivot-order
 // plan primed by the first successful factorization). Its workers
-// evaluate up to chunk points per call, writing the value of pts[i] to
-// dst[i].
+// evaluate up to chunk points per call, writing the value of points[i]
+// to dst[i]; dst must have len(points) entries, and RunChunks returns
+// it.
 //
 // Points are evaluated one at a time until ready() reports the shared
 // state is established, so the priming point is always the same one the
 // serial path would prime with; the remaining points are then cut into
-// chunks of consecutive points that up to workers goroutines claim in
-// turn, each goroutine owning a chunk function from newWorker (carrying
+// chunks of consecutive points that up to workers workers claim in
+// turn, each worker owning a chunk function from newWorker (carrying
 // per-worker scratch state). ready may be nil when there is no priming
-// phase.
+// phase. The calling goroutine is one of the workers — it keeps the
+// priming worker's scratch — so at most workers−1 goroutines are
+// started, and a frame with one chunk starts none.
 //
 // Each point's value must be a pure function of (point, shared state) —
 // not of the other points of its chunk — so the output is bit-identical
@@ -156,73 +159,58 @@ func (ev Evaluator) EvalPointsInto(ctx context.Context, dst []xmath.XComplex, po
 //
 // Cancellation: once ctx is done, no further chunks are claimed; chunks
 // already being evaluated finish, the pool drains, and the partially
-// filled slice is returned (slots never evaluated stay zero). RunChunks
-// never leaks a goroutine — the caller regains control only after every
-// worker has exited.
-func RunChunks(ctx context.Context, points []complex128, workers, chunk int, ready func() bool, newWorker func() func(dst []xmath.XComplex, pts []complex128)) []xmath.XComplex {
-	values := make([]xmath.XComplex, len(points))
+// filled dst is returned (slots never evaluated keep what they held).
+// RunChunks never leaks a goroutine — the caller regains control only
+// after every worker has exited, even when the caller's own chunk
+// function panics.
+func RunChunks(ctx context.Context, dst []xmath.XComplex, points []complex128, workers, chunk int, ready func() bool, newWorker func() func(dst []xmath.XComplex, pts []complex128)) []xmath.XComplex {
+	if len(dst) != len(points) {
+		panic("interp: destination length does not match point count")
+	}
 	start := 0
-	var primer func([]xmath.XComplex, []complex128)
+	var eval func([]xmath.XComplex, []complex128)
 	if ready != nil && !ready() {
-		primer = newWorker()
+		eval = newWorker()
 		for start < len(points) && !ready() {
 			if ctx.Err() != nil {
-				return values
+				return dst
 			}
-			primer(values[start:start+1], points[start:start+1])
+			eval(dst[start:start+1], points[start:start+1])
 			start++
 		}
 	}
-	// span returns the points of chunk c after the priming ones.
-	span := func(c int) (i, j int) {
-		i = start + c*chunk
-		return i, min(i+chunk, len(points))
-	}
 	chunks := (len(points) - start + chunk - 1) / chunk
 	if chunks <= 0 {
-		return values
+		return dst
 	}
-	workers = min(workers, chunks)
-	if workers <= 1 {
-		eval := primer
-		if eval == nil {
-			eval = newWorker()
-		}
-		for c := range chunks {
-			if ctx.Err() != nil {
-				return values
-			}
-			i, j := span(c)
-			eval(values[i:j], points[i:j])
-		}
-		return values
+	if eval == nil {
+		eval = newWorker()
 	}
 	var next atomic.Int64
+	// work claims chunks after the priming points until none are left
+	// or ctx is done.
+	work := func(eval func([]xmath.XComplex, []complex128)) {
+		for ctx.Err() == nil {
+			c := int(next.Add(1)) - 1
+			if c >= chunks {
+				return
+			}
+			i := start + c*chunk
+			j := min(i+chunk, len(points))
+			eval(dst[i:j], points[i:j])
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		eval := primer // reuse the priming worker's scratch on goroutine 0
-		primer = nil
+	defer wg.Wait()
+	for range min(workers, chunks) - 1 {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if eval == nil {
-				eval = newWorker()
-			}
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				i, j := span(c)
-				eval(values[i:j], points[i:j])
-			}
+			work(newWorker())
 		}()
 	}
-	wg.Wait()
-	return values
+	work(eval)
+	return dst
 }
 
 // FromPoly wraps an explicit polynomial as an Evaluator with homogeneity
@@ -238,7 +226,7 @@ func FromPoly(name string, p poly.XPoly, m int) Evaluator {
 		},
 		EvalBatch: func(ctx context.Context, points []complex128, fscale, gscale float64, workers int) []xmath.XComplex {
 			norm := p.Normalize(fscale, gscale, m)
-			return RunChunks(ctx, points, workers, 1, nil, func() func([]xmath.XComplex, []complex128) {
+			return RunChunks(ctx, make([]xmath.XComplex, len(points)), points, workers, 1, nil, func() func([]xmath.XComplex, []complex128) {
 				return func(dst []xmath.XComplex, pts []complex128) {
 					dst[0] = norm.Eval(xmath.FromComplex(pts[0]))
 				}

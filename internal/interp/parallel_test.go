@@ -2,10 +2,14 @@ package interp
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dft"
 	"repro/internal/poly"
@@ -42,7 +46,7 @@ func TestRunChunksSerialUntilReady(t *testing.T) {
 	var order []int
 	var readyAfter atomic.Int32
 	seen := 0
-	values := RunChunks(context.Background(), pts, 4, 1,
+	values := RunChunks(context.Background(), make([]xmath.XComplex, len(pts)), pts, 4, 1,
 		func() bool { return readyAfter.Load() >= 3 },
 		func() func([]xmath.XComplex, []complex128) {
 			return onePoint(func(s complex128) xmath.XComplex {
@@ -71,7 +75,7 @@ func TestRunChunksSerialUntilReady(t *testing.T) {
 
 func TestRunChunksNilReady(t *testing.T) {
 	pts := dft.UnitCirclePoints(9)
-	values := RunChunks(context.Background(), pts, 3, 1, nil, func() func([]xmath.XComplex, []complex128) {
+	values := RunChunks(context.Background(), make([]xmath.XComplex, len(pts)), pts, 3, 1, nil, func() func([]xmath.XComplex, []complex128) {
 		return onePoint(func(s complex128) xmath.XComplex { return xmath.FromComplex(s * 2) })
 	})
 	for i, v := range values {
@@ -93,7 +97,7 @@ func TestRunChunksCuts(t *testing.T) {
 			var sizes []int
 			hits := make([]int, n)
 			var calls atomic.Int32
-			values := RunChunks(context.Background(), pts, workers, 4,
+			values := RunChunks(context.Background(), make([]xmath.XComplex, len(pts)), pts, workers, 4,
 				func() bool { return calls.Load() >= 2 },
 				func() func([]xmath.XComplex, []complex128) {
 					return func(dst []xmath.XComplex, chunk []complex128) {
@@ -188,5 +192,118 @@ func TestRunWithParallelismMatchesRun(t *testing.T) {
 				t.Fatalf("parallelism %d: denormalized[%d] differs", par, i)
 			}
 		}
+	}
+}
+
+// goroutineID returns the calling goroutine's id, parsed from its stack
+// header ("goroutine 17 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// TestRunChunksContract pins how RunChunks spends goroutines: the
+// calling goroutine evaluates chunks itself, at most workers−1
+// goroutines are started (one per newWorker call beyond the caller's),
+// none outlives the call — also when ctx is canceled mid-batch — and
+// the output is bit-identical to the serial evaluation for every chunk
+// size and worker count.
+func TestRunChunksContract(t *testing.T) {
+	pts := dft.UnitCirclePoints(41)
+	ev := FromPoly("p", testPoly(), 8)
+	norm := testPoly().Normalize(1.5, 0.5, 8)
+	want := make([]xmath.XComplex, len(pts))
+	for i, s := range pts {
+		want[i] = ev.Eval(s, 1.5, 0.5)
+	}
+	caller := goroutineID()
+	for _, chunk := range []int{1, 4, 7} {
+		for _, workers := range []int{1, 2, 4} {
+			var mu sync.Mutex
+			evaluators := map[string]bool{}
+			var factories, inFlight atomic.Int32
+			// Other workers hold their first chunk until the caller has
+			// evaluated one, so the caller's share cannot be crowded out.
+			callerRan := make(chan struct{})
+			var once sync.Once
+			got := RunChunks(context.Background(), make([]xmath.XComplex, len(pts)), pts, workers, chunk, nil, func() func([]xmath.XComplex, []complex128) {
+				factories.Add(1)
+				first := true
+				return func(dst []xmath.XComplex, p []complex128) {
+					inFlight.Add(1)
+					defer inFlight.Add(-1)
+					id := goroutineID()
+					mu.Lock()
+					evaluators[id] = true
+					mu.Unlock()
+					if id == caller {
+						once.Do(func() { close(callerRan) })
+					} else if first {
+						select { // a caller that never evaluates fails below
+						case <-callerRan:
+						case <-time.After(5 * time.Second):
+						}
+					}
+					first = false
+					for i, s := range p {
+						dst[i] = norm.Eval(xmath.FromComplex(s))
+					}
+				}
+			})
+			label := fmt.Sprintf("chunk %d, workers %d", chunk, workers)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: values differ from the serial evaluation", label)
+			}
+			if !evaluators[caller] {
+				t.Errorf("%s: the calling goroutine evaluated no chunk", label)
+			}
+			// The caller makes one worker and each started goroutine one.
+			if made, n := int(factories.Load()), len(evaluators); made > workers || n > made {
+				t.Errorf("%s: %d workers made, %d goroutines evaluated; want at most %d workers", label, made, n, workers)
+			}
+			if n := inFlight.Load(); n != 0 {
+				t.Errorf("%s: %d evaluations still running after return", label, n)
+			}
+		}
+	}
+
+	// Canceled mid-batch: chunks stop being claimed, RunChunks returns
+	// only after every started evaluation has finished, and nothing
+	// runs after it.
+	for _, workers := range []int{2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls, inFlight atomic.Int32
+		dst := RunChunks(ctx, make([]xmath.XComplex, len(pts)), pts, workers, 1, nil, func() func([]xmath.XComplex, []complex128) {
+			return func(dst []xmath.XComplex, p []complex128) {
+				inFlight.Add(1)
+				defer inFlight.Add(-1)
+				if calls.Add(1) == 5 {
+					cancel()
+				}
+				dst[0] = xmath.FromComplex(p[0])
+			}
+		})
+		done := calls.Load()
+		if n := inFlight.Load(); n != 0 {
+			t.Errorf("workers %d: %d evaluations running after a canceled return", workers, n)
+		}
+		if done >= int32(len(pts)) {
+			t.Errorf("workers %d: all %d points evaluated despite cancellation", workers, done)
+		}
+		evaluated := 0
+		for _, v := range dst {
+			if v != (xmath.XComplex{}) {
+				evaluated++
+			}
+		}
+		if evaluated != int(done) {
+			t.Errorf("workers %d: %d slots filled, %d evaluations", workers, evaluated, done)
+		}
+		if n := calls.Load(); n != done {
+			t.Errorf("workers %d: %d evaluations after RunChunks returned", workers, n-done)
+		}
+		cancel()
 	}
 }

@@ -260,7 +260,7 @@ func TestSolveLanesMatchRecordingReplay(t *testing.T) {
 			}
 			_, tf = build()
 			den := make([]xmath.XComplex, n)
-			num := interp.RunChunks(context.Background(), pts[:n], par, sparse.Lanes, tf.BothReady, func() func([]xmath.XComplex, []complex128) {
+			num := interp.RunChunks(context.Background(), make([]xmath.XComplex, n), pts[:n], par, sparse.Lanes, tf.BothReady, func() func([]xmath.XComplex, []complex128) {
 				return func(dst []xmath.XComplex, p []complex128) {
 					i := cap(pts) - cap(p) // p is pts[i:j]
 					tf.EvalBothChunk(dst, den[i:i+len(p)], p, f, 1)

@@ -325,7 +325,7 @@ func (sys *System) evaluator(name string, m int, b *bound) interp.Evaluator {
 			// exited, so the scratches are idle when released.
 			var lease sparse.Lease
 			defer lease.Release()
-			return interp.RunChunks(ctx, points, workers, sparse.Lanes, b.plan.Primed, func() func([]xmath.XComplex, []complex128) {
+			return interp.RunChunks(ctx, make([]xmath.XComplex, len(points)), points, workers, sparse.Lanes, b.plan.Primed, func() func([]xmath.XComplex, []complex128) {
 				sc := lease.Get()
 				return func(dst []xmath.XComplex, pts []complex128) {
 					b.dets(sc, dst, pts, f, g)

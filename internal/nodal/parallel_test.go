@@ -339,7 +339,7 @@ func TestLanesMatchRecordingReplay(t *testing.T) {
 // sparse.Lanes on par workers, point by point until BothReady.
 func jointPoints(tf *interp.TransferFunction, pts []complex128, f, g float64, par int) (num, den []xmath.XComplex) {
 	den = make([]xmath.XComplex, len(pts))
-	num = interp.RunChunks(context.Background(), pts, par, sparse.Lanes, tf.BothReady, func() func([]xmath.XComplex, []complex128) {
+	num = interp.RunChunks(context.Background(), make([]xmath.XComplex, len(pts)), pts, par, sparse.Lanes, tf.BothReady, func() func([]xmath.XComplex, []complex128) {
 		return func(dst []xmath.XComplex, p []complex128) {
 			i := cap(pts) - cap(p) // p is pts[i:j]
 			tf.EvalBothChunk(dst, den[i:i+len(p)], p, f, g)

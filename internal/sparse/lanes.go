@@ -125,11 +125,11 @@ func (ws *Workspace) pass(c *compiled, a *Assembly, pts []complex128, fscale, gs
 		plane [Lanes][]complex128 // the live lanes' slot values; nil once a lane misses
 		y     [Lanes][]complex128 // the lanes' forward-substitution vectors; nil without b
 		pv    [Lanes]complex128   // y at the step's pivot row; 0 skips the step's forward updates
-		det   [Lanes]xmath.XComplex
+		det   [Lanes]xmath.Product
 		bad   [Lanes]complex128 // the first non-finite pivot, or 0
 		div   [Lanes]divisor
 	)
-	sign := xmath.FromComplex(complex(float64(c.detSign), 0))
+	sign := xmath.NewProduct(xmath.FromComplex(complex(float64(c.detSign), 0)))
 	ws.vals = resize(ws.vals, c.nnz*nl)
 	v := ws.vals
 	solving := b != nil
@@ -163,7 +163,7 @@ func (ws *Workspace) pass(c *compiled, a *Assembly, pts []complex128, fscale, gs
 			// the lane gets through every step; until then keep the pivot.
 			switch {
 			case !cmplx.IsInf(piv) && !cmplx.IsNaN(piv):
-				det[l] = det[l].MulComplex(piv)
+				det[l].Mul(piv)
 			case bad[l] == 0:
 				bad[l] = piv
 			}
@@ -209,9 +209,9 @@ func (ws *Workspace) pass(c *compiled, a *Assembly, pts []complex128, fscale, gs
 		case plane[l] == nil:
 			missed |= 1 << l
 		case bad[l] != 0:
-			dets[l] = det[l].MulComplex(bad[l]) // panics, as LU.Det does
+			dets[l] = det[l].X().MulComplex(bad[l]) // panics, as LU.Det does
 		default:
-			dets[l] = det[l]
+			dets[l] = det[l].X()
 		}
 	}
 	if solving {

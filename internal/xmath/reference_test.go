@@ -261,3 +261,56 @@ func TestNormalizeMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// FuzzProduct requires a Product to give the bits of the MulComplex
+// chain it replaces, panics included: from the start value (re0, im0,
+// e0), through the two given factors and then 64 factors drawn from
+// seed whose component exponents range over ±span binades around shift
+// — across the tame band's edges, into subnormals and, with a large
+// span, to overflow — with a zero or minute component now and then.
+func FuzzProduct(f *testing.F) {
+	f.Add(1.0, 0.0, int64(0), 1.5, -0.5, -3.0, 2e-3, int64(1), uint16(8), int16(0))
+	f.Add(-1.0, 0.0, int64(0), 1e12, 3e11, 1e-12, 5e-13, int64(2), uint16(40), int16(0))        // ladder-like pivots
+	f.Add(1.0, 0.0, int64(0), 0x1p200, 0x1p-200, 0x1p201, 1.0, int64(3), uint16(200), int16(0)) // band edges
+	f.Add(1.5, 1e-300, int64(7), 4e-320, 1.0, 1.0, 5e-324, int64(4), uint16(60), int16(-900))   // subnormal components
+	f.Add(1.0, 1.0, int64(-40), 0x1p1000, -0x1p1000, 0x1p-1000, 0x1p-1000, int64(5), uint16(1023), int16(0))
+	f.Add(1.0, 0.0, int64(0), math.Inf(1), 1.0, 2.0, 3.0, int64(6), uint16(10), int16(0))
+	f.Add(0.0, 0.0, int64(0), 1.0, 2.0, 3.0, 4.0, int64(7), uint16(10), int16(0))
+	f.Add(1.0, -1.0, int64(0), 1.0, 1.0, 1.0, 1.0, int64(8), uint16(600), int16(300))
+	f.Fuzz(func(t *testing.T, re0, im0 float64, e0 int64, re1, im1, re2, im2 float64, seed int64, span uint16, shift int16) {
+		start, bad := outcome(func() XComplex { return normComplex(complex(re0, im0), e0%(1<<40)) })
+		if bad {
+			t.Skip("start is not representable")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		comp := func() float64 {
+			switch rng.Intn(16) {
+			case 0:
+				return 0
+			case 1:
+				return math.Ldexp(rng.Float64(), -1060) // subnormal
+			}
+			e := int(shift) + rng.Intn(2*int(span%1100)+1) - int(span%1100)
+			return math.Ldexp(1+rng.Float64(), e) * float64(1-2*rng.Intn(2))
+		}
+		factors := []complex128{complex(re1, im1), complex(re2, im2)}
+		for range 64 {
+			factors = append(factors, complex(comp(), comp()))
+		}
+		chain, lazy := start, NewProduct(start)
+		for i, v := range factors {
+			want, wantBad := outcome(func() XComplex { return chain.MulComplex(v) })
+			_, gotBad := outcome(func() Product { lazy.Mul(v); return lazy })
+			if gotBad != wantBad {
+				t.Fatalf("factor %d (%v): panicked=%v, chain panicked=%v", i, v, gotBad, wantBad)
+			}
+			if wantBad {
+				return
+			}
+			if got := lazy.X(); !sameC(got, want) {
+				t.Fatalf("factor %d (%v): product %+v, chain %+v", i, v, got, want)
+			}
+			chain = want
+		}
+	})
+}

@@ -123,6 +123,60 @@ func (z XComplex) Mul(w XComplex) XComplex {
 // MulComplex returns z·v for a plain complex128 v.
 func (z XComplex) MulComplex(v complex128) XComplex { return z.Mul(FromComplex(v)) }
 
+// Product accumulates z·v₁·v₂·⋯ for complex128 factors vᵢ, giving
+// exactly the bits of the chain z.MulComplex(v₁).MulComplex(v₂)⋯ while
+// normalizing only when that chain's rounding could depend on the
+// scale. As long as every nonzero component of the running mantissa and
+// of the factor has an exponent in [−tameExp, tameExp], each product
+// term and sum of the plain complex128 multiply stays normal and finite
+// here and in the chain, whose operands are the same values scaled by
+// powers of two; the chain's normalizations take normComplex's exact
+// path, so the two mantissas differ by exactly a power of two. Any other
+// step normalizes first (exact, as the mantissa is still inside the
+// bounds the tame steps leave) and takes the chain's own MulComplex,
+// which keeps its rounding of subnormal components and its panic on a
+// non-finite factor. The zero value is not a valid Product; start from
+// NewProduct.
+type Product struct {
+	mant complex128 // the product is mant × 2^exp, mant not normalized
+	exp  int64
+}
+
+// tameExp bounds the component exponents of a Product's unnormalized
+// steps: operands within ±200 binades keep every product term above
+// 2^−854 and below 2^403, both here and in the normalized chain.
+const tameExp = 200
+
+// NewProduct starts a product at z.
+func NewProduct(z XComplex) Product { return Product{mant: z.mant, exp: z.exp} }
+
+// Mul multiplies the product by v, as MulComplex would.
+func (p *Product) Mul(v complex128) {
+	if tame(p.mant) && tame(v) {
+		p.mant *= v
+		return
+	}
+	p.mulChain(v)
+}
+
+// mulChain is Mul's normalizing step, kept out of line so that Mul
+// inlines.
+func (p *Product) mulChain(v complex128) {
+	x := normComplex(p.mant, p.exp).MulComplex(v)
+	p.mant, p.exp = x.mant, x.exp
+}
+
+// X returns the product in normal form.
+func (p Product) X() XComplex { return normComplex(p.mant, p.exp) }
+
+// tame reports whether z is nonzero and each nonzero component is a
+// normal float64 with an unbiased exponent in [−tameExp, tameExp].
+func tame(z complex128) bool {
+	const lo = 1023 - tameExp // the least tame biased exponent
+	re, im := math.Float64bits(real(z))&^signBit, math.Float64bits(imag(z))&^signBit
+	return re|im != 0 && (re == 0 || re>>52-lo <= 2*tameExp) && (im == 0 || im>>52-lo <= 2*tameExp)
+}
+
 // MulX returns z·x for a real extended scalar x.
 func (z XComplex) MulX(x XFloat) XComplex { return z.Mul(FromXFloat(x)) }
 

@@ -216,8 +216,9 @@ func (e *Engine) GenerateBatch(ctx context.Context, req BatchRequest) (*BatchRes
 	return resp, nil
 }
 
-// applyPoint copies the base circuit (circuit.Clone: values only, no
-// element re-added) and applies the point's value factors in place.
+// applyPoint copies the base circuit (circuit.Clone: an element list of
+// its own, the base's name and node tables shared read-only) and applies
+// the point's value factors in place; the base is never written.
 // Non-finite factors, products that overflow to a non-finite value and
 // unknown element names are errors.
 func applyPoint(base *Circuit, p BatchPoint) (*Circuit, error) {

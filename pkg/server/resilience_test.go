@@ -38,20 +38,30 @@ func uniqueLadder(i int) GenerateRequest {
 }
 
 // TestShedQueueFullOverBurst: with one slot and a one-deep queue, a
-// burst of distinct slow requests sheds the overflow with 503 +
-// Retry-After while the admitted ones still answer 200.
+// burst of distinct requests sheds the overflow with 503 + Retry-After
+// while the admitted ones still answer 200. The slot is held through the
+// admission layer until the overflow has been answered, so the burst
+// meets a full server however fast a generation is.
 func TestShedQueueFullOverBurst(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 1})
+	if _, err := s.adm.acquire(time.Now().Add(time.Minute), func() bool { return false }, nil); err != nil {
+		t.Fatal(err)
+	}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(s.adm.release) }
+	defer release()
 
 	const burst = 8
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	statuses := make(map[int]int)
+	answered := make(chan struct{}, burst)
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			resp, raw := post(t, ts.URL, uniqueLadder(i))
+			answered <- struct{}{}
 			mu.Lock()
 			defer mu.Unlock()
 			statuses[resp.StatusCode]++
@@ -68,6 +78,18 @@ func TestShedQueueFullOverBurst(t *testing.T) {
 			}
 		}(i)
 	}
+	// One request waits in the queue; the other burst−1 must be shed
+	// while the slot is held.
+	for range burst - 1 {
+		select {
+		case <-answered:
+		case <-time.After(10 * time.Second):
+			release()
+			wg.Wait()
+			t.Fatalf("fewer than %d of the burst answered while the slot was held: %v", burst-1, statuses)
+		}
+	}
+	release()
 	wg.Wait()
 
 	if statuses[http.StatusOK] == 0 {
