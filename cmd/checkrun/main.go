@@ -148,7 +148,7 @@ func (h *harness) trial(ctx context.Context, rng *rand.Rand, o options, rep *che
 	check.ErrorBars(num, oracle.ExactNum, rep)
 	check.ErrorBars(den, oracle.ExactDen, rep)
 
-	// Exact-recovery pass: rerun with the rational-snapping pass on;
+	// Exact-recovery pass: rerun with the oracle verification pass on;
 	// upgraded coefficients must reproduce the oracle's renderings bit
 	// for bit (check.ErrorBars enforces that for the exact tier), and
 	// the rest of the quality contract must survive the rewrite.

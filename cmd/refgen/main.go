@@ -108,7 +108,7 @@ func generate(args []string, stdout, stderr io.Writer) int {
 		showPoles  = c.Bool("poles", false, "extract poles and zeros from the generated references (adaptive method only)")
 		parallel   = c.Int("parallel", 0, "evaluation worker count: 0 = all CPUs, 1 = serial (results are identical either way)")
 		allowDeg   = c.Bool("allow-degraded", false, "return a degraded partial result instead of failing when frames or watchdogs give up")
-		exactRec   = c.Bool("exact-recovery", false, "snap certified coefficients to rationals and verify them against the exact-arithmetic oracle, upgrading matches to the exact tier (adaptive method)")
+		exactRec   = c.Bool("exact-recovery", false, "verify certified coefficients against the exact-arithmetic oracle, upgrading those whose error bar contains it to the exact tier (adaptive method)")
 		minTier    = c.String("min-tier", "", "fail (exit 1) unless the result reaches this quality tier: numeric, certified or exact (adaptive method)")
 		timeout    = c.Duration("timeout", 0, "abort generation after this long (0 = no limit); partial results are printed")
 		cpuProfile = c.String("cpuprofile", "", "write a CPU profile of the generation to this file")

@@ -80,6 +80,10 @@ func (e Element) String() string {
 type Circuit struct {
 	Name  string
 	elems []Element
+	// vals, when non-nil, holds the element values of a point copy
+	// (WithValues): elems is then its source's list, shared read-only,
+	// whose Value fields the copy ignores.
+	vals []float64
 	*tables
 }
 
@@ -137,6 +141,9 @@ func (c *Circuit) touchNode(name string) {
 }
 
 func (c *Circuit) add(e Element) error {
+	if c.vals != nil {
+		c.elems, c.vals = c.materialize(), nil
+	}
 	if e.Name == "" {
 		return fmt.Errorf("circuit: element of kind %s has no name", e.Kind)
 	}
@@ -146,8 +153,8 @@ func (c *Circuit) add(e Element) error {
 	if e.P == e.N && e.Kind != VCCS && e.Kind != VCVS {
 		return fmt.Errorf("circuit: element %q shorts node %q to itself", e.Name, e.P)
 	}
-	if math.IsNaN(e.Value) || math.IsInf(e.Value, 0) {
-		return fmt.Errorf("circuit: element %q has non-finite value %g", e.Name, e.Value)
+	if err := checkValue(e.Name, e.Value); err != nil {
+		return err
 	}
 	c.own()
 	c.touchNode(e.P)
@@ -242,7 +249,64 @@ func (c *Circuit) AddI(name, p, n string, amps float64) *Circuit {
 }
 
 // Elements returns the element list (shared slice; treat as read-only).
-func (c *Circuit) Elements() []Element { return c.elems }
+// On a point copy (WithValues) it is a fresh list of the copy's own.
+func (c *Circuit) Elements() []Element {
+	if c.vals != nil {
+		return c.materialize()
+	}
+	return c.elems
+}
+
+// NumElements returns the element count.
+func (c *Circuit) NumElements() int { return len(c.elems) }
+
+// Element returns the i-th element (in Elements order). Unlike
+// Elements, it never copies a point copy's list.
+func (c *Circuit) Element(i int) Element {
+	e := c.elems[i]
+	if c.vals != nil {
+		e.Value = c.vals[i]
+	}
+	return e
+}
+
+// Value returns the value of the i-th element (in Elements order).
+func (c *Circuit) Value(i int) float64 {
+	if c.vals != nil {
+		return c.vals[i]
+	}
+	return c.elems[i].Value
+}
+
+// materialize returns a new element list carrying c's values.
+func (c *Circuit) materialize() []Element {
+	out := slices.Clone(c.elems)
+	if c.vals != nil {
+		for i := range out {
+			out[i].Value = c.vals[i]
+		}
+	}
+	return out
+}
+
+// Topology identifies a circuit's element list apart from its values.
+// Circuits with equal Topology values have the same elements (kinds,
+// names, terminals) in the same order over the same node numbering, and
+// differ at most in element values: a point copy (WithValues) has its
+// source's, while Clone and adding an element give a circuit a new one.
+// All empty circuits share one.
+type Topology struct {
+	first *Element
+	n     int
+}
+
+// Topology returns the identity of c's element list.
+func (c *Circuit) Topology() Topology {
+	if len(c.elems) == 0 {
+		return Topology{}
+	}
+	return Topology{&c.elems[0], len(c.elems)}
+}
 
 // Clone returns an independent copy of the circuit (same name unless
 // suffix is non-empty, in which case it is appended), without re-adding
@@ -254,20 +318,58 @@ func (c *Circuit) Elements() []Element { return c.elems }
 // other's additions. Clone changes nothing of the source but an atomic
 // flag, so concurrent Clones of one circuit are safe.
 func (c *Circuit) Clone(suffix string) *Circuit {
+	c.share()
+	return &Circuit{Name: c.Name + suffix, elems: c.materialize(), tables: c.tables}
+}
+
+// WithValues returns a point copy of the circuit: the same elements with
+// the values vals (one per element, in Elements order), refusing a
+// non-finite one as SetValue does. The copy takes vals as its own and
+// shares everything else read-only — the element list, the names and
+// the node numbering — so it has c's Topology. SetValue on either
+// circuit leaves the other alone, and a copy that adds an element first
+// takes an element list of its own. Like Clone, WithValues changes
+// nothing of the source but an atomic flag.
+func (c *Circuit) WithValues(vals []float64) (*Circuit, error) {
+	if len(vals) != len(c.elems) {
+		return nil, fmt.Errorf("circuit %q: %d values for %d elements", c.Name, len(vals), len(c.elems))
+	}
+	for i, v := range vals {
+		if err := checkValue(c.elems[i].Name, v); err != nil {
+			return nil, err
+		}
+	}
+	c.share()
+	n := len(c.elems)
+	return &Circuit{Name: c.Name, elems: c.elems[:n:n], vals: vals, tables: c.tables}, nil
+}
+
+// share marks c's tables as shared with a copy.
+func (c *Circuit) share() {
 	if !c.shared.Load() {
 		c.shared.Store(true)
 	}
-	return &Circuit{Name: c.Name + suffix, elems: slices.Clone(c.elems), tables: c.tables}
+}
+
+// checkValue refuses a non-finite element value.
+func checkValue(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("circuit: element %q has non-finite value %g", name, v)
+	}
+	return nil
 }
 
 // SetValue sets the value of the i-th element (in Elements order),
 // refusing a non-finite value as AddElement does.
 func (c *Circuit) SetValue(i int, v float64) error {
-	e := &c.elems[i]
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("circuit: element %q has non-finite value %g", e.Name, v)
+	if err := checkValue(c.elems[i].Name, v); err != nil {
+		return err
 	}
-	e.Value = v
+	if c.vals != nil {
+		c.vals[i] = v
+	} else {
+		c.elems[i].Value = v
+	}
 	return nil
 }
 
@@ -308,7 +410,7 @@ func (c *Circuit) NumCapacitors() int {
 // paper's first frequency scale factor is its inverse. Returns 0 for a
 // capacitor-free circuit.
 func (c *Circuit) MeanCapacitance() float64 {
-	return c.mean(func(e Element) (float64, bool) { return e.Value, e.Kind == Capacitor })
+	return c.mean(func(k Kind, v float64) (float64, bool) { return v, k == Capacitor })
 }
 
 // MeanConductance returns the arithmetic mean over all
@@ -316,14 +418,14 @@ func (c *Circuit) MeanCapacitance() float64 {
 // VCCS elements. The paper's first conductance scale factor is its
 // inverse. Returns 0 when the circuit has none.
 func (c *Circuit) MeanConductance() float64 {
-	return c.mean(func(e Element) (float64, bool) {
-		switch e.Kind {
+	return c.mean(func(k Kind, v float64) (float64, bool) {
+		switch k {
 		case Conductance:
-			return e.Value, true
+			return v, true
 		case Resistor:
-			return 1 / e.Value, true
+			return 1 / v, true
 		case VCCS:
-			return math.Abs(e.Value), true
+			return math.Abs(v), true
 		}
 		return 0, false
 	})
@@ -333,11 +435,11 @@ func (c *Circuit) MeanConductance() float64 {
 // selects none). The values are summed in ascending order, so the mean —
 // and the seed scale pair built from it — is the same bit for bit
 // however the netlist orders its cards, as the content key assumes.
-func (c *Circuit) mean(pick func(Element) (float64, bool)) float64 {
+func (c *Circuit) mean(pick func(Kind, float64) (float64, bool)) float64 {
 	var buf [256]float64
 	vals := buf[:0]
-	for _, e := range c.elems {
-		if v, ok := pick(e); ok {
+	for i := range c.elems {
+		if v, ok := pick(c.elems[i].Kind, c.Value(i)); ok {
 			vals = append(vals, v)
 		}
 	}

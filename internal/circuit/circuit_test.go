@@ -219,3 +219,89 @@ func TestSetValueRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestPointCopyValues: a point copy (WithValues) reads its own values
+// through every accessor — Value, Element, Elements, the means — over
+// the base's element list and topology, refuses a short or non-finite
+// value vector, and is isolated from the base both ways: SetValue on
+// either, and an element added to either, never shows in the other.
+func TestPointCopyValues(t *testing.T) {
+	base := New("t")
+	base.AddR("r1", "a", "b", 100).AddC("c1", "b", "0", 1e-12).AddVCCS("g1", "b", "0", "a", "0", 1e-3)
+	if _, err := base.WithValues([]float64{1, 2}); err == nil {
+		t.Error("a short value vector was accepted")
+	}
+	if _, err := base.WithValues([]float64{1, math.Inf(1), 3}); err == nil || !strings.Contains(err.Error(), `"c1"`) {
+		t.Errorf("a non-finite value: err = %v, want one naming c1", err)
+	}
+	p, err := base.WithValues([]float64{200, 2e-12, 2e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Topology() != base.Topology() || p.Name != base.Name || !slices.Equal(p.Nodes(), base.Nodes()) {
+		t.Fatalf("point copy: topology shared %v, name %q, nodes %v", p.Topology() == base.Topology(), p.Name, p.Nodes())
+	}
+	want := slices.Clone(base.Elements())
+	want[0].Value, want[1].Value, want[2].Value = 200, 2e-12, 2e-3
+	if got := p.Elements(); !slices.Equal(got, want) {
+		t.Errorf("point elements %v, want %v", got, want)
+	}
+	for i := range want {
+		if p.Element(i) != want[i] || p.Value(i) != want[i].Value {
+			t.Errorf("element %d: %v / %g, want %v", i, p.Element(i), p.Value(i), want[i])
+		}
+	}
+	if p.MeanCapacitance() != 2e-12 || p.MeanConductance() != (1.0/200+2e-3)/2 {
+		t.Errorf("point means C %g G %g", p.MeanCapacitance(), p.MeanConductance())
+	}
+	if c := p.Clone("+x"); !slices.Equal(c.Elements(), want) || c.Topology() == p.Topology() {
+		t.Errorf("clone of a point copy: elements %v, shares its topology %v", c.Elements(), c.Topology() == p.Topology())
+	}
+
+	// SetValue on either side.
+	if err := p.SetValue(0, 300); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.SetValue(1, 5e-12); err != nil {
+		t.Fatal(err)
+	}
+	if base.Value(0) != 100 || p.Value(1) != 2e-12 || p.Value(0) != 300 || base.Value(1) != 5e-12 {
+		t.Errorf("after SetValue: base r1 %g c1 %g, point r1 %g c1 %g; want 100, 5e-12, 300, 2e-12",
+			base.Value(0), base.Value(1), p.Value(0), p.Value(1))
+	}
+
+	// Elements added to either side.
+	q, err := base.WithValues([]float64{1, 1e-12, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.AddR("rb", "b", "e", 7)
+	p.AddR("rp", "a", "d", 9)
+	if p.Topology() == q.Topology() || base.Topology() == q.Topology() {
+		t.Error("adding an element kept the shared topology")
+	}
+	for _, v := range []struct {
+		name        string
+		c           *Circuit
+		n           int
+		has, hasNot string
+		values      []float64
+	}{
+		{"base", base, 4, "rb", "rp", []float64{100, 5e-12, 1e-3, 7}},
+		{"point p", p, 4, "rp", "rb", []float64{300, 2e-12, 2e-3, 9}},
+		{"point q", q, 3, "g1", "rb", []float64{1, 1e-12, 1}},
+	} {
+		if v.c.NumElements() != v.n || len(v.c.Elements()) != v.n || !v.c.HasElement(v.has) || v.c.HasElement(v.hasNot) {
+			t.Errorf("%s: %d elements, has %s %v, has %s %v", v.name, v.c.NumElements(), v.has, v.c.HasElement(v.has), v.hasNot, v.c.HasElement(v.hasNot))
+			continue
+		}
+		for i, want := range v.values {
+			if v.c.Value(i) != want || v.c.Elements()[i].Value != want {
+				t.Errorf("%s: element %d value %g, want %g", v.name, i, v.c.Value(i), want)
+			}
+		}
+	}
+	if q.NodeIndex("d") != -2 || q.NodeIndex("e") != -2 || p.NodeIndex("e") != -2 || base.NodeIndex("d") != -2 {
+		t.Error("a node added on one side reached another")
+	}
+}

@@ -126,8 +126,8 @@ type Config struct {
 	// can clamp it per request without changing request identity.
 	MaxSolves int `json:"-"`
 	// ExactRecovery requests the engine-level opt-in recovery pass that
-	// snaps certified coefficients to rationals and verifies them against
-	// the exact-arithmetic oracle, upgrading them to TierExact. The core
+	// verifies certified coefficients against the exact-arithmetic
+	// oracle, upgrading those whose bar contains it to TierExact. The core
 	// generator ignores it (it has no oracle); it lives here so it is
 	// part of the one option set engine callers key and serialize.
 	ExactRecovery bool `json:"exact_recovery,omitempty"`

@@ -34,7 +34,7 @@ import (
 // singular, through the determinant-only lane replay (see
 // sparse.Workspace.Dets).
 func (sys *System) dets(sc *sparse.Scratch, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
-	sc.WS.Dets(sys.detPlan, &sys.asm, pts, fscale, gscale, dst)
+	sc.WS.Dets(&sys.top.plan, &sys.asm, pts, fscale, gscale, dst)
 }
 
 // detAt is dets at one point: the lane replay with one live lane.
@@ -52,7 +52,7 @@ func (sys *System) detAt(sc *sparse.Scratch, s complex128, fscale, gscale float6
 // where the matrix is singular. plan is the pivot-order plan to replay or
 // prime, nil for a full factorization at every point.
 func (sys *System) solves(sc *sparse.Scratch, plan *sparse.SharedPlan, dets []xmath.XComplex, pts []complex128, fscale, gscale float64) (x []complex128) {
-	rhs, x := sc.Vectors(sys.dim, len(pts))
+	rhs, x := sc.Vectors(sys.top.dim, len(pts))
 	for i, v := range sys.rhs {
 		rhs[i] = complex(v, 0)
 	}
@@ -72,9 +72,9 @@ func transferValue(det xmath.XComplex, xout complex128) xmath.XComplex {
 // nums evaluates N(s) at every point of pts, the solution's entry idx
 // times the determinant.
 func (sys *System) nums(sc *sparse.Scratch, idx int, dst []xmath.XComplex, pts []complex128, fscale, gscale float64) {
-	x := sys.solves(sc, sys.detPlan, dst, pts, fscale, gscale)
+	x := sys.solves(sc, &sys.top.plan, dst, pts, fscale, gscale)
 	for i := range pts {
-		dst[i] = transferValue(dst[i], x[i*sys.dim+idx])
+		dst[i] = transferValue(dst[i], x[i*sys.top.dim+idx])
 	}
 }
 
@@ -110,7 +110,7 @@ func (sys *System) evaluator(name string, bound int,
 			// exited, so the scratches are idle when released.
 			var lease sparse.Lease
 			defer lease.Release()
-			return interp.RunChunks(ctx, make([]xmath.XComplex, len(points)), points, workers, sparse.Lanes, sys.detPlan.Primed, func() func([]xmath.XComplex, []complex128) {
+			return interp.RunChunks(ctx, make([]xmath.XComplex, len(points)), points, workers, sparse.Lanes, sys.top.plan.Primed, func() func([]xmath.XComplex, []complex128) {
 				sc := lease.Get()
 				return func(dst []xmath.XComplex, pts []complex128) {
 					chunk(sc, dst, pts, fscale, gscale)
@@ -122,16 +122,7 @@ func (sys *System) evaluator(name string, bound int,
 
 // OrderBound returns the a-priori bound on the polynomial order of the
 // MNA determinant: the number of frequency-dependent elements.
-func (sys *System) OrderBound() int {
-	n := 0
-	for _, e := range sys.c.Elements() {
-		switch e.Kind {
-		case circuit.Capacitor, circuit.Inductor:
-			n++
-		}
-	}
-	return n
-}
+func (sys *System) OrderBound() int { return sys.top.orderBound }
 
 // DetEvaluator returns the evaluator for D(s) = det Y_MNA(s) (eq. 9).
 // Only frequency scaling is exact for MNA matrices; the evaluator
@@ -154,8 +145,8 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 		return nil, fmt.Errorf("mna: output node is ground")
 	}
 	hasSource := false
-	for _, e := range sys.c.Elements() {
-		if (e.Kind == circuit.VSource || e.Kind == circuit.ISource) && e.Value != 0 {
+	for k := range sys.c.NumElements() {
+		if kind := sys.c.Element(k).Kind; (kind == circuit.VSource || kind == circuit.ISource) && sys.c.Value(k) != 0 {
 			hasSource = true
 			break
 		}
@@ -180,12 +171,12 @@ func (sys *System) TransferEvaluators(out string) (*interp.TransferFunction, err
 	// with the determinants reported alongside.
 	tf.EvalBothChunk = func(num, den []xmath.XComplex, pts []complex128, fscale, gscale float64) {
 		sc := sparse.GetScratch()
-		x := sys.solves(sc, sys.detPlan, den, pts, fscale, gscale)
+		x := sys.solves(sc, &sys.top.plan, den, pts, fscale, gscale)
 		for i := range pts {
-			num[i] = transferValue(den[i], x[i*sys.dim+idx])
+			num[i] = transferValue(den[i], x[i*sys.top.dim+idx])
 		}
 		sparse.PutScratch(sc)
 	}
-	tf.BothReady = sys.detPlan.Primed
+	tf.BothReady = sys.top.plan.Primed
 	return tf, nil
 }

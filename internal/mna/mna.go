@@ -20,16 +20,35 @@ import (
 	"repro/internal/xmath"
 )
 
-// stamp is one (row, col, value) contribution; sProp entries are
-// multiplied by the complex frequency at evaluation time.
-type stamp struct {
-	i, j int
-	v    float64
+// topology is what every system built from one element list shares:
+// the unknowns, each element's terminal and branch indices, the stamp
+// positions in assembly order, and the pivot-order plan of the one MNA
+// sparsity pattern. Build writes it once; only the plan changes
+// afterwards, under its own lock.
+type topology struct {
+	src        circuit.Topology // the element list it was built from
+	dim        int              // node count (non-ground) + branch count
+	terms      []terms          // per element
+	pos        [][2]int32       // stamp positions: conductance, structural, frequency
+	ng, nu     int              // conductance and structural stamp counts
+	orderBound int              // frequency-dependent elements
+	// plan is the shared pivot-order plan, primed by the first
+	// successful factorization of a generation run and replayed read-only
+	// at every later point (see sparse.SharedPlan), by every system of
+	// the topology: the points of a batch sweep share it.
+	plan sparse.SharedPlan
 }
 
-// System is an assembled MNA structure. Unknowns are the non-ground node
-// voltages followed by one branch current per voltage-defined element
-// (V sources, VCVS, CCVS, inductors).
+// terms are one element's unknown indices: its terminals p and n (−1
+// for ground), its controlling nodes cp and cn (VCCS, VCVS) or its
+// controlling branch cp (CCCS, CCVS), and its own branch br
+// (voltage-defined elements).
+type terms struct{ p, n, cp, cn, br int32 }
+
+// System is an assembled MNA structure: a shared topology plus this
+// system's stamp values. Unknowns are the non-ground node voltages
+// followed by one branch current per voltage-defined element (V
+// sources, VCVS, CCVS, inductors).
 //
 // Stamps are kept in three classes so the matrix can be evaluated under
 // the interpolation scale factors: conductance-dimension entries (R, G,
@@ -38,120 +57,106 @@ type stamp struct {
 // structural entries (the ±1 couplings and dimensionless gains of
 // voltage-defined branches — never scaled).
 type System struct {
-	c          *circuit.Circuit
-	n          int // node count (non-ground)
-	dim        int // n + branch count
-	gDim       []stamp
-	structural []stamp
-	sProp      []stamp
-	asm        sparse.Assembly // gDim, structural and sProp as typed stamps, in that order: the assembly order
-	rhs        []float64
-	branch     map[string]int // element name -> branch unknown index
-	// detPlan is the shared pivot-order plan for the one MNA sparsity
-	// pattern, primed by the first successful factorization of a
-	// generation run and replayed read-only at every later point (see
-	// sparse.SharedPlan). It is held by pointer so AdoptPlan can share
-	// one plan across the Systems of a batch sweep.
-	detPlan *sparse.SharedPlan
-}
-
-// AdoptPlan shares the donor system's pivot-order plan with sys and
-// reports whether the two systems are structurally identical (same
-// dimension and stamp positions; values may differ). On a mismatch
-// nothing is adopted. Like the plan itself the adoption is evaluation-
-// safe, but the two systems must not be built up further afterwards.
-func (sys *System) AdoptPlan(prev *System) bool {
-	if prev == nil || sys.dim != prev.dim ||
-		!sameStampPositions(sys.gDim, prev.gDim) ||
-		!sameStampPositions(sys.structural, prev.structural) ||
-		!sameStampPositions(sys.sProp, prev.sProp) {
-		return false
-	}
-	sys.detPlan = prev.detPlan
-	return true
-}
-
-// sameStampPositions reports whether two stamp lists touch the same
-// matrix positions in the same order (values ignored).
-func sameStampPositions(a, b []stamp) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].i != b[i].i || a[i].j != b[i].j {
-			return false
-		}
-	}
-	return true
+	c   *circuit.Circuit
+	top *topology
+	asm sparse.Assembly // the three classes as typed stamps, in that order: the assembly order
+	rhs []float64
 }
 
 // Build assembles the MNA system. Every element kind in the circuit
 // package is supported.
-func Build(c *circuit.Circuit) (*System, error) {
+func Build(c *circuit.Circuit) (*System, error) { return BuildShared(c, nil) }
+
+// BuildShared is Build with a prior system. When prev was built from
+// c's element list (the same circuit.Topology: c is prev's circuit or a
+// point copy of it, see circuit.WithValues), the new system shares
+// prev's topology — unknowns, stamp positions and the pivot-order plan
+// — and stamps values only, without validation or node-name lookups.
+// Any other prev, nil included, gives a topology of the system's own:
+// a full Build, which adopts nothing.
+func BuildShared(c *circuit.Circuit, prev *System) (*System, error) {
+	if prev != nil && prev.top.src == c.Topology() {
+		return stamp(c, prev.top, false)
+	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	n := c.NumNodes()
-	sys := &System{c: c, n: n, branch: make(map[string]int), detPlan: new(sparse.SharedPlan)}
-	// First pass: allocate branch unknowns for voltage-defined elements.
-	dim := n
-	for _, e := range c.Elements() {
+	top := &topology{src: c.Topology(), terms: make([]terms, c.NumElements())}
+	// Branch unknowns for voltage-defined elements, then every element's
+	// indices and the order bound.
+	branch := make(map[string]int32)
+	dim := c.NumNodes()
+	for k := range c.NumElements() {
+		e := c.Element(k)
+		top.terms[k].br = -1
 		switch e.Kind {
 		case circuit.VSource, circuit.VCVS, circuit.CCVS, circuit.Inductor:
-			sys.branch[e.Name] = dim
+			top.terms[k].br = int32(dim)
+			branch[e.Name] = int32(dim)
 			dim++
 		}
 	}
-	sys.dim = dim
-	sys.rhs = make([]float64, dim)
-	// Second pass: stamps.
-	for _, e := range c.Elements() {
-		p, q := c.NodeIndex(e.P), c.NodeIndex(e.N)
+	top.dim = dim
+	for k := range c.NumElements() {
+		e, t := c.Element(k), &top.terms[k]
+		t.p, t.n = int32(c.NodeIndex(e.P)), int32(c.NodeIndex(e.N))
+		switch e.Kind {
+		case circuit.VCCS, circuit.VCVS:
+			t.cp, t.cn = int32(c.NodeIndex(e.CP)), int32(c.NodeIndex(e.CN))
+		case circuit.CCVS, circuit.CCCS:
+			t.cp = branch[e.Ctrl]
+		case circuit.Capacitor, circuit.Inductor:
+			top.orderBound++
+		}
+	}
+	return stamp(c, top, true)
+}
+
+// stamp fills a system over top with c's values. With build set it also
+// records every stamp's position into top. Otherwise top already holds
+// them, and the values go straight into the typed-stamp blocks.
+func stamp(c *circuit.Circuit, top *topology, build bool) (*System, error) {
+	sys := &System{c: c, top: top, rhs: make([]float64, top.dim)}
+	s := stamper{build: build}
+	if !build {
+		nc := len(top.pos) - top.ng - top.nu
+		s.g, s.u, s.c = make([]float64, 0, top.ng), make([]complex128, 0, top.nu), make([]float64, 0, nc)
+	}
+	for k := range c.NumElements() {
+		e, t := c.Element(k), top.terms[k]
+		p, q := t.p, t.n
 		switch e.Kind {
 		case circuit.Resistor:
 			g := 1 / e.Value
 			if math.IsInf(g, 0) || math.IsNaN(g) {
 				return nil, fmt.Errorf("mna: resistor %q value %g has no finite conductance", e.Name, e.Value)
 			}
-			sys.stampAdmittance(&sys.gDim, p, q, g)
+			s.admittance(blockG, p, q, g)
 		case circuit.Conductance:
-			sys.stampAdmittance(&sys.gDim, p, q, e.Value)
+			s.admittance(blockG, p, q, e.Value)
 		case circuit.Capacitor:
-			sys.stampAdmittance(&sys.sProp, p, q, e.Value)
+			s.admittance(blockC, p, q, e.Value)
 		case circuit.VCCS:
-			cp, cn := c.NodeIndex(e.CP), c.NodeIndex(e.CN)
-			sys.stampVCCS(p, q, cp, cn, e.Value)
+			s.add(blockG, p, t.cp, e.Value)
+			s.add(blockG, p, t.cn, -e.Value)
+			s.add(blockG, q, t.cp, -e.Value)
+			s.add(blockG, q, t.cn, e.Value)
 		case circuit.Inductor:
-			br := sys.branch[e.Name]
-			sys.stampBranchVoltage(br, p, q)
-			sys.sProp = append(sys.sProp, stamp{br, br, -e.Value})
+			s.branchVoltage(t.br, p, q)
+			s.add(blockC, t.br, t.br, -e.Value)
 		case circuit.VSource:
-			br := sys.branch[e.Name]
-			sys.stampBranchVoltage(br, p, q)
-			sys.rhs[br] = e.Value
+			s.branchVoltage(t.br, p, q)
+			sys.rhs[t.br] = e.Value
 		case circuit.VCVS:
-			br := sys.branch[e.Name]
-			sys.stampBranchVoltage(br, p, q)
-			cp, cn := c.NodeIndex(e.CP), c.NodeIndex(e.CN)
-			if cp >= 0 {
-				sys.structural = append(sys.structural, stamp{br, cp, -e.Value})
-			}
-			if cn >= 0 {
-				sys.structural = append(sys.structural, stamp{br, cn, e.Value})
-			}
+			s.branchVoltage(t.br, p, q)
+			s.add(blockU, t.br, t.cp, -e.Value)
+			s.add(blockU, t.br, t.cn, e.Value)
 		case circuit.CCVS:
-			br := sys.branch[e.Name]
-			sys.stampBranchVoltage(br, p, q)
-			ctrl := sys.branch[e.Ctrl]
-			sys.structural = append(sys.structural, stamp{br, ctrl, -e.Value})
+			s.branchVoltage(t.br, p, q)
+			s.add(blockU, t.br, t.cp, -e.Value)
 		case circuit.CCCS:
-			ctrl := sys.branch[e.Ctrl]
-			if p >= 0 {
-				sys.structural = append(sys.structural, stamp{p, ctrl, e.Value})
-			}
-			if q >= 0 {
-				sys.structural = append(sys.structural, stamp{q, ctrl, -e.Value})
-			}
+			s.add(blockU, p, t.cp, e.Value)
+			s.add(blockU, q, t.cp, -e.Value)
 		case circuit.ISource:
 			// Current e.Value flows from P through the source to N.
 			if p >= 0 {
@@ -164,59 +169,70 @@ func Build(c *circuit.Circuit) (*System, error) {
 			return nil, fmt.Errorf("mna: unsupported element kind %v", e.Kind)
 		}
 	}
-	ng, nu, nc := len(sys.gDim), len(sys.structural), len(sys.sProp)
-	sys.asm = sparse.Assembly{N: dim, Pos: make([][2]int32, 0, ng+nu+nc),
-		G: make([]float64, ng), U: make([]complex128, nu), C: make([]float64, nc)}
-	for _, list := range [][]stamp{sys.gDim, sys.structural, sys.sProp} {
-		for _, st := range list {
-			sys.asm.Pos = append(sys.asm.Pos, [2]int32{int32(st.i), int32(st.j)})
-		}
+	if build {
+		top.ng, top.nu = len(s.g), len(s.u)
+		top.pos = slices.Concat(s.pos[blockG], s.pos[blockU], s.pos[blockC])
 	}
-	for k, st := range sys.gDim {
-		sys.asm.G[k] = st.v
-	}
-	for k, st := range sys.structural {
-		sys.asm.U[k] = complex(st.v, 0)
-	}
-	for k, st := range sys.sProp {
-		sys.asm.C[k] = st.v
-	}
+	sys.asm = sparse.Assembly{N: top.dim, Pos: top.pos, G: s.g, U: s.u, C: s.c}
 	return sys, nil
 }
 
-func (sys *System) stampAdmittance(list *[]stamp, p, n int, v float64) {
-	if p >= 0 {
-		*list = append(*list, stamp{p, p, v})
+// Stamp classes, in assembly order.
+const (
+	blockG = iota // conductance dimension
+	blockU        // structural, unscaled
+	blockC        // frequency proportional
+)
+
+// stamper collects a system's stamp values by class, and with build set
+// their positions.
+type stamper struct {
+	build bool
+	g, c  []float64
+	u     []complex128
+	pos   [3][][2]int32
+}
+
+// add adds value v at (i, j) to class block, skipping ground (−1) rows
+// and columns.
+func (s *stamper) add(block int, i, j int32, v float64) {
+	if i < 0 || j < 0 {
+		return
 	}
-	if n >= 0 {
-		*list = append(*list, stamp{n, n, v})
+	switch block {
+	case blockG:
+		s.g = append(s.g, v)
+	case blockU:
+		s.u = append(s.u, complex(v, 0))
+	default:
+		s.c = append(s.c, v)
 	}
+	if s.build {
+		s.pos[block] = append(s.pos[block], [2]int32{i, j})
+	}
+}
+
+// admittance adds the two-terminal admittance pattern.
+func (s *stamper) admittance(block int, p, n int32, v float64) {
+	s.add(block, p, p, v)
+	s.add(block, n, n, v)
 	if p >= 0 && n >= 0 {
-		*list = append(*list, stamp{p, n, -v}, stamp{n, p, -v})
+		s.add(block, p, n, -v)
+		s.add(block, n, p, -v)
 	}
 }
 
-func (sys *System) stampVCCS(p, n, cp, cn int, gm float64) {
-	add := func(i, j int, v float64) {
-		if i >= 0 && j >= 0 {
-			sys.gDim = append(sys.gDim, stamp{i, j, v})
-		}
-	}
-	add(p, cp, gm)
-	add(p, cn, -gm)
-	add(n, cp, -gm)
-	add(n, cn, gm)
-}
-
-// stampBranchVoltage adds the coupling pattern of a voltage-defined
-// branch: KCL contributions of the branch current, and the KVL row
-// selecting V(p) − V(n).
-func (sys *System) stampBranchVoltage(br, p, n int) {
+// branchVoltage adds the coupling pattern of a voltage-defined branch:
+// KCL contributions of the branch current, and the KVL row selecting
+// V(p) − V(n).
+func (s *stamper) branchVoltage(br, p, n int32) {
 	if p >= 0 {
-		sys.structural = append(sys.structural, stamp{p, br, 1}, stamp{br, p, 1})
+		s.add(blockU, p, br, 1)
+		s.add(blockU, br, p, 1)
 	}
 	if n >= 0 {
-		sys.structural = append(sys.structural, stamp{n, br, -1}, stamp{br, n, -1})
+		s.add(blockU, n, br, -1)
+		s.add(blockU, br, n, -1)
 	}
 }
 

@@ -148,10 +148,10 @@ func TestBranchCurrent(t *testing.T) {
 	}
 	// Branch current flows P→N through the source: the source delivers
 	// 10 mA out of its + terminal, so the internal P→N current is −10 mA.
-	if i := x[sys.branch["vin"]]; cmplx.Abs(i-(-0.01)) > 1e-12 {
+	if i := x[sys.branch("vin")]; cmplx.Abs(i-(-0.01)) > 1e-12 {
 		t.Errorf("I(vin) = %v, want -0.01", i)
 	}
-	if _, ok := sys.branch["r1"]; ok {
+	if sys.branch("r1") >= 0 {
 		t.Error("resistor has a branch unknown")
 	}
 }
@@ -232,9 +232,20 @@ func TestUnknownNames(t *testing.T) {
 	c := circuit.New("t")
 	c.AddV("vin", "a", "0", 1).AddR("r", "a", "0", 1)
 	sys, _ := Build(c)
-	if sys.dim != 2 || c.NodeIndex("a") != 0 || sys.branch["vin"] != 1 {
-		t.Errorf("dim %d, V(a) at %d, I(vin) at %d; want 2, 0, 1", sys.dim, c.NodeIndex("a"), sys.branch["vin"])
+	if sys.top.dim != 2 || c.NodeIndex("a") != 0 || sys.branch("vin") != 1 {
+		t.Errorf("dim %d, V(a) at %d, I(vin) at %d; want 2, 0, 1", sys.top.dim, c.NodeIndex("a"), sys.branch("vin"))
 	}
+}
+
+// branch returns the branch unknown of the named element, −1 when it
+// has none.
+func (sys *System) branch(name string) int {
+	for k := range sys.c.NumElements() {
+		if sys.c.Element(k).Name == name {
+			return int(sys.top.terms[k].br)
+		}
+	}
+	return -1
 }
 
 func TestSingularSolveErrors(t *testing.T) {
@@ -255,15 +266,18 @@ func TestSingularSolveErrors(t *testing.T) {
 // map-based sparse.Matrix, in the typed stamps' order (conductance,
 // structural, frequency).
 func mapMatrixAt(sys *System, s complex128) *sparse.Matrix {
-	m := sparse.New(sys.dim)
-	for _, st := range sys.gDim {
-		m.Add(st.i, st.j, complex(st.v, 0))
-	}
-	for _, st := range sys.structural {
-		m.Add(st.i, st.j, complex(st.v, 0))
-	}
-	for _, st := range sys.sProp {
-		m.Add(st.i, st.j, s*complex(st.v, 0))
+	a := &sys.asm
+	m := sparse.New(a.N)
+	for k, ij := range a.Pos {
+		i, j := int(ij[0]), int(ij[1])
+		switch {
+		case k < len(a.G):
+			m.Add(i, j, complex(a.G[k], 0))
+		case k < len(a.G)+len(a.U):
+			m.Add(i, j, a.U[k-len(a.G)])
+		default:
+			m.Add(i, j, s*complex(a.C[k-len(a.G)-len(a.U)], 0))
+		}
 	}
 	return m
 }
@@ -281,7 +295,7 @@ func TestSolveMatchesMapMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := make([]complex128, sys.dim)
+		b := make([]complex128, sys.top.dim)
 		for i, v := range sys.rhs {
 			b[i] = complex(v, 0)
 		}

@@ -236,12 +236,12 @@ func TestSolveLanesMatchRecordingReplay(t *testing.T) {
 	var sc sparse.Scratch
 	wantNum, wantDen := make([]xmath.XComplex, len(pts)), make([]xmath.XComplex, len(pts))
 	for k, s := range pts {
-		lu, err := sc.WS.FactorAssembly(sys.detPlan, &sys.asm, s, f, 1)
+		lu, err := sc.WS.FactorAssembly(&sys.top.plan, &sys.asm, s, f, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantDen[k] = lu.Det()
-		rhs, x := sc.Vectors(sys.dim, 1)
+		rhs, x := sc.Vectors(sys.top.dim, 1)
 		for i, v := range sys.rhs {
 			rhs[i] = complex(v, 0)
 		}

@@ -20,13 +20,13 @@ import (
 // as a map-based matrix: the reference construction the projected
 // typed-stamp assemblies are checked against.
 func (sys *System) matrixAt(s complex128, fscale, gscale float64) *sparse.Matrix {
-	m := sparse.New(sys.n)
-	for _, st := range sys.gStamps {
-		m.Add(st.i, st.j, complex(st.v*gscale, 0))
+	m := sparse.New(sys.N())
+	for k, ij := range sys.top.gPos {
+		m.Add(int(ij[0]), int(ij[1]), complex(sys.g[k]*gscale, 0))
 	}
 	sc := s * complex(fscale, 0)
-	for _, st := range sys.cStamps {
-		m.Add(st.i, st.j, sc*complex(st.v, 0))
+	for k, ij := range sys.top.cPos {
+		m.Add(int(ij[0]), int(ij[1]), sc*complex(sys.c[k], 0))
 	}
 	return m
 }

@@ -25,12 +25,6 @@ import (
 	"repro/internal/xmath"
 )
 
-// stamp is one (row, col, value) contribution.
-type stamp struct {
-	i, j int
-	v    float64
-}
-
 // projection maps the full n×n stamp space onto a derived determinant's
 // matrix: each source row/column is sent to a target index (−1 = deleted;
 // two sources sent to the same target merge by accumulation), and sign
@@ -106,7 +100,7 @@ func mergedRowsProjection(n, a, b, c int) projection {
 // projection's stamp positions — by the first successful factorization
 // anywhere in a run, and replayed read-only at every later point: across
 // all points of a frame and all frames of a Generate run, and across the
-// systems of a sweep that adopt the pattern. Its evaluations draw their
+// systems of a sweep that share the topology. Its evaluations draw their
 // factorization workspaces and RHS vectors from the process-wide scratch
 // stack (sparse.GetScratch), so steady-state evaluation reuses buffers
 // instead of allocating per point, and a new pattern starts from buffers
@@ -115,49 +109,56 @@ type pattern struct {
 	proj projection
 	plan sparse.SharedPlan
 
-	// The projected positions of the stamps the projection keeps (see
-	// System.kept), conductances first: the assembly order of every
-	// point, and ng of them conductances. They depend on stamp positions
-	// only, which every system adopting the pattern shares.
+	// The projected positions of the stamps the projection keeps,
+	// conductances first: the assembly order of every point, and ng of
+	// them conductances. src holds each kept stamp's index into a
+	// system's values (see System.value), nil when the projection keeps
+	// every stamp, in order.
 	pos [][2]int32
 	ng  int
+	src []int32
 
 	// degrees is the structural degree window of the determinant
-	// (window.go), computed once on first use by any adopting system.
+	// (window.go), computed once on first use by any system of the
+	// topology.
 	degreesOnce sync.Once
 	degrees     interp.DegreeWindow
 }
 
-// kept calls fn with each of sys's stamps that proj keeps, and its
-// projected position, conductances first, and returns how many
-// conductances it kept.
-func (sys *System) kept(proj projection, fn func(st stamp, i, j int32)) (ng int) {
-	for k, stamps := range [2][]stamp{sys.gStamps, sys.cStamps} {
-		for _, st := range stamps {
-			if i, j := proj.row[st.i], proj.col[st.j]; i >= 0 && j >= 0 {
-				fn(st, int32(i), int32(j))
-				if k == 0 {
-					ng++
+// newPattern resolves the stamps of top that proj keeps, and their
+// projected positions.
+func (top *topology) newPattern(proj projection) *pattern {
+	total := len(top.gPos) + len(top.cPos)
+	pat := &pattern{proj: proj, pos: make([][2]int32, 0, total)}
+	for k, list := range [2][][2]int32{top.gPos, top.cPos} {
+		for x, ij := range list {
+			i, j := proj.row[ij[0]], proj.col[ij[1]]
+			if i < 0 || j < 0 {
+				if pat.src == nil {
+					// The first dropped stamp: every one before it was kept.
+					pat.src = make([]int32, len(pat.pos), total)
+					for y := range pat.src {
+						pat.src[y] = int32(y)
+					}
 				}
+				continue
+			}
+			pat.pos = append(pat.pos, [2]int32{int32(i), int32(j)})
+			if pat.src != nil {
+				pat.src = append(pat.src, int32(k*len(top.gPos)+x))
+			}
+			if k == 0 {
+				pat.ng++
 			}
 		}
 	}
-	return ng
-}
-
-// newPattern resolves proj's surviving stamps of sys.
-func (sys *System) newPattern(proj projection) *pattern {
-	pat := &pattern{proj: proj, pos: make([][2]int32, 0, len(sys.gStamps)+len(sys.cStamps))}
-	pat.ng = sys.kept(proj, func(_ stamp, i, j int32) {
-		pat.pos = append(pat.pos, [2]int32{i, j})
-	})
 	return pat
 }
 
 // bound is a pattern bound to one system, whose stamp values it gathers
 // in the pattern's assembly order on first use: the typed stamps every
-// point of that system assembles from. Systems that adopt a pattern
-// share it, not its values, and a pattern only formulated for its
+// point of that system assembles from. Systems of one topology share
+// the pattern, not its values, and a pattern only formulated for its
 // degree window never gathers them.
 type bound struct {
 	*pattern
@@ -173,12 +174,18 @@ func (b *bound) assembly() *sparse.Assembly {
 	return &b.asm
 }
 
+// gather reads the kept stamps' values; a pattern that keeps every
+// stamp uses the system's value lists as they are.
 func (b *bound) gather() {
-	vals := make([]float64, 0, len(b.pos))
-	b.sys.kept(b.proj, func(st stamp, _, _ int32) {
-		vals = append(vals, st.v)
-	})
-	b.asm = sparse.Assembly{N: b.proj.dim, Pos: b.pos, G: vals[:b.ng], C: vals[b.ng:]}
+	b.asm = sparse.Assembly{N: b.proj.dim, Pos: b.pos, G: b.sys.g, C: b.sys.c}
+	if b.src == nil {
+		return
+	}
+	vals := make([]float64, len(b.src))
+	for k, x := range b.src {
+		vals[k] = b.sys.value(x)
+	}
+	b.asm.G, b.asm.C = vals[:b.ng], vals[b.ng:]
 }
 
 // dets writes the signed determinants of b's matrix at the points pts,
@@ -200,68 +207,49 @@ func (b *bound) detAt(sc *sparse.Scratch, s complex128, fscale, gscale float64) 
 	return d[0]
 }
 
-// System is the assembled grounded node-admittance structure: separate
-// conductance and capacitance stamp lists so the matrix can be evaluated
-// at any complex frequency with any pair of scale factors. Evaluation is
-// safe for concurrent use: the pattern cache is mutex-guarded and each
-// evaluation assembles into its own scratch matrix.
-type System struct {
+// topology is what every system built from one element list shares:
+// the matrix order, each element's terminal indices, the stamp
+// positions, and the pattern cache. Build writes everything but the
+// cache once; the cache is guarded by mu, so systems sharing a topology
+// may formulate concurrently.
+type topology struct {
+	src     circuit.Topology // the element list it was built from
 	n       int
-	gStamps []stamp
-	cStamps []stamp
 	numCaps int
-	// patterns caches a projection plus shared pivot-order plan per
-	// derived determinant. Keys: {-1,-1} for the full determinant, {r,c}
-	// for first-order cofactors, and synthetic keys for merged/shorted
-	// variants. bounds holds this system's values of each, by the same
-	// keys.
+	terms   [][4]int32 // per element: p, n, cp, cn (−1 for ground)
+	gPos    [][2]int32 // conductance stamp positions, in stamping order
+	cPos    [][2]int32 // capacitance stamp positions, in stamping order
+
+	// patterns caches a projection plus shared pivot-order plan and
+	// degree window per derived determinant. Keys: {-1,-1} for the full
+	// determinant, {r,c} for first-order cofactors, and synthetic keys
+	// for merged/shorted variants.
 	mu       sync.Mutex
 	patterns map[[2]int]*pattern
-	bounds   map[[2]int]*bound
 }
 
-// AdoptPatterns shares the donor system's pattern cache — projections
-// plus primed pivot-order plans — with sys, and reports whether the two
-// systems are structurally identical (same order and the same stamp
-// positions; values may differ). On a mismatch nothing is adopted: a
-// compiled plan maps the k-th stamp to a fixed value slot, so it fits
-// only systems that add the same positions in the same order.
-//
-// The adoption is what makes a batch sweep amortize factorization
-// planning: every point of a topology re-uses the plans the first point
-// primed (and contributes any new ones). The map is shared by reference,
-// so sys and prev must not Formulate concurrently afterwards; concurrent
-// evaluation stays safe (plans have their own locks).
-func (sys *System) AdoptPatterns(prev *System) bool {
-	if prev == nil || sys.n != prev.n ||
-		!sameStampPositions(sys.gStamps, prev.gStamps) ||
-		!sameStampPositions(sys.cStamps, prev.cStamps) {
-		return false
-	}
-	prev.mu.Lock()
-	if prev.patterns == nil {
-		prev.patterns = make(map[[2]int]*pattern)
-	}
-	shared := prev.patterns
-	prev.mu.Unlock()
-	sys.mu.Lock()
-	sys.patterns, sys.bounds = shared, nil
-	sys.mu.Unlock()
-	return true
+// System is the assembled grounded node-admittance structure: a shared
+// topology plus this system's stamp values, conductances and
+// capacitances apart, so the matrix can be evaluated at any complex
+// frequency with any pair of scale factors. Evaluation is safe for
+// concurrent use: the caches are mutex-guarded and each evaluation
+// assembles into its own scratch matrix.
+type System struct {
+	top  *topology
+	g, c []float64 // values aligned with top.gPos and top.cPos
+
+	// bounds holds this system's values of each pattern, by pattern key.
+	mu     sync.Mutex
+	bounds map[[2]int]*bound
 }
 
-// sameStampPositions reports whether two stamp lists touch the same
-// matrix positions in the same order (values ignored).
-func sameStampPositions(a, b []stamp) bool {
-	if len(a) != len(b) {
-		return false
+// value returns stamp x's value: x indexes the conductances, then the
+// capacitances.
+func (sys *System) value(x int32) float64 {
+	if int(x) < len(sys.g) {
+		return sys.g[x]
 	}
-	for i := range a {
-		if a[i].i != b[i].i || a[i].j != b[i].j {
-			return false
-		}
-	}
-	return true
+	return sys.c[int(x)-len(sys.g)]
 }
 
 // pattern returns the cached pattern for key bound to sys's values,
@@ -272,20 +260,28 @@ func (sys *System) pattern(key [2]int, mk func() projection) *bound {
 	if b, ok := sys.bounds[key]; ok {
 		return b
 	}
-	if sys.patterns == nil {
-		sys.patterns = make(map[[2]int]*pattern)
-	}
-	p, ok := sys.patterns[key]
-	if !ok {
-		p = sys.newPattern(mk())
-		sys.patterns[key] = p
-	}
+	p := sys.top.pattern(key, mk)
 	if sys.bounds == nil {
 		sys.bounds = make(map[[2]int]*bound)
 	}
 	b := &bound{pattern: p, sys: sys}
 	sys.bounds[key] = b
 	return b
+}
+
+// pattern returns the pattern for key, creating it with mk on first use.
+func (top *topology) pattern(key [2]int, mk func() projection) *pattern {
+	top.mu.Lock()
+	defer top.mu.Unlock()
+	p, ok := top.patterns[key]
+	if !ok {
+		if top.patterns == nil {
+			top.patterns = make(map[[2]int]*pattern)
+		}
+		p = top.newPattern(mk())
+		top.patterns[key] = p
+	}
+	return p
 }
 
 // degreeWindow returns a copy of pat's structural degree window,
@@ -379,23 +375,66 @@ func cramerValue(det xmath.XComplex, x []complex128, j int) xmath.XComplex {
 // Build assembles the system from a circuit. It returns an error if the
 // circuit contains elements outside the admittance subset or fails
 // validation.
-func Build(c *circuit.Circuit) (*System, error) {
+func Build(c *circuit.Circuit) (*System, error) { return BuildShared(c, nil) }
+
+// BuildShared is Build with a prior system. When prev was built from
+// c's element list (the same circuit.Topology: c is prev's circuit or a
+// point copy of it, see circuit.WithValues), the new system shares
+// prev's topology — terminal indices, stamp positions and the pattern
+// cache with its primed plans and degree windows — and stamps values
+// only, without validation or node-name lookups. Any other prev, nil
+// included, gives a topology of the system's own: a full Build, which
+// adopts nothing.
+//
+// Sharing is what makes a batch sweep amortize formulation and
+// factorization planning: every point of a topology re-uses the plans
+// the first point primed (and contributes any new ones).
+func BuildShared(c *circuit.Circuit, prev *System) (*System, error) {
+	if prev != nil && prev.top.src == c.Topology() {
+		return stamp(c, prev.top, false)
+	}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	if !c.AdmittanceOnly() {
 		return nil, fmt.Errorf("nodal: circuit %q contains non-admittance elements; use the MNA path for analysis or reduce sources to Norton equivalents", c.Name)
 	}
-	sys := &System{n: c.NumNodes(), numCaps: c.NumCapacitors()}
+	ne, nc := c.NumElements(), c.NumCapacitors()
 	// Every element stamps at most four entries.
-	nc := 4 * c.NumCapacitors()
-	sys.gStamps = make([]stamp, 0, 4*len(c.Elements())-nc)
-	sys.cStamps = make([]stamp, 0, nc)
-	for _, e := range c.Elements() {
-		p, n := c.NodeIndex(e.P), c.NodeIndex(e.N)
+	top := &topology{src: c.Topology(), n: c.NumNodes(), numCaps: nc,
+		terms: make([][4]int32, 0, ne),
+		gPos:  make([][2]int32, 0, 4*(ne-nc)), cPos: make([][2]int32, 0, 4*nc)}
+	return stamp(c, top, true)
+}
+
+// stamp fills a system over top with c's values. With build set it
+// also fills top: each element's terminal indices, from the node names,
+// and every stamp's position. Otherwise top already holds them, and the
+// values go into one allocation, in the order build stamped them.
+func stamp(c *circuit.Circuit, top *topology, build bool) (*System, error) {
+	s := stamper{top: top, build: build}
+	if build {
+		s.g, s.c = make([]float64, 0, cap(top.gPos)), make([]float64, 0, cap(top.cPos))
+	} else {
+		ng := len(top.gPos)
+		vals := make([]float64, ng+len(top.cPos))
+		s.g, s.c = vals[:0:ng], vals[ng:ng]
+	}
+	for k := range c.NumElements() {
+		e := c.Element(k)
+		var t [4]int32
+		if build {
+			t = [4]int32{int32(c.NodeIndex(e.P)), int32(c.NodeIndex(e.N)), -1, -1}
+			if e.Kind == circuit.VCCS {
+				t[2], t[3] = int32(c.NodeIndex(e.CP)), int32(c.NodeIndex(e.CN))
+			}
+			top.terms = append(top.terms, t)
+		} else {
+			t = top.terms[k]
+		}
 		switch e.Kind {
 		case circuit.Conductance:
-			sys.stampAdmittance(&sys.gStamps, p, n, e.Value)
+			s.admittance(false, t[0], t[1], e.Value)
 		case circuit.Resistor:
 			// Guard the reciprocal: a subnormal resistance stamps ±Inf and
 			// poisons every solve downstream.
@@ -403,50 +442,65 @@ func Build(c *circuit.Circuit) (*System, error) {
 			if math.IsInf(g, 0) || math.IsNaN(g) {
 				return nil, fmt.Errorf("nodal: resistor %q value %g has no finite conductance", e.Name, e.Value)
 			}
-			sys.stampAdmittance(&sys.gStamps, p, n, g)
+			s.admittance(false, t[0], t[1], g)
 		case circuit.Capacitor:
-			sys.stampAdmittance(&sys.cStamps, p, n, e.Value)
+			s.admittance(true, t[0], t[1], e.Value)
 		case circuit.VCCS:
-			cp, cn := c.NodeIndex(e.CP), c.NodeIndex(e.CN)
-			sys.stampVCCS(p, n, cp, cn, e.Value)
+			s.vccs(t, e.Value)
 		}
 	}
-	return sys, nil
+	return &System{top: top, g: s.g, c: s.c}, nil
 }
 
-// stampAdmittance adds the two-terminal admittance pattern, skipping
-// ground (-1) rows/columns.
-func (sys *System) stampAdmittance(list *[]stamp, p, n int, v float64) {
-	if p >= 0 {
-		*list = append(*list, stamp{p, p, v})
+// stamper collects a system's stamp values, conductances and
+// capacitances apart, and with build set their positions into top.
+type stamper struct {
+	top   *topology
+	build bool
+	g, c  []float64
+}
+
+// add adds value v at (i, j) to the capacitances (capacitive) or the
+// conductances, skipping ground (−1) rows and columns.
+func (s *stamper) add(capacitive bool, i, j int32, v float64) {
+	if i < 0 || j < 0 {
+		return
 	}
-	if n >= 0 {
-		*list = append(*list, stamp{n, n, v})
+	vals, pos := &s.g, &s.top.gPos
+	if capacitive {
+		vals, pos = &s.c, &s.top.cPos
 	}
+	*vals = append(*vals, v)
+	if s.build {
+		*pos = append(*pos, [2]int32{i, j})
+	}
+}
+
+// admittance adds the two-terminal admittance pattern.
+func (s *stamper) admittance(capacitive bool, p, n int32, v float64) {
+	s.add(capacitive, p, p, v)
+	s.add(capacitive, n, n, v)
 	if p >= 0 && n >= 0 {
-		*list = append(*list, stamp{p, n, -v}, stamp{n, p, -v})
+		s.add(capacitive, p, n, -v)
+		s.add(capacitive, n, p, -v)
 	}
 }
 
-// stampVCCS adds the transconductance pattern: current gm·(v_cp − v_cn)
-// flows from node p through the source into node n.
-func (sys *System) stampVCCS(p, n, cp, cn int, gm float64) {
-	add := func(i, j int, v float64) {
-		if i >= 0 && j >= 0 {
-			sys.gStamps = append(sys.gStamps, stamp{i, j, v})
-		}
-	}
-	add(p, cp, gm)
-	add(p, cn, -gm)
-	add(n, cp, -gm)
-	add(n, cn, gm)
+// vccs adds the transconductance pattern: current gm·(v_cp − v_cn)
+// flows from node p through the source into node n (t holds p, n, cp,
+// cn).
+func (s *stamper) vccs(t [4]int32, gm float64) {
+	s.add(false, t[0], t[2], gm)
+	s.add(false, t[0], t[3], -gm)
+	s.add(false, t[1], t[2], -gm)
+	s.add(false, t[1], t[3], gm)
 }
 
 // N returns the matrix order (number of non-ground nodes).
-func (sys *System) N() int { return sys.n }
+func (sys *System) N() int { return sys.top.n }
 
 // NumCapacitors returns the capacitor count (the order upper bound).
-func (sys *System) NumCapacitors() int { return sys.numCaps }
+func (sys *System) NumCapacitors() int { return sys.top.numCaps }
 
 // cofactorSign returns (−1)^(r+c).
 func cofactorSign(r, c int) float64 {
@@ -471,12 +525,12 @@ func (b *bound) detPooled(s complex128, fscale, gscale float64) xmath.XComplex {
 // cofactorPattern is the signed first-order cofactor
 // C_rc(s) = (−1)^(r+c)·det(Y(s) with row r and column c deleted).
 func (sys *System) cofactorPattern(r, c int) *bound {
-	return sys.pattern([2]int{r, c}, func() projection { return cofactorProjection(sys.n, r, c) })
+	return sys.pattern([2]int{r, c}, func() projection { return cofactorProjection(sys.top.n, r, c) })
 }
 
 // detPattern is det Y(s).
 func (sys *System) detPattern() *bound {
-	return sys.pattern([2]int{-1, -1}, func() projection { return identityProjection(sys.n) })
+	return sys.pattern([2]int{-1, -1}, func() projection { return identityProjection(sys.top.n) })
 }
 
 // shortedPattern is det of Y(s) with node b merged into node a (rows
@@ -485,7 +539,7 @@ func (sys *System) detPattern() *bound {
 // C_aa + C_bb − C_ab − C_ba, but without the ~6-digit cancellation the
 // explicit sum suffers on weakly-coupled input pairs.
 func (sys *System) shortedPattern(a, b int) *bound {
-	return sys.pattern([2]int{-2 - a, -2 - b}, func() projection { return shortedProjection(sys.n, a, b) })
+	return sys.pattern([2]int{-2 - a, -2 - b}, func() projection { return shortedProjection(sys.top.n, a, b) })
 }
 
 // mergedRowsPattern is the single-determinant form of C_a,c − C_b,c:
@@ -498,12 +552,12 @@ func (sys *System) shortedPattern(a, b int) *bound {
 // independent of whether a < b (the row move parity absorbs the
 // difference). TestDifferentialGainMatchesMNA checks the sign.
 func (sys *System) mergedRowsPattern(a, b, c int) *bound {
-	return sys.pattern([2]int{-100 - a*sys.n - b, c}, func() projection { return mergedRowsProjection(sys.n, a, b, c) })
+	return sys.pattern([2]int{-100 - a*sys.top.n - b, c}, func() projection { return mergedRowsProjection(sys.top.n, a, b, c) })
 }
 
 func (sys *System) orderBound(m int) int {
-	if sys.numCaps < m {
-		return sys.numCaps
+	if sys.top.numCaps < m {
+		return sys.top.numCaps
 	}
 	return m
 }
@@ -523,7 +577,7 @@ func (sys *System) VoltageGain(c *circuit.Circuit, in, out string) (*interp.Tran
 	if err != nil {
 		return nil, err
 	}
-	m := sys.n - 1
+	m := sys.top.n - 1
 	tf := &interp.TransferFunction{
 		Name: fmt.Sprintf("V(%s)/V(%s)", out, in),
 		Num:  sys.evaluator("numerator", m, sys.cofactorPattern(i, o)),
@@ -559,7 +613,7 @@ func (sys *System) DifferentialVoltageGain(c *circuit.Circuit, inp, inn, out str
 	if o == ip || o == in {
 		return nil, fmt.Errorf("nodal: output node must differ from the input pair")
 	}
-	m := sys.n - 1
+	m := sys.top.n - 1
 	// No joint form here: the joint Cramer form would reconstruct the
 	// numerator as det·(x_out from e_ip) − det·(x_out from e_in) — the
 	// explicit cofactor difference whose ~6-digit cancellation on
@@ -585,8 +639,8 @@ func (sys *System) Transimpedance(c *circuit.Circuit, in, out string) (*interp.T
 	}
 	tf := &interp.TransferFunction{
 		Name: fmt.Sprintf("V(%s)/I(%s)", out, in),
-		Num:  sys.evaluator("numerator", sys.n-1, sys.cofactorPattern(i, o)),
-		Den:  sys.evaluator("denominator", sys.n, sys.detPattern()),
+		Num:  sys.evaluator("numerator", sys.top.n-1, sys.cofactorPattern(i, o)),
+		Den:  sys.evaluator("denominator", sys.top.n, sys.detPattern()),
 	}
 	tf.EvalBothChunk, tf.BothReady = sys.jointCramer(i, func(det xmath.XComplex, x []complex128) (num, den xmath.XComplex) {
 		return cramerValue(det, x, o), det

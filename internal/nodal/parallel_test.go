@@ -397,7 +397,7 @@ func TestSolveLanesMatchRecordingReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 				det := lu.Det()
-				rhs, x := sc.Vectors(sys.n, 1)
+				rhs, x := sc.Vectors(sys.N(), 1)
 				rhs[i] = 1
 				if err := lu.SolveInto(x, rhs, &sc.WS); err != nil {
 					t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/circuits"
 	"repro/internal/interp"
 )
@@ -197,15 +198,24 @@ func TestStructuralWindowFixtures(t *testing.T) {
 	}
 }
 
-// TestAdoptedPatternsShareWindow: a system adopting a donor's patterns
-// reuses the donor's computed window rather than matching again.
+// TestAdoptedPatternsShareWindow: a system built over a donor's
+// topology (a point copy of the donor's circuit) reuses the donor's
+// computed window rather than matching again.
 func TestAdoptedPatternsShareWindow(t *testing.T) {
-	a, b := circuits.RCLadder(6, 1e3, 1e-12), circuits.RCLadder(6, 2e3, 3e-12)
-	sa, err := Build(a)
+	// b is circuits.RCLadder(6, 2e3, 3e-12) over a's element list.
+	a := circuits.RCLadder(6, 1e3, 1e-12)
+	vals := make([]float64, a.NumElements())
+	for i := range vals {
+		vals[i] = 2 * a.Value(i)
+		if a.Element(i).Kind == circuit.Capacitor {
+			vals[i] = 3 * a.Value(i)
+		}
+	}
+	b, err := a.WithValues(vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := Build(b)
+	sa, err := Build(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +223,12 @@ func TestAdoptedPatternsShareWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sb.AdoptPatterns(sa) {
-		t.Fatal("structurally identical ladders did not adopt")
+	sb, err := BuildShared(b, sa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.top != sa.top {
+		t.Fatal("a point copy of the donor's circuit did not share its topology")
 	}
 	tb, err := sb.VoltageGain(b, "in", "n6")
 	if err != nil {

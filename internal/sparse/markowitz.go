@@ -51,6 +51,23 @@ func (r *arena[T]) reset(n int) {
 	}
 }
 
+// layout empties the arena into runs laid out in order, run i with room
+// start[i+1]−start[i] (start holds n+1 offsets from 0). A new backing
+// array is allocated with as much capacity again, for the runs that
+// outgrow their room to move into.
+func (r *arena[T]) layout(start []int32) {
+	n, total := len(start)-1, int(start[len(start)-1])
+	if cap(r.items) < 2*total {
+		r.items = make([]T, total, 2*total)
+	}
+	r.items = r.items[:total]
+	r.meta = resize(r.meta, 3*n)
+	r.off, r.cnt, r.room = r.meta[:n], r.meta[n:2*n], r.meta[2*n:]
+	for i := range n {
+		r.off[i], r.cnt[i], r.room[i] = start[i], 0, start[i+1]-start[i]
+	}
+}
+
 // run returns the items of run i.
 func (r *arena[T]) run(i int) []T {
 	o := r.off[i]
@@ -119,6 +136,7 @@ type flatRows struct {
 	targets []int32         // the current step's target rows
 	at      []int32         // scatter of the row being updated: column → cell index, or −1
 	seen    []bool          // permutation-parity scratch
+	start   []int32         // assembly scratch: per row, the offset of its room in the arena
 }
 
 // reset empties the rows for an n×n matrix.
@@ -130,28 +148,67 @@ func (r *flatRows) reset(n int) {
 // row returns the cells of row i.
 func (r *flatRows) row(i int) []cell { return r.run(i) }
 
-// add accumulates v into element (i, j) with Matrix.Add's rules: a zero
-// adds nothing, a sum that cancels exactly removes the cell, and an add
-// to an absent cell stores 0 + v, as the map's zero value would.
-func (r *flatRows) add(i, j int, v complex128) {
-	if v == 0 {
-		return
+// assemble loads the matrix a assembles at the frequency factor sc and
+// conductance scale gscale, value k accumulated into element a.Pos[k]
+// with Matrix.Add's rules: a zero adds nothing, a sum that cancels
+// exactly removes the cell, and an add to an absent cell stores 0 + v,
+// as the map's zero value would. Each row gets room for all its
+// positions, and the values are first sorted into their rows' room in
+// assembly order, so no row moves. Each row then merges its values in
+// place through a scatter of its columns, so no add scans the row, and
+// every element sums its values in Matrix.Add's order, bit for bit. A
+// cell whose sum cancels holds zero until its row is complete, and a
+// later add to it starts again from 0 + v, as a re-inserted entry would.
+func (r *flatRows) assemble(a *Assembly, sc complex128, gscale float64) {
+	n := a.N
+	r.n = n
+	r.start = resize(r.start, n+1)
+	clear(r.start)
+	for _, p := range a.Pos {
+		r.start[p[0]+1]++
 	}
-	row := r.row(i)
-	for k := range row {
-		if row[k].col != int32(j) {
-			continue
+	for i := range n {
+		r.start[i+1] += r.start[i]
+	}
+	r.arena.layout(r.start)
+	// Sort the nonzero values into their rows; cnt counts each row's.
+	for k, p := range a.Pos {
+		if v := a.at(k, sc, gscale); v != 0 {
+			i := p[0]
+			r.items[r.off[i]+r.cnt[i]] = cell{col: p[1], val: v}
+			r.cnt[i]++
 		}
-		if nv := row[k].val + v; nv != 0 {
-			row[k].val = nv
-		} else {
-			row[k] = row[len(row)-1]
-			r.cnt[i]--
-		}
-		return
+	}
+	r.at = resize(r.at, n)
+	for j := range r.at {
+		r.at[j] = -1
 	}
 	var zero complex128
-	r.push(i, cell{col: int32(j), val: zero + v})
+	for i := range n {
+		row := r.run(i)
+		cells := row[:0]
+		for _, e := range row {
+			p := r.at[e.col]
+			if p < 0 {
+				r.at[e.col] = int32(len(cells))
+				cells = append(cells, cell{col: e.col, val: zero + e.val})
+				continue
+			}
+			if c := &cells[p]; c.val == 0 {
+				c.val = zero + e.val
+			} else {
+				c.val += e.val
+			}
+		}
+		kept := row[:0]
+		for _, c := range cells {
+			r.at[c.col] = -1
+			if c.val != 0 {
+				kept = append(kept, c)
+			}
+		}
+		r.cnt[i] = int32(len(kept))
+	}
 }
 
 // colEntry is one stored entry seen from its column: its row and the

@@ -344,11 +344,8 @@ func (ws *Workspace) Assemble(sp *SharedPlan, a *Assembly, s complex128, fscale,
 		a.accumulate(ws.vals, c.slot, []complex128{sc}, gscale)
 		return
 	}
-	ws.rows.reset(a.N)
 	ws.pos = a.Pos
-	for k, p := range a.Pos {
-		ws.rows.add(int(p[0]), int(p[1]), a.at(k, sc, gscale))
-	}
+	ws.rows.assemble(a, sc, gscale)
 }
 
 // FactorAssembly assembles a at s under sp (see Assemble) and factors

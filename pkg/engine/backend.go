@@ -231,16 +231,13 @@ func (nodalBackend) FormulateShared(c *Circuit, spec Spec, prior *Formulation) (
 	return nodalFormulate(c, spec, prev)
 }
 
+// nodalFormulate builds c's system over prev's topology when prev was
+// built from c's element list (nodal.BuildShared), and on its own
+// otherwise.
 func nodalFormulate(c *Circuit, spec Spec, prev *nodal.System) (*Formulation, error) {
-	sys, err := nodal.Build(c)
+	sys, err := nodal.BuildShared(c, prev)
 	if err != nil {
 		return nil, err
-	}
-	// Adoption must precede the transfer-function build: the evaluators
-	// capture their pattern pointers from the system's cache, so only
-	// patterns created in the adopted (shared) cache amortize.
-	if prev != nil {
-		sys.AdoptPatterns(prev)
 	}
 	var tf *TransferFunction
 	switch spec.Kind {
@@ -281,12 +278,9 @@ func mnaFormulate(c *Circuit, spec Spec, prev *mna.System) (*Formulation, error)
 	if spec.Kind != "mna" {
 		return nil, fmt.Errorf("engine: backend mna: unsupported kind %q (want mna)", spec.Kind)
 	}
-	msys, err := mna.Build(c)
+	msys, err := mna.BuildShared(c, prev)
 	if err != nil {
 		return nil, err
-	}
-	if prev != nil {
-		msys.AdoptPlan(prev)
 	}
 	tf, err := msys.TransferEvaluators(spec.Out)
 	if err != nil {

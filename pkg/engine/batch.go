@@ -216,11 +216,12 @@ func (e *Engine) GenerateBatch(ctx context.Context, req BatchRequest) (*BatchRes
 	return resp, nil
 }
 
-// applyPoint copies the base circuit (circuit.Clone: an element list of
-// its own, the base's name and node tables shared read-only) and applies
-// the point's value factors in place; the base is never written.
-// Non-finite factors, products that overflow to a non-finite value and
-// unknown element names are errors.
+// applyPoint resolves the point's value factors into one value vector
+// over the base's element order and returns a point copy holding it
+// (circuit.WithValues): the base's element list and name and node
+// tables are shared read-only, so the copy has the base's topology and
+// the base is never written. Non-finite factors, products that overflow
+// to a non-finite value and unknown element names are errors.
 func applyPoint(base *Circuit, p BatchPoint) (*Circuit, error) {
 	if len(p.Scale) == 0 {
 		return base, nil
@@ -230,22 +231,23 @@ func applyPoint(base *Circuit, p BatchPoint) (*Circuit, error) {
 			return nil, fmt.Errorf("engine: batch point scales %q by non-finite factor %v", name, f)
 		}
 	}
-	out := base.Clone("")
+	vals := make([]float64, base.NumElements())
 	applied := 0
-	for i, el := range out.Elements() {
-		f, ok := p.Scale[el.Name]
-		if !ok {
-			continue
+	for i := range vals {
+		vals[i] = base.Value(i)
+		if f, ok := p.Scale[base.Element(i).Name]; ok {
+			vals[i] *= f
+			applied++
 		}
-		if err := out.SetValue(i, el.Value*f); err != nil {
-			return nil, fmt.Errorf("engine: batch point: %w", err)
-		}
-		applied++
+	}
+	out, err := base.WithValues(vals)
+	if err != nil {
+		return nil, fmt.Errorf("engine: batch point: %w", err)
 	}
 	if applied != len(p.Scale) {
 		var missing []string
 		for name := range p.Scale {
-			if !out.HasElement(name) {
+			if !base.HasElement(name) {
 				missing = append(missing, name)
 			}
 		}

@@ -4,17 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/exact"
 	"repro/internal/xmath"
 )
 
-// The Options.ExactRecovery pass: after generation, snap certified
-// coefficients to minimal-denominator rationals consistent with their
-// error bars and verify them against the exact-arithmetic oracle
-// (internal/exact). A coefficient whose snapped rational renders to the
-// oracle's value bit for bit — or whose certified bar already contains
-// the oracle value — is upgraded to TierExact and its value replaced by
-// the oracle's correctly-rounded rendering. The pass is best-effort:
+// The Options.ExactRecovery pass: after generation, verify certified
+// coefficients against the exact-arithmetic oracle (internal/exact). A
+// coefficient whose certified error bar contains the oracle value is
+// upgraded to TierExact and its value replaced by the oracle's
+// correctly-rounded rendering. The pass is best-effort:
 // when the oracle cannot formulate the request (unsupported spec kind,
 // circuit too large for exact arithmetic) the result is left untouched
 // and the reason is recorded as an exact-recovery quality event.
@@ -149,16 +146,11 @@ func recoverResult(r *Result, oracle Poly) {
 }
 
 // verifyExact reports whether the computed coefficient v is recoverable
-// to the oracle rendering want within the certified relative bar: either
-// the minimal-denominator rational inside the bar renders to want bit
-// for bit (the snap found the true coefficient), or want itself lies
-// within the bar (v then snaps to the oracle's exact rendering directly).
+// to the oracle rendering want: the oracle value lies within v's
+// certified relative bar.
 func verifyExact(v, want xmath.XFloat, rel float64) bool {
 	if want.Zero() {
 		return false // a certified nonzero value cannot be exactly zero
-	}
-	if cand := exact.Snap(exact.XToRat(v), rel); cand != nil && exact.RatToX(cand) == want {
-		return true
 	}
 	return v.ApproxEqual(want, rel)
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestExactRecoveryUpgradesBiquad pins the recovery pass on the biquad
-// fixture: certified coefficients must snap to the oracle's rationals
-// and come back as exact-tier values that reproduce the oracle's
-// rendering bit for bit.
+// fixture: certified coefficients whose bars contain the oracle's values
+// come back as exact-tier values that reproduce the oracle's rendering
+// bit for bit.
 func TestExactRecoveryUpgradesBiquad(t *testing.T) {
 	eng, err := engine.New(engine.Config{})
 	if err != nil {

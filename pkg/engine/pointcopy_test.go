@@ -11,10 +11,11 @@ import (
 	"repro/internal/core"
 )
 
-// TestPointCopyIsolation: point copies share the base's name and node
-// tables, yet an element added to one copy, or to a "+source" clone of
-// it as the MNA path makes, reaches neither the base nor another copy,
-// and neither does one added to the base afterwards.
+// TestPointCopyIsolation: point copies hold only their values over the
+// base's element list and name and node tables, yet a value set on, or
+// an element added to, one copy — or a "+source" clone of it, as the
+// MNA path makes — reaches neither the base nor another copy, and
+// neither does one set on or added to the base afterwards.
 func TestPointCopyIsolation(t *testing.T) {
 	base, _ := ladderSpec(4)
 	baseElems, baseNodes := slices.Clone(base.Elements()), slices.Clone(base.Nodes())
@@ -26,7 +27,16 @@ func TestPointCopyIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if a.Topology() != base.Topology() || b.Topology() != base.Topology() {
+		t.Fatal("a point copy does not share the base's element list")
+	}
 	bElems := slices.Clone(b.Elements())
+	if err := a.SetValue(1, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.SetValue(2, 11); err != nil {
+		t.Fatal(err)
+	}
 	if err := a.AddElement(circuit.Element{Kind: circuit.Resistor, Name: "rx", P: "in", N: "x", Value: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +85,29 @@ func TestPointCopyIsolation(t *testing.T) {
 			}
 		}
 	}
-	if got := base.Elements(); !slices.Equal(got[:len(baseElems)], baseElems) {
+	// Values: a's r1 doubled and its element 1 set, the base's element 2
+	// set, b's c1 tripled; nothing else moved anywhere.
+	value := func(c *Circuit, i int) float64 { return c.Elements()[i].Value }
+	for _, v := range []struct {
+		name string
+		c    *Circuit
+		want []float64
+	}{
+		{"base", base, []float64{baseElems[0].Value, baseElems[1].Value, 11}},
+		{"copy a", a, []float64{2 * baseElems[0].Value, 7, baseElems[2].Value}},
+		{"a+source", driven, []float64{2 * baseElems[0].Value, 7, baseElems[2].Value}},
+	} {
+		for i, want := range v.want {
+			if got := value(v.c, i); got != want || v.c.Value(i) != want {
+				t.Errorf("%s: element %d (%s) = %g, want %g", v.name, i, baseElems[i].Name, got, want)
+			}
+		}
+	}
+	if got := base.Elements(); !slices.Equal(got[3:len(baseElems)], baseElems[3:]) {
 		t.Error("point copies changed the base's element values")
 	}
 	if !slices.Equal(b.Elements(), bElems) {
-		t.Error("copy a's changes reached copy b's elements")
-	}
-	if a.Elements()[0].Value != 2*baseElems[0].Value {
-		t.Errorf("copy a r1 = %g, want %g", a.Elements()[0].Value, 2*baseElems[0].Value)
+		t.Error("changes to copy a or to the base reached copy b's elements")
 	}
 }
 
@@ -144,11 +169,13 @@ func TestPointCopyConcurrentBatches(t *testing.T) {
 
 // TestSweepPointAllocBound bounds the bytes a warm ladder40 sweep point
 // allocates, over a 16-point GenerateBatch after one that fills the
-// scratch stacks: point copies share the base's tables and runs reuse
-// their scratch, where each point used to copy both (about 82 KiB a
-// point). It also holds the sweep's work counters.
+// scratch stacks: a point copy holds only its values, its system
+// re-stamps values over the sweep's shared topology, and runs reuse
+// their scratch, where each point used to copy its elements and tables
+// and build its system whole (about 82 KiB a point, 42 KiB with shared
+// tables). It also holds the sweep's work counters.
 func TestSweepPointAllocBound(t *testing.T) {
-	const points, maxKiBPerPoint = 16, 60
+	const points, maxKiBPerPoint = 16, 34
 	base, spec := ladderSpec(40)
 	eng, err := New(Config{})
 	if err != nil {
